@@ -224,8 +224,6 @@ def _write_xy(path: Path, x: Sequence[float], y: Sequence[float]) -> None:
 
 
 def cmd_report(args) -> int:
-    from .verify import split_columns
-
     cfg = _load_effective_config(args)
     scenario = build_scenario(cfg)
     out_dir = Path(args.out)
@@ -234,28 +232,28 @@ def cmd_report(args) -> int:
     for path in (trace_path, events_path):
         if not path.exists():
             raise ConfigError(f"missing trace file {path}")
-    names, mat = sim.read_trace_csv(trace_path)
-    cols = split_columns(names, mat, scenario.plant.state_dim,
-                         scenario.controller.state_dim, scenario.plant.output_dim)
-    events = sim.read_events_csv(events_path)
-    t = cols["t"]
+    try:
+        trace = sim.read_trace(scenario, trace_path, events_path)
+    except ValueError as exc:
+        raise ConfigError(f"malformed trace: {exc}") from exc
+    t = trace.t
 
     for i in range(scenario.plant.state_dim):
-        _write_xy(out_dir / f"states_plant_{i + 1}.dat", t, cols["x_p"][:, i])
+        _write_xy(out_dir / f"states_plant_{i + 1}.dat", t, trace.x_p[:, i])
     for i in range(scenario.controller.state_dim):
-        _write_xy(out_dir / f"states_controller_{i + 1}.dat", t, cols["x_c"][:, i])
-    _write_xy(out_dir / "output_plant.dat", t, cols["y_p"][:, 0])
-    _write_xy(out_dir / "output_controller_held.dat", t, cols["u_r"][:, 0])
+        _write_xy(out_dir / f"states_controller_{i + 1}.dat", t, trace.x_c[:, i])
+    _write_xy(out_dir / "output_plant.dat", t, trace.y_p[:, 0])
+    _write_xy(out_dir / "output_controller_held.dat", t, trace.u_r[:, 0])
 
     for side in ("plant", "controller"):
-        commits = [e for e in events if e["side"] == side and not e["dropped"]]
-        gaps_t = [b["t"] for a, b in zip(commits, commits[1:])]
-        gaps = [b["t"] - a["t"] for a, b in zip(commits, commits[1:])]
+        commits = trace.commits_on(side)
+        gaps_t = [b.t for a, b in zip(commits, commits[1:])]
+        gaps = [b.t - a.t for a, b in zip(commits, commits[1:])]
         _write_xy(out_dir / f"interevent_{side}.dat", gaps_t, gaps)
-        attempts = [e for e in events if e["side"] == side]
+        attempts = trace.events_on(side)
         _write_xy(out_dir / f"dropouts_{side}.dat",
-                  [e["t"] for e in attempts],
-                  [0.0 if e["dropped"] else 1.0 for e in attempts])
+                  [e.t for e in attempts],
+                  [0.0 if e.dropped else 1.0 for e in attempts])
     print(f"report data written to {out_dir}")
     return EXIT_OK
 

@@ -141,7 +141,6 @@ class HoldState:
     """Zero-order hold: constant between arrivals."""
 
     current_value: np.ndarray
-    last_update: float = -np.inf
 
 
 class Channel:
@@ -203,7 +202,6 @@ class Channel:
 
     def poll(self, t: float) -> np.ndarray:
         while self._in_flight and self._in_flight[0][0] <= t:
-            arrival, _, payload = self._in_flight.pop(0)
+            _, _, payload = self._in_flight.pop(0)
             self.hold.current_value = payload
-            self.hold.last_update = arrival
         return self.hold.current_value.copy()

@@ -72,10 +72,13 @@ def _logarithmic(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     delta = (1.0 - rho) / (1.0 + rho)
     mag = np.abs(v)
     out = np.zeros_like(mag)
-    nz = mag > 0
+    scaled = (1.0 + delta) * mag / spec.u0
+    # a magnitude whose scaled value underflows to 0 has log -inf, so j = inf
+    # and level 0: below the cutoff, it quantizes to 0 like v = 0 does
+    nz = scaled > 0
     if np.any(nz):
         # cell for level u0*rho^j is [level/(1+delta), level/(1-delta))
-        j = np.ceil(np.log((1.0 + delta) * mag[nz] / spec.u0) / np.log(rho))
+        j = np.ceil(np.log(scaled[nz]) / np.log(rho))
         level = spec.u0 * rho ** j
         # float-safety: nudge into the owning cell if we landed one off
         too_low = level <= (1.0 - delta) * mag[nz]

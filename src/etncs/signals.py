@@ -75,17 +75,6 @@ class Signal:
             return abs(s.amplitude) * 2.0 * np.pi * abs(s.freq)
         return 0.0
 
-    @property
-    def sup_bound(self) -> float:
-        s = self.spec
-        if s.kind == "zero":
-            return 0.0
-        if s.kind == "constant":
-            return abs(s.value)
-        if s.kind == "piecewise_uniform":
-            return max(abs(s.lo), abs(s.hi))
-        return abs(s.amplitude)
-
 
 def build_signal(spec: SignalSpec) -> Signal:
     return Signal(spec)

@@ -34,10 +34,16 @@ __all__ = [
     "run_scenario",
     "compute_metrics",
     "dropout_spans",
+    "max_consecutive_drops",
+    "held_samples",
+    "plant_dissipativity",
+    "TRACE_COLUMNS",
+    "split_columns",
     "write_trace_csv",
     "write_events_csv",
     "read_trace_csv",
     "read_events_csv",
+    "read_trace",
 ]
 
 _FMT = "%.16e"  # 17 significant digits: round-trips float64 exactly
@@ -270,12 +276,39 @@ def dropout_spans(trace: TraceLog, side: str) -> List[Tuple[float, float]]:
     return spans
 
 
-def _max_consecutive_drops(trace: TraceLog, side: str) -> int:
+def max_consecutive_drops(trace: TraceLog, side: str) -> int:
     worst = run = 0
     for e in trace.events_on(side):
         run = run + 1 if e.dropped else 0
         worst = max(worst, run)
     return worst
+
+
+def held_samples(trace: TraceLog, side: str) -> np.ndarray:
+    """The detector's held sample per row: row k holds the last commit with
+    ``sample_index <= k`` (zeros before the first commit).  Sorted by index,
+    a running max of list positions keeps this exact for unsorted commits.
+    """
+    commits = trace.commits_on(side)
+    values = np.array([np.zeros(trace.y_p.shape[1])] + [e.committed for e in commits])
+    index = np.array([e.sample_index for e in commits], dtype=np.int64)
+    order = np.argsort(index, kind="stable")
+    last = np.concatenate(([0], np.maximum.accumulate(order) + 1))
+    below = np.searchsorted(index[order], np.arange(len(trace.t)), side="right")
+    return values[last[below]]
+
+
+def plant_dissipativity(trace: TraceLog) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-step residuals of the plant's dissipation inequality and their
+    tolerance ``1e-6 * (1 + max(|V_k|, |V_{k+1}|))``, which scales the
+    quadrature error allowance with the storage at either end of the step.
+    """
+    plant = trace.config.plant
+    traj = core.Trajectory(times=trace.t, states=trace.x_p,
+                           inputs=trace.u_p, outputs=trace.y_p)
+    res = core.dissipativity_residuals(plant, traj)
+    v = np.array([plant.storage(x) for x in trace.x_p])
+    return res, 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
 
 
 def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, List[Tuple[float, float, float]]]:
@@ -310,7 +343,7 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
         me[f"attempts_{key}"] = len(attempts)
         me[f"events_{key}"] = len(commits)
         me[f"drops_{key}"] = len(attempts) - len(commits)
-        me[f"max_consec_drops_{key}"] = _max_consecutive_drops(trace, side)
+        me[f"max_consec_drops_{key}"] = max_consecutive_drops(trace, side)
         min_gap, _ = _gap_stats(trace, side)
         me[f"min_gap_{key}"] = min_gap
 
@@ -331,18 +364,14 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
     me["c2_prime"] = float(np.max(np.linalg.norm(trace.u_c - w2_vals, axis=1)))
 
     if cfg.plant.storage is not None:
-        traj = core.Trajectory(times=trace.t, states=trace.x_p,
-                               inputs=trace.u_p, outputs=trace.y_p)
-        res = core.dissipativity_residuals(cfg.plant, traj)
-        v = np.array([cfg.plant.storage(x) for x in trace.x_p])
-        tol = 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+        res, tol = plant_dissipativity(trace)
         me["dissip_residual_max_p"] = float(np.max(res)) if len(res) else 0.0
         me["dissip_norm_residual_max_p"] = float(np.max(res / tol)) if len(res) else 0.0
         me["dissip_ok_p"] = bool(np.all(res <= tol)) if len(res) else True
 
     for side, key, tcfg in (("plant", "p", cfg.trigger_p),
                             ("controller", "c", cfg.trigger_c)):
-        held = trace.u_tilde_c if side == "plant" else _held_controller(trace)
+        held = held_samples(trace, side)
         outputs = trace.y_p if side == "plant" else trace.y_c
         attempt_times = [e.t for e in trace.events_on(side)]
         ok, bad = trigger.trigger_inequality_check(
@@ -373,11 +402,6 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
     return me
 
 
-def _held_controller(trace: TraceLog) -> np.ndarray:
-    """Reconstruct the controller detector's held sample per row."""
-    return trace.y_c - trace.e_c
-
-
 def _interevent_comparison(trace: TraceLog, params: DesignParams,
                            me: Dict[str, object]) -> Dict[str, object]:
     h = trace.config.h
@@ -404,15 +428,23 @@ def _interevent_comparison(trace: TraceLog, params: DesignParams,
 # ---------------------------------------------------------------------------
 # CSV serialization (fixed column order, 17 significant digits)
 
+# trace.csv column groups in file order; every group but t and the two state
+# vectors has the port dimension
+TRACE_COLUMNS = ("t", "x_p", "y_p", "e_p", "u_p", "x_c", "y_c", "e_c", "u_c",
+                 "y_r", "u_r", "y_tilde_c", "u_tilde_c", "y_qp", "y_qc", "w1")
+
+_EVENTS_HEADER = ("side,kind,t,sample_index,attempt_index,drops_before,"
+                  "e_norm,y_norm,payload,committed")
+
+
 def _column_names(trace: TraceLog) -> List[str]:
     names = ["t"]
-    names += [f"x_p{i + 1}" for i in range(trace.x_p.shape[1])]
-    for base in ("y_p", "e_p", "u_p"):
-        names += _vec_names(base, trace.y_p.shape[1])
-    names += [f"x_c{i + 1}" for i in range(trace.x_c.shape[1])]
-    for base in ("y_c", "e_c", "u_c", "y_r", "u_r", "y_tilde_c",
-                 "u_tilde_c", "y_qp", "y_qc", "w1"):
-        names += _vec_names(base, trace.y_p.shape[1])
+    for base in TRACE_COLUMNS[1:]:
+        dim = getattr(trace, base).shape[1]
+        if base in ("x_p", "x_c"):
+            names += [f"{base}{i + 1}" for i in range(dim)]
+        else:
+            names += _vec_names(base, dim)
     return names
 
 
@@ -421,11 +453,26 @@ def _vec_names(base: str, dim: int) -> List[str]:
 
 
 def _row_matrix(trace: TraceLog) -> np.ndarray:
-    parts = [trace.t[:, None], trace.x_p, trace.y_p, trace.e_p, trace.u_p,
-             trace.x_c, trace.y_c, trace.e_c, trace.u_c, trace.y_r,
-             trace.u_r, trace.y_tilde_c, trace.u_tilde_c, trace.y_qp,
-             trace.y_qc, trace.w1]
-    return np.hstack(parts)
+    return np.hstack([trace.t[:, None]]
+                     + [getattr(trace, base) for base in TRACE_COLUMNS[1:]])
+
+
+def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
+                  ctrl_dim: int, port_dim: int) -> Dict[str, np.ndarray]:
+    """Group raw CSV columns back into named signal arrays (views of ``mat``)."""
+    widths = {"t": 1, "x_p": plant_dim, "x_c": ctrl_dim}
+    expected = sum(widths.get(base, port_dim) for base in TRACE_COLUMNS)
+    if len(names) != expected:
+        raise ValueError(
+            f"trace has {len(names)} columns, expected {expected} for these models")
+    out: Dict[str, np.ndarray] = {}
+    i = 0
+    for base in TRACE_COLUMNS:
+        width = widths.get(base, port_dim)
+        out[base] = mat[:, i:i + width]
+        i += width
+    out["t"] = mat[:, 0]
+    return out
 
 
 def write_trace_csv(trace: TraceLog, path) -> None:
@@ -438,8 +485,7 @@ def write_trace_csv(trace: TraceLog, path) -> None:
 
 def write_events_csv(trace: TraceLog, path) -> None:
     with open(path, "w") as fh:
-        fh.write("side,kind,t,sample_index,attempt_index,drops_before,"
-                 "e_norm,y_norm,payload,committed\n")
+        fh.write(_EVENTS_HEADER + "\n")
         for e in trace.events:
             fh.write(",".join([
                 e.side,
@@ -471,25 +517,49 @@ def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:
     return names, mat
 
 
-def read_events_csv(path) -> List[Dict[str, object]]:
-    rows: List[Dict[str, object]] = []
+def _parse_event(line: str) -> EventRecord:
+    f = line.split(",")
+    if len(f) != 10:
+        raise ValueError(f"expected 10 fields, got {len(f)}")
+    if f[0] not in ("plant", "controller") or f[1] not in ("commit", "drop"):
+        raise ValueError(f"unknown side or kind {f[0]!r}, {f[1]!r}")
+    sample_index = int(f[3])
+    if abs(sample_index) >= 2 ** 63:   # joined to rows through int64 arrays
+        raise ValueError(f"sample_index {sample_index} out of range")
+    return EventRecord(
+        side=f[0], t=float(f[2]), sample_index=sample_index,
+        attempt_index=int(f[4]), dropped=f[1] == "drop", drops_before=int(f[5]),
+        e_norm=float(f[6]), y_norm=float(f[7]),
+        payload=np.array([float(v) for v in f[8].split(";")]),
+        committed=np.array([float(v) for v in f[9].split(";")]))
+
+
+def read_events_csv(path) -> List[EventRecord]:
+    """The event table of an events file; ValueError on a short or garbled row."""
+    events: List[EventRecord] = []
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
+        if fh.readline().strip() != _EVENTS_HEADER:
+            raise ValueError(f"events file {path} lacks the events header")
+        for n, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            vals = line.strip().split(",")
-            rec = dict(zip(header, vals))
-            rows.append({
-                "side": rec["side"],
-                "dropped": rec["kind"] == "drop",
-                "t": float(rec["t"]),
-                "sample_index": int(rec["sample_index"]),
-                "attempt_index": int(rec["attempt_index"]),
-                "drops_before": int(rec["drops_before"]),
-                "e_norm": float(rec["e_norm"]),
-                "y_norm": float(rec["y_norm"]),
-                "payload": np.array([float(v) for v in rec["payload"].split(";")]),
-                "committed": np.array([float(v) for v in rec["committed"].split(";")]),
-            })
-    return rows
+            try:
+                events.append(_parse_event(line.strip()))
+            except ValueError as exc:
+                raise ValueError(f"events file {path} line {n}: {exc}") from None
+    return events
+
+
+def read_trace(scenario: ScenarioConfig, trace_path, events_path) -> TraceLog:
+    """A run read back from its trace and events files, as ``run_scenario``
+    returned it; the signal arrays are column views of the parsed matrix."""
+    names, mat = read_trace_csv(trace_path)
+    port = scenario.plant.output_dim
+    cols = split_columns(names, mat, scenario.plant.state_dim,
+                         scenario.controller.state_dim, port)
+    events = read_events_csv(events_path)
+    for e in events:
+        if e.payload.shape != (port,) or e.committed.shape != (port,):
+            raise ValueError(f"events file {events_path}: {e.side} event at "
+                             f"t={e.t:.6f} does not carry {port}-vectors")
+    return TraceLog(config=scenario, events=events, **cols)

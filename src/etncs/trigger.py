@@ -62,10 +62,6 @@ def commit_transmission(state: DetectorState, y, t: float) -> DetectorState:
                    event_count=state.event_count + 1)
 
 
-def _in_spans(t: float, spans: Sequence[Tuple[float, float]]) -> bool:
-    return any(a <= t < b for a, b in spans)
-
-
 def trigger_inequality_check(times, outputs, held, delta: float,
                              attempt_times: Sequence[float]) -> Tuple[bool, List[int]]:
     """Check ||y - held||^2 <= delta*||y||^2 at every non-firing sample.
@@ -77,15 +73,11 @@ def trigger_inequality_check(times, outputs, held, delta: float,
     times = np.asarray(times, dtype=float)
     y = np.asarray(outputs, dtype=float).reshape(len(times), -1)
     s = np.asarray(held, dtype=float).reshape(len(times), -1)
-    firing = set(np.round(np.asarray(attempt_times, dtype=float), 12))
-    bad: List[int] = []
-    for k in range(len(times)):
-        if round(float(times[k]), 12) in firing:
-            continue
-        e2 = float(np.sum((y[k] - s[k]) ** 2))
-        y2 = float(np.sum(y[k] ** 2))
-        if e2 > delta * y2 + 1e-12 * (1.0 + y2):
-            bad.append(k)
+    firing = np.isin(np.round(times, 12),
+                     np.round(np.asarray(attempt_times, dtype=float), 12))
+    e2 = np.sum((y - s) ** 2, axis=1)
+    y2 = np.sum(y ** 2, axis=1)
+    bad = np.flatnonzero(~firing & (e2 > delta * y2 + 1e-12 * (1.0 + y2))).tolist()
     return (len(bad) == 0), bad
 
 
@@ -109,17 +101,20 @@ def sampled_output_bound_check(times, outputs, held, delta: float,
     reported back in the result.
     """
     times = np.asarray(times, dtype=float)
-    y = np.asarray(outputs, dtype=float).reshape(len(times), -1)
-    s = np.asarray(held, dtype=float).reshape(len(times), -1)
+    y_norm = np.linalg.norm(np.asarray(outputs, dtype=float).reshape(len(times), -1), axis=1)
+    s_norm = np.linalg.norm(np.asarray(held, dtype=float).reshape(len(times), -1), axis=1)
+    # t lies in some span [a, b) iff the spans starting at or before t reach
+    # past it: sorted starts plus a running max of ends, exact for unsorted
+    # or overlapping spans (fmax skips a NaN end, as the comparison would)
+    spans = np.asarray(dropout_spans, dtype=float).reshape(-1, 2)
+    order = np.argsort(spans[:, 0], kind="stable")
+    reach = np.concatenate(([-np.inf], np.fmax.accumulate(spans[order, 1])))
+    started = np.searchsorted(spans[order, 0], times, side="right")
     factor = 1.0 + np.sqrt(delta)
-    violations = []
-    for k in range(len(times)):
-        if _in_spans(float(times[k]), dropout_spans):
-            continue
-        y_norm = float(np.linalg.norm(y[k]))
-        s_norm = float(np.linalg.norm(s[k]))
-        if s_norm > factor * y_norm + 1e-12 * (1.0 + y_norm):
-            violations.append((float(times[k]), s_norm / y_norm if y_norm else np.inf))
-    return BoundReport(ok=(len(violations) == 0),
-                       violations=tuple(violations),
+    bad = np.flatnonzero(~(reach[started] > times)
+                         & (s_norm > factor * y_norm + 1e-12 * (1.0 + y_norm)))
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = s_norm[bad] / y_norm[bad]   # inf where ||y|| is 0 or tiny
+    return BoundReport(ok=(len(bad) == 0),
+                       violations=tuple(zip(times[bad].tolist(), ratio.tolist())),
                        excluded_spans=tuple((float(a), float(b)) for a, b in dropout_spans))

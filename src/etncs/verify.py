@@ -1,95 +1,41 @@
 """Re-derive invariants from serialized trace files.
 
-Every check recomputes its quantity from the trace.csv / events.csv columns
-and the scenario configuration alone, so tampered or corrupted traces fail
-loudly.  Checks return (passed, detail) pairs keyed by name.
+The run is read back as a ``TraceLog`` (``sim.read_trace``), so every check
+calls the same helpers as ``sim.compute_metrics``: dropout spans, maximum
+consecutive drops, the held-sample join and the plant dissipativity
+residuals.  Events join their trace rows on ``sample_index``; the
+``events_on_grid`` check requires each event's index to name a row
+(``0 <= sample_index < rows``) whose time equals the event time, and an event
+that fails it makes no other check raise.  Everything is recomputed from the
+trace.csv / events.csv columns and the scenario configuration alone, so
+tampered or corrupted traces fail loudly.  Checks return (passed, detail)
+pairs keyed by name.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from . import core, trigger
 from .config import ConfigError, build_scenario, run_design
 from .design import InfeasibleDesign
-from .sim import read_events_csv, read_trace_csv
+from .sim import (TRACE_COLUMNS, dropout_spans, held_samples,
+                  max_consecutive_drops, plant_dissipativity, read_trace)
 
-__all__ = ["verify_trace_files", "split_columns"]
+__all__ = ["verify_trace_files"]
 
 CheckResult = Tuple[bool, str]
-
-
-def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
-                  ctrl_dim: int, port_dim: int) -> Dict[str, np.ndarray]:
-    """Group raw CSV columns back into named signal arrays."""
-    expected = 1 + plant_dim + 3 * port_dim + ctrl_dim + 10 * port_dim
-    if len(names) != expected:
-        raise ValueError(
-            f"trace has {len(names)} columns, expected {expected} for these models")
-    out: Dict[str, np.ndarray] = {}
-    i = 0
-
-    def take(name: str, dim: int):
-        nonlocal i
-        out[name] = mat[:, i:i + dim]
-        i += dim
-
-    out["t"] = mat[:, 0]
-    i = 1
-    take("x_p", plant_dim)
-    for base in ("y_p", "e_p", "u_p"):
-        take(base, port_dim)
-    take("x_c", ctrl_dim)
-    for base in ("y_c", "e_c", "u_c", "y_r", "u_r", "y_tilde_c",
-                 "u_tilde_c", "y_qp", "y_qc", "w1"):
-        take(base, port_dim)
-    return out
-
-
-def _held_from_events(times: np.ndarray, events: List[dict], side: str,
-                      dim: int) -> np.ndarray:
-    """Step function of committed values, zero before the first commit."""
-    held = np.zeros((len(times), dim))
-    commits = [(e["t"], e["committed"]) for e in events
-               if e["side"] == side and not e["dropped"]]
-    j = 0
-    current = np.zeros(dim)
-    for k, t in enumerate(times):
-        while j < len(commits) and commits[j][0] <= t + 1e-12:
-            current = commits[j][1]
-            j += 1
-        held[k] = current
-    return held
-
-
-def _dropout_spans_from_events(events: List[dict], side: str,
-                               t_last: float, h: float) -> List[Tuple[float, float]]:
-    spans = []
-    start = None
-    for e in [e for e in events if e["side"] == side]:
-        if e["dropped"] and start is None:
-            start = e["t"]
-        elif not e["dropped"] and start is not None:
-            spans.append((start, e["t"]))
-            start = None
-    if start is not None:
-        spans.append((start, t_last + h))
-    return spans
 
 
 def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
                        ) -> Dict[str, CheckResult]:
     """Run all trace-level invariant checks; returns name -> (pass, detail)."""
     scenario = build_scenario(cfg)
-    names, mat = read_trace_csv(trace_path)
-    events = read_events_csv(events_path)
-    port = scenario.plant.output_dim
-    cols = split_columns(names, mat, scenario.plant.state_dim,
-                         scenario.controller.state_dim, port)
-    t = cols["t"]
+    trace = read_trace(scenario, trace_path, events_path)
+    t = trace.t
     h = scenario.h
     checks: Dict[str, CheckResult] = {}
 
@@ -101,79 +47,72 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
     uniform = len(t) > 1 and np.all(dt > 0) and np.allclose(dt, h, rtol=0, atol=1e-9)
     checks["time_grid"] = (bool(uniform), "strictly increasing uniform grid")
 
-    checks["finite_values"] = (bool(np.all(np.isfinite(mat))), "all samples finite")
+    finite = all(np.all(np.isfinite(getattr(trace, c))) for c in TRACE_COLUMNS)
+    checks["finite_values"] = (finite, "all samples finite")
 
-    on_grid = all(abs(e["t"] / h - round(e["t"] / h)) < 1e-6 for e in events)
-    checks["events_on_grid"] = (on_grid, "event times lie on the sample grid")
+    on_row = [0 <= e.sample_index < len(t) and t[e.sample_index] == e.t
+              for e in trace.events]
+    checks["events_on_grid"] = (
+        all(on_row), "event times lie on the sample grid" if all(on_row)
+        else f"{on_row.count(False)} events off their row, first at "
+             f"t={trace.events[on_row.index(False)].t:.6f}")
 
-    held_p = _held_from_events(t, events, "plant", port)
-    held_c = _held_from_events(t, events, "controller", port)
+    held_p = held_samples(trace, "plant")
+    held_c = held_samples(trace, "controller")
 
-    e_p_ok = np.allclose(cols["e_p"], cols["y_p"] - held_p, rtol=0, atol=1e-9)
-    e_c_ok = np.allclose(cols["e_c"], cols["y_c"] - held_c, rtol=0, atol=1e-9)
-    held_col_ok = np.allclose(cols["u_tilde_c"], held_p, rtol=0, atol=1e-9)
+    e_p_ok = np.allclose(trace.e_p, trace.y_p - held_p, rtol=0, atol=1e-9)
+    e_c_ok = np.allclose(trace.e_c, trace.y_c - held_c, rtol=0, atol=1e-9)
+    held_col_ok = np.allclose(trace.u_tilde_c, held_p, rtol=0, atol=1e-9)
     checks["error_columns"] = (bool(e_p_ok and e_c_ok and held_col_ok),
                                "logged errors equal output minus last commit")
 
-    for side, key, tcfg, ycol, held in (
-            ("plant", "p", scenario.trigger_p, "y_p", held_p),
-            ("controller", "c", scenario.trigger_c, "y_c", held_c)):
-        attempt_times = [e["t"] for e in events if e["side"] == side]
+    for side, key, tcfg, y, held in (
+            ("plant", "p", scenario.trigger_p, trace.y_p, held_p),
+            ("controller", "c", scenario.trigger_c, trace.y_c, held_c)):
+        attempt_times = [e.t for e in trace.events_on(side)]
         ok, bad = trigger.trigger_inequality_check(
-            t, cols[ycol], held, tcfg.delta, attempt_times)
+            t, y, held, tcfg.delta, attempt_times)
         checks[f"trigger_ineq_{key}"] = (
             ok, "holds at all non-firing samples" if ok
             else f"violated at {len(bad)} samples, first at t={t[bad[0]]:.6f}")
-        spans = _dropout_spans_from_events(events, side, float(t[-1]), h)
-        rep = trigger.sampled_output_bound_check(t, cols[ycol], held,
-                                                 tcfg.delta, spans)
+        rep = trigger.sampled_output_bound_check(t, y, held, tcfg.delta,
+                                                 dropout_spans(trace, side))
         checks[f"held_norm_bound_{key}"] = (
             rep.ok, f"{len(rep.excluded_spans)} dropout spans excluded" if rep.ok
             else f"violated at t={rep.violations[0][0]:.6f}")
 
     if scenario.plant.storage is not None:
-        traj = core.Trajectory(times=t, states=cols["x_p"],
-                               inputs=cols["u_p"], outputs=cols["y_p"])
-        res = core.dissipativity_residuals(scenario.plant, traj)
-        v = np.array([scenario.plant.storage(x) for x in cols["x_p"]])
-        tol = 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
-        ok = bool(np.all(res <= tol))
-        worst = float(np.max(res / tol))
+        res, tol = plant_dissipativity(trace)
         checks["dissipativity_p"] = (
-            ok, f"worst residual at {worst:.3e} of tolerance")
+            bool(np.all(res <= tol)),
+            f"worst residual at {float(np.max(res / tol)):.3e} of tolerance")
 
     # ZOH: the held link value may change only when a commit's arrival falls
     # inside the step (recomputed from the delay profile, so this also checks
     # causality of the logged schedule)
-    arrivals = sorted(scenario.chan_cp.delay.arrival(e["t"]) for e in events
-                      if e["side"] == "controller" and not e["dropped"])
-    causal = all(scenario.chan_cp.delay.arrival(e["t"]) >= e["t"] - 1e-12
-                 for e in events if e["side"] == "controller" and not e["dropped"])
-    ok = causal
-    detail = "piecewise constant between arrivals"
-    for k in range(1, len(t)):
-        if not np.array_equal(cols["u_r"][k], cols["u_r"][k - 1]):
-            if not any(t[k - 1] < a <= t[k] + 1e-12 for a in arrivals):
-                ok = False
-                detail = f"u_r changed at t={t[k]:.6f} with no packet arrival"
-                break
-    checks["zoh_u_r"] = (ok, detail)
+    sent = np.array([e.t for e in trace.commits_on("controller")])
+    arrivals = np.array([scenario.chan_cp.delay.arrival(s) for s in sent])
+    causal = bool(np.all(arrivals >= sent - 1e-12))
+    arrivals.sort()
+    changed = np.flatnonzero(np.any(trace.u_r[1:] != trace.u_r[:-1], axis=1)) + 1
+    next_arrival = np.append(arrivals, np.inf)[
+        np.searchsorted(arrivals, t[changed - 1], side="right")]
+    unexplained = changed[~(next_arrival <= t[changed] + 1e-12)]
+    checks["zoh_u_r"] = (
+        causal and len(unexplained) == 0,
+        "piecewise constant between arrivals" if len(unexplained) == 0
+        else f"u_r changed at t={t[unexplained[0]]:.6f} with no packet arrival")
 
     commit_ok = True
     detail = "committed samples equal the logged output at their row"
-    idx = {round(tv / h): k for k, tv in enumerate(t)}
-    for e in events:
-        if e["dropped"]:
+    for e, ok in zip(trace.events, on_row):
+        if e.dropped:
             continue
-        k = idx.get(round(e["t"] / h))
-        if k is None:
+        y = trace.y_p if e.side == "plant" else trace.y_c
+        if not ok or not np.array_equal(e.committed, y[e.sample_index]):
             commit_ok = False
-            detail = f"commit at t={e['t']:.6f} has no trace row"
-            break
-        ycol = "y_p" if e["side"] == "plant" else "y_c"
-        if not np.array_equal(e["committed"], cols[ycol][k]):
-            commit_ok = False
-            detail = f"{e['side']} commit at t={e['t']:.6f} disagrees with trace"
+            detail = (f"{e.side} commit at t={e.t:.6f} disagrees with trace" if ok
+                      else f"commit at t={e.t:.6f} has no trace row")
             break
     checks["committed_samples"] = (commit_ok, detail)
 
@@ -182,16 +121,13 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
     except (ConfigError, InfeasibleDesign):
         params = result = None
     if result is not None:
-        gain = core.l2_gain_estimate(cols["w1"], cols["y_p"], t)
+        gain = core.l2_gain_estimate(trace.w1, trace.y_p, t)
         checks["l2_gain_bound"] = (
             bool(gain <= result.gamma_bound),
             f"empirical {gain:.4f} vs certified {result.gamma_bound:.4f}")
         for side, key, budget in (("plant", "p", result.d_p_max),
                                   ("controller", "c", result.d_c_max)):
-            worst = run = 0
-            for e in [e for e in events if e["side"] == side]:
-                run = run + 1 if e["dropped"] else 0
-                worst = max(worst, run)
+            worst = max_consecutive_drops(trace, side)
             checks[f"dropout_budget_{key}"] = (
                 worst <= budget, f"observed {worst} consecutive vs budget {budget}")
 

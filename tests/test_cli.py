@@ -225,3 +225,31 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "stability_ok: True" in proc.stdout
+
+
+def test_verify_truncated_events_row_is_config_error(tmp_path, capsys):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT]) == 0
+    events = tmp_path / "events.csv"
+    text = events.read_text()
+    events.write_text(text[:text.index("\n", text.index("\n") + 1) + 20])
+    code = main(["verify", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT])
+    assert code == 1
+    assert "config error: malformed trace" in capsys.readouterr().err
+
+
+def test_verify_event_off_its_row_fails(tmp_path):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT]) == 0
+    events = tmp_path / "events.csv"
+    lines = events.read_text().splitlines()
+    row = lines[3].split(",")
+    row[3] = "99999"  # sample_index far past the last row
+    lines[3] = ",".join(row)
+    events.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT])
+    assert code == 4
+    kv = _read_kv(tmp_path / "verify.kv")
+    assert kv["check.events_on_grid"] == "fail"

@@ -244,3 +244,42 @@ def test_signal_generators():
     sine = build_signal(SignalSpec(kind="sine", amplitude=2.0, freq=3.0))
     assert sine.slope_bound == pytest.approx(2.0 * 2.0 * math.pi * 3.0)
     assert sine(0.25 / 3.0)[0] == pytest.approx(2.0)
+
+
+def _dropout_run():
+    pc = ChannelConfig(DelayProfile(t0=0.01, d=0.0, form="constant"),
+                       DropoutModel(kind="pattern", pattern=(1, 0, 0, 1, 0)))
+    cp = ChannelConfig(DelayProfile(t0=0.02, d=0.0, form="constant"),
+                       DropoutModel(kind="pattern", pattern=(1, 1, 0)))
+    return run_scenario(_scenario(chan_pc=pc, chan_cp=cp,
+                                  x0_plant=np.array([5.0, -8.0]),
+                                  w1=SignalSpec(kind="constant", value=1.0)))
+
+
+def test_read_trace_round_trip_equals_run(tmp_path):
+    from dataclasses import fields
+
+    from etncs.sim import read_trace, write_events_csv
+    trace = _dropout_run()
+    assert any(e.dropped for e in trace.events_on("plant"))
+    assert any(e.dropped for e in trace.events_on("controller"))
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_events_csv(trace, tmp_path / "events.csv")
+    back = read_trace(trace.config, tmp_path / "trace.csv", tmp_path / "events.csv")
+    for f in fields(trace):
+        if f.name not in ("config", "events"):
+            assert np.array_equal(getattr(back, f.name), getattr(trace, f.name)), f.name
+    assert len(back.events) == len(trace.events)
+    for got, want in zip(back.events, trace.events):
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (np.array_equal(a, b) if isinstance(b, np.ndarray)
+                    else a == b and type(a) is type(b)), f.name
+
+
+def test_held_samples_match_logged_hold():
+    from etncs.sim import held_samples
+    trace = _dropout_run()
+    assert np.array_equal(held_samples(trace, "plant"), trace.u_tilde_c)
+    assert np.allclose(held_samples(trace, "controller"), trace.y_c - trace.e_c,
+                       rtol=0, atol=1e-12)

@@ -110,3 +110,29 @@ def test_bound_check_dropout_interval_excluded():
                                      dropout_spans=[(0.1, 0.4)])
     assert rep.ok
     assert rep.excluded_spans == ((0.1, 0.4),)
+
+
+@settings(max_examples=200)
+@given(y=st.lists(st.floats(-3, 3), min_size=1, max_size=40),
+       scale=st.floats(0.5, 3.0),
+       spans=st.lists(st.tuples(st.integers(-2, 42), st.integers(-2, 42)),
+                      max_size=8),
+       delta=st.floats(0.01, 1.0))
+def test_bound_check_spans_match_reference_loop(y, scale, spans, delta):
+    # unsorted, overlapping and empty spans on a 0.1 grid, with zero outputs
+    times = np.arange(len(y)) * 0.1
+    y = np.array(y)[:, None]
+    held = np.roll(y, 1) * scale
+    spans = [(a * 0.1, b * 0.1) for a, b in spans]
+    rep = sampled_output_bound_check(times, y, held, delta, spans)
+    factor = 1.0 + np.sqrt(delta)
+    want = []
+    for k, t in enumerate(times):
+        if any(a <= t < b for a, b in spans):
+            continue
+        y_norm = float(np.linalg.norm(y[k]))
+        s_norm = float(np.linalg.norm(held[k]))
+        if s_norm > factor * y_norm + 1e-12 * (1.0 + y_norm):
+            want.append((float(t), s_norm / y_norm if y_norm else np.inf))
+    assert rep.ok == (not want)
+    assert rep.violations == tuple(want)
