@@ -159,10 +159,6 @@ def _simulate_one(cfg: Dict[str, str], out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _simulate_worker(cfg: Dict[str, str], out_dir: str) -> int:
-    return _simulate_one(cfg, Path(out_dir))
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_effective_config(args)
     seeds = _parse_seeds(args.seed)
@@ -173,22 +169,24 @@ def cmd_simulate(args) -> int:
     if len(seeds) == 1:
         return _simulate_one(_apply_seed(cfg, seeds[0]), Path(args.out))
     jobs = max(1, args.jobs)
-    codes: List[int] = []
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_simulate_worker, _apply_seed(cfg, s),
-                               str(Path(args.out) / f"seed_{s}"))
+        futures = [pool.submit(_simulate_one, _apply_seed(cfg, s),
+                               Path(args.out) / f"seed_{s}")
                    for s in seeds]
-        codes = [f.result() for f in futures]
-    return max(codes) if codes else EXIT_OK
+        return max(f.result() for f in futures)
 
 
 def _parse_seeds(spec: Optional[str]) -> Optional[List[int]]:
     if spec is None:
         return None
     try:
-        return [int(s) for s in spec.split(",") if s.strip()]
+        seeds = [int(s) for s in spec.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"--seed: expected integers, got {spec!r}") from exc
+    # each seed's run writes seed_<n>/, so a repeat would race on one directory
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seed: expected distinct integers, got {spec!r}")
+    return seeds
 
 
 def cmd_verify(args) -> int:
@@ -270,8 +268,9 @@ def _build_parser() -> _Parser:
                        help="override a config key (repeatable)")
         p.add_argument("--seed", default=None,
                        help="override signal/dropout seeds; a comma list runs a sweep")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel scenarios for seed sweeps")
+        if name == "simulate":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel scenarios for seed sweeps")
         p.set_defaults(fn=fn)
     return parser
 

@@ -57,7 +57,7 @@ class PassivityIndices:
 
 DynamicsFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 OutputFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-StorageFn = Callable[[np.ndarray], float]
+StorageFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,11 @@ class SystemModel:
     dynamics(x, u, t) -> dx/dt and output(x, u, t) -> y.  ``storage`` is an
     optional nonnegative energy certificate used for trajectory spot checks;
     declared indices are trusted metadata otherwise.
+
+    All three act columnwise: on one sample (``x`` of shape ``(state_dim,)``)
+    or on N samples as columns (``x`` of ``(state_dim, N)``, ``u`` of
+    ``(input_dim, N)``, ``t`` of ``(N,)``), so write them with row indexing
+    (``x[i]``), never ``float(x)``.
     """
 
     state_dim: int
@@ -132,14 +137,12 @@ def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
     k2 = np.asarray(f(state + 0.5 * h * k1, u, t + 0.5 * h), dtype=float)
     k3 = np.asarray(f(state + 0.5 * h * k2, u, t + 0.5 * h), dtype=float)
     k4 = np.asarray(f(state + h * k3, u, t + h), dtype=float)
-    for k in (k1, k2, k3, k4):
-        if not np.all(np.isfinite(k)):
-            raise IntegrationError(
-                f"non-finite derivative evaluation at t={t!r} (model {model.name!r})")
     new_state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # every stage enters the new state with a positive weight, so a
+    # non-finite stage derivative always leaves a non-finite new state
     if not np.all(np.isfinite(new_state)):
         raise IntegrationError(
-            f"non-finite state after step at t={t!r} (model {model.name!r})")
+            f"non-finite step at t={t!r} (model {model.name!r})")
     return new_state
 
 
@@ -152,31 +155,29 @@ def simulate_open_loop(model: SystemModel, x0: Sequence[float],
     it, matching the hold semantics used by the closed-loop executor.
     """
     n_steps = int(np.floor(t_end / h + 1e-9))
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * h
     states = np.empty((n_steps + 1, model.state_dim))
     inputs = np.empty((n_steps + 1, model.input_dim))
-    outputs = np.empty((n_steps + 1, model.output_dim))
 
     x = np.asarray(x0, dtype=float)
     for k in range(n_steps + 1):
         t = k * h
         u = np.atleast_1d(np.asarray(input_fn(t), dtype=float))
-        times[k] = t
         states[k] = x
         inputs[k] = u
-        outputs[k] = model.output(x, u, t)
         if k < n_steps:
             x = rk4_step(model, x, u, t, h)
+    outputs = np.asarray(model.output(states.T, inputs.T, times), dtype=float).T
     return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs)
 
 
-def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices) -> float:
-    """Energy inflow u'y - rho*y'y - nu*u'u for one input/output sample."""
-    u = np.asarray(u, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices):
+    """Energy inflow u'y - rho*y'y - nu*u'u per sample (per column of 2-D arrays)."""
+    u = np.asarray(u, dtype=float)
+    y = np.asarray(y, dtype=float)
     if u.shape != y.shape:
         raise ValueError(f"dimension mismatch: u{u.shape} vs y{y.shape}")
-    return float(u @ y - idx.rho * (y @ y) - idx.nu * (u @ u))
+    return np.sum(u * y - idx.rho * (y * y) - idx.nu * (u * u), axis=0)
 
 
 def dissipativity_residuals(model: SystemModel, traj: Trajectory) -> np.ndarray:
@@ -191,24 +192,16 @@ def dissipativity_residuals(model: SystemModel, traj: Trajectory) -> np.ndarray:
     """
     if model.storage is None:
         raise ValueError("model has no storage function to check against")
-    n = len(traj.times)
-    res = np.empty(max(n - 1, 0))
-    v_prev = float(model.storage(traj.states[0]))
-    if v_prev < 0:
-        raise ValueError("storage function is negative at the initial state")
-    for k in range(n - 1):
-        t0, t1 = traj.times[k], traj.times[k + 1]
-        u = traj.inputs[k]
-        y0 = np.asarray(model.output(traj.states[k], u, t0), dtype=float)
-        y1 = np.asarray(model.output(traj.states[k + 1], u, t1), dtype=float)
-        w0 = supply_rate(u, y0, model.indices)
-        w1 = supply_rate(u, y1, model.indices)
-        v_next = float(model.storage(traj.states[k + 1]))
-        if v_next < 0:
-            raise ValueError(f"storage function is negative at sample {k + 1}")
-        res[k] = (v_next - v_prev) - 0.5 * (t1 - t0) * (w0 + w1)
-        v_prev = v_next
-    return res
+    x = traj.states.T
+    v = np.asarray(model.storage(x), dtype=float)
+    if np.any(v < 0):
+        raise ValueError(
+            f"storage function is negative at sample {int(np.argmax(v < 0))}")
+    t = traj.times
+    u = traj.inputs[:-1].T
+    w0 = supply_rate(u, model.output(x[:, :-1], u, t[:-1]), model.indices)
+    w1 = supply_rate(u, model.output(x[:, 1:], u, t[1:]), model.indices)
+    return (v[1:] - v[:-1]) - 0.5 * np.diff(t) * (w0 + w1)
 
 
 def _trapz(values: np.ndarray, times: np.ndarray) -> float:

@@ -19,6 +19,9 @@ FIRSTORDER_LEAD_SS = (
 )
 
 
+# Storages square with np.float_power: it calls pow() per element as a scalar
+# ``**`` does, while an ndarray ``** 2`` multiplies and can differ in the last
+# bit, which would make one-sample and column calls disagree.
 def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
     """Two-state nonlinear plant with cubic self-damping.
 
@@ -37,7 +40,7 @@ def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
     return SystemModel(state_dim=2, input_dim=1, output_dim=1,
                        dynamics=f, output=h,
                        indices=PassivityIndices(nu=nu, rho=rho),
-                       storage=lambda x: 0.25 * float(x[1]) ** 2,
+                       storage=lambda x: 0.25 * np.float_power(x[1], 2),
                        name="cubic_nl2")
 
 
@@ -47,18 +50,7 @@ def firstorder_lead(nu: float = 0.49, rho: float = 0.27) -> SystemModel:
     The default indices are declared metadata; see the frequency-domain
     check in core.verify_lti_indices for their verification margin.
     """
-
-    def f(x, u, t):
-        return np.array([-3.0 * x[0] + u[0]])
-
-    def h(x, u, t):
-        return np.array([7.0 * x[0] + u[0]])
-
-    return SystemModel(state_dim=1, input_dim=1, output_dim=1,
-                       dynamics=f, output=h,
-                       indices=PassivityIndices(nu=nu, rho=rho),
-                       storage=None,
-                       name="firstorder_lead")
+    return lti_siso(-3.0, 1.0, 7.0, 1.0, nu=nu, rho=rho, name="firstorder_lead")
 
 
 def lti_siso(a: float, b: float, c: float, d: float,
@@ -76,7 +68,7 @@ def lti_siso(a: float, b: float, c: float, d: float,
     if storage_p is not None:
         if storage_p < 0:
             raise ValueError("storage coefficient must be nonnegative")
-        storage = lambda x: 0.5 * storage_p * float(x[0]) ** 2
+        storage = lambda x: 0.5 * storage_p * np.float_power(x[0], 2)
 
     return SystemModel(state_dim=1, input_dim=1, output_dim=1,
                        dynamics=f, output=h,

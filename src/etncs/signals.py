@@ -55,17 +55,23 @@ class Signal:
     def __init__(self, spec: SignalSpec):
         self.spec = spec
 
-    def __call__(self, t: float) -> np.ndarray:
+    def __call__(self, t) -> np.ndarray:
+        """The value at a scalar time as a 1-vector, or at an array of N times
+        as an (N, 1) column."""
         s = self.spec
+        times = np.asarray(t, dtype=float)
         if s.kind == "zero":
-            return np.zeros(1)
-        if s.kind == "constant":
-            return np.array([s.value])
-        if s.kind == "piecewise_uniform":
-            seg = int(np.floor(t / s.dwell + 1e-12))
-            u = _segment_uniform(s.seed, seg)
-            return np.array([s.lo + (s.hi - s.lo) * u])
-        return np.array([s.amplitude * np.sin(2.0 * np.pi * s.freq * t + s.phase)])
+            v = np.zeros(times.shape)
+        elif s.kind == "constant":
+            v = np.full(times.shape, s.value, dtype=float)
+        elif s.kind == "piecewise_uniform":
+            seg = np.floor(times / s.dwell + 1e-12).astype(np.int64)
+            segs, inverse = np.unique(seg, return_inverse=True)
+            u = np.array([_segment_uniform(s.seed, int(k)) for k in segs])
+            v = s.lo + (s.hi - s.lo) * u[inverse]
+        else:
+            v = s.amplitude * np.sin(2.0 * np.pi * s.freq * times + s.phase)
+        return v.reshape(-1, 1) if times.ndim else v.reshape(1)
 
     @property
     def slope_bound(self) -> float:

@@ -161,8 +161,9 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
                       initial_hold=np.full(m, cfg.chan_pc.initial_hold))
     chan_cp = Channel(cfg.chan_cp.delay, cfg.chan_cp.dropout, "cp", dim=m,
                       initial_hold=np.full(m, cfg.chan_cp.initial_hold))
-    sig_w1 = build_signal(cfg.w1)
-    sig_w2 = build_signal(cfg.w2)
+    t_col = np.arange(n_rows) * h      # bit-equal to k * h
+    w1_col = build_signal(cfg.w1)(t_col)
+    w2_col = build_signal(cfg.w2)(t_col)
 
     det_p = DetectorState(last_sent_value=np.zeros(m))
     det_c = DetectorState(last_sent_value=np.zeros(m))
@@ -170,7 +171,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
     cols = {name: np.empty((n_rows, m)) for name in
             ("y_p", "e_p", "u_p", "y_c", "e_c", "u_c", "y_r", "u_r",
              "y_tilde_c", "u_tilde_c", "y_qp", "y_qc", "w1")}
-    t_col = np.empty(n_rows)
+    cols["w1"][:] = w1_col
     xp_col = np.empty((n_rows, cfg.plant.state_dim))
     xc_col = np.empty((n_rows, cfg.controller.state_dim))
     events: List[EventRecord] = []
@@ -178,22 +179,20 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
     x_p = np.asarray(cfg.x0_plant, dtype=float).copy()
     x_c = np.asarray(cfg.x0_controller, dtype=float).copy()
 
+    def plant_side(det: DetectorState, u_r, w1, x, t):
+        u_tilde_c = det.last_sent_value
+        y_tilde_c = (u_r - g.m21 * u_tilde_c) / g.m22
+        u_p = w1 - y_tilde_c
+        y_p = np.asarray(cfg.plant.output(x, u_p, t), dtype=float)
+        return u_tilde_c, y_tilde_c, u_p, y_p
+
     for k in range(n_rows):
         t = k * h
         u_r = chan_cp.poll(t)
         v_pc = chan_pc.poll(t)
-        w1 = sig_w1(t)
-        w2 = sig_w2(t)
-
-        def plant_side(det: DetectorState):
-            u_tilde_c = det.last_sent_value
-            y_tilde_c = (u_r - g.m21 * u_tilde_c) / g.m22
-            u_p = w1 - y_tilde_c
-            y_p = np.asarray(cfg.plant.output(x_p, u_p, t), dtype=float)
-            return u_tilde_c, y_tilde_c, u_p, y_p
-
-        u_tilde_c, y_tilde_c, u_p, y_p = plant_side(det_p)
-        u_c = w2 + v_pc
+        w1 = w1_col[k]
+        u_tilde_c, y_tilde_c, u_p, y_p = plant_side(det_p, u_r, w1, x_p, t)
+        u_c = w2_col[k] + v_pc
         y_c = np.asarray(cfg.controller.output(x_c, u_c, t), dtype=float)
 
         # plant-side detector (initial transmission at t=0 is unconditional)
@@ -210,7 +209,7 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
             if not rec.dropped:
                 det_p = commit_transmission(det_p, y_p, t)
                 # the committed sample feeds the local gain block immediately
-                u_tilde_c, y_tilde_c, u_p, y_p = plant_side(det_p)
+                u_tilde_c, y_tilde_c, u_p, y_p = plant_side(det_p, u_r, w1, x_p, t)
 
         # controller-side detector (send only; no local feedback to itself)
         if k == 0 or check_violation(det_c, y_c, cfg.trigger_c):
@@ -226,7 +225,6 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
             if not rec.dropped:
                 det_c = commit_transmission(det_c, y_c, t)
 
-        t_col[k] = t
         xp_col[k] = x_p
         xc_col[k] = x_c
         cols["y_p"][k] = y_p
@@ -241,7 +239,6 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
         cols["u_tilde_c"][k] = u_tilde_c
         cols["y_qp"][k] = quantize(cfg.quant_p, g.m11 * det_p.last_sent_value)
         cols["y_qc"][k] = quantize(cfg.quant_c, det_c.last_sent_value)
-        cols["w1"][k] = w1
 
         if k < n_rows - 1:
             try:
@@ -250,10 +247,11 @@ def run_scenario(cfg: ScenarioConfig) -> TraceLog:
             except core.IntegrationError as exc:
                 raise DivergenceError(k + 1, t + h, str(exc)) from exc
             for label, x in (("plant", x_p), ("controller", x_c)):
-                if not np.all(np.isfinite(x)) or np.linalg.norm(x) > cfg.divergence_limit:
+                norm = np.linalg.norm(x)
+                if norm > cfg.divergence_limit:
                     raise DivergenceError(
                         k + 1, t + h,
-                        f"{label} state norm {np.linalg.norm(x):.3e} exceeds "
+                        f"{label} state norm {norm:.3e} exceeds "
                         f"{cfg.divergence_limit:.3e}")
 
     return TraceLog(config=cfg, t=t_col, x_p=xp_col, x_c=xc_col, events=events,
@@ -307,7 +305,7 @@ def plant_dissipativity(trace: TraceLog) -> Tuple[np.ndarray, np.ndarray]:
     traj = core.Trajectory(times=trace.t, states=trace.x_p,
                            inputs=trace.u_p, outputs=trace.y_p)
     res = core.dissipativity_residuals(plant, traj)
-    v = np.array([plant.storage(x) for x in trace.x_p])
+    v = plant.storage(trace.x_p.T)
     return res, 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
 
 
@@ -355,7 +353,7 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
 
     sig_w1 = build_signal(cfg.w1)
     sig_w2 = build_signal(cfg.w2)
-    w2_vals = np.array([sig_w2(t) for t in trace.t])
+    w2_vals = sig_w2(trace.t)
     me["c0"] = sig_w1.slope_bound
     me["c1"] = float(np.max(np.linalg.norm(trace.w1, axis=1)))
     me["c2"] = float(np.max(np.linalg.norm(trace.y_tilde_c, axis=1)))
@@ -508,10 +506,11 @@ def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:
         if not header:
             raise ValueError(f"trace file {path} is empty")
         names = header.split(",")
-        data = [line.strip().split(",") for line in fh if line.strip()]
-    if not data:
-        raise ValueError(f"trace file {path} has no data rows")
-    mat = np.array([[float(v) for v in row] for row in data])
+        start = fh.tell()
+        if not any(line.strip() for line in fh):   # loadtxt only warns on these
+            raise ValueError(f"trace file {path} has no data rows")
+        fh.seek(start)
+        mat = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if mat.shape[1] != len(names):
         raise ValueError(f"trace file {path} is malformed: ragged rows")
     return names, mat

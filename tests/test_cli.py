@@ -253,3 +253,30 @@ def test_verify_event_off_its_row_fails(tmp_path):
     assert code == 4
     kv = _read_kv(tmp_path / "verify.kv")
     assert kv["check.events_on_grid"] == "fail"
+
+
+def test_verify_header_only_trace_is_config_error(tmp_path, capsys):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT]) == 0
+    trace = tmp_path / "trace.csv"
+    trace.write_text(trace.read_text().splitlines()[0] + "\n")
+    code = main(["verify", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT])
+    assert code == 1
+    assert "config error: malformed trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", [",", "3,3"])
+def test_simulate_rejects_empty_or_repeated_seed_list(tmp_path, capsys, seeds):
+    code = main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--seed", seeds, *SHORT])
+    assert code == 1
+    assert "config error: --seed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_jobs_is_a_simulate_option_only(tmp_path, capsys):
+    code = main(["design", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--jobs", "2"])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err

@@ -214,3 +214,60 @@ def test_trajectory_validation():
     with pytest.raises(ValueError, match="length"):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)),
                    inputs=np.zeros((2, 1)), outputs=np.zeros((2, 1)))
+
+
+def test_rk4_rejects_nonfinite_later_stage():
+    # k1, k2 and k4 finite, only k3 infinite: the new state still shows it
+    calls = []
+
+    def third_stage_blows_up(x, u, t):
+        calls.append(t)
+        return np.array([np.inf if len(calls) == 3 else 1.0])
+
+    model = lti_siso(-1.0, 1.0, 1.0, 0.0)
+    model = type(model)(state_dim=1, input_dim=1, output_dim=1,
+                        dynamics=third_stage_blows_up, output=model.output,
+                        indices=model.indices, name="bad_k3")
+    with pytest.raises(IntegrationError, match="t=0.5"):
+        rk4_step(model, np.array([1.0]), np.array([0.0]), 0.5, 1e-3)
+    assert len(calls) == 4
+
+
+def _residuals_by_row(model, traj):
+    """Reference: the dissipation residuals with one model call per sample."""
+    res = []
+    for k in range(len(traj.times) - 1):
+        t0, t1 = traj.times[k], traj.times[k + 1]
+        u = traj.inputs[k]
+        w0 = supply_rate(u, model.output(traj.states[k], u, t0), model.indices)
+        w1 = supply_rate(u, model.output(traj.states[k + 1], u, t1), model.indices)
+        dv = model.storage(traj.states[k + 1]) - model.storage(traj.states[k])
+        res.append(dv - 0.5 * (t1 - t0) * (w0 + w1))
+    return np.array(res)
+
+
+@pytest.mark.parametrize("model, x0", [
+    (cubic_nl2(), [10.0, -14.0]),
+    (lti_siso(-3.0, 1.0, 7.0, 1.0, nu=0.49, rho=0.25, storage_p=5.0), [1.0]),
+])
+def test_dissipativity_residuals_match_per_row_loop(model, x0):
+    traj = simulate_open_loop(model, x0, _rich_input, t_end=1.5, h=1e-3)
+    assert np.array_equal(dissipativity_residuals(model, traj),
+                          _residuals_by_row(model, traj))
+
+
+def test_dissipativity_negative_storage_names_first_sample():
+    base = lti_siso(-1.0, 1.0, 1.0, 0.0)
+    model = type(base)(state_dim=1, input_dim=1, output_dim=1,
+                       dynamics=base.dynamics, output=base.output,
+                       indices=base.indices, storage=lambda x: x[0] - 0.5)
+    n = 5
+    traj = Trajectory(times=np.arange(n) * 1e-3,
+                      states=np.array([[1.0], [0.8], [0.2], [-0.1], [0.9]]),
+                      inputs=np.zeros((n, 1)), outputs=np.zeros((n, 1)))
+    with pytest.raises(ValueError, match="negative at sample 2$"):
+        dissipativity_residuals(model, traj)
+    at_start = Trajectory(times=traj.times, states=traj.states[::-1] - 0.5,
+                          inputs=traj.inputs, outputs=traj.outputs)
+    with pytest.raises(ValueError, match="negative at sample 0$"):
+        dissipativity_residuals(model, at_start)

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from etncs.config import load_config, run_design, build_scenario
 from etncs.design import TransformGains
@@ -283,3 +285,46 @@ def test_held_samples_match_logged_hold():
     assert np.array_equal(held_samples(trace, "plant"), trace.u_tilde_c)
     assert np.allclose(held_samples(trace, "controller"), trace.y_c - trace.e_c,
                        rtol=0, atol=1e-12)
+
+
+_SIGNAL_SPECS = st.one_of(
+    st.just(SignalSpec(kind="zero")),
+    st.builds(SignalSpec, kind=st.just("constant"),
+              value=st.floats(-1e3, 1e3)),
+    st.builds(lambda lo, width, dwell, seed: SignalSpec(
+        kind="piecewise_uniform", lo=lo, hi=lo + width, dwell=dwell, seed=seed),
+              st.floats(-10, 10), st.floats(0, 10), st.floats(1e-3, 2.0),
+              st.integers(0, 2 ** 32)),
+    st.builds(SignalSpec, kind=st.just("sine"), amplitude=st.floats(-5, 5),
+              freq=st.floats(0, 50), phase=st.floats(-4, 4)),
+)
+
+
+@given(spec=_SIGNAL_SPECS,
+       times=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40),
+       h=st.sampled_from([1e-3, 1e-2, 0.05]), n=st.integers(1, 300))
+def test_signal_on_times_equals_per_time_calls(spec, times, h, n):
+    sig = build_signal(spec)
+    for ts in (np.array(times), np.arange(n) * h):
+        got = sig(ts)
+        assert got.shape == (len(ts), 1)
+        assert np.array_equal(got, np.array([sig(float(t)) for t in ts]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "is empty"),
+    ("t,x\n", "no data rows"),
+    ("t,x\n\n \n", "no data rows"),
+    ("t,x\n1,2\n3\n", "columns"),
+    ("t,x\n1,2\n3,4,5\n", "columns"),
+    ("t,x,y\n1,2\n", "ragged rows"),
+    ("t,x\n1,abc\n", "convert"),
+    ("t,x\n1,\n", "convert"),
+    ("t,x\n1,2#3\n", "convert"),
+])
+def test_read_trace_csv_rejects_malformed(tmp_path, text, message):
+    from etncs.sim import read_trace_csv
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_trace_csv(path)
