@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -31,6 +32,10 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
+
+# Lanes per lockstep batch of a seed sweep. It bounds a batch's memory: the
+# executor holds about lanes x rows x 17 columns x 8 B of trace at once.
+BATCH_LANES = 64
 
 
 class _UsageError(Exception):
@@ -107,10 +112,20 @@ def _design_report_text(params: DesignParams, result: DesignResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load_config(args) -> Dict[str, str]:
+    return apply_overrides(load_config(args.config), args.set or [])
+
+
 def _load_effective_config(args) -> Dict[str, str]:
-    cfg = load_config(args.config)
-    cfg = apply_overrides(cfg, args.set or [])
-    return cfg
+    """The config of one run: the file, its overrides and one ``--seed``."""
+    cfg = _load_config(args)
+    seeds = _parse_seeds(args.seed)
+    if seeds is None:
+        return cfg
+    if len(seeds) > 1:
+        raise ConfigError(f"--seed: a seed list runs a sweep, which only "
+                          f"simulate does; got {args.seed!r}")
+    return _apply_seed(cfg, seeds[0])
 
 
 def _apply_seed(cfg: Dict[str, str], seed: int) -> Dict[str, str]:
@@ -140,39 +155,53 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
-def _simulate_one(cfg: Dict[str, str], out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    scenario = build_scenario(cfg)
+def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
+    """Run the configs as the lanes of one lockstep batch and write each
+    lane's trace, events and metrics to its directory."""
+    for out_dir in out_dirs:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    scenarios = [build_scenario(cfg) for cfg in cfgs]
+    # a seed changes only w1 and the dropouts, so the lanes can share the
+    # model objects the batch requires
+    scenarios = [dataclasses.replace(s, plant=scenarios[0].plant,
+                                     controller=scenarios[0].controller)
+                 for s in scenarios]
     try:
-        params, result = run_design(cfg)
+        params, result = run_design(cfgs[0])
     except (ConfigError, InfeasibleDesign):
         params = result = None
-    try:
-        trace = sim.run_scenario(scenario)
-    except sim.DivergenceError as exc:
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    sim.write_trace_csv(trace, out_dir / "trace.csv")
-    sim.write_events_csv(trace, out_dir / "events.csv")
-    metrics = sim.compute_metrics(trace, result, params)
-    _write_kv(out_dir / "metrics.kv", metrics)
-    return EXIT_OK
+    code = EXIT_OK
+    for out_dir, run in zip(out_dirs, sim.run_scenario(scenarios)):
+        if isinstance(run, sim.DivergenceError):
+            print(f"simulation aborted: {run}", file=sys.stderr)
+            code = EXIT_DIVERGENCE
+            continue
+        sim.write_trace_csv(run, out_dir / "trace.csv")
+        sim.write_events_csv(run, out_dir / "events.csv")
+        _write_kv(out_dir / "metrics.kv", sim.compute_metrics(run, result, params))
+    return code
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_effective_config(args)
+    cfg = _load_config(args)
     seeds = _parse_seeds(args.seed)
     print("# effective config")
     print(format_config(cfg), end="")
+    out = Path(args.out)
     if seeds is None:
-        return _simulate_one(cfg, Path(args.out))
+        return _simulate_batch([cfg], [out])
     if len(seeds) == 1:
-        return _simulate_one(_apply_seed(cfg, seeds[0]), Path(args.out))
+        return _simulate_batch([_apply_seed(cfg, seeds[0])], [out])
+    # contiguous batches, one per job and none over BATCH_LANES lanes
     jobs = max(1, args.jobs)
+    n = min(len(seeds), max(jobs, -(-len(seeds) // BATCH_LANES)))
+    batches = [seeds[len(seeds) * i // n:len(seeds) * (i + 1) // n] for i in range(n)]
+    tasks = [([_apply_seed(cfg, s) for s in batch], [out / f"seed_{s}" for s in batch])
+             for batch in batches]
+    if jobs == 1:
+        return max(_simulate_batch(*task) for task in tasks)
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_simulate_one, _apply_seed(cfg, s),
-                               Path(args.out) / f"seed_{s}")
-                   for s in seeds]
+        futures = [pool.submit(_simulate_batch, *task) for task in tasks]
         return max(f.result() for f in futures)
 
 
@@ -267,10 +296,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
         p.add_argument("--seed", default=None,
-                       help="override signal/dropout seeds; a comma list runs a sweep")
+                       help="override signal/dropout seeds; a comma list runs a "
+                            "sweep (simulate only)")
         if name == "simulate":
             p.add_argument("--jobs", type=int, default=1,
-                           help="parallel scenarios for seed sweeps")
+                           help="lockstep batches a seed sweep is split into, "
+                                "run in parallel")
         p.set_defaults(fn=fn)
     return parser
 

@@ -30,7 +30,18 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a derivative evaluation or step result is not finite."""
+    """Raised when a derivative evaluation or step result is not finite.
+
+    ``lanes`` are the columns of a batched step that are not finite (``[0]``
+    for a one-sample step) and ``state`` is the step's result, so a caller
+    can go on with the finite lanes.
+    """
+
+    def __init__(self, message: str, lanes: Sequence[int] = (0,),
+                 state: Optional[np.ndarray] = None):
+        super().__init__(message)
+        self.lanes = list(lanes)
+        self.state = state
 
 
 @dataclass(frozen=True)
@@ -71,7 +82,11 @@ class SystemModel:
     All three act columnwise: on one sample (``x`` of shape ``(state_dim,)``)
     or on N samples as columns (``x`` of ``(state_dim, N)``, ``u`` of
     ``(input_dim, N)``, ``t`` of ``(N,)``), so write them with row indexing
-    (``x[i]``), never ``float(x)``.
+    (``x[i]``), never ``float(x)``.  The executor calls ``dynamics`` and
+    ``output`` on the ``(state_dim, B)`` columns of B lockstep lanes with
+    one scalar ``t``, so each element must come out with the same bits as a
+    one-sample call: take powers with ``np.float_power``, since an ndarray
+    ``**`` can round differently from the scalar one.
     """
 
     state_dim: int
@@ -122,15 +137,19 @@ def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
              t: float, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step with the input held constant.
 
-    Raises IntegrationError naming the offending time if any stage derivative
-    or the resulting state is not finite.
+    ``state`` is one sample ``(state_dim,)`` with ``u`` of ``(input_dim,)``,
+    or B lanes as columns, ``(state_dim, B)`` with ``u`` of ``(input_dim, B)``;
+    every lane takes the same ``t`` and ``h``.  Raises IntegrationError naming
+    the offending time and the non-finite lanes if any stage derivative or
+    the resulting state is not finite.
     """
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
     u = np.asarray(u, dtype=float)
-    if u.shape != (model.input_dim,):
+    if u.shape[:1] != (model.input_dim,) or u.shape[1:] != state.shape[1:]:
         raise ValueError(
-            f"input dimension {u.shape} does not match model ({model.input_dim},)")
+            f"input dimension {u.shape} does not match model "
+            f"({model.input_dim},) and state {state.shape}")
 
     f = model.dynamics
     k1 = np.asarray(f(state, u, t), dtype=float)
@@ -140,9 +159,12 @@ def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
     new_state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # every stage enters the new state with a positive weight, so a
     # non-finite stage derivative always leaves a non-finite new state
-    if not np.all(np.isfinite(new_state)):
+    finite = np.isfinite(new_state)
+    if not finite.all():
+        lanes = np.flatnonzero(~finite.reshape(len(finite), -1).all(axis=0))
         raise IntegrationError(
-            f"non-finite step at t={t!r} (model {model.name!r})")
+            f"non-finite step at t={t!r} (model {model.name!r})",
+            lanes.tolist(), new_state)
     return new_state
 
 

@@ -19,9 +19,10 @@ FIRSTORDER_LEAD_SS = (
 )
 
 
-# Storages square with np.float_power: it calls pow() per element as a scalar
-# ``**`` does, while an ndarray ``** 2`` multiplies and can differ in the last
-# bit, which would make one-sample and column calls disagree.
+# Powers use np.float_power: it calls pow() per element as a scalar ``**``
+# does, while an ndarray ``**`` multiplies and can differ in the last bit,
+# which would make one-sample and column calls (and so a lockstep lane and
+# its own one-lane run) disagree.
 def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
     """Two-state nonlinear plant with cubic self-damping.
 
@@ -31,7 +32,7 @@ def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
     """
 
     def f(x, u, t):
-        return np.array([-3.0 * x[0] ** 3 + x[0] * x[1],
+        return np.array([-3.0 * np.float_power(x[0], 3) + x[0] * x[1],
                          -3.6 * x[1] + 2.0 * u[0]])
 
     def h(x, u, t):

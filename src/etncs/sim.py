@@ -7,13 +7,16 @@ plant sample, both detectors are evaluated at the sample (transmitting
 through quantizer and channel on violation, with the error resetting only on
 success), the row is logged, and both systems advance one RK4 step with
 their inputs held constant.
+
+One loop serves a single run and a seed sweep: B lanes advance in lockstep,
+each array carrying them as columns, and a single run is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +26,7 @@ from .design import (DesignParams, DesignResult, TransformGains,
 from .network import Channel, DelayProfile, DropoutModel
 from .quantizer import QuantizerSpec, quantize
 from .signals import SignalSpec, build_signal
-from .trigger import DetectorState, TriggerConfig, check_violation, commit_transmission
+from .trigger import DetectorState, TriggerConfig, check_violation
 
 __all__ = [
     "DivergenceError",
@@ -146,116 +149,231 @@ class TraceLog:
         return [e for e in self.events if e.side == side and not e.dropped]
 
 
-def run_scenario(cfg: ScenarioConfig) -> TraceLog:
+def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]]):
     """Execute the loop and return the complete trace.
 
-    Raises DivergenceError with the offending row index if a state leaves
-    the finite/trusted region.
+    ``cfg`` is one ScenarioConfig, or a sequence of them: the lanes of one
+    lockstep batch.  Lanes may differ only in w1, w2 and the channels'
+    dropout models; any other difference raises ValueError.  One config
+    gives its TraceLog, or raises DivergenceError with the offending row
+    index if a state leaves the finite/trusted region.  A sequence gives one
+    TraceLog or DivergenceError per lane: a lane that diverges is retired
+    and the others go on, every lane byte-identical to its own run.
     """
-    h = cfg.h
+    if isinstance(cfg, ScenarioConfig):
+        (run,) = _run_lanes([cfg])
+        if isinstance(run, DivergenceError):
+            raise run
+        return run
+    return _run_lanes(list(cfg))
+
+
+def _check_lanes(cfgs: List[ScenarioConfig]) -> None:
+    """Lanes share every field but w1, w2 and the channels' dropout models."""
+    first = cfgs[0]
+    for n, lane in enumerate(cfgs[1:], start=1):
+        for f in fields(ScenarioConfig):
+            if f.name in ("w1", "w2"):
+                continue
+            a, b = getattr(first, f.name), getattr(lane, f.name)
+            if f.name in ("chan_pc", "chan_cp"):
+                a = replace(a, dropout=b.dropout)
+            if not (np.array_equal(a, b) if f.name.startswith("x0") else a == b):
+                raise ValueError(
+                    f"lane {n} differs from lane 0 in {f.name}; lanes may differ "
+                    f"only in w1, w2 and the channels' dropout models")
+
+
+def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceError]]:
+    """The per-row loop, advancing B lanes in lockstep (see run_scenario).
+
+    Per-lane arrays carry the lanes on their last axis: states ``(n, B)``,
+    ports and held samples ``(m, B)``, logs ``(rows, dim, B)``.  A single
+    lane has no lane axis, so its models see one sample, as in a scalar run.
+    Every operation on the arrays is elementwise or reduces over axis 0
+    only, so no lane's bits depend on another lane.
+    """
+    if not cfgs:
+        raise ValueError("run_scenario needs at least one scenario")
+    _check_lanes(cfgs)
+    cfg = cfgs[0]
+    h, g, m = cfg.h, cfg.gains, cfg.plant.output_dim
     n_rows = int(math.floor(cfg.t_end / h + 1e-9)) + 1
-    m = cfg.plant.output_dim
-    g = cfg.gains
+    shape = () if len(cfgs) == 1 else (len(cfgs),)
 
-    chan_pc = Channel(cfg.chan_pc.delay, cfg.chan_pc.dropout, "pc", dim=m,
-                      initial_hold=np.full(m, cfg.chan_pc.initial_hold))
-    chan_cp = Channel(cfg.chan_cp.delay, cfg.chan_cp.dropout, "cp", dim=m,
-                      initial_hold=np.full(m, cfg.chan_cp.initial_hold))
+    def columns(a: np.ndarray) -> np.ndarray:   # a view with the lane axis
+        return a if shape else a[..., None]
+
+    def every_lane(value) -> np.ndarray:
+        a = np.empty((len(value),) + shape)
+        columns(a)[:] = np.asarray(value, dtype=float)[:, None]
+        return a
+
     t_col = np.arange(n_rows) * h      # bit-equal to k * h
-    w1_col = build_signal(cfg.w1)(t_col)
-    w2_col = build_signal(cfg.w2)(t_col)
+    w1 = np.empty((n_rows, m) + shape)
+    w2 = np.empty((n_rows, m) + shape)
+    for i, lane in enumerate(cfgs):
+        columns(w1)[..., i] = build_signal(lane.w1)(t_col)
+        columns(w2)[..., i] = build_signal(lane.w2)(t_col)
+    chan_pc = [Channel(c.chan_pc.delay, c.chan_pc.dropout, "pc", dim=m,
+                       initial_hold=np.full(m, c.chan_pc.initial_hold)) for c in cfgs]
+    chan_cp = [Channel(c.chan_cp.delay, c.chan_cp.dropout, "cp", dim=m,
+                       initial_hold=np.full(m, c.chan_cp.initial_hold)) for c in cfgs]
+    log = {name: np.empty((n_rows, dim) + shape) for name, dim in (
+        ("x_p", cfg.plant.state_dim), ("x_c", cfg.controller.state_dim),
+        ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m),
+        ("held_p", m), ("held_c", m), ("y_qp", m), ("y_qc", m))}
 
-    det_p = DetectorState(last_sent_value=np.zeros(m))
-    det_c = DetectorState(last_sent_value=np.zeros(m))
-
-    cols = {name: np.empty((n_rows, m)) for name in
-            ("y_p", "e_p", "u_p", "y_c", "e_c", "u_c", "y_r", "u_r",
-             "y_tilde_c", "u_tilde_c", "y_qp", "y_qc", "w1")}
-    cols["w1"][:] = w1_col
-    xp_col = np.empty((n_rows, cfg.plant.state_dim))
-    xc_col = np.empty((n_rows, cfg.controller.state_dim))
-    events: List[EventRecord] = []
-
-    x_p = np.asarray(cfg.x0_plant, dtype=float).copy()
-    x_c = np.asarray(cfg.x0_controller, dtype=float).copy()
-
-    def plant_side(det: DetectorState, u_r, w1, x, t):
-        u_tilde_c = det.last_sent_value
-        y_tilde_c = (u_r - g.m21 * u_tilde_c) / g.m22
-        u_p = w1 - y_tilde_c
-        y_p = np.asarray(cfg.plant.output(x, u_p, t), dtype=float)
-        return u_tilde_c, y_tilde_c, u_p, y_p
+    x_p = every_lane(cfg.x0_plant)
+    x_c = every_lane(cfg.x0_controller)
+    held_p = every_lane(np.zeros(m))   # last committed sample of each detector,
+    held_c = every_lane(np.zeros(m))   # updated in place on every commit
+    det_p, det_c = DetectorState(held_p), DetectorState(held_c)
+    polled = (None, None) if not shape else (np.empty((m,) + shape), np.empty((m,) + shape))
+    first_row = np.ones(len(cfgs), dtype=bool)
+    # a single lane's verdict is a numpy bool, which bool() reads at a
+    # fraction of the cost of .any()
+    any_lane = np.ndarray.any if shape else bool
+    force_first = not cfg.drop_first_allowed
+    limit = cfg.divergence_limit
+    lanes = list(range(len(cfgs)))     # the lane held in each column
+    events: List[List[EventRecord]] = [[] for _ in cfgs]
+    out: List[Union[TraceLog, DivergenceError, None]] = [None] * len(cfgs)
 
     for k in range(n_rows):
         t = k * h
-        u_r = chan_cp.poll(t)
-        v_pc = chan_pc.poll(t)
-        w1 = w1_col[k]
-        u_tilde_c, y_tilde_c, u_p, y_p = plant_side(det_p, u_r, w1, x_p, t)
-        u_c = w2_col[k] + v_pc
+        u_r = _poll(chan_cp, t, polled[0])
+        v_pc = _poll(chan_pc, t, polled[1])
+        u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
+        u_c = w2[k] + v_pc
         y_c = np.asarray(cfg.controller.output(x_c, u_c, t), dtype=float)
 
-        # plant-side detector (initial transmission at t=0 is unconditional)
-        if k == 0 or check_violation(det_p, y_p, cfg.trigger_p):
-            e_norm = float(np.linalg.norm(y_p - det_p.last_sent_value))
-            payload = quantize(cfg.quant_p, g.m11 * y_p)
-            force = (chan_pc.attempt_count == 0) and not cfg.drop_first_allowed
-            drops_before = chan_pc.consecutive_drops
-            rec = chan_pc.send(t, payload, force_success=force)
-            events.append(EventRecord("plant", t, k, rec.index, rec.dropped,
-                                      drops_before, e_norm,
-                                      float(np.linalg.norm(y_p)),
-                                      payload, y_p.copy()))
-            if not rec.dropped:
-                det_p = commit_transmission(det_p, y_p, t)
-                # the committed sample feeds the local gain block immediately
-                u_tilde_c, y_tilde_c, u_p, y_p = plant_side(det_p, u_r, w1, x_p, t)
-
+        # plant-side detector (initial transmission at t=0 is unconditional);
+        # a committed sample feeds the local gain block immediately
+        fire = check_violation(det_p, y_p, cfg.trigger_p) if k else first_row
+        if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
+                                        cfg.quant_p, chan_pc, events, force_first):
+            u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
         # controller-side detector (send only; no local feedback to itself)
-        if k == 0 or check_violation(det_c, y_c, cfg.trigger_c):
-            e_norm = float(np.linalg.norm(y_c - det_c.last_sent_value))
-            payload = quantize(cfg.quant_c, y_c)
-            force = (chan_cp.attempt_count == 0) and not cfg.drop_first_allowed
-            drops_before = chan_cp.consecutive_drops
-            rec = chan_cp.send(t, payload, force_success=force)
-            events.append(EventRecord("controller", t, k, rec.index, rec.dropped,
-                                      drops_before, e_norm,
-                                      float(np.linalg.norm(y_c)),
-                                      payload, y_c.copy()))
-            if not rec.dropped:
-                det_c = commit_transmission(det_c, y_c, t)
+        fire = check_violation(det_c, y_c, cfg.trigger_c) if k else first_row
+        if any_lane(fire):
+            _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
+                      chan_cp, events, force_first)
 
-        xp_col[k] = x_p
-        xc_col[k] = x_c
-        cols["y_p"][k] = y_p
-        cols["e_p"][k] = y_p - det_p.last_sent_value
-        cols["u_p"][k] = u_p
-        cols["y_c"][k] = y_c
-        cols["e_c"][k] = y_c - det_c.last_sent_value
-        cols["u_c"][k] = u_c
-        cols["y_r"][k] = g.m11 * det_p.last_sent_value
-        cols["u_r"][k] = u_r
-        cols["y_tilde_c"][k] = y_tilde_c
-        cols["u_tilde_c"][k] = u_tilde_c
-        cols["y_qp"][k] = quantize(cfg.quant_p, g.m11 * det_p.last_sent_value)
-        cols["y_qc"][k] = quantize(cfg.quant_c, det_c.last_sent_value)
+        log["x_p"][k] = x_p
+        log["x_c"][k] = x_c
+        log["y_p"][k] = y_p
+        log["y_c"][k] = y_c
+        log["u_c"][k] = u_c
+        log["u_r"][k] = u_r
+        log["held_p"][k] = held_p
+        log["held_c"][k] = held_c
+        log["y_qp"][k] = quantize(cfg.quant_p, g.m11 * held_p)
+        log["y_qc"][k] = quantize(cfg.quant_c, held_c)
+        if k == n_rows - 1:
+            break
 
-        if k < n_rows - 1:
-            try:
-                x_p = core.rk4_step(cfg.plant, x_p, u_p, t, h)
-                x_c = core.rk4_step(cfg.controller, x_c, u_c, t, h)
-            except core.IntegrationError as exc:
-                raise DivergenceError(k + 1, t + h, str(exc)) from exc
-            for label, x in (("plant", x_p), ("controller", x_c)):
-                norm = np.linalg.norm(x)
-                if norm > cfg.divergence_limit:
-                    raise DivergenceError(
-                        k + 1, t + h,
-                        f"{label} state norm {norm:.3e} exceeds "
-                        f"{cfg.divergence_limit:.3e}")
+        failed: Dict[int, DivergenceError] = {}   # column -> first cause
+        x_p = _step(cfg.plant, x_p, u_p, t, h, k + 1, failed)
+        x_c = _step(cfg.controller, x_c, u_c, t, h, k + 1, failed)
+        for label, x in (("plant", x_p), ("controller", x_c)):
+            norm = np.sqrt(np.add.reduce(x * x, axis=0))
+            if any_lane(norm > limit):
+                norm = np.atleast_1d(norm)
+                for i in np.flatnonzero(norm > limit):
+                    failed.setdefault(i, DivergenceError(
+                        k + 1, t + h, f"{label} state norm {norm[i]:.3e} exceeds {limit:.3e}"))
+        if failed:
+            for i, err in failed.items():
+                out[lanes[i]] = err
+            keep = [i for i in range(len(lanes)) if i not in failed]
+            lanes = [lanes[i] for i in keep]
+            if not lanes:
+                break
+            # retire the failed lanes: the batch goes on with the other columns
+            x_p, x_c, held_p, held_c, w1, w2 = (
+                a[..., keep] for a in (x_p, x_c, held_p, held_c, w1, w2))
+            log = {name: a[..., keep] for name, a in log.items()}
+            chan_pc, chan_cp, events = ([seq[i] for i in keep]
+                                        for seq in (chan_pc, chan_cp, events))
+            det_p, det_c = DetectorState(held_p), DetectorState(held_c)
+            polled = (np.empty((m, len(keep))), np.empty((m, len(keep))))
 
-    return TraceLog(config=cfg, t=t_col, x_p=xp_col, x_c=xc_col, events=events,
-                    **cols)
+    # the other columns follow elementwise from the logged held samples, by
+    # the formulas the loop used on them
+    for i, lane in enumerate(lanes):
+        cols = {name: columns(a)[..., i] for name, a in log.items()}
+        held_p, held_c = cols.pop("held_p"), cols.pop("held_c")
+        w1_i = columns(w1)[..., i]
+        y_tilde_c, u_p = _gain_block(g, held_p, cols["u_r"], w1_i)
+        out[lane] = TraceLog(config=cfgs[lane], t=t_col, w1=w1_i, events=events[i],
+                             e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c,
+                             y_r=g.m11 * held_p, u_tilde_c=held_p,
+                             y_tilde_c=y_tilde_c, u_p=u_p, **cols)
+    return out
+
+
+def _poll(chans: List[Channel], t: float, buf: Optional[np.ndarray]) -> np.ndarray:
+    """Every lane's held link value at t, one poll per lane; ``buf`` is None
+    for a single lane, whose poll result is returned as is."""
+    if buf is None:
+        return chans[0].poll(t)
+    for i, chan in enumerate(chans):
+        buf[:, i] = chan.poll(t)
+    return buf
+
+
+def _gain_block(g: TransformGains, held_p, u_r, w1):
+    """The plant-side gain block: the controller output y_tilde_c it
+    reconstructs from the held link value and the held plant sample, and
+    the plant input u_p."""
+    y_tilde_c = (u_r - g.m21 * held_p) / g.m22
+    return y_tilde_c, w1 - y_tilde_c
+
+
+def _plant_side(plant: core.SystemModel, g: TransformGains, held_p, u_r, w1, x_p, t):
+    """(u_p, y_p) from the gain block and the plant output."""
+    _, u_p = _gain_block(g, held_p, u_r, w1)
+    return u_p, np.asarray(plant.output(x_p, u_p, t), dtype=float)
+
+
+def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
+              spec: QuantizerSpec, chans: List[Channel],
+              events: List[List[EventRecord]], force_first: bool) -> bool:
+    """Quantize ``gain * y`` and send it on every firing lane, logging the
+    attempt; a delivered sample becomes that lane's held value.  True iff
+    some lane committed."""
+    y2, held2 = y.reshape(len(y), -1), held.reshape(len(held), -1)
+    committed = False
+    for i in np.flatnonzero(fire):
+        chan, y_i = chans[i], y2[:, i]
+        e_norm = float(np.linalg.norm(y_i - held2[:, i]))
+        payload = quantize(spec, gain * y_i)
+        force = force_first and chan.attempt_count == 0
+        drops_before = chan.consecutive_drops
+        rec = chan.send(t, payload, force_success=force)
+        events[i].append(EventRecord(side, t, k, rec.index, rec.dropped,
+                                     drops_before, e_norm,
+                                     float(np.linalg.norm(y_i)),
+                                     payload, y_i.copy()))
+        if not rec.dropped:
+            held2[:, i] = y_i
+            committed = True
+    return committed
+
+
+def _step(model: core.SystemModel, x, u, t: float, h: float, row: int,
+          failed: Dict[int, DivergenceError]) -> np.ndarray:
+    """One RK4 step of every lane; a non-finite lane is noted in ``failed``
+    and the batch goes on with the step's result."""
+    try:
+        return core.rk4_step(model, x, u, t, h)
+    except core.IntegrationError as exc:
+        for i in exc.lanes:
+            if i not in failed:
+                failed[i] = DivergenceError(row, t + h, str(exc))
+                failed[i].__cause__ = exc
+        return exc.state
 
 
 def dropout_spans(trace: TraceLog, side: str) -> List[Tuple[float, float]]:
@@ -475,10 +593,13 @@ def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
 
 def write_trace_csv(trace: TraceLog, path) -> None:
     mat = _row_matrix(trace)
+    row = ",".join([_FMT] * mat.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(_column_names(trace)) + "\n")
-        for row in mat:
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        # one format per row; rows go to Python floats a block at a time,
+        # which keeps the list objects' memory small
+        for start in range(0, len(mat), 1024):
+            fh.writelines(row % tuple(r) for r in mat[start:start + 1024].tolist())
 
 
 def write_events_csv(trace: TraceLog, path) -> None:

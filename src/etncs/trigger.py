@@ -44,11 +44,12 @@ class DetectorState:
     event_count: int = 0
 
 
-def check_violation(state: DetectorState, y, cfg: TriggerConfig) -> bool:
-    """True iff ||y - last_sent||^2 > delta * ||y||^2 (strict)."""
+def check_violation(state: DetectorState, y, cfg: TriggerConfig):
+    """True iff ||y - last_sent||^2 > delta * ||y||^2 (strict); on 2-D
+    arrays, one verdict per column (lane)."""
     y = np.asarray(y, dtype=float)
     e = y - state.last_sent_value
-    return float(e @ e) > cfg.delta * float(y @ y)
+    return np.add.reduce(e * e, axis=0) > cfg.delta * np.add.reduce(y * y, axis=0)
 
 
 def commit_transmission(state: DetectorState, y, t: float) -> DetectorState:

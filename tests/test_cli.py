@@ -280,3 +280,34 @@ def test_jobs_is_a_simulate_option_only(tmp_path, capsys):
                  "--jobs", "2"])
     assert code == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_seed_sweep_lanes_match_single_seed_runs(tmp_path, jobs):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path / "sweep"),
+                 "--seed", "3,4,5", "--jobs", jobs, *SHORT]) == 0
+    for seed in ("3", "4", "5"):
+        solo = tmp_path / f"solo_{seed}"
+        assert main(["simulate", "--config", str(CONFIG), "--out", str(solo),
+                     "--seed", seed, *SHORT]) == 0
+        for name in ("trace.csv", "events.csv", "metrics.kv"):
+            lane = tmp_path / "sweep" / f"seed_{seed}" / name
+            assert lane.read_bytes() == (solo / name).read_bytes(), (seed, name)
+
+
+def test_verify_applies_one_seed_and_rejects_a_malformed_one(tmp_path, capsys):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--seed", "8", *SHORT]) == 0
+    assert main(["verify", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--seed", "8", *SHORT]) == 0
+    assert main(["verify", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--seed", "x", *SHORT]) == 1
+    assert "config error: --seed" in capsys.readouterr().err
+
+
+def test_report_rejects_a_seed_list(tmp_path, capsys):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path), *SHORT]) == 0
+    code = main(["report", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--seed", "3,4", *SHORT])
+    assert code == 1
+    assert "only simulate does" in capsys.readouterr().err

@@ -271,3 +271,28 @@ def test_dissipativity_negative_storage_names_first_sample():
                           inputs=traj.inputs, outputs=traj.outputs)
     with pytest.raises(ValueError, match="negative at sample 0$"):
         dissipativity_residuals(model, at_start)
+
+
+def test_cubic_dynamics_on_columns_match_per_sample_calls():
+    # an ndarray ``** 3`` can round differently from the scalar pow() of a
+    # one-sample call; lockstep lanes rely on the two agreeing bit for bit
+    rng = np.random.default_rng(11)
+    x = rng.normal(scale=3.0, size=(2, 20_000))
+    u = rng.normal(size=(1, 20_000))
+    f = cubic_nl2().dynamics
+    per_sample = np.column_stack([f(x[:, i], u[:, i], 0.0) for i in range(x.shape[1])])
+    assert np.array_equal(f(x, u, 0.0), per_sample)
+
+
+def test_rk4_batched_lanes_match_one_sample_steps_and_name_nonfinite_lanes():
+    model = cubic_nl2()
+    x = np.array([[1.0, -2.0, 0.5], [-1.0, 3.0, 0.25]])
+    u = np.array([[0.1, -0.2, 0.3]])
+    batched = rk4_step(model, x, u, 0.0, 1e-3)
+    for i in range(3):
+        assert np.array_equal(batched[:, i], rk4_step(model, x[:, i], u[:, i], 0.0, 1e-3))
+    x[0, 1] = np.nan
+    with pytest.raises(IntegrationError) as err:
+        rk4_step(model, x, u, 0.0, 1e-3)
+    assert err.value.lanes == [1]
+    assert np.array_equal(err.value.state[:, [0, 2]], batched[:, [0, 2]])

@@ -328,3 +328,59 @@ def test_read_trace_csv_rejects_malformed(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_trace_csv(path)
+
+
+def _same_run(a, b):
+    """Every signal column bit-equal and every event field equal."""
+    from dataclasses import fields
+
+    for f in fields(a):
+        if f.name not in ("config", "events"):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    assert len(a.events) == len(b.events)
+    for ea, eb in zip(a.events, b.events):
+        for f in fields(ea):
+            x, y = getattr(ea, f.name), getattr(eb, f.name)
+            assert np.array_equal(x, y) if isinstance(y, np.ndarray) else x == y, f.name
+
+
+def test_lockstep_lanes_match_solo_runs_and_a_diverging_lane_retires():
+    # lanes share the model objects and differ in w1, w2 and the dropout
+    # seeds; the second lane's w1 drives the plant state past the limit and
+    # the last one's makes the first step non-finite
+    plant, controller = lti_siso(-1.0, 1.0, 1.0, 0.0), firstorder_lead()
+
+    def lane(w1, seed):
+        drop = DropoutModel(kind="bernoulli", p=0.5, seed=seed, max_consecutive=1)
+        return _scenario(plant=plant, controller=controller, x0_plant=np.array([1.0]),
+                         w1=w1, w2=SignalSpec(kind="sine", amplitude=0.1 * seed),
+                         chan_pc=ChannelConfig(DelayProfile(t0=0.05, d=0.2), drop),
+                         chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.1), drop),
+                         divergence_limit=1e6, t_end=0.5)
+
+    lanes = [lane(SignalSpec(kind="piecewise_uniform", lo=0.0, hi=2.0, seed=3), 1),
+             lane(SignalSpec(kind="constant", value=1e8), 2),
+             lane(SignalSpec(kind="constant", value=1.0), 3),
+             lane(SignalSpec(kind="constant", value=math.nan), 4)]
+    runs = run_scenario(lanes)
+    for i, detail in ((1, "plant state norm"), (3, "non-finite step")):
+        with pytest.raises(DivergenceError) as solo:
+            run_scenario(lanes[i])
+        assert detail in str(solo.value)
+        assert str(runs[i]) == str(solo.value) and runs[i].row == solo.value.row
+    assert runs[3].row == 1 < runs[1].row
+    for i in (0, 2):
+        _same_run(runs[i], run_scenario(lanes[i]))
+        assert len(runs[i].t) == 501
+
+
+@pytest.mark.parametrize("field, override", [
+    ("plant", {"plant": cubic_nl2(rho=1.7)}), ("h", {"h": 2e-3}), ("t_end", {"t_end": 0.5})])
+def test_lockstep_lanes_share_all_but_disturbances_and_dropouts(field, override):
+    shared = dict(plant=cubic_nl2(), controller=firstorder_lead())
+    first = _scenario(**shared)
+    second = _scenario(**{**shared, "w1": SignalSpec(kind="constant", value=1.0), **override})
+    assert len(run_scenario([first, _scenario(**shared)])) == 2
+    with pytest.raises(ValueError, match=f"lane 1 differs from lane 0 in {field}; "
+                                         "lanes may differ only"):
+        run_scenario([first, second])

@@ -136,3 +136,13 @@ def test_bound_check_spans_match_reference_loop(y, scale, spans, delta):
             want.append((float(t), s_norm / y_norm if y_norm else np.inf))
     assert rep.ok == (not want)
     assert rep.violations == tuple(want)
+
+
+def test_violation_check_on_columns_gives_one_verdict_per_lane():
+    held = np.array([[1.0, 0.3, 0.0, 0.5], [0.0, 0.2, 0.0, -0.5]])
+    y = np.array([[1.0, 1.0, 0.0, 0.5], [0.1, -0.4, 0.0, 0.5]])
+    verdicts = check_violation(DetectorState(last_sent_value=held), y, TriggerConfig(0.4))
+    assert verdicts.tolist() == [
+        bool(check_violation(DetectorState(last_sent_value=held[:, i]), y[:, i],
+                             TriggerConfig(0.4))) for i in range(4)]
+    assert verdicts.tolist() == [False, True, False, True]
