@@ -14,7 +14,6 @@ from .quantizer import QuantizerSpec, quantize, sector_certificate
 from .sim import (ChannelConfig, DivergenceError, ScenarioConfig, TraceLog,
                   compute_metrics, run_scenario)
 from .signals import SignalSpec
-from .trigger import (DetectorState, TriggerConfig, check_violation,
-                      commit_transmission, sampled_output_bound_check)
+from .trigger import TriggerConfig, check_violation, sampled_output_bound_check
 
 __version__ = "0.1.0"

@@ -1,17 +1,24 @@
-"""One-directional communication channels: bounded-rate time-varying delay,
-reproducible packet dropouts, and zero-order-hold delivery.
+"""One-directional links: bounded-rate time-varying delay, reproducible
+packet dropouts, and zero-order-hold delivery, for every lane of a batch.
+
+A ``Channel`` carries one link direction for all B lanes of a lockstep
+batch.  The lanes share the delay profile; each has its own dropout model,
+attempt counter, run of consecutive drops, packets in flight and held value,
+so a lane behaves exactly as a one-lane channel with its model would.
 
 A delay profile with slope magnitude below 1 makes the arrival map
-t -> t + T(t) strictly increasing, so packets can never overtake each other
-and the hold sees them in send order.
+t -> t + T(t) strictly increasing, so packets can never overtake each other:
+a lane's packets land in send order, and a plain FIFO per lane delivers them
+exactly (equal send times give equal arrivals, which land in send order).
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import insort
+import math
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -19,7 +26,6 @@ __all__ = [
     "DelayProfile",
     "DropoutModel",
     "PacketRecord",
-    "HoldState",
     "Channel",
     "rate_bound_check",
 ]
@@ -54,16 +60,17 @@ class DelayProfile:
             if any(p[1] < 0 for p in self.table):
                 raise ValueError("table delays must be nonnegative")
 
-    def delay(self, t: float) -> float:
+    def delay(self, t):
+        """T at one time (a float) or at an ndarray of times, elementwise."""
         if self.form == "constant":
-            return self.t0
+            return self.t0 if np.ndim(t) == 0 else np.full(np.shape(t), self.t0)
         if self.form == "affine":
             return self.t0 + self.d * t
-        ts = np.array([p[0] for p in self.table])
-        vs = np.array([p[1] for p in self.table])
-        return float(np.interp(t, ts, vs))
+        ts, vs = np.array(self.table).T
+        return np.interp(t, ts, vs)
 
-    def arrival(self, t: float) -> float:
+    def arrival(self, t):
+        """t + T(t) at one time or at an ndarray of times, elementwise."""
         return t + self.delay(t)
 
 
@@ -76,7 +83,7 @@ def rate_bound_check(profile: DelayProfile, grid: Sequence[float],
         return True
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    values = np.array([profile.delay(t) for t in grid])
+    values = profile.delay(grid)
     slopes = np.abs(np.diff(values) / np.diff(grid))
     return bool(np.all(slopes <= profile.d + tol))
 
@@ -136,21 +143,22 @@ class PacketRecord:
     dropped: bool
 
 
-@dataclass
-class HoldState:
-    """Zero-order hold: constant between arrivals."""
-
-    current_value: np.ndarray
-
-
 class Channel:
-    """Single-owner unidirectional channel with delay, dropouts and a hold.
+    """One link direction for B lanes: a shared delay profile and, per lane,
+    a dropout model and a zero-order hold.
 
-    ``send`` schedules (or drops) a packet; ``poll`` delivers everything that
-    has arrived by the given time into the hold and returns the held value.
+    ``dropout`` is one model (a single lane) or a sequence of models, one per
+    lane.  ``hold`` has shape ``(dim,)`` for a single lane and ``(dim, B)``
+    otherwise, every lane starting from ``initial_hold``.  ``send`` makes one
+    attempt on one lane and returns its record.  ``poll`` delivers every
+    packet that has arrived by ``t`` into its lane's hold and returns
+    ``hold`` itself, which later polls update in place.  ``keep`` retires
+    lanes.  Each lane counts its own attempts, so its dropout draws are keyed
+    by its own model's seed and attempt counter.
     """
 
-    def __init__(self, delay: DelayProfile, dropout: DropoutModel,
+    def __init__(self, delay: DelayProfile,
+                 dropout: Union[DropoutModel, Sequence[DropoutModel]],
                  channel_id: str, dim: int = 1,
                  initial_hold: Optional[np.ndarray] = None):
         if delay.form == "table":
@@ -161,47 +169,66 @@ class Channel:
                     f"delay table of channel {channel_id!r} violates its "
                     f"declared rate bound {delay.d}")
         self.delay = delay
-        self.dropout = dropout
+        self.dropouts = [dropout] if isinstance(dropout, DropoutModel) else list(dropout)
+        if not self.dropouts:
+            raise ValueError("a channel needs at least one lane")
         self.channel_id = channel_id
-        self.dim = dim
-        hold0 = np.zeros(dim) if initial_hold is None else np.asarray(initial_hold, float).copy()
+        hold0 = np.zeros(dim) if initial_hold is None else np.asarray(initial_hold, float)
         if hold0.shape != (dim,):
             raise ValueError("initial hold value has the wrong dimension")
-        self.hold = HoldState(current_value=hold0)
-        self.records: List[PacketRecord] = []
-        self.consecutive_drops = 0
-        self._in_flight: List[Tuple[float, int, np.ndarray]] = []
-        self._last_send_time = -np.inf
-        self._seq = 0
+        lanes = len(self.dropouts)
+        self._columns = np.repeat(hold0[:, None], lanes, axis=1)
+        self.hold = self._columns[:, 0] if lanes == 1 else self._columns
+        self.attempts = [0] * lanes
+        self.consecutive_drops = [0] * lanes
+        self._last_send = [-math.inf] * lanes
+        self._in_flight = [deque() for _ in range(lanes)]   # (arrival, payload)
+        self._heads = np.full(lanes, math.inf)   # each lane's next arrival
+        self._soonest = math.inf                 # and the earliest of them
 
-    @property
-    def attempt_count(self) -> int:
-        return len(self.records)
-
-    def send(self, t: float, payload, force_success: bool = False) -> PacketRecord:
-        if t < self._last_send_time:
+    def send(self, t: float, payload, force_success: bool = False,
+             lane: int = 0) -> PacketRecord:
+        """One attempt to send ``payload`` on ``lane`` at time ``t``."""
+        if t < self._last_send[lane]:
             raise ValueError(
-                f"non-monotone send time {t} after {self._last_send_time} "
+                f"non-monotone send time {t} after {self._last_send[lane]} "
                 f"on channel {self.channel_id!r}")
-        self._last_send_time = t
+        self._last_send[lane] = t
         payload = np.asarray(payload, dtype=float).copy()
-        index = len(self.records)
-        dropped = (not force_success) and self.dropout.dropped(
-            index, self.channel_id, self.consecutive_drops)
-        if dropped:
-            self.consecutive_drops += 1
-            record = PacketRecord(index, t, payload, float("nan"), True)
-        else:
-            self.consecutive_drops = 0
-            arrival = self.delay.arrival(t)
-            insort(self._in_flight, (arrival, self._seq, payload))
-            self._seq += 1
-            record = PacketRecord(index, t, payload, arrival, False)
-        self.records.append(record)
-        return record
+        index = self.attempts[lane]
+        self.attempts[lane] = index + 1
+        if (not force_success) and self.dropouts[lane].dropped(
+                index, self.channel_id, self.consecutive_drops[lane]):
+            self.consecutive_drops[lane] += 1
+            return PacketRecord(index, t, payload, float("nan"), True)
+        self.consecutive_drops[lane] = 0
+        arrival = self.delay.arrival(t)
+        fifo = self._in_flight[lane]
+        if not fifo:
+            self._heads[lane] = arrival
+            self._soonest = min(self._soonest, arrival)
+        fifo.append((arrival, payload))
+        return PacketRecord(index, t, payload, arrival, False)
 
     def poll(self, t: float) -> np.ndarray:
-        while self._in_flight and self._in_flight[0][0] <= t:
-            _, _, payload = self._in_flight.pop(0)
-            self.hold.current_value = payload
-        return self.hold.current_value.copy()
+        """The hold after delivering every packet that arrived by ``t``."""
+        if t >= self._soonest:
+            for lane in np.flatnonzero(self._heads <= t):
+                fifo = self._in_flight[lane]
+                while fifo and fifo[0][0] <= t:
+                    self._columns[:, lane] = fifo.popleft()[1]
+                self._heads[lane] = fifo[0][0] if fifo else math.inf
+            self._soonest = float(self._heads.min())
+        return self.hold
+
+    def keep(self, columns: Sequence[int]) -> None:
+        """Retire every lane not in ``columns``; the kept lanes are renumbered
+        in that order and the hold becomes ``(dim, len(columns))``."""
+        self._columns = self.hold = self._columns[:, columns]
+        self.dropouts = [self.dropouts[i] for i in columns]
+        self.attempts = [self.attempts[i] for i in columns]
+        self.consecutive_drops = [self.consecutive_drops[i] for i in columns]
+        self._last_send = [self._last_send[i] for i in columns]
+        self._in_flight = [self._in_flight[i] for i in columns]
+        self._heads = self._heads[columns]
+        self._soonest = float(np.min(self._heads, initial=math.inf))

@@ -26,7 +26,7 @@ from .design import (DesignParams, DesignResult, TransformGains,
 from .network import Channel, DelayProfile, DropoutModel
 from .quantizer import QuantizerSpec, quantize
 from .signals import SignalSpec, build_signal
-from .trigger import DetectorState, TriggerConfig, check_violation
+from .trigger import TriggerConfig, check_violation
 
 __all__ = [
     "DivergenceError",
@@ -188,8 +188,9 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     """The per-row loop, advancing B lanes in lockstep (see run_scenario).
 
     Per-lane arrays carry the lanes on their last axis: states ``(n, B)``,
-    ports and held samples ``(m, B)``, logs ``(rows, dim, B)``.  A single
-    lane has no lane axis, so its models see one sample, as in a scalar run.
+    ports, held samples and each link's ``Channel`` hold ``(m, B)``, logs
+    ``(rows, dim, B)``.  A single lane has no lane axis, so its models see
+    one sample, as in a scalar run.
     Every operation on the arrays is elementwise or reduces over axis 0
     only, so no lane's bits depend on another lane.
     """
@@ -215,10 +216,10 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     for i, lane in enumerate(cfgs):
         columns(w1)[..., i] = build_signal(lane.w1)(t_col)
         columns(w2)[..., i] = build_signal(lane.w2)(t_col)
-    chan_pc = [Channel(c.chan_pc.delay, c.chan_pc.dropout, "pc", dim=m,
-                       initial_hold=np.full(m, c.chan_pc.initial_hold)) for c in cfgs]
-    chan_cp = [Channel(c.chan_cp.delay, c.chan_cp.dropout, "cp", dim=m,
-                       initial_hold=np.full(m, c.chan_cp.initial_hold)) for c in cfgs]
+    chan_pc = Channel(cfg.chan_pc.delay, [c.chan_pc.dropout for c in cfgs], "pc",
+                      dim=m, initial_hold=np.full(m, cfg.chan_pc.initial_hold))
+    chan_cp = Channel(cfg.chan_cp.delay, [c.chan_cp.dropout for c in cfgs], "cp",
+                      dim=m, initial_hold=np.full(m, cfg.chan_cp.initial_hold))
     log = {name: np.empty((n_rows, dim) + shape) for name, dim in (
         ("x_p", cfg.plant.state_dim), ("x_c", cfg.controller.state_dim),
         ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m),
@@ -228,8 +229,6 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     x_c = every_lane(cfg.x0_controller)
     held_p = every_lane(np.zeros(m))   # last committed sample of each detector,
     held_c = every_lane(np.zeros(m))   # updated in place on every commit
-    det_p, det_c = DetectorState(held_p), DetectorState(held_c)
-    polled = (None, None) if not shape else (np.empty((m,) + shape), np.empty((m,) + shape))
     first_row = np.ones(len(cfgs), dtype=bool)
     # a single lane's verdict is a numpy bool, which bool() reads at a
     # fraction of the cost of .any()
@@ -242,20 +241,20 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
 
     for k in range(n_rows):
         t = k * h
-        u_r = _poll(chan_cp, t, polled[0])
-        v_pc = _poll(chan_pc, t, polled[1])
+        u_r = chan_cp.poll(t)
+        v_pc = chan_pc.poll(t)
         u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
         u_c = w2[k] + v_pc
         y_c = np.asarray(cfg.controller.output(x_c, u_c, t), dtype=float)
 
         # plant-side detector (initial transmission at t=0 is unconditional);
         # a committed sample feeds the local gain block immediately
-        fire = check_violation(det_p, y_p, cfg.trigger_p) if k else first_row
+        fire = check_violation(held_p, y_p, cfg.trigger_p) if k else first_row
         if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
                                         cfg.quant_p, chan_pc, events, force_first):
             u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
         # controller-side detector (send only; no local feedback to itself)
-        fire = check_violation(det_c, y_c, cfg.trigger_c) if k else first_row
+        fire = check_violation(held_c, y_c, cfg.trigger_c) if k else first_row
         if any_lane(fire):
             _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
                       chan_cp, events, force_first)
@@ -294,10 +293,9 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
             x_p, x_c, held_p, held_c, w1, w2 = (
                 a[..., keep] for a in (x_p, x_c, held_p, held_c, w1, w2))
             log = {name: a[..., keep] for name, a in log.items()}
-            chan_pc, chan_cp, events = ([seq[i] for i in keep]
-                                        for seq in (chan_pc, chan_cp, events))
-            det_p, det_c = DetectorState(held_p), DetectorState(held_c)
-            polled = (np.empty((m, len(keep))), np.empty((m, len(keep))))
+            events = [events[i] for i in keep]
+            chan_pc.keep(keep)
+            chan_cp.keep(keep)
 
     # the other columns follow elementwise from the logged held samples, by
     # the formulas the loop used on them
@@ -311,16 +309,6 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
                              y_r=g.m11 * held_p, u_tilde_c=held_p,
                              y_tilde_c=y_tilde_c, u_p=u_p, **cols)
     return out
-
-
-def _poll(chans: List[Channel], t: float, buf: Optional[np.ndarray]) -> np.ndarray:
-    """Every lane's held link value at t, one poll per lane; ``buf`` is None
-    for a single lane, whose poll result is returned as is."""
-    if buf is None:
-        return chans[0].poll(t)
-    for i, chan in enumerate(chans):
-        buf[:, i] = chan.poll(t)
-    return buf
 
 
 def _gain_block(g: TransformGains, held_p, u_r, w1):
@@ -338,7 +326,7 @@ def _plant_side(plant: core.SystemModel, g: TransformGains, held_p, u_r, w1, x_p
 
 
 def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
-              spec: QuantizerSpec, chans: List[Channel],
+              spec: QuantizerSpec, chan: Channel,
               events: List[List[EventRecord]], force_first: bool) -> bool:
     """Quantize ``gain * y`` and send it on every firing lane, logging the
     attempt; a delivered sample becomes that lane's held value.  True iff
@@ -346,12 +334,12 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
     y2, held2 = y.reshape(len(y), -1), held.reshape(len(held), -1)
     committed = False
     for i in np.flatnonzero(fire):
-        chan, y_i = chans[i], y2[:, i]
+        y_i = y2[:, i]
         e_norm = float(np.linalg.norm(y_i - held2[:, i]))
         payload = quantize(spec, gain * y_i)
-        force = force_first and chan.attempt_count == 0
-        drops_before = chan.consecutive_drops
-        rec = chan.send(t, payload, force_success=force)
+        force = force_first and chan.attempts[i] == 0
+        drops_before = chan.consecutive_drops[i]
+        rec = chan.send(t, payload, force_success=force, lane=i)
         events[i].append(EventRecord(side, t, k, rec.index, rec.dropped,
                                      drops_before, e_norm,
                                      float(np.linalg.norm(y_i)),
@@ -489,9 +477,9 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
                             ("controller", "c", cfg.trigger_c)):
         held = held_samples(trace, side)
         outputs = trace.y_p if side == "plant" else trace.y_c
-        attempt_times = [e.t for e in trace.events_on(side)]
         ok, bad = trigger.trigger_inequality_check(
-            trace.t, outputs, held, tcfg.delta, attempt_times)
+            trace.t, outputs, held, tcfg.delta,
+            [e.sample_index for e in trace.events_on(side)])
         me[f"trigger_ok_{key}"] = ok
         report = trigger.sampled_output_bound_check(
             trace.t, outputs, held, tcfg.delta, dropout_spans(trace, side))

@@ -2,23 +2,22 @@
 
 A detector fires when the squared deviation of the current output from the
 last transmitted sample exceeds delta times the squared output norm.  The
-error resets only on a *successful* transmission; a dropped packet leaves it
-in place so the detector re-fires at the next violating sample.
+held sample changes only on a *successful* transmission; a dropped packet
+leaves the error in place so the detector re-fires at the next violating
+sample.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "TriggerConfig",
-    "DetectorState",
     "BoundReport",
     "check_violation",
-    "commit_transmission",
     "trigger_inequality_check",
     "sampled_output_bound_check",
 ]
@@ -35,47 +34,30 @@ class TriggerConfig:
             raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
 
 
-@dataclass(frozen=True)
-class DetectorState:
-    """Last successfully transmitted sample and bookkeeping."""
-
-    last_sent_value: np.ndarray
-    last_sent_time: float = -np.inf
-    event_count: int = 0
-
-
-def check_violation(state: DetectorState, y, cfg: TriggerConfig):
-    """True iff ||y - last_sent||^2 > delta * ||y||^2 (strict); on 2-D
-    arrays, one verdict per column (lane)."""
+def check_violation(held, y, cfg: TriggerConfig):
+    """True iff ||y - held||^2 > delta * ||y||^2 (strict), where ``held`` is
+    the last successfully transmitted sample; on 2-D arrays, one verdict per
+    column (lane)."""
     y = np.asarray(y, dtype=float)
-    e = y - state.last_sent_value
+    e = y - held
     return np.add.reduce(e * e, axis=0) > cfg.delta * np.add.reduce(y * y, axis=0)
 
 
-def commit_transmission(state: DetectorState, y, t: float) -> DetectorState:
-    """Record a successful transmission of ``y`` at time ``t``."""
-    if t < state.last_sent_time:
-        raise ValueError(
-            f"commit at t={t} precedes previous commit at {state.last_sent_time}")
-    return replace(state,
-                   last_sent_value=np.asarray(y, dtype=float).copy(),
-                   last_sent_time=t,
-                   event_count=state.event_count + 1)
-
-
 def trigger_inequality_check(times, outputs, held, delta: float,
-                             attempt_times: Sequence[float]) -> Tuple[bool, List[int]]:
+                             firing_rows: Sequence[int]) -> Tuple[bool, List[int]]:
     """Check ||y - held||^2 <= delta*||y||^2 at every non-firing sample.
 
-    ``attempt_times`` are the samples where the detector fired (whether the
-    packet went through or not); those are the only samples allowed to
-    violate.  Returns (ok, indices of unexpected violations).
+    ``firing_rows`` are the ``sample_index`` values of the detector's
+    attempts (whether the packet went through or not); those rows are the
+    only ones allowed to violate.  An index outside ``[0, rows)`` names no
+    row and is ignored.  Returns (ok, indices of unexpected violations).
     """
-    times = np.asarray(times, dtype=float)
-    y = np.asarray(outputs, dtype=float).reshape(len(times), -1)
-    s = np.asarray(held, dtype=float).reshape(len(times), -1)
-    firing = np.isin(np.round(times, 12),
-                     np.round(np.asarray(attempt_times, dtype=float), 12))
+    n = len(times)
+    y = np.asarray(outputs, dtype=float).reshape(n, -1)
+    s = np.asarray(held, dtype=float).reshape(n, -1)
+    rows = np.asarray(firing_rows, dtype=np.int64)
+    firing = np.zeros(n, dtype=bool)
+    firing[rows[(rows >= 0) & (rows < n)]] = True
     e2 = np.sum((y - s) ** 2, axis=1)
     y2 = np.sum(y ** 2, axis=1)
     bad = np.flatnonzero(~firing & (e2 > delta * y2 + 1e-12 * (1.0 + y2))).tolist()

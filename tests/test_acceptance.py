@@ -138,9 +138,9 @@ def test_criterion_05_triggering_properties(golden):
             ("plant", trace.y_p, trace.u_tilde_c, golden.scenario.trigger_p),
             ("controller", trace.y_c, trace.y_c - trace.e_c,
              golden.scenario.trigger_c)):
-        attempt_times = [e.t for e in trace.events_on(side)]
+        attempt_rows = [e.sample_index for e in trace.events_on(side)]
         ineq_ok, bad = trigger.trigger_inequality_check(
-            trace.t, ycol, held, tcfg.delta, attempt_times)
+            trace.t, ycol, held, tcfg.delta, attempt_rows)
         rep = trigger.sampled_output_bound_check(
             trace.t, ycol, held, tcfg.delta, dropout_spans(trace, side))
         results.append((side, ineq_ok, rep.ok, len(bad)))

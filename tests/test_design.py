@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -276,3 +278,18 @@ def test_params_validation():
     with pytest.raises(ValueError):
         DesignParams(rho_p=1.8, nu_p=0.0, rho_c=0.27, nu_c=0.49,
                      delta_p=0.4, delta_c=0.15, d1=1.0)
+
+
+def test_design_tradeoff_sweep_writes_one_row_per_grid_point(tmp_path):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "design_tradeoff_sweep.py"
+    spec = importlib.util.spec_from_file_location("design_tradeoff_sweep", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.run(str(tmp_path)) == 0
+    header, *rows = (tmp_path / "design_sweep.dat").read_text().splitlines()
+    assert header == ("# delta_c m22_sq rho_c_tilde nu_c_tilde margin_coupling "
+                      "gamma_bound d_p_max d_c_max")
+    # 4 values of delta_c times 5 scales of the m22^2 floor, all feasible
+    assert len(rows) == 20
+    assert all(len(r.split()) == 8 for r in rows)
+    assert len({tuple(r.split()[:2]) for r in rows}) == 20

@@ -88,10 +88,9 @@ def test_packet_records_bit_identical_across_runs():
         ch = _channel(delay=DelayProfile(t0=0.5, d=0.3, form="affine"),
                       dropout=DropoutModel(kind="bernoulli", p=0.4, seed=21))
         ch.channel_id = "fixed"
-        for i in range(40):
-            ch.send(i * 0.05, [float(i)])
+        records = [ch.send(i * 0.05, [float(i)]) for i in range(40)]
         return [(r.index, r.send_time, r.arrival_time, r.dropped, tuple(r.payload))
-                for r in ch.records]
+                for r in records]
 
     a, b = run(), run()
     for ra, rb in zip(a, b):
@@ -153,3 +152,78 @@ def test_delay_profile_validation():
         DelayProfile(t0=0.0, d=1.0)
     with pytest.raises(ValueError):
         DelayProfile(form="table", table=((0.0, 0.1),))
+
+
+_TABLE = ((0.0, 0.6), (1.0, 0.8), (2.0, 0.7), (3.5, 1.1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(form=st.sampled_from(["constant", "affine", "table"]),
+       t0=st.floats(0.0, 2.0), d=st.sampled_from([0.0, 0.3, 0.9]),
+       times=st.lists(st.floats(-1.0, 5.0), max_size=20))
+def test_delay_and_arrival_take_arrays(form, t0, d, times):
+    prof = DelayProfile(t0=t0, d=d, form=form,
+                        table=_TABLE if form == "table" else ())
+    for fn in (prof.delay, prof.arrival):
+        scalars = [fn(t) for t in times]
+        assert all(np.ndim(v) == 0 for v in scalars)
+        assert np.array_equal(fn(np.array(times)), np.array(scalars, dtype=float))
+
+
+_DROPOUTS = st.one_of(
+    st.just(DropoutModel()),
+    st.builds(lambda p, seed, cap: DropoutModel(kind="bernoulli", p=p, seed=seed,
+                                                max_consecutive=cap),
+              st.floats(0.0, 1.0), st.integers(0, 2 ** 31),
+              st.one_of(st.none(), st.integers(0, 3))),
+    st.builds(lambda pattern: DropoutModel(kind="pattern", pattern=tuple(pattern)),
+              st.lists(st.integers(0, 1), max_size=12)))
+
+
+def _record_key(rec):
+    arrival = None if np.isnan(rec.arrival_time) else rec.arrival_time
+    return rec.index, rec.send_time, arrival, rec.dropped, tuple(rec.payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models=st.lists(_DROPOUTS, min_size=1, max_size=4),
+       delay=st.sampled_from([DelayProfile(t0=0.0, d=0.0, form="constant"),
+                              DelayProfile(t0=0.3, d=0.3, form="affine"),
+                              DelayProfile(t0=0.1, d=0.9, form="table",
+                                           table=((0.0, 0.1), (1.0, 0.5)))]),
+       data=st.data())
+def test_lane_channel_matches_solo_channels(models, delay, data):
+    # every lane of one channel behaves as a one-lane channel with its model,
+    # through sends (forced or not), polls and a retirement of lanes mid-run;
+    # each lane holds the last delivered payload that has arrived
+    hold0 = np.array([0.5, -1.5])
+    lanes = Channel(delay, models, "link", dim=2, initial_hold=hold0)
+    solos = [Channel(delay, m, "link", dim=2, initial_hold=hold0) for m in models]
+    ops = data.draw(st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 0.2),
+                                       st.booleans(), st.booleans()), max_size=60))
+    cut = data.draw(st.integers(0, len(ops)))
+    kept = data.draw(st.lists(st.sampled_from(range(len(models))), min_size=1,
+                              unique=True).map(sorted))
+    delivered = [[] for _ in models]
+    t = 0.0
+    for n, (lane, gap, force, poll) in enumerate(ops):
+        if n == cut:
+            lanes.keep(kept)
+            solos = [solos[i] for i in kept]
+            delivered = [delivered[i] for i in kept]
+        t += gap
+        lane %= len(solos)
+        if poll:
+            held = lanes.poll(t).reshape(2, -1)
+            for j, solo in enumerate(solos):
+                assert np.array_equal(held[:, j], solo.poll(t))
+                landed = [r.payload for r in delivered[j] if r.arrival_time <= t]
+                assert np.array_equal(held[:, j], landed[-1] if landed else hold0)
+        else:
+            payload = [float(n), -float(n)]
+            got = lanes.send(t, payload, force_success=force, lane=lane)
+            want = solos[lane].send(t, payload, force_success=force)
+            assert _record_key(got) == _record_key(want)
+            if not got.dropped:
+                delivered[lane].append(got)
+            assert lanes.consecutive_drops[lane] == solos[lane].consecutive_drops[0]

@@ -3,57 +3,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etncs.trigger import (DetectorState, TriggerConfig, check_violation,
-                           commit_transmission, sampled_output_bound_check,
-                           trigger_inequality_check)
+from etncs.trigger import (TriggerConfig, check_violation,
+                           sampled_output_bound_check, trigger_inequality_check)
 
 
-def _state(value, t=-np.inf):
-    return DetectorState(last_sent_value=np.atleast_1d(np.asarray(value, float)),
-                         last_sent_time=t)
+def _held(value):
+    return np.atleast_1d(np.asarray(value, float))
 
 
 def test_no_violation_when_error_zero():
-    assert not check_violation(_state(1.0), [1.0], TriggerConfig(0.4))
+    assert not check_violation(_held(1.0), [1.0], TriggerConfig(0.4))
 
 
 def test_violation_arithmetic():
     # e^2 = 0.49 > 0.4 * 1.0
-    assert check_violation(_state(0.3), [1.0], TriggerConfig(0.4))
+    assert check_violation(_held(0.3), [1.0], TriggerConfig(0.4))
     # e^2 = 0.36 < 0.4
-    assert not check_violation(_state(0.4), [1.0], TriggerConfig(0.4))
+    assert not check_violation(_held(0.4), [1.0], TriggerConfig(0.4))
 
 
 def test_zero_output_zero_error_never_fires():
-    assert not check_violation(_state(0.0), [0.0], TriggerConfig(0.4))
+    assert not check_violation(_held(0.0), [0.0], TriggerConfig(0.4))
 
 
 def test_zero_output_nonzero_error_fires():
     # strict inequality: any nonzero error over zero output fires
-    assert check_violation(_state(0.5), [0.0], TriggerConfig(1.0))
-
-
-def test_commit_resets_error_and_counts():
-    s = _state(0.0)
-    s = commit_transmission(s, [1.0], 1.0)
-    assert not check_violation(s, [1.0], TriggerConfig(0.4))
-    s = commit_transmission(s, [2.0], 2.0)
-    assert s.event_count == 2
-    assert s.last_sent_time == 2.0
-
-
-def test_commit_rejects_time_travel():
-    s = commit_transmission(_state(0.0), [1.0], 2.0)
-    with pytest.raises(ValueError):
-        commit_transmission(s, [1.0], 1.0)
+    assert check_violation(_held(0.5), [0.0], TriggerConfig(1.0))
 
 
 @settings(max_examples=100)
 @given(y=st.lists(st.floats(-100, 100), min_size=1, max_size=4),
        delta=st.floats(0.01, 1.0))
 def test_commit_then_same_sample_never_violates(y, delta):
-    s = commit_transmission(_state(np.zeros(len(y))), y, 0.0)
-    assert not check_violation(s, y, TriggerConfig(delta))
+    assert not check_violation(np.array(y), y, TriggerConfig(delta))
 
 
 def test_constant_output_fires_at_most_once():
@@ -61,12 +43,12 @@ def test_constant_output_fires_at_most_once():
     # at zero, so the detector never fires again
     cfg = TriggerConfig(1.0)
     y = np.array([3.0])
-    s = _state(-1.0)
+    held = _held(-1.0)
     fires = 0
-    for k in range(50):
-        if check_violation(s, y, cfg):
+    for _ in range(50):
+        if check_violation(held, y, cfg):
             fires += 1
-            s = commit_transmission(s, y, k * 0.1)
+            held = y.copy()
     assert fires == 1
 
 
@@ -83,11 +65,26 @@ def test_inequality_check_flags_tampered_sample():
     y = np.ones((5, 1))
     held = np.ones((5, 1))
     held[3] = 3.0  # error 2 at a non-firing sample
-    ok, bad = trigger_inequality_check(times, y, held, 0.4, attempt_times=[0.0])
+    ok, bad = trigger_inequality_check(times, y, held, 0.4, firing_rows=[0])
     assert not ok and bad == [3]
     held[3] = 1.0
-    ok, bad = trigger_inequality_check(times, y, held, 0.4, attempt_times=[0.0])
+    ok, bad = trigger_inequality_check(times, y, held, 0.4, firing_rows=[0])
     assert ok and bad == []
+
+
+def test_inequality_check_joins_firing_rows_on_index():
+    # rows 1e-13 apart: a join on times rounded to 12 digits would take row 2
+    # for the firing row 0 and excuse its tampered held value
+    times = np.arange(5) * 1e-13
+    y = np.ones((5, 1))
+    held = np.ones((5, 1))
+    held[2] = 3.0
+    ok, bad = trigger_inequality_check(times, y, held, 0.4, firing_rows=[0])
+    assert not ok and bad == [2]
+    # indices that name no row are ignored, not raised on
+    ok, bad = trigger_inequality_check(times, y, held, 0.4, firing_rows=[-1, 5, 2 ** 40])
+    assert bad == [2]
+    assert trigger_inequality_check(times, y, held, 0.4, firing_rows=[2]) == (True, [])
 
 
 def test_bound_check_constant_output_delta_one():
@@ -141,8 +138,7 @@ def test_bound_check_spans_match_reference_loop(y, scale, spans, delta):
 def test_violation_check_on_columns_gives_one_verdict_per_lane():
     held = np.array([[1.0, 0.3, 0.0, 0.5], [0.0, 0.2, 0.0, -0.5]])
     y = np.array([[1.0, 1.0, 0.0, 0.5], [0.1, -0.4, 0.0, 0.5]])
-    verdicts = check_violation(DetectorState(last_sent_value=held), y, TriggerConfig(0.4))
+    verdicts = check_violation(held, y, TriggerConfig(0.4))
     assert verdicts.tolist() == [
-        bool(check_violation(DetectorState(last_sent_value=held[:, i]), y[:, i],
-                             TriggerConfig(0.4))) for i in range(4)]
+        bool(check_violation(held[:, i], y[:, i], TriggerConfig(0.4))) for i in range(4)]
     assert verdicts.tolist() == [False, True, False, True]
