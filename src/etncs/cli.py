@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -53,7 +55,7 @@ def _kv_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
-        return "%.16e" % v
+        return sim._FMT % v
     return str(v)
 
 
@@ -218,20 +220,25 @@ def _parse_seeds(spec: Optional[str]) -> Optional[List[int]]:
     return seeds
 
 
+def _read_run(out_dir: Path, read):
+    """``read(trace_path, events_path)`` on the run in ``out_dir``; a missing
+    or malformed trace file is a config error."""
+    paths = (out_dir / "trace.csv", out_dir / "events.csv")
+    for path in paths:
+        if not path.exists():
+            raise ConfigError(f"missing trace file {path}")
+    try:
+        return read(*paths)
+    except ValueError as exc:
+        raise ConfigError(f"malformed trace: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
     from .verify import verify_trace_files
 
     cfg = _load_effective_config(args)
     out_dir = Path(args.out)
-    trace_path = out_dir / "trace.csv"
-    events_path = out_dir / "events.csv"
-    for path in (trace_path, events_path):
-        if not path.exists():
-            raise ConfigError(f"missing trace file {path}")
-    try:
-        checks = verify_trace_files(cfg, trace_path, events_path)
-    except ValueError as exc:
-        raise ConfigError(f"malformed trace: {exc}") from exc
+    checks = _read_run(out_dir, functools.partial(verify_trace_files, cfg))
     kv: Dict[str, object] = {}
     all_pass = True
     for name, (ok, detail) in checks.items():
@@ -244,43 +251,33 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def _write_xy(path: Path, x: Sequence[float], y: Sequence[float]) -> None:
-    with open(path, "w") as fh:
-        for xv, yv in zip(x, y):
-            fh.write("%.16e %.16e\n" % (xv, yv))
+def _write_dat(out_dir: Path, names: Sequence[str], x, *ys) -> None:
+    """Write ``x`` beside each of ``ys``, one file per name.  They go through
+    the formatter as one matrix, so the values they share are formatted once."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(out_dir / name, "w")) for name in names]
+        for text in sim.format_blocks(np.column_stack([x, *ys])):
+            x_text, *y_texts = text.T.tolist()
+            for fh, y_text in zip(files, y_texts):
+                fh.writelines(f"{a} {b}\n" for a, b in zip(x_text, y_text))
 
 
 def cmd_report(args) -> int:
-    cfg = _load_effective_config(args)
-    scenario = build_scenario(cfg)
+    scenario = build_scenario(_load_effective_config(args))
     out_dir = Path(args.out)
-    trace_path = out_dir / "trace.csv"
-    events_path = out_dir / "events.csv"
-    for path in (trace_path, events_path):
-        if not path.exists():
-            raise ConfigError(f"missing trace file {path}")
-    try:
-        trace = sim.read_trace(scenario, trace_path, events_path)
-    except ValueError as exc:
-        raise ConfigError(f"malformed trace: {exc}") from exc
-    t = trace.t
+    trace = _read_run(out_dir, functools.partial(sim.read_trace, scenario))
 
-    for i in range(scenario.plant.state_dim):
-        _write_xy(out_dir / f"states_plant_{i + 1}.dat", t, trace.x_p[:, i])
-    for i in range(scenario.controller.state_dim):
-        _write_xy(out_dir / f"states_controller_{i + 1}.dat", t, trace.x_c[:, i])
-    _write_xy(out_dir / "output_plant.dat", t, trace.y_p[:, 0])
-    _write_xy(out_dir / "output_controller_held.dat", t, trace.u_r[:, 0])
-
+    names = ([f"states_plant_{i + 1}.dat" for i in range(trace.x_p.shape[1])]
+             + [f"states_controller_{i + 1}.dat" for i in range(trace.x_c.shape[1])]
+             + ["output_plant.dat", "output_controller_held.dat"])
+    _write_dat(out_dir, names, trace.t, trace.x_p, trace.x_c, trace.y_p[:, 0],
+               trace.u_r[:, 0])
     for side in ("plant", "controller"):
-        commits = trace.commits_on(side)
-        gaps_t = [b.t for a, b in zip(commits, commits[1:])]
-        gaps = [b.t - a.t for a, b in zip(commits, commits[1:])]
-        _write_xy(out_dir / f"interevent_{side}.dat", gaps_t, gaps)
+        commit_t = np.array([e.t for e in trace.commits_on(side)])
+        _write_dat(out_dir, [f"interevent_{side}.dat"], commit_t[1:], np.diff(commit_t))
         attempts = trace.events_on(side)
-        _write_xy(out_dir / f"dropouts_{side}.dat",
-                  [e.t for e in attempts],
-                  [0.0 if e.dropped else 1.0 for e in attempts])
+        _write_dat(out_dir, [f"dropouts_{side}.dat"], [e.t for e in attempts],
+                   [float(not e.dropped) for e in attempts])
     print(f"report data written to {out_dir}")
     return EXIT_OK
 

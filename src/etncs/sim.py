@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "plant_dissipativity",
     "TRACE_COLUMNS",
     "split_columns",
+    "format_blocks",
     "write_trace_csv",
     "write_events_csv",
     "read_trace_csv",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _FMT = "%.16e"  # 17 significant digits: round-trips float64 exactly
+_BLOCK_ROWS = 256  # rows formatted at once; one block's text is held in memory
 
 
 class DivergenceError(RuntimeError):
@@ -541,24 +543,15 @@ _EVENTS_HEADER = ("side,kind,t,sample_index,attempt_index,drops_before,"
                   "e_norm,y_norm,payload,committed")
 
 
-def _column_names(trace: TraceLog) -> List[str]:
-    names = ["t"]
+def _trace_table(trace: TraceLog) -> Tuple[List[str], np.ndarray]:
+    """trace.csv's header and rows; only a port of dimension one is unnumbered."""
+    names, cols = ["t"], [trace.t[:, None]]
     for base in TRACE_COLUMNS[1:]:
-        dim = getattr(trace, base).shape[1]
-        if base in ("x_p", "x_c"):
-            names += [f"{base}{i + 1}" for i in range(dim)]
-        else:
-            names += _vec_names(base, dim)
-    return names
-
-
-def _vec_names(base: str, dim: int) -> List[str]:
-    return [base] if dim == 1 else [f"{base}{i + 1}" for i in range(dim)]
-
-
-def _row_matrix(trace: TraceLog) -> np.ndarray:
-    return np.hstack([trace.t[:, None]]
-                     + [getattr(trace, base) for base in TRACE_COLUMNS[1:]])
+        a = getattr(trace, base)
+        cols.append(a)
+        one = a.shape[1] == 1 and base not in ("x_p", "x_c")
+        names += [base] if one else [f"{base}{i + 1}" for i in range(a.shape[1])]
+    return names, np.hstack(cols)
 
 
 def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
@@ -579,33 +572,40 @@ def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
     return out
 
 
+def format_blocks(mat: np.ndarray) -> Iterator[np.ndarray]:
+    """The ``_FMT`` text of a C-contiguous float64 matrix, one object array
+    per block of rows.  Each distinct value of a block is formatted once,
+    keyed by its bits, never by float ``==``, so ``-0.0`` keeps its sign."""
+    for start in range(0, len(mat), _BLOCK_ROWS):
+        block = mat[start:start + _BLOCK_ROWS]
+        bits, where = np.unique(block.view(np.int64), return_inverse=True)
+        values = bits.view(np.float64).tolist()
+        # one format string for all of them is faster than one % per value
+        texts = (",".join([_FMT] * len(values)) % tuple(values)).split(",")
+        yield np.array(texts, dtype=object)[where.reshape(block.shape)]
+
+
 def write_trace_csv(trace: TraceLog, path) -> None:
-    mat = _row_matrix(trace)
-    row = ",".join([_FMT] * mat.shape[1]) + "\n"
+    names, mat = _trace_table(trace)
     with open(path, "w") as fh:
-        fh.write(",".join(_column_names(trace)) + "\n")
-        # one format per row; rows go to Python floats a block at a time,
-        # which keeps the list objects' memory small
-        for start in range(0, len(mat), 1024):
-            fh.writelines(row % tuple(r) for r in mat[start:start + 1024].tolist())
+        fh.write(",".join(names) + "\n")
+        for text in format_blocks(mat):
+            fh.writelines(",".join(row) + "\n" for row in text.tolist())
 
 
 def write_events_csv(trace: TraceLog, path) -> None:
+    events, m = trace.events, trace.y_p.shape[1]
+    floats = np.fromiter(((e.t, e.e_norm, e.y_norm, *e.payload, *e.committed)
+                          for e in events), (float, 3 + 2 * m), len(events))
+    rest = iter(events)
     with open(path, "w") as fh:
         fh.write(_EVENTS_HEADER + "\n")
-        for e in trace.events:
-            fh.write(",".join([
-                e.side,
-                "drop" if e.dropped else "commit",
-                _FMT % e.t,
-                str(e.sample_index),
-                str(e.attempt_index),
-                str(e.drops_before),
-                _FMT % e.e_norm,
-                _FMT % e.y_norm,
-                ";".join(_FMT % v for v in e.payload),
-                ";".join(_FMT % v for v in e.committed),
-            ]) + "\n")
+        for text in format_blocks(floats):
+            # text rows first: zip stops before it takes the next block's event
+            for (t, e_norm, y_norm, *vec), e in zip(text.tolist(), rest):
+                fh.write(f"{e.side},{'drop' if e.dropped else 'commit'},{t},"
+                         f"{e.sample_index},{e.attempt_index},{e.drops_before},"
+                         f"{e_norm},{y_norm},{';'.join(vec[:m])},{';'.join(vec[m:])}\n")
 
 
 def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:

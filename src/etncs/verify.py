@@ -56,6 +56,8 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
         all(on_row), "event times lie on the sample grid" if all(on_row)
         else f"{on_row.count(False)} events off their row, first at "
              f"t={trace.events[on_row.index(False)].t:.6f}")
+    # an off-row commit leaves the held-sample join, failing the checks on it
+    cause = "" if all(on_row) else f"; likely cause: {checks['events_on_grid'][1]}"
 
     held_p = held_samples(trace, "plant")
     held_c = held_samples(trace, "controller")
@@ -63,8 +65,9 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
     e_p_ok = np.allclose(trace.e_p, trace.y_p - held_p, rtol=0, atol=1e-9)
     e_c_ok = np.allclose(trace.e_c, trace.y_c - held_c, rtol=0, atol=1e-9)
     held_col_ok = np.allclose(trace.u_tilde_c, held_p, rtol=0, atol=1e-9)
-    checks["error_columns"] = (bool(e_p_ok and e_c_ok and held_col_ok),
-                               "logged errors equal output minus last commit")
+    ok = bool(e_p_ok and e_c_ok and held_col_ok)
+    checks["error_columns"] = (
+        ok, "logged errors equal output minus last commit" + ("" if ok else cause))
 
     for side, key, tcfg, y, held in (
             ("plant", "p", scenario.trigger_p, trace.y_p, held_p),
@@ -73,12 +76,12 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
             t, y, held, tcfg.delta, [e.sample_index for e in trace.events_on(side)])
         checks[f"trigger_ineq_{key}"] = (
             ok, "holds at all non-firing samples" if ok
-            else f"violated at {len(bad)} samples, first at t={t[bad[0]]:.6f}")
+            else f"violated at {len(bad)} samples, first at t={t[bad[0]]:.6f}{cause}")
         rep = trigger.sampled_output_bound_check(t, y, held, tcfg.delta,
                                                  dropout_spans(trace, side))
         checks[f"held_norm_bound_{key}"] = (
             rep.ok, f"{len(rep.excluded_spans)} dropout spans excluded" if rep.ok
-            else f"violated at t={rep.violations[0][0]:.6f}")
+            else f"violated at t={rep.violations[0][0]:.6f}{cause}")
 
     if scenario.plant.storage is not None:
         res, tol = plant_dissipativity(trace)

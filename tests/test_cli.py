@@ -1,10 +1,13 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from etncs import sim
 from etncs.cli import main
+from etncs.config import apply_overrides, build_scenario, format_config, load_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "worked_example.cfg"
 
@@ -143,16 +146,49 @@ def test_report_emits_two_column_files(tmp_path):
                  *SHORT]) == 0
     assert main(["report", "--config", str(CONFIG), "--out", str(tmp_path),
                  *SHORT]) == 0
-    for name in ("states_plant_1.dat", "states_plant_2.dat",
-                 "states_controller_1.dat", "interevent_plant.dat",
-                 "interevent_controller.dat", "dropouts_plant.dat",
-                 "dropouts_controller.dat", "output_plant.dat"):
-        path = tmp_path / name
-        assert path.exists(), name
-        lines = path.read_text().splitlines()
-        if lines:
-            assert all(len(line.split()) == 2 for line in lines)
-    assert len((tmp_path / "states_plant_1.dat").read_text().splitlines()) == 1001
+    scenario = build_scenario(apply_overrides(load_config(CONFIG), ["sim.t_end=1.0"]))
+    trace = sim.read_trace(scenario, tmp_path / "trace.csv", tmp_path / "events.csv")
+
+    def rows(x, y):   # the per-row reference the block formatter must match
+        return "".join("%.16e %.16e\n" % (a, b) for a, b in zip(x, y))
+
+    expected = {
+        "states_plant_1.dat": rows(trace.t, trace.x_p[:, 0]),
+        "states_plant_2.dat": rows(trace.t, trace.x_p[:, 1]),
+        "states_controller_1.dat": rows(trace.t, trace.x_c[:, 0]),
+        "output_plant.dat": rows(trace.t, trace.y_p[:, 0]),
+        "output_controller_held.dat": rows(trace.t, trace.u_r[:, 0]),
+    }
+    for side in ("plant", "controller"):
+        commits = trace.commits_on(side)
+        expected[f"interevent_{side}.dat"] = rows(
+            [b.t for a, b in zip(commits, commits[1:])],
+            [b.t - a.t for a, b in zip(commits, commits[1:])])
+        attempts = trace.events_on(side)
+        expected[f"dropouts_{side}.dat"] = rows(
+            [e.t for e in attempts], [0.0 if e.dropped else 1.0 for e in attempts])
+    for name, text in expected.items():
+        # byte lines with their ends: pytest names the first differing index,
+        # where its diff of two long strings takes minutes
+        got = (tmp_path / name).read_bytes().splitlines(True)
+        assert got == text.encode().splitlines(True), name
+    assert len(expected["states_plant_1.dat"].splitlines()) == 1001
+
+
+def test_run_worked_example_script(tmp_path, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_worked_example.py"
+    spec = importlib.util.spec_from_file_location("run_worked_example", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.CONFIG = tmp_path / "short.cfg"
+    script.CONFIG.write_text(format_config(
+        apply_overrides(load_config(CONFIG), ["sim.t_end=1"])))
+    out = tmp_path / "out"
+    assert script.run(str(out)) == 0
+    assert "=== headline metrics ===" in capsys.readouterr().out
+    for name in ("states_plant_1.dat", "output_plant.dat", "interevent_plant.dat",
+                 "dropouts_controller.dat"):
+        assert (out / name).exists(), name
 
 
 def test_seed_override_changes_trace(tmp_path):
@@ -253,6 +289,14 @@ def test_verify_event_off_its_row_fails(tmp_path):
     assert code == 4
     kv = _read_kv(tmp_path / "verify.kv")
     assert kv["check.events_on_grid"] == "fail"
+    # the checks that fail only because the commit left the held-sample join
+    # name the off-grid event as their likely cause
+    cause = "likely cause: 1 events off their row"
+    for name in ("error_columns", "trigger_ineq_p", "held_norm_bound_p"):
+        assert kv[f"check.{name}"] == "fail"
+        assert cause in kv[f"detail.{name}"], name
+    assert kv["check.trigger_ineq_c"] == "pass"
+    assert "likely cause" not in kv["detail.trigger_ineq_c"]
 
 
 def test_verify_header_only_trace_is_config_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from etncs.config import load_config, run_design, build_scenario
@@ -12,9 +12,9 @@ from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
 from etncs.quantizer import QuantizerSpec
 from etncs.signals import SignalSpec, build_signal
-from etncs.sim import (ChannelConfig, DivergenceError, ScenarioConfig,
-                       compute_metrics, dropout_spans, run_scenario,
-                       write_trace_csv)
+from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError,
+                       ScenarioConfig, compute_metrics, dropout_spans,
+                       format_blocks, run_scenario, write_trace_csv)
 from etncs.trigger import TriggerConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -328,6 +328,32 @@ def test_read_trace_csv_rejects_malformed(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_trace_csv(path)
+
+
+_BITS = np.array([0x7FF8000000000123, 0x7FF0000000000001, -0x0007FFFFFFFFFF00],
+                 dtype=np.int64).view(np.float64).tolist()   # NaN payloads
+_EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, *_BITS]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@given(rows=st.sampled_from([1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                             2 * _BLOCK_ROWS + 1]),
+       cols=st.integers(1, 3),
+       runs=st.lists(st.tuples(_EDGE_VALUES, st.integers(1, 2 * _BLOCK_ROWS + 1)),
+                     min_size=1, max_size=6))
+@example(rows=_BLOCK_ROWS + 1, cols=1, runs=[(0.0, _BLOCK_ROWS - 1), (-0.0, 2)])
+def test_format_blocks_text_equals_per_value_format(rows, cols, runs):
+    values, lengths = zip(*runs)
+    # runs of one value go down each column, so some cross a block edge
+    seq = np.resize(np.repeat(np.array(values, dtype=np.float64), lengths),
+                    rows * cols)
+    mat = np.ascontiguousarray(seq.reshape(cols, rows).T)
+    blocks = list(format_blocks(mat))
+    assert len(blocks) == -(-rows // _BLOCK_ROWS)
+    assert np.vstack(blocks).tolist() == [["%.16e" % v for v in row]
+                                          for row in mat.tolist()]
 
 
 def _same_run(a, b):
