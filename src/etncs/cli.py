@@ -237,8 +237,9 @@ def cmd_verify(args) -> int:
     from .verify import verify_trace_files
 
     cfg = _load_effective_config(args)
+    scenario = build_scenario(cfg)
     out_dir = Path(args.out)
-    checks = _read_run(out_dir, functools.partial(verify_trace_files, cfg))
+    checks = _read_run(out_dir, functools.partial(verify_trace_files, cfg, scenario))
     kv: Dict[str, object] = {}
     all_pass = True
     for name, (ok, detail) in checks.items():
@@ -253,10 +254,10 @@ def cmd_verify(args) -> int:
 
 def _write_dat(out_dir: Path, names: Sequence[str], x, *ys) -> None:
     """Write ``x`` beside each of ``ys``, one file per name.  They go through
-    the formatter as one matrix, so the values they share are formatted once."""
+    the formatter together, so the values they share are formatted once."""
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(out_dir / name, "w")) for name in names]
-        for text in sim.format_blocks(np.column_stack([x, *ys])):
+        for text in sim.format_blocks(x, *ys):
             x_text, *y_texts = text.T.tolist()
             for fh, y_text in zip(files, y_texts):
                 fh.writelines(f"{a} {b}\n" for a, b in zip(x_text, y_text))
@@ -273,11 +274,11 @@ def cmd_report(args) -> int:
     _write_dat(out_dir, names, trace.t, trace.x_p, trace.x_c, trace.y_p[:, 0],
                trace.u_r[:, 0])
     for side in ("plant", "controller"):
-        commit_t = np.array([e.t for e in trace.commits_on(side)])
+        commit_t = trace.commits_on(side).t
         _write_dat(out_dir, [f"interevent_{side}.dat"], commit_t[1:], np.diff(commit_t))
         attempts = trace.events_on(side)
-        _write_dat(out_dir, [f"dropouts_{side}.dat"], [e.t for e in attempts],
-                   [float(not e.dropped) for e in attempts])
+        _write_dat(out_dir, [f"dropouts_{side}.dat"], attempts.t,
+                   (~attempts.dropped).astype(float))
     print(f"report data written to {out_dir}")
     return EXIT_OK
 

@@ -15,7 +15,7 @@ each array carrying them as columns, and a single run is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,7 +32,7 @@ __all__ = [
     "DivergenceError",
     "ChannelConfig",
     "ScenarioConfig",
-    "EventRecord",
+    "EventTable",
     "TraceLog",
     "run_scenario",
     "compute_metrics",
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _FMT = "%.16e"  # 17 significant digits: round-trips float64 exactly
-_BLOCK_ROWS = 256  # rows formatted at once; one block's text is held in memory
+_BLOCK_ROWS = 256  # rows formatted or parsed at once; one block's text is held in memory
 
 
 class DivergenceError(RuntimeError):
@@ -106,19 +106,42 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    """One detector firing: an attempted transmission, kept or dropped."""
+class EventTable:
+    """The attempted transmissions of a run as columns, one row per detector
+    firing, kept or dropped, in firing order.  Indexing it with a mask, a
+    slice or an index selects those rows of every column."""
 
-    side: str                 # "plant" | "controller"
-    t: float
-    sample_index: int
-    attempt_index: int
-    dropped: bool
-    drops_before: int         # consecutive drops on this link just before
-    e_norm: float             # ||y - last committed|| at the firing sample
-    y_norm: float             # ||y|| at the firing sample
-    payload: np.ndarray       # quantized value put on the wire
-    committed: np.ndarray     # raw output sample (committed when not dropped)
+    plant: np.ndarray          # bool: fired by the plant side, else the controller
+    dropped: np.ndarray        # bool: the channel dropped the packet
+    t: np.ndarray
+    sample_index: np.ndarray   # int64: the trace row of the firing sample
+    attempt_index: np.ndarray  # int64: the link's attempt counter
+    drops_before: np.ndarray   # int64: consecutive drops on the link just before
+    e_norm: np.ndarray         # ||y - last committed|| at the firing sample
+    y_norm: np.ndarray         # ||y|| at the firing sample
+    payload: np.ndarray        # (n, m): quantized values put on the wire
+    committed: np.ndarray      # (n, m): raw output samples (committed when not dropped)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, rows) -> "EventTable":
+        return EventTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    def on(self, side: str) -> np.ndarray:
+        """The mask of one side's attempts."""
+        return self.plant if side == "plant" else ~self.plant
+
+
+_EVENT_DTYPES = (bool, bool, float, np.int64, np.int64, np.int64, float, float)
+
+
+def _event_table(columns: Sequence[list], m: int) -> EventTable:
+    """An EventTable from its column lists, vectors last."""
+    *scalars, payload, committed = columns
+    return EventTable(*(np.array(c, dtype=d) for c, d in zip(scalars, _EVENT_DTYPES)),
+                      np.array(payload, dtype=float).reshape(len(payload), m),
+                      np.array(committed, dtype=float).reshape(len(committed), m))
 
 
 @dataclass
@@ -142,13 +165,13 @@ class TraceLog:
     y_qp: np.ndarray
     y_qc: np.ndarray
     w1: np.ndarray
-    events: List[EventRecord] = field(default_factory=list)
+    events: EventTable
 
-    def events_on(self, side: str) -> List[EventRecord]:
-        return [e for e in self.events if e.side == side]
+    def events_on(self, side: str) -> EventTable:
+        return self.events[self.events.on(side)]
 
-    def commits_on(self, side: str) -> List[EventRecord]:
-        return [e for e in self.events if e.side == side and not e.dropped]
+    def commits_on(self, side: str) -> EventTable:
+        return self.events[self.events.on(side) & ~self.events.dropped]
 
 
 def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]]):
@@ -238,7 +261,8 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     force_first = not cfg.drop_first_allowed
     limit = cfg.divergence_limit
     lanes = list(range(len(cfgs)))     # the lane held in each column
-    events: List[List[EventRecord]] = [[] for _ in cfgs]
+    # per lane, one list per EventTable column
+    events = [tuple([] for _ in fields(EventTable)) for _ in cfgs]
     out: List[Union[TraceLog, DivergenceError, None]] = [None] * len(cfgs)
 
     for k in range(n_rows):
@@ -306,7 +330,8 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
         held_p, held_c = cols.pop("held_p"), cols.pop("held_c")
         w1_i = columns(w1)[..., i]
         y_tilde_c, u_p = _gain_block(g, held_p, cols["u_r"], w1_i)
-        out[lane] = TraceLog(config=cfgs[lane], t=t_col, w1=w1_i, events=events[i],
+        out[lane] = TraceLog(config=cfgs[lane], t=t_col, w1=w1_i,
+                             events=_event_table(events[i], m),
                              e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c,
                              y_r=g.m11 * held_p, u_tilde_c=held_p,
                              y_tilde_c=y_tilde_c, u_p=u_p, **cols)
@@ -329,10 +354,10 @@ def _plant_side(plant: core.SystemModel, g: TransformGains, held_p, u_r, w1, x_p
 
 def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
               spec: QuantizerSpec, chan: Channel,
-              events: List[List[EventRecord]], force_first: bool) -> bool:
-    """Quantize ``gain * y`` and send it on every firing lane, logging the
-    attempt; a delivered sample becomes that lane's held value.  True iff
-    some lane committed."""
+              events: List[Tuple[list, ...]], force_first: bool) -> bool:
+    """Quantize ``gain * y`` and send it on every firing lane, appending the
+    attempt to the lane's event columns; a delivered sample becomes that
+    lane's held value.  True iff some lane committed."""
     y2, held2 = y.reshape(len(y), -1), held.reshape(len(held), -1)
     committed = False
     for i in np.flatnonzero(fire):
@@ -342,10 +367,10 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
         force = force_first and chan.attempts[i] == 0
         drops_before = chan.consecutive_drops[i]
         rec = chan.send(t, payload, force_success=force, lane=i)
-        events[i].append(EventRecord(side, t, k, rec.index, rec.dropped,
-                                     drops_before, e_norm,
-                                     float(np.linalg.norm(y_i)),
-                                     payload, y_i.copy()))
+        for column, value in zip(events[i], (
+                side == "plant", rec.dropped, t, k, rec.index, drops_before, e_norm,
+                float(np.linalg.norm(y_i)), payload, y_i.copy())):
+            column.append(value)
         if not rec.dropped:
             held2[:, i] = y_i
             committed = True
@@ -369,38 +394,35 @@ def _step(model: core.SystemModel, x, u, t: float, h: float, row: int,
 def dropout_spans(trace: TraceLog, side: str) -> List[Tuple[float, float]]:
     """Half-open [first drop, next success) spans where the held-sample norm
     bound is not expected to hold."""
-    spans: List[Tuple[float, float]] = []
-    start: Optional[float] = None
-    for e in trace.events_on(side):
-        if e.dropped and start is None:
-            start = e.t
-        elif not e.dropped and start is not None:
-            spans.append((start, e.t))
-            start = None
-    if start is not None:
-        spans.append((start, float(trace.t[-1]) + trace.config.h))
-    return spans
+    attempts = trace.events_on(side)
+    dropped = attempts.dropped
+    after_drop = np.zeros_like(dropped)
+    after_drop[1:] = dropped[:-1]
+    starts = attempts.t[dropped & ~after_drop]
+    ends = attempts.t[~dropped & after_drop]
+    if len(ends) < len(starts):   # the run ends inside a span
+        ends = np.append(ends, float(trace.t[-1]) + trace.config.h)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def max_consecutive_drops(trace: TraceLog, side: str) -> int:
-    worst = run = 0
-    for e in trace.events_on(side):
-        run = run + 1 if e.dropped else 0
-        worst = max(worst, run)
-    return worst
+    dropped = trace.events_on(side).dropped
+    # the edges of each run of drops, starts and ends alternating
+    edges = np.flatnonzero(np.diff(dropped, prepend=False, append=False))
+    return int(np.max(edges[1::2] - edges[::2], initial=0))
 
 
 def held_samples(trace: TraceLog, side: str) -> np.ndarray:
     """The detector's held sample per row: row k holds the last commit with
     ``sample_index <= k`` (zeros before the first commit).  Sorted by index,
-    a running max of list positions keeps this exact for unsorted commits.
+    a running max of table positions keeps this exact for unsorted commits.
     """
     commits = trace.commits_on(side)
-    values = np.array([np.zeros(trace.y_p.shape[1])] + [e.committed for e in commits])
-    index = np.array([e.sample_index for e in commits], dtype=np.int64)
-    order = np.argsort(index, kind="stable")
+    values = np.concatenate((np.zeros((1, trace.y_p.shape[1])), commits.committed))
+    order = np.argsort(commits.sample_index, kind="stable")
     last = np.concatenate(([0], np.maximum.accumulate(order) + 1))
-    below = np.searchsorted(index[order], np.arange(len(trace.t)), side="right")
+    below = np.searchsorted(commits.sample_index[order], np.arange(len(trace.t)),
+                            side="right")
     return values[last[below]]
 
 
@@ -417,19 +439,32 @@ def plant_dissipativity(trace: TraceLog) -> Tuple[np.ndarray, np.ndarray]:
     return res, 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
 
 
-def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, List[Tuple[float, float, float]]]:
-    """(min gap, list of (gap, y_norm at closing commit, its time)).
+def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, np.ndarray, np.ndarray]:
+    """(min gap, gaps, y_norm at each gap's closing commit).
 
     Gaps run between consecutive successful commits; with no commit after
     t=0 the minimum is reported as t_end.
     """
     commits = trace.commits_on(side)
-    if len(commits) < 2:
-        return float(trace.config.t_end), []
-    gaps = []
-    for prev, cur in zip(commits, commits[1:]):
-        gaps.append((cur.t - prev.t, cur.y_norm, cur.t))
-    return min(g for g, _, _ in gaps), gaps
+    gaps = np.diff(commits.t)
+    min_gap = float(np.min(gaps)) if len(gaps) else float(trace.config.t_end)
+    return min_gap, gaps, commits.y_norm[1:]
+
+
+def _accum_ratio_excess(commits: EventTable, delta: float) -> float:
+    """Worst excess of the accumulated-error ratio e_norm / y_norm at each
+    re-commit after the first over the geometric-series factor
+    (1+sqrt(delta))^(n+1) - 1 of its n preceding drops: -inf with no
+    re-commit, +inf where a nonzero error meets a zero output."""
+    c = commits[1:]
+    # float_power calls libm pow on each element, as the scalar ** did
+    bound = np.float_power(1.0 + math.sqrt(delta), c.drops_before + 1) - 1.0
+    zero = c.y_norm == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN, as a float / gave
+        ratio = np.divide(c.e_norm, c.y_norm, where=~zero,
+                          out=np.where(c.e_norm > 0.0, math.inf, -math.inf))
+    # fmax skips a NaN ratio, as the max over the commits did
+    return float(np.fmax.reduce(ratio - bound, initial=-math.inf))
 
 
 def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
@@ -445,13 +480,12 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
     me: Dict[str, object] = {}
     for side, key in (("plant", "p"), ("controller", "c")):
         attempts = trace.events_on(side)
-        commits = trace.commits_on(side)
+        drops = int(np.count_nonzero(attempts.dropped))
         me[f"attempts_{key}"] = len(attempts)
-        me[f"events_{key}"] = len(commits)
-        me[f"drops_{key}"] = len(attempts) - len(commits)
+        me[f"events_{key}"] = len(attempts) - drops
+        me[f"drops_{key}"] = drops
         me[f"max_consec_drops_{key}"] = max_consecutive_drops(trace, side)
-        min_gap, _ = _gap_stats(trace, side)
-        me[f"min_gap_{key}"] = min_gap
+        me[f"min_gap_{key}"], _, _ = _gap_stats(trace, side)
 
     me["sup_x_p"] = float(np.max(np.linalg.norm(trace.x_p, axis=1)))
     if np.any(trace.w1 != 0.0):
@@ -480,23 +514,13 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
         held = held_samples(trace, side)
         outputs = trace.y_p if side == "plant" else trace.y_c
         ok, bad = trigger.trigger_inequality_check(
-            trace.t, outputs, held, tcfg.delta,
-            [e.sample_index for e in trace.events_on(side)])
+            trace.t, outputs, held, tcfg.delta, trace.events_on(side).sample_index)
         me[f"trigger_ok_{key}"] = ok
         report = trigger.sampled_output_bound_check(
             trace.t, outputs, held, tcfg.delta, dropout_spans(trace, side))
         me[f"sampled_bound_ok_{key}"] = report.ok
 
-        # accumulated-error ratio at each re-commit after n drops, against
-        # the geometric-series factor (1+sqrt(delta))^(n+1) - 1
-        worst_excess = -math.inf
-        for e in trace.commits_on(side)[1:]:
-            if e.y_norm == 0.0:
-                if e.e_norm > 0.0:
-                    worst_excess = math.inf
-                continue
-            bound = (1.0 + math.sqrt(tcfg.delta)) ** (e.drops_before + 1) - 1.0
-            worst_excess = max(worst_excess, e.e_norm / e.y_norm - bound)
+        worst_excess = _accum_ratio_excess(trace.commits_on(side), tcfg.delta)
         me[f"accum_ratio_excess_{key}"] = worst_excess
         me[f"accum_ratio_ok_{key}"] = worst_excess <= 1e-9
 
@@ -517,17 +541,13 @@ def _interevent_comparison(trace: TraceLog, params: DesignParams,
              (me["c0"], me["c1"], me["c2"])),
             ("controller", "c", interevent_bound_controller,
              (me["c0_prime"], me["c1_prime"], me["c2_prime"]))):
-        _, gaps = _gap_stats(trace, side)
-        worst_slack = math.inf
-        ok = True
-        for gap, y_norm, _t in gaps:
-            bound = fn(params, *consts, y_norm)
-            slack = gap - (bound - h)
-            worst_slack = min(worst_slack, slack)
-            if slack < -1e-12:
-                ok = False
-        out[f"interevent_ok_{key}"] = ok
-        out[f"interevent_worst_slack_{key}"] = worst_slack
+        _, gaps, y_norms = _gap_stats(trace, side)
+        # one scalar bound per gap: the bound's formula branches on y_norm
+        bounds = np.array([fn(params, *consts, y) for y in y_norms.tolist()])
+        slack = gaps - (bounds - h)
+        out[f"interevent_ok_{key}"] = not np.any(slack < -1e-12)
+        out[f"interevent_worst_slack_{key}"] = float(
+            np.fmin.reduce(slack, initial=math.inf))
     return out
 
 
@@ -543,15 +563,15 @@ _EVENTS_HEADER = ("side,kind,t,sample_index,attempt_index,drops_before,"
                   "e_norm,y_norm,payload,committed")
 
 
-def _trace_table(trace: TraceLog) -> Tuple[List[str], np.ndarray]:
-    """trace.csv's header and rows; only a port of dimension one is unnumbered."""
-    names, cols = ["t"], [trace.t[:, None]]
+def _trace_table(trace: TraceLog) -> Tuple[List[str], List[np.ndarray]]:
+    """trace.csv's header and columns; only a port of dimension one is unnumbered."""
+    names, cols = ["t"], [trace.t]
     for base in TRACE_COLUMNS[1:]:
         a = getattr(trace, base)
         cols.append(a)
         one = a.shape[1] == 1 and base not in ("x_p", "x_c")
         names += [base] if one else [f"{base}{i + 1}" for i in range(a.shape[1])]
-    return names, np.hstack(cols)
+    return names, cols
 
 
 def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
@@ -572,12 +592,14 @@ def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
     return out
 
 
-def format_blocks(mat: np.ndarray) -> Iterator[np.ndarray]:
-    """The ``_FMT`` text of a C-contiguous float64 matrix, one object array
-    per block of rows.  Each distinct value of a block is formatted once,
-    keyed by its bits, never by float ``==``, so ``-0.0`` keeps its sign."""
-    for start in range(0, len(mat), _BLOCK_ROWS):
-        block = mat[start:start + _BLOCK_ROWS]
+def format_blocks(*columns: np.ndarray) -> Iterator[np.ndarray]:
+    """The ``_FMT`` text of float64 columns set side by side (each a vector
+    or a matrix with one row per row), one object array per block of rows;
+    only one block is stacked at a time.  Each distinct value of a block is
+    formatted once, keyed by its bits, never by float ``==``, so ``-0.0``
+    keeps its sign."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
         bits, where = np.unique(block.view(np.int64), return_inverse=True)
         values = bits.view(np.float64).tolist()
         # one format string for all of them is faster than one % per value
@@ -586,26 +608,37 @@ def format_blocks(mat: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def write_trace_csv(trace: TraceLog, path) -> None:
-    names, mat = _trace_table(trace)
+    names, cols = _trace_table(trace)
     with open(path, "w") as fh:
         fh.write(",".join(names) + "\n")
-        for text in format_blocks(mat):
+        for text in format_blocks(*cols):
             fh.writelines(",".join(row) + "\n" for row in text.tolist())
 
 
+def _join(texts: np.ndarray, sep: str) -> np.ndarray:
+    """Each row of an object array of strings joined by ``sep``."""
+    out = texts[:, 0]
+    for j in range(1, texts.shape[1]):
+        out = out + sep + texts[:, j]
+    return out
+
+
 def write_events_csv(trace: TraceLog, path) -> None:
-    events, m = trace.events, trace.y_p.shape[1]
-    floats = np.fromiter(((e.t, e.e_norm, e.y_norm, *e.payload, *e.committed)
-                          for e in events), (float, 3 + 2 * m), len(events))
-    rest = iter(events)
+    ev, m = trace.events, trace.events.payload.shape[1]
+    side = np.where(ev.plant, "plant", "controller").astype(object)
+    kind = np.where(ev.dropped, "drop", "commit").astype(object)
+    ints = np.column_stack((ev.sample_index, ev.attempt_index,
+                            ev.drops_before)).astype(str).astype(object)
     with open(path, "w") as fh:
         fh.write(_EVENTS_HEADER + "\n")
-        for text in format_blocks(floats):
-            # text rows first: zip stops before it takes the next block's event
-            for (t, e_norm, y_norm, *vec), e in zip(text.tolist(), rest):
-                fh.write(f"{e.side},{'drop' if e.dropped else 'commit'},{t},"
-                         f"{e.sample_index},{e.attempt_index},{e.drops_before},"
-                         f"{e_norm},{y_norm},{';'.join(vec[:m])},{';'.join(vec[m:])}\n")
+        start = 0
+        for text in format_blocks(ev.t, ev.e_norm, ev.y_norm, ev.payload, ev.committed):
+            rows = slice(start, start + len(text))
+            start += len(text)
+            table = np.column_stack((side[rows], kind[rows], text[:, 0], ints[rows],
+                                     text[:, 1:3], _join(text[:, 3:3 + m], ";"),
+                                     _join(text[:, 3 + m:], ";")))
+            fh.writelines(",".join(row) + "\n" for row in table.tolist())
 
 
 def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:
@@ -625,37 +658,75 @@ def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:
     return names, mat
 
 
-def _parse_event(line: str) -> EventRecord:
-    f = line.split(",")
-    if len(f) != 10:
-        raise ValueError(f"expected 10 fields, got {len(f)}")
-    if f[0] not in ("plant", "controller") or f[1] not in ("commit", "drop"):
-        raise ValueError(f"unknown side or kind {f[0]!r}, {f[1]!r}")
-    sample_index = int(f[3])
-    if abs(sample_index) >= 2 ** 63:   # joined to rows through int64 arrays
-        raise ValueError(f"sample_index {sample_index} out of range")
-    return EventRecord(
-        side=f[0], t=float(f[2]), sample_index=sample_index,
-        attempt_index=int(f[4]), dropped=f[1] == "drop", drops_before=int(f[5]),
-        e_norm=float(f[6]), y_norm=float(f[7]),
-        payload=np.array([float(v) for v in f[8].split(";")]),
-        committed=np.array([float(v) for v in f[9].split(";")]))
+_EVENT_FIELDS = _EVENTS_HEADER.split(",")
+_INT64 = np.iinfo(np.int64)
 
 
-def read_events_csv(path) -> List[EventRecord]:
-    """The event table of an events file; ValueError on a short or garbled row."""
-    events: List[EventRecord] = []
+def _event_rows(rows: List[str], width: int) -> EventTable:
+    """The EventTable of stripped, non-blank events.csv rows whose vectors
+    are ``width`` long.  ValueError describes the first fault found in the
+    first row with one."""
+    counts = [r.count(",") for r in rows]
+    if counts.count(9) != len(counts):
+        raise ValueError(f"expected 10 fields, got {next(c for c in counts if c != 9) + 1}")
+    cells = np.array(",".join(rows).split(","), dtype=object).reshape(-1, 10)
+    plant, dropped = cells[:, 0] == "plant", cells[:, 1] == "drop"
+    known = (plant | (cells[:, 0] == "controller")) & (dropped | (cells[:, 1] == "commit"))
+    if not known.all():
+        side, kind = cells[np.argmin(known), :2]
+        raise ValueError(f"unknown side or kind {side!r}, {kind!r}")
+    try:
+        ints = cells[:, 3:6].astype(np.int64)
+    except OverflowError:
+        name, value = next((_EVENT_FIELDS[3 + j], v) for row in cells[:, 3:6]
+                           for j, v in enumerate(row)
+                           if not _INT64.min <= int(v) <= _INT64.max)
+        raise ValueError(f"{name} {value} out of range") from None
+    # sample_index joins rows through int64 arrays, so its magnitude must fit
+    if (ints[:, 0] == _INT64.min).any():
+        raise ValueError(f"sample_index {_INT64.min} out of range")
+    vectors = []
+    for j in (8, 9):
+        lengths = [v.count(";") + 1 for v in cells[:, j]]
+        if lengths.count(width) != len(lengths):
+            bad = next(n for n in lengths if n != width)
+            raise ValueError(f"{_EVENT_FIELDS[j]} has {bad} values, expected {width}")
+        vectors.append(";".join(cells[:, j]).split(";"))
+    floats = np.array(cells[:, [2, 6, 7]].T.ravel().tolist() + vectors[0] + vectors[1],
+                      dtype=object).astype(float)
+    n = len(rows)
+    t, e_norm, y_norm = floats[:3 * n].reshape(3, n)
+    payload, committed = floats[3 * n:].reshape(2, n, width)
+    return EventTable(plant, dropped, t, *ints.T, e_norm, y_norm, payload, committed)
+
+
+def read_events_csv(path, width: int) -> EventTable:
+    """The event table of an events file whose vectors are ``width`` long.
+    A short or garbled row, an index outside int64 or a vector of another
+    length is a ValueError naming its line."""
     with open(path) as fh:
         if fh.readline().strip() != _EVENTS_HEADER:
             raise ValueError(f"events file {path} lacks the events header")
-        for n, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                events.append(_parse_event(line.strip()))
-            except ValueError as exc:
-                raise ValueError(f"events file {path} line {n}: {exc}") from None
-    return events
+        rows = [r for r in map(str.strip, fh) if r]
+    if not rows:
+        return _event_table([[]] * len(fields(EventTable)), width)
+    try:   # a block at a time, which bounds the memory the cell texts take
+        blocks = [_event_rows(rows[i:i + _BLOCK_ROWS], width)
+                  for i in range(0, len(rows), _BLOCK_ROWS)]
+    except ValueError as exc:
+        error = exc
+    else:
+        return EventTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                            for f in fields(EventTable)))
+    # find the first bad line by parsing the rows one at a time
+    with open(path) as fh:
+        for n, line in enumerate(fh, start=1):
+            if n > 1 and line.strip():
+                try:
+                    _event_rows([line.strip()], width)
+                except ValueError as exc:
+                    raise ValueError(f"events file {path} line {n}: {exc}") from None
+    raise ValueError(f"events file {path}: {error}")
 
 
 def read_trace(scenario: ScenarioConfig, trace_path, events_path) -> TraceLog:
@@ -665,9 +736,4 @@ def read_trace(scenario: ScenarioConfig, trace_path, events_path) -> TraceLog:
     port = scenario.plant.output_dim
     cols = split_columns(names, mat, scenario.plant.state_dim,
                          scenario.controller.state_dim, port)
-    events = read_events_csv(events_path)
-    for e in events:
-        if e.payload.shape != (port,) or e.committed.shape != (port,):
-            raise ValueError(f"events file {events_path}: {e.side} event at "
-                             f"t={e.t:.6f} does not carry {port}-vectors")
-    return TraceLog(config=scenario, events=events, **cols)
+    return TraceLog(config=scenario, events=read_events_csv(events_path, port), **cols)

@@ -20,9 +20,9 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import core, trigger
-from .config import ConfigError, build_scenario, run_design
+from .config import ConfigError, run_design
 from .design import InfeasibleDesign
-from .sim import (TRACE_COLUMNS, dropout_spans, held_samples,
+from .sim import (TRACE_COLUMNS, ScenarioConfig, dropout_spans, held_samples,
                   max_consecutive_drops, plant_dissipativity, read_trace)
 
 __all__ = ["verify_trace_files"]
@@ -30,10 +30,10 @@ __all__ = ["verify_trace_files"]
 CheckResult = Tuple[bool, str]
 
 
-def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
-                       ) -> Dict[str, CheckResult]:
-    """Run all trace-level invariant checks; returns name -> (pass, detail)."""
-    scenario = build_scenario(cfg)
+def verify_trace_files(cfg: Dict[str, str], scenario: ScenarioConfig, trace_path,
+                       events_path) -> Dict[str, CheckResult]:
+    """Run all trace-level invariant checks on the run of ``scenario``, built
+    from ``cfg``; returns name -> (pass, detail)."""
     trace = read_trace(scenario, trace_path, events_path)
     t = trace.t
     h = scenario.h
@@ -50,14 +50,15 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
     finite = all(np.all(np.isfinite(getattr(trace, c))) for c in TRACE_COLUMNS)
     checks["finite_values"] = (finite, "all samples finite")
 
-    on_row = [0 <= e.sample_index < len(t) and t[e.sample_index] == e.t
-              for e in trace.events]
+    ev = trace.events
+    row = np.clip(ev.sample_index, 0, len(t) - 1)
+    on_row = (ev.sample_index == row) & (t[row] == ev.t)
+    off = np.flatnonzero(~on_row)
     checks["events_on_grid"] = (
-        all(on_row), "event times lie on the sample grid" if all(on_row)
-        else f"{on_row.count(False)} events off their row, first at "
-             f"t={trace.events[on_row.index(False)].t:.6f}")
+        len(off) == 0, "event times lie on the sample grid" if len(off) == 0
+        else f"{len(off)} events off their row, first at t={ev.t[off[0]]:.6f}")
     # an off-row commit leaves the held-sample join, failing the checks on it
-    cause = "" if all(on_row) else f"; likely cause: {checks['events_on_grid'][1]}"
+    cause = "" if len(off) == 0 else f"; likely cause: {checks['events_on_grid'][1]}"
 
     held_p = held_samples(trace, "plant")
     held_c = held_samples(trace, "controller")
@@ -73,7 +74,7 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
             ("plant", "p", scenario.trigger_p, trace.y_p, held_p),
             ("controller", "c", scenario.trigger_c, trace.y_c, held_c)):
         ok, bad = trigger.trigger_inequality_check(
-            t, y, held, tcfg.delta, [e.sample_index for e in trace.events_on(side)])
+            t, y, held, tcfg.delta, trace.events_on(side).sample_index)
         checks[f"trigger_ineq_{key}"] = (
             ok, "holds at all non-firing samples" if ok
             else f"violated at {len(bad)} samples, first at t={t[bad[0]]:.6f}{cause}")
@@ -92,7 +93,7 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
     # ZOH: the held link value may change only when a commit's arrival falls
     # inside the step (recomputed from the delay profile, so this also checks
     # causality of the logged schedule)
-    sent = np.array([e.t for e in trace.commits_on("controller")])
+    sent = trace.commits_on("controller").t
     arrivals = scenario.chan_cp.delay.arrival(sent)
     causal = bool(np.all(arrivals >= sent - 1e-12))
     arrivals.sort()
@@ -105,18 +106,16 @@ def verify_trace_files(cfg: Dict[str, str], trace_path, events_path
         "piecewise constant between arrivals" if len(unexplained) == 0
         else f"u_r changed at t={t[unexplained[0]]:.6f} with no packet arrival")
 
-    commit_ok = True
+    logged = np.where(ev.plant[:, None], trace.y_p[row], trace.y_c[row])
+    agree = on_row & np.all(ev.committed == logged, axis=1)
+    bad = np.flatnonzero(~ev.dropped & ~agree)
     detail = "committed samples equal the logged output at their row"
-    for e, ok in zip(trace.events, on_row):
-        if e.dropped:
-            continue
-        y = trace.y_p if e.side == "plant" else trace.y_c
-        if not ok or not np.array_equal(e.committed, y[e.sample_index]):
-            commit_ok = False
-            detail = (f"{e.side} commit at t={e.t:.6f} disagrees with trace" if ok
-                      else f"commit at t={e.t:.6f} has no trace row")
-            break
-    checks["committed_samples"] = (commit_ok, detail)
+    if len(bad):
+        e = bad[0]
+        detail = (f"{'plant' if ev.plant[e] else 'controller'} commit at "
+                  f"t={ev.t[e]:.6f} disagrees with trace" if on_row[e]
+                  else f"commit at t={ev.t[e]:.6f} has no trace row")
+    checks["committed_samples"] = (len(bad) == 0, detail)
 
     try:
         params, result = run_design(cfg)

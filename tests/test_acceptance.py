@@ -138,7 +138,7 @@ def test_criterion_05_triggering_properties(golden):
             ("plant", trace.y_p, trace.u_tilde_c, golden.scenario.trigger_p),
             ("controller", trace.y_c, trace.y_c - trace.e_c,
              golden.scenario.trigger_c)):
-        attempt_rows = [e.sample_index for e in trace.events_on(side)]
+        attempt_rows = trace.events_on(side).sample_index
         ineq_ok, bad = trigger.trigger_inequality_check(
             trace.t, ycol, held, tcfg.delta, attempt_rows)
         rep = trigger.sampled_output_bound_check(
@@ -213,9 +213,9 @@ def test_criterion_07_dropout_accumulation(golden):
         bound = (1.0 + math.sqrt(IDEAL_DELTA_P)) ** (d + 1) - 1.0
         for seed in range(100):
             trace = run_scenario(_ideal_burst_scenario(d, seed, golden.result.gains))
-            recommit = next(e for e in trace.commits_on("plant")
-                            if e.drops_before == d)
-            ratio = recommit.e_norm / recommit.y_norm
+            commits = trace.commits_on("plant")
+            recommit = np.flatnonzero(commits.drops_before == d)[0]
+            ratio = commits.e_norm[recommit] / commits.y_norm[recommit]
             worst[d] = max(worst[d], ratio)
         assert worst[d] <= bound, (d, worst[d], bound)
     ok = all(worst[d] <= (1.0 + math.sqrt(IDEAL_DELTA_P)) ** (d + 1) - 1.0

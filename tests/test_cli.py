@@ -275,6 +275,48 @@ def test_verify_truncated_events_row_is_config_error(tmp_path, capsys):
     assert "config error: malformed trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, text, message", [
+    (9, None, "expected 10 fields, got 9"),
+    (1, "sent", "unknown side or kind 'controller', 'sent'"),
+    (3, "1.5", "invalid literal for int"),
+    (3, str(2 ** 63), f"sample_index {2 ** 63} out of range"),
+    (3, str(-2 ** 63), f"sample_index {-2 ** 63} out of range"),
+    (6, "abc", "could not convert string to float: 'abc'"),
+    (8, "1.0;2.0", "payload has 2 values, expected 1"),
+], ids=["short row", "unknown kind", "non-integer index", "index past int64",
+        "index magnitude past int64", "non-float value", "wrong vector length"])
+def test_garbled_events_field_is_config_error(tmp_path, capsys, field, text, message):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT]) == 0
+    events = tmp_path / "events.csv"
+    lines = events.read_text().splitlines()
+    row = lines[2].split(",")
+    if text is None:
+        del row[field]
+    else:
+        row[field] = text
+    lines[2] = ",".join(row)
+    events.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for command in ("verify", "report"):
+        code = main([command, "--config", str(CONFIG), "--out", str(tmp_path), *SHORT])
+        assert code == 1, command
+        assert (f"config error: malformed trace: events file {events} line 3: {message}"
+                in capsys.readouterr().err), command
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_bad_config_value_is_a_plain_config_error(tmp_path, capsys, command):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 *SHORT]) == 0
+    capsys.readouterr()
+    code = main([command, "--config", str(CONFIG), "--out", str(tmp_path), *SHORT,
+                 "--set", "trigger_p.delta=abc"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "config error: trigger_p.delta: expected a number, got 'abc'\n")
+
+
 def test_verify_event_off_its_row_fails(tmp_path):
     assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
                  *SHORT]) == 0

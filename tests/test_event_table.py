@@ -1,0 +1,199 @@
+"""The array event analyses against per-event reference loops, and the
+events.csv round trip.
+
+The ``_ref_*`` functions are the per-event loop versions the array code in
+``etncs.sim`` replaced, kept here as the definition of what each one
+computes; they walk the table one row at a time (``table[i]``).
+"""
+
+import math
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from etncs.design import TransformGains
+from etncs.models import cubic_nl2, firstorder_lead
+from etncs.network import DelayProfile
+from etncs.quantizer import QuantizerSpec
+from etncs.sim import (_BLOCK_ROWS, ChannelConfig, EventTable, ScenarioConfig, TraceLog,
+                       _accum_ratio_excess, _gap_stats, dropout_spans, held_samples,
+                       max_consecutive_drops, read_events_csv, write_events_csv)
+from etncs.trigger import TriggerConfig
+
+_IDENTITY = QuantizerSpec(kind="identity", sector=(1.0, 1.0))
+_CHANNEL = ChannelConfig(DelayProfile(t0=0.0, d=0.0, form="constant"))
+_CONFIG = ScenarioConfig(
+    plant=cubic_nl2(), controller=firstorder_lead(),
+    x0_plant=np.zeros(2), x0_controller=np.zeros(1),
+    trigger_p=TriggerConfig(0.4), trigger_c=TriggerConfig(0.15),
+    quant_p=_IDENTITY, quant_c=_IDENTITY, chan_pc=_CHANNEL, chan_cp=_CHANNEL,
+    gains=TransformGains(m11=0.16, m21=-4.865, m22=7.033), t_end=0.5, h=1e-3)
+
+
+def _rows(table):
+    return [table[i] for i in range(len(table))]
+
+
+def _ref_dropout_spans(trace, side):
+    spans = []
+    start = None
+    for e in _rows(trace.events_on(side)):
+        if e.dropped and start is None:
+            start = e.t
+        elif not e.dropped and start is not None:
+            spans.append((start, e.t))
+            start = None
+    if start is not None:
+        spans.append((start, float(trace.t[-1]) + trace.config.h))
+    return spans
+
+
+def _ref_max_consecutive_drops(trace, side):
+    worst = run = 0
+    for e in _rows(trace.events_on(side)):
+        run = run + 1 if e.dropped else 0
+        worst = max(worst, run)
+    return worst
+
+
+def _ref_held_samples(trace, side):
+    """Row k holds the commit latest in the table among those with
+    ``sample_index <= k``, zeros before any."""
+    commits = _rows(trace.commits_on(side))
+    held = np.zeros(trace.y_p.shape)
+    for k in range(len(trace.t)):
+        for e in commits:
+            if e.sample_index <= k:
+                held[k] = e.committed
+    return held
+
+
+def _ref_gap_stats(trace, side):
+    commits = _rows(trace.commits_on(side))
+    if len(commits) < 2:
+        return float(trace.config.t_end), [], []
+    gaps = [cur.t - prev.t for prev, cur in zip(commits, commits[1:])]
+    return min(gaps), gaps, [cur.y_norm for cur in commits[1:]]
+
+
+def _ref_accum_ratio_excess(commits, delta):
+    worst_excess = -math.inf
+    for e in _rows(commits)[1:]:
+        e_norm, y_norm = float(e.e_norm), float(e.y_norm)
+        if y_norm == 0.0:
+            if e_norm > 0.0:
+                worst_excess = math.inf
+            continue
+        bound = (1.0 + math.sqrt(delta)) ** (int(e.drops_before) + 1) - 1.0
+        worst_excess = max(worst_excess, e_norm / y_norm - bound)
+    return worst_excess
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def _trace(events: EventTable, rows: int) -> TraceLog:
+    m = events.payload.shape[1]
+    signals = {f.name: np.zeros((rows, m)) for f in fields(TraceLog)
+               if f.name not in ("config", "t", "events")}
+    return TraceLog(config=_CONFIG, t=np.arange(rows) * _CONFIG.h, events=events,
+                    **signals)
+
+
+_NORMS = st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.0, 1e3))
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, math.inf, -math.inf]),
+                    st.floats(allow_nan=False))
+
+
+@st.composite
+def event_tables(draw, m):
+    """Tables that mix the sides and run drops of up to five in a row;
+    times rise with ties and indices are unsorted, some off the rows."""
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(0, 5), st.booleans()),
+                         max_size=12))
+    plant, dropped = [], []
+    for side, drops, commit in runs:
+        plant += [side] * (drops + commit)
+        dropped += [True] * drops + [False] * commit
+    n = len(plant)
+    steps = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.0125, 0.3]), min_size=n, max_size=n))
+    ints = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    vectors = st.lists(_VALUES, min_size=n * m, max_size=n * m)
+    return EventTable(
+        plant=np.array(plant, dtype=bool), dropped=np.array(dropped, dtype=bool),
+        t=np.cumsum(np.array(steps, dtype=float)),
+        sample_index=np.array(draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n)),
+                              dtype=np.int64),
+        attempt_index=np.array(draw(ints), dtype=np.int64),
+        drops_before=np.array(draw(ints), dtype=np.int64),
+        e_norm=np.array(draw(st.lists(_NORMS, min_size=n, max_size=n)), dtype=float),
+        y_norm=np.array(draw(st.lists(_NORMS, min_size=n, max_size=n)), dtype=float),
+        payload=np.array(draw(vectors), dtype=float).reshape(n, m),
+        committed=np.array(draw(vectors), dtype=float).reshape(n, m))
+
+
+@given(data=st.data(), m=st.sampled_from([1, 2]), rows=st.integers(1, 40),
+       delta=st.floats(1e-4, 1.0))
+def test_array_event_analyses_equal_per_event_loops(data, m, rows, delta):
+    trace = _trace(data.draw(event_tables(m)), rows)
+    for side in ("plant", "controller"):
+        spans = dropout_spans(trace, side)
+        assert _bits(spans).tolist() == _bits(_ref_dropout_spans(trace, side)).tolist()
+        assert max_consecutive_drops(trace, side) == _ref_max_consecutive_drops(trace, side)
+        held = held_samples(trace, side)
+        assert held.shape == (rows, m)
+        assert _bits(held).tolist() == _bits(_ref_held_samples(trace, side)).tolist()
+        (min_gap, gaps, y_norms), ref = _gap_stats(trace, side), _ref_gap_stats(trace, side)
+        assert [_bits(v).tolist() for v in (min_gap, gaps, y_norms)] == \
+            [_bits(v).tolist() for v in ref]
+        commits = trace.commits_on(side)
+        assert _bits(_accum_ratio_excess(commits, delta)) == \
+            _bits(_ref_accum_ratio_excess(commits, delta))
+
+
+@given(data=st.data(), m=st.sampled_from([1, 2]), blocks=st.booleans())
+def test_events_csv_round_trip_is_bit_exact(data, m, blocks):
+    events = data.draw(event_tables(m))
+    n = len(events)
+    # any float but NaN (whose text drops sign and payload), and any int64
+    # but sample_index -2**63 (whose magnitude does not fit), survives
+    floats = st.lists(_VALUES, min_size=n, max_size=n)
+    ints = st.lists(st.integers(-2 ** 63 + 1, 2 ** 63 - 1), min_size=n, max_size=n)
+    events = replace(
+        events,
+        **{name: np.array(data.draw(floats)) for name in ("t", "e_norm", "y_norm")},
+        **{name: np.array(data.draw(ints), dtype=np.int64) for name
+           in ("sample_index", "attempt_index", "drops_before")})
+    if blocks and n:   # repeat the rows until they cross two block edges
+        events = events[np.arange(2 * _BLOCK_ROWS + 1) % n]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        write_events_csv(_trace(events, 1), path)
+        back = read_events_csv(path, m)
+    for f in fields(EventTable):
+        got, want = getattr(back, f.name), getattr(events, f.name)
+        assert got.dtype == want.dtype and got.shape == want.shape, f.name
+        if want.dtype == np.float64:
+            got, want = got.view(np.int64), want.view(np.int64)
+        assert got.tolist() == want.tolist(), f.name
+
+
+def test_bad_line_past_the_first_block_is_named(tmp_path):
+    n = 2 * _BLOCK_ROWS + 1
+    k = np.arange(n)
+    events = EventTable(plant=k % 3 == 0, dropped=k % 4 == 0, t=k * 1e-3, sample_index=k,
+                        attempt_index=k, drops_before=0 * k, e_norm=np.ones(n),
+                        y_norm=np.ones(n), payload=np.ones((n, 1)), committed=np.ones((n, 1)))
+    path = tmp_path / "events.csv"
+    write_events_csv(_trace(events, 1), path)
+    lines = path.read_text().splitlines()
+    lines[400] = lines[400].replace(",", ",,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"{path} line 401: expected 10 fields, got 11"):
+        read_events_csv(path, 1)

@@ -12,7 +12,7 @@ from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
 from etncs.quantizer import QuantizerSpec
 from etncs.signals import SignalSpec, build_signal
-from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError,
+from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans,
                        format_blocks, run_scenario, write_trace_csv)
 from etncs.trigger import TriggerConfig
@@ -77,8 +77,8 @@ def test_deterministic_reruns_bit_identical(tmp_path):
 
 def test_events_lie_on_sample_grid():
     trace = run_scenario(_scenario(w1=SignalSpec(kind="constant", value=1.0)))
-    for e in trace.events:
-        assert abs(e.t / trace.config.h - round(e.t / trace.config.h)) < 1e-9
+    k = trace.events.t / trace.config.h
+    assert len(k) and np.all(np.abs(k - np.round(k)) < 1e-9)
 
 
 def test_error_resets_only_on_success():
@@ -87,16 +87,18 @@ def test_error_resets_only_on_success():
                          DropoutModel(kind="pattern", pattern=(1, 0, 0)))
     trace = run_scenario(_scenario(chan_pc=chan, x0_plant=np.array([1.0, -4.0]),
                                    w1=SignalSpec(kind="constant", value=1.0)))
-    drops = [e for e in trace.events_on("plant") if e.dropped]
+    plant = trace.events_on("plant")
+    drops = plant[plant.dropped]
     assert len(drops) == 2
     # the two drops are consecutive samples: the violation persists
-    assert drops[1].sample_index == drops[0].sample_index + 1
-    k = drops[0].sample_index
+    assert drops.sample_index[1] == drops.sample_index[0] + 1
+    k = drops.sample_index[0]
     assert np.linalg.norm(trace.e_p[k]) > 0.0
-    recommit = next(e for e in trace.commits_on("plant") if e.t > drops[0].t)
-    assert recommit.drops_before == 2
+    commits = trace.commits_on("plant")
+    recommit = np.flatnonzero(commits.t > drops.t[0])[0]
+    assert commits.drops_before[recommit] == 2
     # after the successful commit the logged error is zero again
-    assert np.linalg.norm(trace.e_p[recommit.sample_index]) == 0.0
+    assert np.linalg.norm(trace.e_p[commits.sample_index[recommit]]) == 0.0
 
 
 def test_budget_exceeded_flagged_in_metrics():
@@ -129,8 +131,7 @@ def test_zoh_piecewise_constant_between_arrivals():
         chan_cp=ChannelConfig(DelayProfile(t0=0.6, d=0.2, form="affine")),
         x0_plant=np.array([5.0, -8.0]),
         w1=SignalSpec(kind="constant", value=1.0), t_end=2.0))
-    arrivals = sorted(trace.config.chan_cp.delay.arrival(e.t)
-                      for e in trace.commits_on("controller"))
+    arrivals = trace.config.chan_cp.delay.arrival(trace.commits_on("controller").t)
     changes = [k for k in range(1, len(trace.t))
                if not np.array_equal(trace.u_r[k], trace.u_r[k - 1])]
     assert changes, "the held link value never updated"
@@ -141,10 +142,10 @@ def test_zoh_piecewise_constant_between_arrivals():
 def test_committed_sample_equals_output_row():
     trace = run_scenario(_scenario(x0_plant=np.array([5.0, -8.0]),
                                    w1=SignalSpec(kind="constant", value=1.0)))
-    for e in trace.commits_on("plant"):
-        assert np.array_equal(e.committed, trace.y_p[e.sample_index])
-    for e in trace.commits_on("controller"):
-        assert np.array_equal(e.committed, trace.y_c[e.sample_index])
+    for side, y in (("plant", trace.y_p), ("controller", trace.y_c)):
+        commits = trace.commits_on(side)
+        assert len(commits) > 1
+        assert np.array_equal(commits.committed, y[commits.sample_index])
 
 
 def test_energy_audit_closed_loop():
@@ -206,12 +207,13 @@ def test_dropout_spans_cover_drops():
                                    x0_plant=np.array([5.0, -8.0]),
                                    w1=SignalSpec(kind="constant", value=1.0)))
     spans = dropout_spans(trace, "plant")
-    drops = [e for e in trace.events_on("plant") if e.dropped]
+    plant = trace.events_on("plant")
+    drops = plant.t[plant.dropped]
     assert len(spans) == 1 and len(drops) == 1
     a, b = spans[0]
-    assert a == drops[0].t
-    recommit = next(e for e in trace.commits_on("plant") if e.t > a)
-    assert b == recommit.t
+    assert a == drops[0]
+    commits = trace.commits_on("plant").t
+    assert b == commits[commits > a][0]
 
 
 def test_logarithmic_quantizers_in_the_loop():
@@ -263,20 +265,17 @@ def test_read_trace_round_trip_equals_run(tmp_path):
 
     from etncs.sim import read_trace, write_events_csv
     trace = _dropout_run()
-    assert any(e.dropped for e in trace.events_on("plant"))
-    assert any(e.dropped for e in trace.events_on("controller"))
+    assert trace.events_on("plant").dropped.any()
+    assert trace.events_on("controller").dropped.any()
     write_trace_csv(trace, tmp_path / "trace.csv")
     write_events_csv(trace, tmp_path / "events.csv")
     back = read_trace(trace.config, tmp_path / "trace.csv", tmp_path / "events.csv")
     for f in fields(trace):
         if f.name not in ("config", "events"):
             assert np.array_equal(getattr(back, f.name), getattr(trace, f.name)), f.name
-    assert len(back.events) == len(trace.events)
-    for got, want in zip(back.events, trace.events):
-        for f in fields(want):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert (np.array_equal(a, b) if isinstance(b, np.ndarray)
-                    else a == b and type(a) is type(b)), f.name
+    for f in fields(EventTable):
+        a, b = getattr(back.events, f.name), getattr(trace.events, f.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
 def test_held_samples_match_logged_hold():
@@ -357,17 +356,15 @@ def test_format_blocks_text_equals_per_value_format(rows, cols, runs):
 
 
 def _same_run(a, b):
-    """Every signal column bit-equal and every event field equal."""
+    """Every signal column and every event column bit-equal."""
     from dataclasses import fields
 
     for f in fields(a):
         if f.name not in ("config", "events"):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-    assert len(a.events) == len(b.events)
-    for ea, eb in zip(a.events, b.events):
-        for f in fields(ea):
-            x, y = getattr(ea, f.name), getattr(eb, f.name)
-            assert np.array_equal(x, y) if isinstance(y, np.ndarray) else x == y, f.name
+    for f in fields(EventTable):
+        x, y = getattr(a.events, f.name), getattr(b.events, f.name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
 def test_lockstep_lanes_match_solo_runs_and_a_diverging_lane_retires():
