@@ -35,8 +35,11 @@ EXIT_INFEASIBLE = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
 
-# Lanes per lockstep batch of a seed sweep. It bounds a batch's memory: the
-# executor holds about lanes x rows x 17 columns x 8 B of trace at once.
+# Lanes per lockstep batch of a seed sweep. It bounds a batch's memory. Each
+# lane holds about 148 B per row of trace columns at the executor's peak, plus
+# 50 + 16*m B per attempt in its event buffers (66 B at port dimension m = 1).
+# A 5 001-row lane of the worked example (about 96 attempts) thus holds about
+# 0.74 MB, and a full batch about 47 MB (tracemalloc, 16 and 64 lanes).
 BATCH_LANES = 64
 
 
@@ -185,6 +188,10 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the draws hash with sha256 (signals.hash_uniform). Imported here, hashlib
+    # stays out of design, verify and report, and a sweep's pool workers
+    # inherit its OpenSSL mapping instead of each mapping it at its first draw.
+    import hashlib  # noqa: F401
     cfg = _load_config(args)
     seeds = _parse_seeds(args.seed)
     print("# effective config")

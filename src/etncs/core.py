@@ -199,7 +199,10 @@ def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices):
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape:
         raise ValueError(f"dimension mismatch: u{u.shape} vs y{y.shape}")
-    return np.sum(u * y - idx.rho * (y * y) - idx.nu * (u * u), axis=0)
+    rate = u * y   # in place, with the bits of the plain expression
+    rate -= idx.rho * (y * y)
+    rate -= idx.nu * (u * u)
+    return np.add.reduce(rate, axis=0)
 
 
 def dissipativity_residuals(model: SystemModel, traj: Trajectory) -> np.ndarray:
@@ -221,9 +224,15 @@ def dissipativity_residuals(model: SystemModel, traj: Trajectory) -> np.ndarray:
             f"storage function is negative at sample {int(np.argmax(v < 0))}")
     t = traj.times
     u = traj.inputs[:-1].T
-    w0 = supply_rate(u, model.output(x[:, :-1], u, t[:-1]), model.indices)
-    w1 = supply_rate(u, model.output(x[:, 1:], u, t[1:]), model.indices)
-    return (v[1:] - v[:-1]) - 0.5 * np.diff(t) * (w0 + w1)
+    # (v[1:] - v[:-1]) - 0.5 * diff(t) * (w0 + w1), built in place
+    trapz = supply_rate(u, model.output(x[:, :-1], u, t[:-1]), model.indices)
+    trapz += supply_rate(u, model.output(x[:, 1:], u, t[1:]), model.indices)
+    step = np.diff(t)
+    step *= 0.5
+    trapz *= step
+    res = v[1:] - v[:-1]
+    res -= trapz
+    return res
 
 
 def _trapz(values: np.ndarray, times: np.ndarray) -> float:

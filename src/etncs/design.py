@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .core import PassivityIndices
 
 __all__ = [
@@ -278,25 +280,32 @@ def cone_apex_angle(nu: float, rho: float) -> float:
 
 
 def _interevent_bound(delta: float, rho: float, apex: float,
-                      c0: float, c1: float, c2: float, y_norm: float) -> float:
-    if y_norm < 0 or c0 < 0 or c1 < 0 or c2 < 0:
+                      c0: float, c1: float, c2: float, y_norm):
+    """sqrt(delta) * y_norm / denom for one output norm or elementwise on an
+    array of them, 0 where the norm is 0: a system at rest never fires."""
+    y = np.asarray(y_norm, dtype=float)
+    if np.any(y < 0) or c0 < 0 or c1 < 0 or c2 < 0:
         raise ValueError("norm bounds must be nonnegative")
-    if y_norm == 0.0:
-        return 0.0  # system at rest: the trigger never fires
-    denom = c0 / rho + apex * (1.0 / rho ** 2 + 1.0) * (c1 + c2)
-    if denom <= 0.0:
-        raise ValueError("zero denominator: no excitation bounds supplied")
-    return math.sqrt(delta) * y_norm / denom
+    if not np.any(y != 0.0):
+        bound = np.zeros_like(y)
+    else:
+        denom = c0 / rho + apex * (1.0 / rho ** 2 + 1.0) * (c1 + c2)
+        if denom <= 0.0:
+            raise ValueError("zero denominator: no excitation bounds supplied")
+        with np.errstate(over="ignore"):   # inf, as float arithmetic gives
+            bound = np.where(y == 0.0, 0.0, math.sqrt(delta) * y / denom)
+    return bound if bound.ndim else float(bound)
 
 
 def interevent_bound_plant(p: DesignParams, c0: float, c1: float, c2: float,
-                           y_norm_at_next_event: float) -> float:
+                           y_norm_at_next_event):
     """Conic-sector lower bound on the gap between plant-side events.
 
     c0 bounds the disturbance slope between its switching instants, c1 its
     sup norm, c2 the sup norm of the reconstructed controller output over
     the interval.  ``y_norm_at_next_event`` is the plant output norm at the
-    firing instant that closes the gap.
+    firing instant that closes the gap, or an array of them, one per gap,
+    which gives one bound per gap.
     """
     if p.rho_p <= 0:
         raise ValueError("plant bound requires rho_p > 0")
@@ -306,7 +315,7 @@ def interevent_bound_plant(p: DesignParams, c0: float, c1: float, c2: float,
 
 
 def interevent_bound_controller(p: DesignParams, c0p: float, c1p: float,
-                                c2p: float, y_norm_at_next_event: float) -> float:
+                                c2p: float, y_norm_at_next_event):
     """Controller-side analogue of interevent_bound_plant.
 
     c0p/c1p bound the controller-side disturbance (zero when absent, which

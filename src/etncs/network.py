@@ -14,13 +14,14 @@ exactly (equal send times give equal arrivals, which land in send order).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .signals import hash_uniform
 
 __all__ = [
     "DelayProfile",
@@ -88,16 +89,6 @@ def rate_bound_check(profile: DelayProfile, grid: Sequence[float],
     return bool(np.all(slopes <= profile.d + tol))
 
 
-def _hash_uniform(seed: int, channel_id: str, index: int) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by (seed, channel, packet).
-
-    Counter-based so dropout streams are reproducible no matter how sends
-    interleave across channels.
-    """
-    digest = hashlib.sha256(f"{seed}/{channel_id}/{index}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
 @dataclass(frozen=True)
 class DropoutModel:
     """Dropout decision per send attempt.
@@ -129,7 +120,9 @@ class DropoutModel:
             return False
         if self.kind == "pattern":
             return index < len(self.pattern) and self.pattern[index] == 0
-        return _hash_uniform(self.seed, channel_id, index) < self.p
+        # keyed by (seed, channel, attempt), so a stream is reproducible no
+        # matter how sends interleave across channels
+        return hash_uniform(f"{self.seed}/{channel_id}/{index}") < self.p
 
 
 @dataclass(frozen=True)

@@ -2,17 +2,30 @@
 
 The piecewise-constant random signal draws each dwell segment from a
 counter-based hash of (seed, segment index), so its value at any time is
-reproducible without sequential generator state.
+reproducible without sequential generator state.  ``hash_uniform`` is the
+one such draw, shared with the channels' dropout decisions.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SignalSpec", "build_signal"]
+__all__ = ["SignalSpec", "build_signal", "hash_uniform"]
+
+
+def hash_uniform(key: str) -> float:
+    """Deterministic uniform draw in [0, 1): the first 8 bytes of the sha256
+    of ``key``, read as a big-endian fraction.
+
+    hashlib maps OpenSSL, about 3.6 MB of resident memory, so it is imported
+    here, at the first draw, and not with the package; ``simulate`` imports it
+    before a sweep's pool forks, so the workers share that mapping.
+    """
+    import hashlib
+    digest = hashlib.sha256(key.encode()).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
 
 @dataclass(frozen=True)
@@ -44,11 +57,6 @@ class SignalSpec:
                 raise ValueError("need lo <= hi")
 
 
-def _segment_uniform(seed: int, segment: int) -> float:
-    digest = hashlib.sha256(f"sig/{seed}/{segment}".encode()).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
 class Signal:
     """Callable t -> 1-vector with a known inter-switch slope bound."""
 
@@ -67,7 +75,7 @@ class Signal:
         elif s.kind == "piecewise_uniform":
             seg = np.floor(times / s.dwell + 1e-12).astype(np.int64)
             segs, inverse = np.unique(seg, return_inverse=True)
-            u = np.array([_segment_uniform(s.seed, int(k)) for k in segs])
+            u = np.array([hash_uniform(f"sig/{s.seed}/{k}") for k in segs.tolist()])
             v = s.lo + (s.hi - s.lo) * u[inverse]
         else:
             v = s.amplitude * np.sin(2.0 * np.pi * s.freq * times + s.phase)

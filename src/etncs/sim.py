@@ -14,7 +14,9 @@ each array carrying them as columns, and a single run is a batch of one.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -132,16 +134,27 @@ class EventTable:
         """The mask of one side's attempts."""
         return self.plant if side == "plant" else ~self.plant
 
+    def commits(self, side: str) -> np.ndarray:
+        """The mask of one side's delivered attempts."""
+        return self.on(side) & ~self.dropped
 
-_EVENT_DTYPES = (bool, bool, float, np.int64, np.int64, np.int64, float, float)
+
+# each EventTable column's buffer type and dtype; a vector takes m values per attempt
+_EVENT_CODES = "BBdqqqdddd"
+_EVENT_DTYPES = (bool, bool, float, np.int64, np.int64, np.int64, float, float, float, float)
 
 
-def _event_table(columns: Sequence[list], m: int) -> EventTable:
-    """An EventTable from its column lists, vectors last."""
-    *scalars, payload, committed = columns
-    return EventTable(*(np.array(c, dtype=d) for c, d in zip(scalars, _EVENT_DTYPES)),
-                      np.array(payload, dtype=float).reshape(len(payload), m),
-                      np.array(committed, dtype=float).reshape(len(committed), m))
+def _event_buffers() -> Tuple[array, ...]:
+    """Empty typed buffers, one per EventTable column, for a lane's attempts."""
+    return tuple(array(code) for code in _EVENT_CODES)
+
+
+def _event_table(buffers: Sequence[array], m: int) -> EventTable:
+    """The EventTable viewing its column buffers without a copy, vectors last;
+    the buffers can no longer grow."""
+    *scalars, payload, committed = (np.frombuffer(b, dtype=d)
+                                    for b, d in zip(buffers, _EVENT_DTYPES))
+    return EventTable(*scalars, payload.reshape(-1, m), committed.reshape(-1, m))
 
 
 @dataclass
@@ -171,7 +184,7 @@ class TraceLog:
         return self.events[self.events.on(side)]
 
     def commits_on(self, side: str) -> EventTable:
-        return self.events[self.events.on(side) & ~self.events.dropped]
+        return self.events[self.events.commits(side)]
 
 
 def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]]):
@@ -261,8 +274,7 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     force_first = not cfg.drop_first_allowed
     limit = cfg.divergence_limit
     lanes = list(range(len(cfgs)))     # the lane held in each column
-    # per lane, one list per EventTable column
-    events = [tuple([] for _ in fields(EventTable)) for _ in cfgs]
+    events = [_event_buffers() for _ in cfgs]   # per lane
     out: List[Union[TraceLog, DivergenceError, None]] = [None] * len(cfgs)
 
     for k in range(n_rows):
@@ -354,9 +366,9 @@ def _plant_side(plant: core.SystemModel, g: TransformGains, held_p, u_r, w1, x_p
 
 def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
               spec: QuantizerSpec, chan: Channel,
-              events: List[Tuple[list, ...]], force_first: bool) -> bool:
+              events: List[Tuple[array, ...]], force_first: bool) -> bool:
     """Quantize ``gain * y`` and send it on every firing lane, appending the
-    attempt to the lane's event columns; a delivered sample becomes that
+    attempt to the lane's event buffers; a delivered sample becomes that
     lane's held value.  True iff some lane committed."""
     y2, held2 = y.reshape(len(y), -1), held.reshape(len(held), -1)
     committed = False
@@ -367,10 +379,13 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
         force = force_first and chan.attempts[i] == 0
         drops_before = chan.consecutive_drops[i]
         rec = chan.send(t, payload, force_success=force, lane=i)
-        for column, value in zip(events[i], (
+        *scalars, payloads, samples = events[i]
+        for column, value in zip(scalars, (
                 side == "plant", rec.dropped, t, k, rec.index, drops_before, e_norm,
-                float(np.linalg.norm(y_i)), payload, y_i.copy())):
+                float(np.linalg.norm(y_i)))):
             column.append(value)
+        payloads.extend(payload.tolist())
+        samples.extend(y_i.tolist())
         if not rec.dropped:
             held2[:, i] = y_i
             committed = True
@@ -394,19 +409,20 @@ def _step(model: core.SystemModel, x, u, t: float, h: float, row: int,
 def dropout_spans(trace: TraceLog, side: str) -> List[Tuple[float, float]]:
     """Half-open [first drop, next success) spans where the held-sample norm
     bound is not expected to hold."""
-    attempts = trace.events_on(side)
-    dropped = attempts.dropped
+    ev = trace.events
+    on = ev.on(side)
+    dropped, t = ev.dropped[on], ev.t[on]
     after_drop = np.zeros_like(dropped)
     after_drop[1:] = dropped[:-1]
-    starts = attempts.t[dropped & ~after_drop]
-    ends = attempts.t[~dropped & after_drop]
+    starts = t[dropped & ~after_drop]
+    ends = t[~dropped & after_drop]
     if len(ends) < len(starts):   # the run ends inside a span
         ends = np.append(ends, float(trace.t[-1]) + trace.config.h)
     return list(zip(starts.tolist(), ends.tolist()))
 
 
 def max_consecutive_drops(trace: TraceLog, side: str) -> int:
-    dropped = trace.events_on(side).dropped
+    dropped = trace.events.dropped[trace.events.on(side)]
     # the edges of each run of drops, starts and ends alternating
     edges = np.flatnonzero(np.diff(dropped, prepend=False, append=False))
     return int(np.max(edges[1::2] - edges[::2], initial=0))
@@ -417,12 +433,13 @@ def held_samples(trace: TraceLog, side: str) -> np.ndarray:
     ``sample_index <= k`` (zeros before the first commit).  Sorted by index,
     a running max of table positions keeps this exact for unsorted commits.
     """
-    commits = trace.commits_on(side)
-    values = np.concatenate((np.zeros((1, trace.y_p.shape[1])), commits.committed))
-    order = np.argsort(commits.sample_index, kind="stable")
+    ev = trace.events
+    commits = ev.commits(side)
+    index = ev.sample_index[commits]
+    values = np.concatenate((np.zeros((1, trace.y_p.shape[1])), ev.committed[commits]))
+    order = np.argsort(index, kind="stable")
     last = np.concatenate(([0], np.maximum.accumulate(order) + 1))
-    below = np.searchsorted(commits.sample_index[order], np.arange(len(trace.t)),
-                            side="right")
+    below = np.searchsorted(index[order], np.arange(len(trace.t)), side="right")
     return values[last[below]]
 
 
@@ -435,8 +452,11 @@ def plant_dissipativity(trace: TraceLog) -> Tuple[np.ndarray, np.ndarray]:
     traj = core.Trajectory(times=trace.t, states=trace.x_p,
                            inputs=trace.u_p, outputs=trace.y_p)
     res = core.dissipativity_residuals(plant, traj)
-    v = plant.storage(trace.x_p.T)
-    return res, 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
+    v = np.abs(plant.storage(trace.x_p.T))
+    tol = np.maximum(v[:-1], v[1:])
+    tol += 1.0
+    tol *= 1e-6
+    return res, tol
 
 
 def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -445,10 +465,10 @@ def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, np.ndarray, np.ndarra
     Gaps run between consecutive successful commits; with no commit after
     t=0 the minimum is reported as t_end.
     """
-    commits = trace.commits_on(side)
-    gaps = np.diff(commits.t)
+    commits = trace.events.commits(side)
+    gaps = np.diff(trace.events.t[commits])
     min_gap = float(np.min(gaps)) if len(gaps) else float(trace.config.t_end)
-    return min_gap, gaps, commits.y_norm[1:]
+    return min_gap, gaps, trace.events.y_norm[commits][1:]
 
 
 def _accum_ratio_excess(commits: EventTable, delta: float) -> float:
@@ -476,13 +496,13 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
     residuals against the plant storage, and, when a design result is
     supplied, boolean comparisons of the observed trace against its bounds.
     """
-    cfg = trace.config
+    cfg, ev = trace.config, trace.events
     me: Dict[str, object] = {}
     for side, key in (("plant", "p"), ("controller", "c")):
-        attempts = trace.events_on(side)
-        drops = int(np.count_nonzero(attempts.dropped))
-        me[f"attempts_{key}"] = len(attempts)
-        me[f"events_{key}"] = len(attempts) - drops
+        attempts = int(np.count_nonzero(ev.on(side)))
+        drops = int(np.count_nonzero(ev.on(side) & ev.dropped))
+        me[f"attempts_{key}"] = attempts
+        me[f"events_{key}"] = attempts - drops
         me[f"drops_{key}"] = drops
         me[f"max_consec_drops_{key}"] = max_consecutive_drops(trace, side)
         me[f"min_gap_{key}"], _, _ = _gap_stats(trace, side)
@@ -493,36 +513,13 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
     else:
         me["l2_gain_emp"] = float("nan")  # undefined without input energy
 
-    sig_w1 = build_signal(cfg.w1)
-    sig_w2 = build_signal(cfg.w2)
-    w2_vals = sig_w2(trace.t)
-    me["c0"] = sig_w1.slope_bound
-    me["c1"] = float(np.max(np.linalg.norm(trace.w1, axis=1)))
-    me["c2"] = float(np.max(np.linalg.norm(trace.y_tilde_c, axis=1)))
-    me["c0_prime"] = sig_w2.slope_bound
-    me["c1_prime"] = float(np.max(np.linalg.norm(w2_vals, axis=1)))
-    me["c2_prime"] = float(np.max(np.linalg.norm(trace.u_c - w2_vals, axis=1)))
-
+    me.update(_excitation_bounds(trace))
     if cfg.plant.storage is not None:
-        res, tol = plant_dissipativity(trace)
-        me["dissip_residual_max_p"] = float(np.max(res)) if len(res) else 0.0
-        me["dissip_norm_residual_max_p"] = float(np.max(res / tol)) if len(res) else 0.0
-        me["dissip_ok_p"] = bool(np.all(res <= tol)) if len(res) else True
+        me.update(_dissipativity_metrics(trace))
 
     for side, key, tcfg in (("plant", "p", cfg.trigger_p),
                             ("controller", "c", cfg.trigger_c)):
-        held = held_samples(trace, side)
-        outputs = trace.y_p if side == "plant" else trace.y_c
-        ok, bad = trigger.trigger_inequality_check(
-            trace.t, outputs, held, tcfg.delta, trace.events_on(side).sample_index)
-        me[f"trigger_ok_{key}"] = ok
-        report = trigger.sampled_output_bound_check(
-            trace.t, outputs, held, tcfg.delta, dropout_spans(trace, side))
-        me[f"sampled_bound_ok_{key}"] = report.ok
-
-        worst_excess = _accum_ratio_excess(trace.commits_on(side), tcfg.delta)
-        me[f"accum_ratio_excess_{key}"] = worst_excess
-        me[f"accum_ratio_ok_{key}"] = worst_excess <= 1e-9
+        me.update(_trigger_metrics(trace, side, key, tcfg.delta))
 
     if design is not None and params is not None:
         me["within_l2_bound"] = bool(me["l2_gain_emp"] <= design.gamma_bound)
@@ -530,6 +527,48 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
         me["budget_ok_c"] = bool(me["max_consec_drops_c"] <= design.d_c_max)
         me.update(_interevent_comparison(trace, params, me))
     return me
+
+
+# Each helper below returns scalars only, so the row-length arrays it needs
+# are freed before compute_metrics goes on to the next.
+
+def _trigger_metrics(trace: TraceLog, side: str, key: str,
+                     delta: float) -> Dict[str, object]:
+    held = held_samples(trace, side)
+    outputs = trace.y_p if side == "plant" else trace.y_c
+    ev = trace.events
+    trigger_ok, _ = trigger.trigger_inequality_check(
+        trace.t, outputs, held, delta, ev.sample_index[ev.on(side)])
+    sampled_ok = trigger.sampled_output_bound_check(
+        trace.t, outputs, held, delta, dropout_spans(trace, side)).ok
+    worst_excess = _accum_ratio_excess(trace.commits_on(side), delta)
+    return {f"trigger_ok_{key}": trigger_ok, f"sampled_bound_ok_{key}": sampled_ok,
+            f"accum_ratio_excess_{key}": worst_excess,
+            f"accum_ratio_ok_{key}": worst_excess <= 1e-9}
+
+
+def _excitation_bounds(trace: TraceLog) -> Dict[str, float]:
+    """The inter-switch slope (c0) and sup-norm (c1, c2) constants of the
+    disturbance and reconstructed-output signals on each side."""
+    sig_w1 = build_signal(trace.config.w1)
+    sig_w2 = build_signal(trace.config.w2)
+    w2_vals = sig_w2(trace.t)
+    return {"c0": sig_w1.slope_bound,
+            "c1": float(np.max(np.linalg.norm(trace.w1, axis=1))),
+            "c2": float(np.max(np.linalg.norm(trace.y_tilde_c, axis=1))),
+            "c0_prime": sig_w2.slope_bound,
+            "c1_prime": float(np.max(np.linalg.norm(w2_vals, axis=1))),
+            "c2_prime": float(np.max(np.linalg.norm(trace.u_c - w2_vals, axis=1)))}
+
+
+def _dissipativity_metrics(trace: TraceLog) -> Dict[str, object]:
+    res, tol = plant_dissipativity(trace)
+    if not len(res):
+        return {"dissip_residual_max_p": 0.0, "dissip_norm_residual_max_p": 0.0,
+                "dissip_ok_p": True}
+    return {"dissip_residual_max_p": float(np.max(res)),
+            "dissip_norm_residual_max_p": float(np.max(res / tol)),
+            "dissip_ok_p": bool(np.all(res <= tol))}
 
 
 def _interevent_comparison(trace: TraceLog, params: DesignParams,
@@ -542,9 +581,7 @@ def _interevent_comparison(trace: TraceLog, params: DesignParams,
             ("controller", "c", interevent_bound_controller,
              (me["c0_prime"], me["c1_prime"], me["c2_prime"]))):
         _, gaps, y_norms = _gap_stats(trace, side)
-        # one scalar bound per gap: the bound's formula branches on y_norm
-        bounds = np.array([fn(params, *consts, y) for y in y_norms.tolist()])
-        slack = gaps - (bounds - h)
+        slack = gaps - (fn(params, *consts, y_norms) - h)
         out[f"interevent_ok_{key}"] = not np.any(slack < -1e-12)
         out[f"interevent_worst_slack_{key}"] = float(
             np.fmin.reduce(slack, initial=math.inf))
@@ -623,20 +660,23 @@ def _join(texts: np.ndarray, sep: str) -> np.ndarray:
     return out
 
 
+_SIDES = np.array(["controller", "plant"], dtype=object)
+_KINDS = np.array(["commit", "drop"], dtype=object)
+
+
 def write_events_csv(trace: TraceLog, path) -> None:
     ev, m = trace.events, trace.events.payload.shape[1]
-    side = np.where(ev.plant, "plant", "controller").astype(object)
-    kind = np.where(ev.dropped, "drop", "commit").astype(object)
-    ints = np.column_stack((ev.sample_index, ev.attempt_index,
-                            ev.drops_before)).astype(str).astype(object)
     with open(path, "w") as fh:
         fh.write(_EVENTS_HEADER + "\n")
         start = 0
         for text in format_blocks(ev.t, ev.e_norm, ev.y_norm, ev.payload, ev.committed):
-            rows = slice(start, start + len(text))
+            block = ev[start:start + len(text)]
             start += len(text)
-            table = np.column_stack((side[rows], kind[rows], text[:, 0], ints[rows],
-                                     text[:, 1:3], _join(text[:, 3:3 + m], ";"),
+            ints = np.column_stack((block.sample_index, block.attempt_index,
+                                    block.drops_before)).astype(str).astype(object)
+            table = np.column_stack((_SIDES[block.plant.view(np.uint8)],
+                                     _KINDS[block.dropped.view(np.uint8)], text[:, 0],
+                                     ints, text[:, 1:3], _join(text[:, 3:3 + m], ";"),
                                      _join(text[:, 3 + m:], ";")))
             fh.writelines(",".join(row) + "\n" for row in table.tolist())
 
@@ -704,29 +744,27 @@ def read_events_csv(path, width: int) -> EventTable:
     """The event table of an events file whose vectors are ``width`` long.
     A short or garbled row, an index outside int64 or a vector of another
     length is a ValueError naming its line."""
+    blocks = []
     with open(path) as fh:
         if fh.readline().strip() != _EVENTS_HEADER:
             raise ValueError(f"events file {path} lacks the events header")
-        rows = [r for r in map(str.strip, fh) if r]
-    if not rows:
-        return _event_table([[]] * len(fields(EventTable)), width)
-    try:   # a block at a time, which bounds the memory the cell texts take
-        blocks = [_event_rows(rows[i:i + _BLOCK_ROWS], width)
-                  for i in range(0, len(rows), _BLOCK_ROWS)]
-    except ValueError as exc:
-        error = exc
-    else:
-        return EventTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                            for f in fields(EventTable)))
-    # find the first bad line by parsing the rows one at a time
-    with open(path) as fh:
-        for n, line in enumerate(fh, start=1):
-            if n > 1 and line.strip():
-                try:
-                    _event_rows([line.strip()], width)
-                except ValueError as exc:
-                    raise ValueError(f"events file {path} line {n}: {exc}") from None
-    raise ValueError(f"events file {path}: {error}")
+        # (line number, text) of each non-blank line, parsed a block at a time
+        # as it is read, which bounds the memory the line and cell texts take
+        lines = ((n, r) for n, r in enumerate(map(str.strip, fh), start=2) if r)
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            try:
+                blocks.append(_event_rows([r for _, r in block], width))
+            except ValueError as exc:
+                for n, r in block:   # name the first bad line
+                    try:
+                        _event_rows([r], width)
+                    except ValueError as line_exc:
+                        raise ValueError(f"events file {path} line {n}: {line_exc}") from None
+                raise ValueError(f"events file {path}: {exc}") from None
+    if not blocks:
+        return _event_table(_event_buffers(), width)
+    return EventTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                        for f in fields(EventTable)))
 
 
 def read_trace(scenario: ScenarioConfig, trace_path, events_path) -> TraceLog:

@@ -58,9 +58,17 @@ def trigger_inequality_check(times, outputs, held, delta: float,
     rows = np.asarray(firing_rows, dtype=np.int64)
     firing = np.zeros(n, dtype=bool)
     firing[rows[(rows >= 0) & (rows < n)]] = True
-    e2 = np.sum((y - s) ** 2, axis=1)
-    y2 = np.sum(y ** 2, axis=1)
-    bad = np.flatnonzero(~firing & (e2 > delta * y2 + 1e-12 * (1.0 + y2))).tolist()
+    # in-place steps keep two row-length temporaries alive at a time; each
+    # gives the bits of the plain expression
+    e = y - s
+    e *= e
+    e2 = np.add.reduce(e, axis=1)
+    del e
+    y2 = np.add.reduce(y * y, axis=1)
+    limit = 1.0 + y2
+    limit *= 1e-12
+    limit += delta * y2
+    bad = np.flatnonzero(~firing & (e2 > limit)).tolist()
     return (len(bad) == 0), bad
 
 
@@ -92,10 +100,12 @@ def sampled_output_bound_check(times, outputs, held, delta: float,
     spans = np.asarray(dropout_spans, dtype=float).reshape(-1, 2)
     order = np.argsort(spans[:, 0], kind="stable")
     reach = np.concatenate(([-np.inf], np.fmax.accumulate(spans[order, 1])))
-    started = np.searchsorted(spans[order, 0], times, side="right")
-    factor = 1.0 + np.sqrt(delta)
-    bad = np.flatnonzero(~(reach[started] > times)
-                         & (s_norm > factor * y_norm + 1e-12 * (1.0 + y_norm)))
+    checked = ~(reach[np.searchsorted(spans[order, 0], times, side="right")] > times)
+    # factor * ||y|| + 1e-12 * (1 + ||y||), built in place
+    limit = 1.0 + y_norm
+    limit *= 1e-12
+    limit += (1.0 + np.sqrt(delta)) * y_norm
+    bad = np.flatnonzero(checked & (s_norm > limit))
     with np.errstate(divide="ignore", over="ignore"):
         ratio = s_norm[bad] / y_norm[bad]   # inf where ||y|| is 0 or tiny
     return BoundReport(ok=(len(bad) == 0),

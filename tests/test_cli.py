@@ -1,9 +1,15 @@
 import importlib.util
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import etncs
 
 from etncs import sim
 from etncs.cli import main
@@ -397,3 +403,48 @@ def test_report_rejects_a_seed_list(tmp_path, capsys):
                  "--seed", "3,4", *SHORT])
     assert code == 1
     assert "only simulate does" in capsys.readouterr().err
+
+
+def test_only_simulate_loads_openssl(tmp_path):
+    """design, verify and report draw nothing, so they never import hashlib,
+    whose OpenSSL mapping takes about 3.6 MB; simulate does."""
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path), *SHORT]) == 0
+    script = (
+        "import sys\n"
+        "import etncs\n"
+        "from etncs.cli import main\n"
+        f"args = ['--config', {str(CONFIG)!r}, '--out', {str(tmp_path)!r}, *{SHORT!r}]\n"
+        "codes = [main([command, *args]) for command in ('design', 'verify', 'report')]\n"
+        "loaded = ['_hashlib' in sys.modules]\n"
+        "main(['simulate', *args])\n"
+        "print(codes, loaded + ['_hashlib' in sys.modules])\n")
+    src = str(Path(etncs.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [False, True]"
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("short_run")
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(out),
+                 "--set", "sim.t_end=0.2"]) == 0
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_byte_flip_in_trace_never_raises(short_run, data):
+    """One byte of trace.csv changed at a random offset: verify exits 0, 1 or
+    4 and report 0 or 1, and neither raises."""
+    trace = bytearray((short_run / "trace.csv").read_bytes())
+    offset = data.draw(st.integers(0, len(trace) - 1), label="offset")
+    trace[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        shutil.copy(short_run / "events.csv", out)
+        (out / "trace.csv").write_bytes(bytes(trace))
+        args = ["--config", str(CONFIG), "--out", str(out), "--set", "sim.t_end=0.2"]
+        assert main(["verify", *args]) in (0, 1, 4)
+        assert main(["report", *args]) in (0, 1)

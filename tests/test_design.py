@@ -2,6 +2,7 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -195,6 +196,48 @@ def test_interevent_plant_sqrt_delta_scaling():
 def test_interevent_zero_denominator():
     with pytest.raises(ValueError, match="denominator"):
         interevent_bound_plant(WE, 0.0, 0.0, 0.0, 1.0)
+
+
+def _per_gap_interevent_bound(delta, rho, apex, c0, c1, c2, y):
+    """The bound of one gap in float arithmetic, as it was taken gap by gap."""
+    if y == 0.0:
+        return 0.0
+    return math.sqrt(delta) * y / (c0 / rho + apex * (1.0 / rho ** 2 + 1.0) * (c1 + c2))
+
+
+_SIDE_BOUNDS = (
+    (interevent_bound_plant, (WE.delta_p, WE.rho_p, cone_apex_angle(WE.nu_p, WE.rho_p))),
+    (interevent_bound_controller,
+     (WE.delta_c, WE.rho_c, cone_apex_angle(WE.nu_c, WE.rho_c))),
+)
+
+
+@settings(max_examples=200)
+@given(side=st.sampled_from(_SIDE_BOUNDS),
+       consts=st.tuples(*[st.floats(0.0, 1e3)] * 3).filter(lambda c: sum(c) > 0),
+       ys=st.lists(st.one_of(st.sampled_from([0.0, -0.0]),
+                             st.floats(-1e300, 1e300, allow_nan=False)), max_size=12))
+def test_interevent_bound_of_a_column_equals_the_scalar_form(side, consts, ys):
+    fn, shape = side
+    if any(y < 0 for y in ys):   # a negative norm is rejected, in either form
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(WE, *consts, np.array(ys))
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn(WE, *consts, min(ys))
+        ys = [abs(y) for y in ys]
+    column = fn(WE, *consts, np.array(ys, dtype=float))
+    assert column.shape == (len(ys),)
+    for got, y in zip(column.tolist(), ys):
+        scalar = fn(WE, *consts, y)
+        assert type(scalar) is float
+        want = _per_gap_interevent_bound(*shape, *consts, y)
+        assert got.hex() == scalar.hex() == want.hex()
+
+
+def test_interevent_bound_column_at_rest_needs_no_denominator():
+    assert interevent_bound_plant(WE, 0.0, 0.0, 0.0, np.zeros(3)).tolist() == [0.0] * 3
+    with pytest.raises(ValueError, match="denominator"):
+        interevent_bound_plant(WE, 0.0, 0.0, 0.0, np.array([0.0, 1.0]))
 
 
 def test_interevent_controller_reduction_without_disturbance():
