@@ -24,7 +24,7 @@ import numpy as np
 
 from . import sim
 from .config import (ConfigError, apply_overrides, build_scenario,
-                     format_config, load_config, run_design)
+                     feasible_design, format_config, load_config, run_design)
 from .design import DesignParams, DesignResult, InfeasibleDesign
 
 __all__ = ["main"]
@@ -171,10 +171,7 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
     scenarios = [dataclasses.replace(s, plant=scenarios[0].plant,
                                      controller=scenarios[0].controller)
                  for s in scenarios]
-    try:
-        params, result = run_design(cfgs[0])
-    except (ConfigError, InfeasibleDesign):
-        params = result = None
+    params, result = feasible_design(cfgs[0])
     code = EXIT_OK
     for out_dir, run in zip(out_dirs, sim.run_scenario(scenarios)):
         if isinstance(run, sim.DivergenceError):
@@ -245,8 +242,9 @@ def cmd_verify(args) -> int:
 
     cfg = _load_effective_config(args)
     scenario = build_scenario(cfg)
+    _, design = feasible_design(cfg)
     out_dir = Path(args.out)
-    checks = _read_run(out_dir, functools.partial(verify_trace_files, cfg, scenario))
+    checks = _read_run(out_dir, functools.partial(verify_trace_files, scenario, design))
     kv: Dict[str, object] = {}
     all_pass = True
     for name, (ok, detail) in checks.items():

@@ -13,7 +13,8 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import DesignParams, DesignResult, TransformGains, min_m22_sq, synthesize
+from .design import (DesignParams, DesignResult, InfeasibleDesign, TransformGains,
+                     min_m22_sq, synthesize)
 from .models import build_model, lti_siso
 from .network import DelayProfile, DropoutModel
 from .quantizer import QuantizerSpec
@@ -29,6 +30,7 @@ __all__ = [
     "format_config",
     "build_design_inputs",
     "run_design",
+    "feasible_design",
     "build_scenario",
 ]
 
@@ -108,13 +110,14 @@ def format_config(cfg: Dict[str, str]) -> str:
 
 def _get_float(cfg, key, default=None) -> Optional[float]:
     if key not in cfg:
-        if default is None:
-            return None
         return default
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected a number, got {cfg[key]!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {cfg[key]!r}")
+    return value
 
 
 def _require_float(cfg, key) -> float:
@@ -148,9 +151,12 @@ def _get_floats(cfg, key) -> Optional[np.ndarray]:
     if key not in cfg:
         return None
     try:
-        return np.array([float(v) for v in cfg[key].split(",") if v.strip()])
+        values = np.array([float(v) for v in cfg[key].split(",") if v.strip()])
     except ValueError as exc:
         raise ConfigError(f"{key}: expected comma-separated numbers") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key}: expected finite numbers, got {cfg[key]!r}")
+    return values
 
 
 def _build_system(cfg: Dict[str, str], section: str):
@@ -280,8 +286,24 @@ def build_design_inputs(cfg: Dict[str, str]) -> Tuple[DesignParams, float, float
 
 
 def run_design(cfg: Dict[str, str]) -> Tuple[DesignParams, DesignResult]:
+    """Synthesize the config's design; a ValueError other than InfeasibleDesign
+    (say, ``design.m11 = 0``) is a ConfigError."""
     params, m22, m11 = build_design_inputs(cfg)
-    return params, synthesize(params, m22, m11)
+    try:
+        return params, synthesize(params, m22, m11)
+    except InfeasibleDesign:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"design: {exc}") from exc
+
+
+def feasible_design(cfg: Dict[str, str]
+                    ) -> Tuple[Optional[DesignParams], Optional[DesignResult]]:
+    """``run_design``, or ``(None, None)`` if the config has no feasible design."""
+    try:
+        return run_design(cfg)
+    except (ConfigError, InfeasibleDesign):
+        return None, None
 
 
 def _build_gains(cfg: Dict[str, str]) -> TransformGains:

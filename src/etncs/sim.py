@@ -38,6 +38,7 @@ __all__ = [
     "TraceLog",
     "run_scenario",
     "compute_metrics",
+    "invariant_checks",
     "dropout_spans",
     "max_consecutive_drops",
     "held_samples",
@@ -99,6 +100,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.t_end <= 0 or self.h <= 0:
             raise ValueError("t_end and h must be positive")
+        if self.t_end / self.h + 1e-9 < 1.0:
+            raise ValueError(f"t_end = {self.t_end} is shorter than one step h = {self.h}")
         if self.plant.output_dim != self.controller.input_dim:
             raise ValueError("plant and controller port dimensions disagree")
         if len(np.asarray(self.x0_plant)) != self.plant.state_dim:
@@ -487,6 +490,60 @@ def _accum_ratio_excess(commits: EventTable, delta: float) -> float:
     return float(np.fmax.reduce(ratio - bound, initial=-math.inf))
 
 
+def invariant_checks(trace: TraceLog, design: Optional[DesignResult] = None, held=None
+                     ) -> Tuple[Dict[str, Tuple[bool, str]], Dict[str, float]]:
+    """The verdicts metrics.kv and verify.kv share, as name -> (pass, detail),
+    and the values metrics.kv prints with them: ``l2_gain_emp`` (NaN without
+    input energy) and the dissipation maxima.  ``held`` maps a side to its
+    ``held_samples``, if known.  A verdict whose premise fails is left out:
+    ``trigger_ineq_*`` (||y - held||^2 <= delta*||y||^2 where the detector
+    did not fire) and ``held_norm_bound_*`` (||held|| <= (1+sqrt(delta))*||y||
+    outside dropout spans) need only the triggering rule; ``dissipativity_p``
+    needs a storage function; ``l2_gain_bound`` (gain <= ``gamma_bound``)
+    needs positive input energy and a feasible design; ``dropout_budget_*``
+    need a feasible design.
+    """
+    cfg, t, ev = trace.config, trace.t, trace.events
+    checks: Dict[str, Tuple[bool, str]] = {}
+    for side, key, delta, y in (("plant", "p", cfg.trigger_p.delta, trace.y_p),
+                                ("controller", "c", cfg.trigger_c.delta, trace.y_c)):
+        held_side = held_samples(trace, side) if held is None else held[side]
+        ok, bad = trigger.trigger_inequality_check(t, y, held_side, delta,
+                                                   ev.sample_index[ev.on(side)])
+        checks[f"trigger_ineq_{key}"] = (
+            ok, "holds at all non-firing samples" if ok
+            else f"violated at {len(bad)} samples, first at t={t[bad[0]]:.6f}")
+        rep = trigger.sampled_output_bound_check(t, y, held_side, delta,
+                                                 dropout_spans(trace, side))
+        checks[f"held_norm_bound_{key}"] = (
+            rep.ok, f"{len(rep.excluded_spans)} dropout spans excluded" if rep.ok
+            else f"violated at t={rep.violations[0][0]:.6f}")
+        del held_side, rep   # free one side's arrays before the next
+    try:
+        gain = core.l2_gain_estimate(trace.w1, trace.y_p, t)
+    except ValueError:   # zero input energy: the gain is undefined
+        gain = math.nan
+    values = {"l2_gain_emp": gain}
+    if cfg.plant.storage is not None:
+        res, tol = plant_dissipativity(trace)
+        worst = float(np.max(res / tol)) if len(res) else 0.0
+        values["dissip_residual_max_p"] = float(np.max(res)) if len(res) else 0.0
+        values["dissip_norm_residual_max_p"] = worst
+        checks["dissipativity_p"] = (bool(np.all(res <= tol)),
+                                     f"worst residual at {worst:.3e} of tolerance")
+    if design is not None:
+        if not math.isnan(gain):
+            checks["l2_gain_bound"] = (
+                bool(gain <= design.gamma_bound),
+                f"empirical {gain:.4f} vs certified {design.gamma_bound:.4f}")
+        for side, key, budget in (("plant", "p", design.d_p_max),
+                                  ("controller", "c", design.d_c_max)):
+            drops = max_consecutive_drops(trace, side)
+            checks[f"dropout_budget_{key}"] = (
+                drops <= budget, f"observed {drops} consecutive vs budget {budget}")
+    return checks, values
+
+
 def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
                     params: Optional[DesignParams] = None) -> Dict[str, object]:
     """Aggregate the quantities the design formulas talk about.
@@ -497,6 +554,7 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
     supplied, boolean comparisons of the observed trace against its bounds.
     """
     cfg, ev = trace.config, trace.events
+    checks, values = invariant_checks(trace, design)
     me: Dict[str, object] = {}
     for side, key in (("plant", "p"), ("controller", "c")):
         attempts = int(np.count_nonzero(ev.on(side)))
@@ -508,44 +566,30 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
         me[f"min_gap_{key}"], _, _ = _gap_stats(trace, side)
 
     me["sup_x_p"] = float(np.max(np.linalg.norm(trace.x_p, axis=1)))
-    if np.any(trace.w1 != 0.0):
-        me["l2_gain_emp"] = core.l2_gain_estimate(trace.w1, trace.y_p, trace.t)
-    else:
-        me["l2_gain_emp"] = float("nan")  # undefined without input energy
-
+    me["l2_gain_emp"] = values.pop("l2_gain_emp")
     me.update(_excitation_bounds(trace))
-    if cfg.plant.storage is not None:
-        me.update(_dissipativity_metrics(trace))
-
+    me.update(values)   # the dissipation maxima, with a storage function
+    if "dissipativity_p" in checks:
+        me["dissip_ok_p"] = checks["dissipativity_p"][0]
     for side, key, tcfg in (("plant", "p", cfg.trigger_p),
                             ("controller", "c", cfg.trigger_c)):
-        me.update(_trigger_metrics(trace, side, key, tcfg.delta))
+        me[f"trigger_ok_{key}"] = checks[f"trigger_ineq_{key}"][0]
+        me[f"sampled_bound_ok_{key}"] = checks[f"held_norm_bound_{key}"][0]
+        worst_excess = _accum_ratio_excess(trace.commits_on(side), tcfg.delta)
+        me[f"accum_ratio_excess_{key}"] = worst_excess
+        me[f"accum_ratio_ok_{key}"] = worst_excess <= 1e-9
 
+    for name, key in (("l2_gain_bound", "within_l2_bound"), ("dropout_budget_p", "budget_ok_p"),
+                      ("dropout_budget_c", "budget_ok_c")):
+        if name in checks:
+            me[key] = checks[name][0]
     if design is not None and params is not None:
-        me["within_l2_bound"] = bool(me["l2_gain_emp"] <= design.gamma_bound)
-        me["budget_ok_p"] = bool(me["max_consec_drops_p"] <= design.d_p_max)
-        me["budget_ok_c"] = bool(me["max_consec_drops_c"] <= design.d_c_max)
         me.update(_interevent_comparison(trace, params, me))
     return me
 
 
 # Each helper below returns scalars only, so the row-length arrays it needs
 # are freed before compute_metrics goes on to the next.
-
-def _trigger_metrics(trace: TraceLog, side: str, key: str,
-                     delta: float) -> Dict[str, object]:
-    held = held_samples(trace, side)
-    outputs = trace.y_p if side == "plant" else trace.y_c
-    ev = trace.events
-    trigger_ok, _ = trigger.trigger_inequality_check(
-        trace.t, outputs, held, delta, ev.sample_index[ev.on(side)])
-    sampled_ok = trigger.sampled_output_bound_check(
-        trace.t, outputs, held, delta, dropout_spans(trace, side)).ok
-    worst_excess = _accum_ratio_excess(trace.commits_on(side), delta)
-    return {f"trigger_ok_{key}": trigger_ok, f"sampled_bound_ok_{key}": sampled_ok,
-            f"accum_ratio_excess_{key}": worst_excess,
-            f"accum_ratio_ok_{key}": worst_excess <= 1e-9}
-
 
 def _excitation_bounds(trace: TraceLog) -> Dict[str, float]:
     """The inter-switch slope (c0) and sup-norm (c1, c2) constants of the
@@ -561,25 +605,20 @@ def _excitation_bounds(trace: TraceLog) -> Dict[str, float]:
             "c2_prime": float(np.max(np.linalg.norm(trace.u_c - w2_vals, axis=1)))}
 
 
-def _dissipativity_metrics(trace: TraceLog) -> Dict[str, object]:
-    res, tol = plant_dissipativity(trace)
-    if not len(res):
-        return {"dissip_residual_max_p": 0.0, "dissip_norm_residual_max_p": 0.0,
-                "dissip_ok_p": True}
-    return {"dissip_residual_max_p": float(np.max(res)),
-            "dissip_norm_residual_max_p": float(np.max(res / tol)),
-            "dissip_ok_p": bool(np.all(res <= tol))}
-
-
 def _interevent_comparison(trace: TraceLog, params: DesignParams,
                            me: Dict[str, object]) -> Dict[str, object]:
+    """Each gap between a side's commits against its conic-sector lower
+    bound.  The bound needs an output-strictly passive side (rho > 0); a
+    side whose rho is not positive gets no ``interevent_*`` entries."""
     h = trace.config.h
     out: Dict[str, object] = {}
-    for side, key, fn, consts in (
-            ("plant", "p", interevent_bound_plant,
+    for side, key, rho, fn, consts in (
+            ("plant", "p", params.rho_p, interevent_bound_plant,
              (me["c0"], me["c1"], me["c2"])),
-            ("controller", "c", interevent_bound_controller,
+            ("controller", "c", params.rho_c, interevent_bound_controller,
              (me["c0_prime"], me["c1_prime"], me["c2_prime"]))):
+        if rho <= 0:
+            continue
         _, gaps, y_norms = _gap_stats(trace, side)
         slack = gaps - (fn(params, *consts, y_norms) - h)
         out[f"interevent_ok_{key}"] = not np.any(slack < -1e-12)

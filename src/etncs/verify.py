@@ -1,39 +1,32 @@
 """Re-derive invariants from serialized trace files.
 
-The run is read back as a ``TraceLog`` (``sim.read_trace``), so every check
-calls the same helpers as ``sim.compute_metrics``: dropout spans, maximum
-consecutive drops, the held-sample join and the plant dissipativity
-residuals.  Events join their trace rows on ``sample_index``; the
-``events_on_grid`` check requires each event's index to name a row
-(``0 <= sample_index < rows``) whose time equals the event time, and an event
-that fails it makes no other check raise.  Everything is recomputed from the
-trace.csv / events.csv columns and the scenario configuration alone, so
-tampered or corrupted traces fail loudly.  Checks return (passed, detail)
-pairs keyed by name.
+The run is read back as a ``TraceLog`` (``sim.read_trace``).  The verdicts
+metrics.kv reports too come from ``sim.invariant_checks``; the checks here
+are on the files themselves.  Events join their trace rows on
+``sample_index``, and an event off its row (``events_on_grid``) makes no
+check raise.  Checks return (passed, detail) pairs keyed by name.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from . import core, trigger
-from .config import ConfigError, run_design
-from .design import InfeasibleDesign
-from .sim import (TRACE_COLUMNS, ScenarioConfig, dropout_spans, held_samples,
-                  max_consecutive_drops, plant_dissipativity, read_trace)
+from .design import DesignResult
+from .sim import (TRACE_COLUMNS, ScenarioConfig, held_samples, invariant_checks,
+                  read_trace)
 
 __all__ = ["verify_trace_files"]
 
 CheckResult = Tuple[bool, str]
 
 
-def verify_trace_files(cfg: Dict[str, str], scenario: ScenarioConfig, trace_path,
-                       events_path) -> Dict[str, CheckResult]:
-    """Run all trace-level invariant checks on the run of ``scenario``, built
-    from ``cfg``; returns name -> (pass, detail)."""
+def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
+                       trace_path, events_path) -> Dict[str, CheckResult]:
+    """Run all trace-level invariant checks on the run of ``scenario``,
+    against ``design`` when it is feasible; returns name -> (pass, detail)."""
     trace = read_trace(scenario, trace_path, events_path)
     t = trace.t
     h = scenario.h
@@ -60,35 +53,17 @@ def verify_trace_files(cfg: Dict[str, str], scenario: ScenarioConfig, trace_path
     # an off-row commit leaves the held-sample join, failing the checks on it
     cause = "" if len(off) == 0 else f"; likely cause: {checks['events_on_grid'][1]}"
 
-    held_p = held_samples(trace, "plant")
-    held_c = held_samples(trace, "controller")
-
-    e_p_ok = np.allclose(trace.e_p, trace.y_p - held_p, rtol=0, atol=1e-9)
-    e_c_ok = np.allclose(trace.e_c, trace.y_c - held_c, rtol=0, atol=1e-9)
-    held_col_ok = np.allclose(trace.u_tilde_c, held_p, rtol=0, atol=1e-9)
+    held = {side: held_samples(trace, side) for side in ("plant", "controller")}
+    e_p_ok = np.allclose(trace.e_p, trace.y_p - held["plant"], rtol=0, atol=1e-9)
+    e_c_ok = np.allclose(trace.e_c, trace.y_c - held["controller"], rtol=0, atol=1e-9)
+    held_col_ok = np.allclose(trace.u_tilde_c, held["plant"], rtol=0, atol=1e-9)
     ok = bool(e_p_ok and e_c_ok and held_col_ok)
     checks["error_columns"] = (
         ok, "logged errors equal output minus last commit" + ("" if ok else cause))
 
-    for side, key, tcfg, y, held in (
-            ("plant", "p", scenario.trigger_p, trace.y_p, held_p),
-            ("controller", "c", scenario.trigger_c, trace.y_c, held_c)):
-        ok, bad = trigger.trigger_inequality_check(
-            t, y, held, tcfg.delta, trace.events_on(side).sample_index)
-        checks[f"trigger_ineq_{key}"] = (
-            ok, "holds at all non-firing samples" if ok
-            else f"violated at {len(bad)} samples, first at t={t[bad[0]]:.6f}{cause}")
-        rep = trigger.sampled_output_bound_check(t, y, held, tcfg.delta,
-                                                 dropout_spans(trace, side))
-        checks[f"held_norm_bound_{key}"] = (
-            rep.ok, f"{len(rep.excluded_spans)} dropout spans excluded" if rep.ok
-            else f"violated at t={rep.violations[0][0]:.6f}{cause}")
-
-    if scenario.plant.storage is not None:
-        res, tol = plant_dissipativity(trace)
-        checks["dissipativity_p"] = (
-            bool(np.all(res <= tol)),
-            f"worst residual at {float(np.max(res / tol)):.3e} of tolerance")
+    for name, (ok, detail) in invariant_checks(trace, design, held)[0].items():
+        on_join = name.startswith(("trigger_ineq", "held_norm_bound"))
+        checks[name] = (ok, detail + cause if on_join and not ok else detail)
 
     # ZOH: the held link value may change only when a commit's arrival falls
     # inside the step (recomputed from the delay profile, so this also checks
@@ -116,20 +91,5 @@ def verify_trace_files(cfg: Dict[str, str], scenario: ScenarioConfig, trace_path
                   f"t={ev.t[e]:.6f} disagrees with trace" if on_row[e]
                   else f"commit at t={ev.t[e]:.6f} has no trace row")
     checks["committed_samples"] = (len(bad) == 0, detail)
-
-    try:
-        params, result = run_design(cfg)
-    except (ConfigError, InfeasibleDesign):
-        params = result = None
-    if result is not None:
-        gain = core.l2_gain_estimate(trace.w1, trace.y_p, t)
-        checks["l2_gain_bound"] = (
-            bool(gain <= result.gamma_bound),
-            f"empirical {gain:.4f} vs certified {result.gamma_bound:.4f}")
-        for side, key, budget in (("plant", "p", result.d_p_max),
-                                  ("controller", "c", result.d_c_max)):
-            worst = max_consecutive_drops(trace, side)
-            checks[f"dropout_budget_{key}"] = (
-                worst <= budget, f"observed {worst} consecutive vs budget {budget}")
 
     return checks

@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,8 @@ import etncs
 
 from etncs import sim
 from etncs.cli import main
-from etncs.config import apply_overrides, build_scenario, format_config, load_config
+from etncs.config import (KNOWN_KEYS, apply_overrides, build_scenario, format_config,
+                          load_config)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "worked_example.cfg"
 
@@ -448,3 +451,124 @@ def test_byte_flip_in_trace_never_raises(short_run, data):
         args = ["--config", str(CONFIG), "--out", str(out), "--set", "sim.t_end=0.2"]
         assert main(["verify", *args]) in (0, 1, 4)
         assert main(["report", *args]) in (0, 1)
+
+
+def test_zero_input_energy_leaves_out_the_l2_verdict(tmp_path):
+    """Without input energy the empirical gain is undefined: metrics.kv
+    prints it as nan, and neither file carries an L2 verdict."""
+    args = ["--config", str(CONFIG), "--out", str(tmp_path), *SHORT,
+            "--set", "w1.kind=zero"]
+    assert main(["simulate", *args]) == 0
+    assert main(["verify", *args]) in (0, 4)
+    metrics = _read_kv(tmp_path / "metrics.kv")
+    assert metrics["l2_gain_emp"] == "nan"
+    assert "within_l2_bound" not in metrics
+    assert "budget_ok_p" in metrics   # the other design comparisons stay
+    verdicts = _read_kv(tmp_path / "verify.kv")
+    assert "check.l2_gain_bound" not in verdicts
+    assert "check.dropout_budget_p" in verdicts
+
+
+# verify.kv check -> metrics.kv key of each verdict the two files share
+SHARED_VERDICTS = {
+    "trigger_ineq_p": "trigger_ok_p", "trigger_ineq_c": "trigger_ok_c",
+    "held_norm_bound_p": "sampled_bound_ok_p", "held_norm_bound_c": "sampled_bound_ok_c",
+    "dissipativity_p": "dissip_ok_p", "l2_gain_bound": "within_l2_bound",
+    "dropout_budget_p": "budget_ok_p", "dropout_budget_c": "budget_ok_c"}
+
+
+def _kv_verdicts(out: Path):
+    """The shared verdicts of one run as written to metrics.kv and verify.kv,
+    each keyed by its verify.kv check name."""
+    metrics = _read_kv(out / "metrics.kv")
+    checks = _read_kv(out / "verify.kv")
+    from_metrics = {name: metrics[key] == "true"
+                    for name, key in SHARED_VERDICTS.items() if key in metrics}
+    from_verify = {name: checks[f"check.{name}"] == "pass"
+                   for name in SHARED_VERDICTS if f"check.{name}" in checks}
+    return from_metrics, from_verify
+
+
+def test_metrics_and_verify_agree_on_every_shared_verdict(tmp_path):
+    half = ["--config", str(CONFIG), "--set", "sim.t_end=0.5"]
+    seeds = ["11", "12", "13", "14"]
+    assert main(["simulate", *half, "--out", str(tmp_path), "--seed", ",".join(seeds)]) == 0
+    runs = []
+    for seed in seeds:
+        out = tmp_path / f"seed_{seed}"
+        assert main(["verify", *half, "--out", str(out), "--seed", seed]) in (0, 4)
+        runs.append(out)
+    for name, sets in (("zero_w1", ["--set", "w1.kind=zero"]),
+                       ("lossy", ["--set", "chan_pc.dropout.p=0.9",
+                                  "--set", "chan_pc.dropout.max_consecutive=4"])):
+        out = tmp_path / name
+        assert main(["simulate", *half, "--out", str(out), *sets]) == 0
+        assert main(["verify", *half, "--out", str(out), *sets]) in (0, 4)
+        runs.append(out)
+    for out in runs:
+        from_metrics, from_verify = _kv_verdicts(out)
+        assert from_metrics == from_verify, out.name
+    assert len(_kv_verdicts(runs[0])[0]) == len(SHARED_VERDICTS)
+    assert "l2_gain_bound" not in _kv_verdicts(runs[-2])[0]
+    assert _kv_verdicts(runs[-1])[0]["dropout_budget_p"] is False   # a failing verdict too
+
+
+def test_interevent_comparison_needs_a_positive_rho(tmp_path):
+    """The conic-sector inter-event bound needs rho_p > 0: with rho_p <= 0
+    the run completes and the plant side's comparison is left out."""
+    for rho in ("0", "-1"):
+        out = tmp_path / rho
+        assert main(["simulate", "--config", str(CONFIG), "--out", str(out),
+                     "--set", "sim.t_end=0.1", "--set", f"plant.rho={rho}"]) == 0
+        metrics = _read_kv(out / "metrics.kv")
+        assert "interevent_ok_p" not in metrics
+        assert "interevent_worst_slack_p" not in metrics
+        assert "interevent_ok_c" in metrics and "interevent_worst_slack_c" in metrics
+
+
+def test_run_shorter_than_one_step_is_a_config_error(tmp_path, capsys):
+    code = main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--set", "sim.t_end=0.0005"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "shorter than one step" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_explicit_gains_beside_a_garbled_design_key_simulate(tmp_path):
+    """The design comparisons need a feasible design; without one the run
+    still completes and leaves them out."""
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--set", "sim.t_end=0.1", "--set", "gains.m11=0.16",
+                 "--set", "gains.m21=-4.865", "--set", "gains.m22=7.033",
+                 "--set", "design.m11=0"]) == 0
+    metrics = _read_kv(tmp_path / "metrics.kv")
+    assert "trigger_ok_p" in metrics
+    assert not any(key.startswith(("within_l2", "budget_ok", "interevent"))
+                   for key in metrics)
+
+
+# every key whose value is not a number
+_WORD_KEYS = {"plant.model", "controller.model", "quant_p.kind", "quant_c.kind",
+              "chan_pc.form", "chan_cp.form", "chan_pc.dropout.kind",
+              "chan_cp.dropout.kind", "chan_pc.dropout.pattern",
+              "chan_cp.dropout.pattern", "w1.kind", "w2.kind", "sim.drop_first_allowed"}
+_NUMERIC_KEYS = sorted(KNOWN_KEYS - _WORD_KEYS)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(command=st.sampled_from(["design", "simulate"]),
+       key=st.sampled_from(_NUMERIC_KEYS),
+       value=st.sampled_from(["nan", "inf", "-inf", "0", "-1", "x", ""]))
+def test_garbled_config_number_never_raises(command, key, value):
+    """A garbled number in any numeric key gives an exit code, never a
+    traceback (warnings are errors under pytest)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        short = ["--set", "sim.t_end=0.01"] if command == "simulate" else []
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", str(CONFIG), "--out", tmp, *short,
+                         "--set", f"{key}={value}"])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert err.getvalue().startswith("config error"), err.getvalue()

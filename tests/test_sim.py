@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from etncs.quantizer import QuantizerSpec
 from etncs.signals import SignalSpec, build_signal
 from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans,
-                       format_blocks, run_scenario, write_trace_csv)
+                       format_blocks, invariant_checks, run_scenario, write_trace_csv)
 from etncs.trigger import TriggerConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -407,3 +408,20 @@ def test_lockstep_lanes_share_all_but_disturbances_and_dropouts(field, override)
     with pytest.raises(ValueError, match=f"lane 1 differs from lane 0 in {field}; "
                                          "lanes may differ only"):
         run_scenario([first, second])
+
+
+def test_compute_metrics_reads_its_verdicts_from_invariant_checks():
+    """metrics.kv's shared booleans are invariant_checks' pass flags, also
+    when they fail: with the plant's commits after t=0 removed from the
+    event table, the plant's held sample no longer follows its output."""
+    trace = run_scenario(_scenario(x0_plant=np.array([5.0, -8.0]),
+                                   w1=SignalSpec(kind="constant", value=1.0)))
+    ev = trace.events
+    tampered = dataclasses.replace(trace, events=ev[~ev.plant | (ev.sample_index == 0)])
+    checks, _ = invariant_checks(tampered)
+    assert not checks["trigger_ineq_p"][0] and checks["trigger_ineq_c"][0]
+    me = compute_metrics(tampered)
+    for side in ("p", "c"):
+        assert me[f"trigger_ok_{side}"] is checks[f"trigger_ineq_{side}"][0]
+        assert me[f"sampled_bound_ok_{side}"] is checks[f"held_norm_bound_{side}"][0]
+    assert me["dissip_ok_p"] is checks["dissipativity_p"][0]
