@@ -1,12 +1,11 @@
 """Event-triggered networked control: design formulas plus a deterministic
 closed-loop simulator with delayed, quantized, lossy links."""
 
-from .core import (IntegrationError, PassivityIndices, SystemModel, Trajectory,
+from .core import (PassivityIndices, SystemModel, Trajectory,
                    dissipativity_residuals, l2_gain_estimate, rk4_step,
                    simulate_open_loop, supply_rate, verify_lti_indices)
 from .design import (DesignParams, DesignResult, InfeasibleDesign,
-                     TransformGains, cone_apex_angle, dropout_budget_controller,
-                     dropout_budget_plant, effective_damping,
+                     TransformGains, cone_apex_angle, effective_damping,
                      interevent_bound_controller, interevent_bound_plant,
                      l2_gain_bounds, min_m22_sq, stability_margins, synthesize)
 from .network import Channel, DelayProfile, DropoutModel, rate_bound_check

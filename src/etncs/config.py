@@ -287,7 +287,8 @@ def build_design_inputs(cfg: Dict[str, str]) -> Tuple[DesignParams, float, float
 
 def run_design(cfg: Dict[str, str]) -> Tuple[DesignParams, DesignResult]:
     """Synthesize the config's design; a ValueError other than InfeasibleDesign
-    (say, ``design.m11 = 0``) is a ConfigError."""
+    (say, ``design.m11 = 0``) or an ArithmeticError (``design.m11 = 1e308``
+    overflows, ``trigger_p.delta = 1e-320`` divides by zero) is a ConfigError."""
     params, m22, m11 = build_design_inputs(cfg)
     try:
         return params, synthesize(params, m22, m11)
@@ -295,6 +296,9 @@ def run_design(cfg: Dict[str, str]) -> Tuple[DesignParams, DesignResult]:
         raise
     except ValueError as exc:
         raise ConfigError(f"design: {exc}") from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"design: a config value is out of range for the design "
+                          f"formulas ({type(exc).__name__})") from exc
 
 
 def feasible_design(cfg: Dict[str, str]

@@ -33,8 +33,6 @@ __all__ = [
     "cone_apex_angle",
     "interevent_bound_plant",
     "interevent_bound_controller",
-    "dropout_budget_plant",
-    "dropout_budget_controller",
     "controller_budget_report",
     "plant_budget_report",
 ]
@@ -106,11 +104,9 @@ class DesignParams:
 
 @dataclass(frozen=True)
 class BudgetReport:
-    """Dropout budget with the quantities that produced it."""
+    """Dropout budget with a note on how it was evaluated, if any."""
 
     budget: int
-    base: float
-    log_argument: float
     note: Optional[str] = None
 
 
@@ -343,15 +339,10 @@ def plant_budget_report(p: DesignParams, nu_c_tilde: float) -> BudgetReport:
         radicand = 2.0 * (p.rho_p + 2.0 * nu_c_tilde - 1.0 / (4.0 * p.gamma)) \
             / (p.alpha - 4.0 * nu_c_tilde)
     if radicand <= 0.0:
-        return BudgetReport(0, base, 0.0,
-                            note="plant-link budget is 0: damping headroom "
-                                 "radicand is nonpositive")
+        return BudgetReport(0, note="plant-link budget is 0: damping headroom "
+                                    "radicand is nonpositive")
     arg = math.sqrt(radicand) + 1.0
-    return BudgetReport(_budget(base, arg), base, arg)
-
-
-def dropout_budget_plant(p: DesignParams, nu_c_tilde: float) -> int:
-    return plant_budget_report(p, nu_c_tilde).budget
+    return BudgetReport(_budget(base, arg))
 
 
 def controller_budget_report(p: DesignParams, gains: TransformGains) -> BudgetReport:
@@ -367,8 +358,7 @@ def controller_budget_report(p: DesignParams, gains: TransformGains) -> BudgetRe
         raise ValueError("controller budget undefined: nonpositive denominator")
     ratio = gains.m22 ** 2 * p.rho_c / denom
     if ratio <= 0.0:
-        return BudgetReport(0, base, 0.0,
-                            note="controller-link budget is 0: nonpositive ratio")
+        return BudgetReport(0, note="controller-link budget is 0: nonpositive ratio")
     arg = math.sqrt(ratio) + 1.0
     budget = _budget(base, arg)
     trunc_base = math.floor(base * 100.0) / 100.0
@@ -378,8 +368,4 @@ def controller_budget_report(p: DesignParams, gains: TransformGains) -> BudgetRe
         note = (f"controller-link budget is {budget} by exact evaluation "
                 f"(log base {base:.6f}); two-decimal truncation of the base "
                 f"to {trunc_base:.2f} would give {budget_trunc} instead")
-    return BudgetReport(budget, base, arg, note=note)
-
-
-def dropout_budget_controller(p: DesignParams, gains: TransformGains) -> int:
-    return controller_budget_report(p, gains).budget
+    return BudgetReport(budget, note=note)

@@ -55,6 +55,10 @@ __all__ = [
 
 _FMT = "%.16e"  # 17 significant digits: round-trips float64 exactly
 _BLOCK_ROWS = 256  # rows formatted or parsed at once; one block's text is held in memory
+# Rows one lane may log. The executor holds every row of a lane in memory,
+# about 148 B per row at port dimension 1 (see cli.BATCH_LANES), so the cap
+# bounds one lane's trace columns at about 1.5 GB.
+MAX_ROWS = 10_000_000
 
 
 class DivergenceError(RuntimeError):
@@ -100,14 +104,26 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.t_end <= 0 or self.h <= 0:
             raise ValueError("t_end and h must be positive")
-        if self.t_end / self.h + 1e-9 < 1.0:
+        # tested before n_rows, whose floor() raises on an infinite quotient
+        if not self.t_end / self.h <= MAX_ROWS - 1:
+            raise ValueError(f"t_end = {self.t_end} at h = {self.h} needs more than "
+                             f"{MAX_ROWS} rows, the most a run may log")
+        if self.n_rows < 2:
             raise ValueError(f"t_end = {self.t_end} is shorter than one step h = {self.h}")
+        # the executor's norm test flags a non-finite state only below a finite limit
+        if not math.isfinite(self.divergence_limit):
+            raise ValueError(f"divergence_limit must be finite, got {self.divergence_limit}")
         if self.plant.output_dim != self.controller.input_dim:
             raise ValueError("plant and controller port dimensions disagree")
         if len(np.asarray(self.x0_plant)) != self.plant.state_dim:
             raise ValueError("plant initial state has the wrong dimension")
         if len(np.asarray(self.x0_controller)) != self.controller.state_dim:
             raise ValueError("controller initial state has the wrong dimension")
+
+    @property
+    def n_rows(self) -> int:
+        """Samples per lane, at t = k*h for k = 0 .. floor(t_end/h)."""
+        return math.floor(self.t_end / self.h + 1e-9) + 1
 
 
 @dataclass(frozen=True)
@@ -240,7 +256,7 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     _check_lanes(cfgs)
     cfg = cfgs[0]
     h, g, m = cfg.h, cfg.gains, cfg.plant.output_dim
-    n_rows = int(math.floor(cfg.t_end / h + 1e-9)) + 1
+    n_rows = cfg.n_rows
     shape = () if len(cfgs) == 1 else (len(cfgs),)
 
     def columns(a: np.ndarray) -> np.ndarray:   # a view with the lane axis
@@ -313,17 +329,14 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
         if k == n_rows - 1:
             break
 
-        failed: Dict[int, DivergenceError] = {}   # column -> first cause
-        x_p = _step(cfg.plant, x_p, u_p, t, h, k + 1, failed)
-        x_c = _step(cfg.controller, x_c, u_c, t, h, k + 1, failed)
-        for label, x in (("plant", x_p), ("controller", x_c)):
-            norm = np.sqrt(np.add.reduce(x * x, axis=0))
-            if any_lane(norm > limit):
-                norm = np.atleast_1d(norm)
-                for i in np.flatnonzero(norm > limit):
-                    failed.setdefault(i, DivergenceError(
-                        k + 1, t + h, f"{label} state norm {norm[i]:.3e} exceeds {limit:.3e}"))
-        if failed:
+        x_p = core.rk4_step(cfg.plant, x_p, u_p, t, h)
+        x_c = core.rk4_step(cfg.controller, x_c, u_c, t, h)
+        # the one divergence test: NaN <= limit is false, so it also catches
+        # a non-finite state
+        norm_p = np.sqrt(np.add.reduce(x_p * x_p, axis=0))
+        norm_c = np.sqrt(np.add.reduce(x_c * x_c, axis=0))
+        if any_lane(~(norm_p <= limit)) or any_lane(~(norm_c <= limit)):
+            failed = _divergences(cfg, (x_p, x_c), (norm_p, norm_c), k + 1, t)
             for i, err in failed.items():
                 out[lanes[i]] = err
             keep = [i for i in range(len(lanes)) if i not in failed]
@@ -395,23 +408,28 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
     return committed
 
 
-def _step(model: core.SystemModel, x, u, t: float, h: float, row: int,
-          failed: Dict[int, DivergenceError]) -> np.ndarray:
-    """One RK4 step of every lane; a non-finite lane is noted in ``failed``
-    and the batch goes on with the step's result."""
-    try:
-        return core.rk4_step(model, x, u, t, h)
-    except core.IntegrationError as exc:
-        for i in exc.lanes:
-            if i not in failed:
-                failed[i] = DivergenceError(row, t + h, str(exc))
-                failed[i].__cause__ = exc
-        return exc.state
+def _divergences(cfg: ScenarioConfig, states, norms, row: int, t: float
+                 ) -> Dict[int, DivergenceError]:
+    """column -> DivergenceError of each lane whose new plant or controller
+    state failed the norm test at ``row``.  A lane's first cause wins, in
+    this order: plant non-finite, controller non-finite, plant over the
+    limit, controller over the limit."""
+    limit, h = cfg.divergence_limit, cfg.h
+    causes: Dict[int, str] = {}
+    for model, x in zip((cfg.plant, cfg.controller), states):
+        finite = np.isfinite(x).reshape(len(x), -1).all(axis=0)
+        for i in np.flatnonzero(~finite):
+            causes.setdefault(i, f"non-finite step at t={t!r} (model {model.name!r})")
+    for label, norm in zip(("plant", "controller"), norms):
+        norm = np.atleast_1d(norm)
+        for i in np.flatnonzero(~(norm <= limit)):
+            causes.setdefault(i, f"{label} state norm {norm[i]:.3e} exceeds {limit:.3e}")
+    return {i: DivergenceError(row, t + h, text) for i, text in causes.items()}
 
 
-def dropout_spans(trace: TraceLog, side: str) -> List[Tuple[float, float]]:
-    """Half-open [first drop, next success) spans where the held-sample norm
-    bound is not expected to hold."""
+def dropout_spans(trace: TraceLog, side: str) -> Tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the half-open [first drop, next success) spans where
+    the held-sample norm bound is not expected to hold."""
     ev = trace.events
     on = ev.on(side)
     dropped, t = ev.dropped[on], ev.t[on]
@@ -421,7 +439,7 @@ def dropout_spans(trace: TraceLog, side: str) -> List[Tuple[float, float]]:
     ends = t[~dropped & after_drop]
     if len(ends) < len(starts):   # the run ends inside a span
         ends = np.append(ends, float(trace.t[-1]) + trace.config.h)
-    return list(zip(starts.tolist(), ends.tolist()))
+    return starts, ends
 
 
 def max_consecutive_drops(trace: TraceLog, side: str) -> int:
@@ -516,7 +534,7 @@ def invariant_checks(trace: TraceLog, design: Optional[DesignResult] = None, hel
         rep = trigger.sampled_output_bound_check(t, y, held_side, delta,
                                                  dropout_spans(trace, side))
         checks[f"held_norm_bound_{key}"] = (
-            rep.ok, f"{len(rep.excluded_spans)} dropout spans excluded" if rep.ok
+            rep.ok, f"{rep.excluded_spans} dropout spans excluded" if rep.ok
             else f"violated at t={rep.violations[0][0]:.6f}")
         del held_side, rep   # free one side's arrays before the next
     try:

@@ -78,18 +78,18 @@ class BoundReport:
 
     ok: bool
     violations: Tuple[Tuple[float, float], ...]  # (time, ratio) pairs
-    excluded_spans: Tuple[Tuple[float, float], ...]
+    excluded_spans: int   # the dropout spans left out of the check
 
 
-def sampled_output_bound_check(times, outputs, held, delta: float,
-                               dropout_spans: Sequence[Tuple[float, float]] = (),
-                               ) -> BoundReport:
+def sampled_output_bound_check(
+        times, outputs, held, delta: float,
+        dropout_spans: Tuple[Sequence[float], Sequence[float]] = ((), ())) -> BoundReport:
     """Verify ||held(t)|| <= (1 + sqrt(delta)) * ||y(t)|| between events.
 
     The bound is a consequence of the triggering rule and only holds while
-    every fired packet got through; ``dropout_spans`` (from a dropped attempt
-    until the next successful commit) are excluded from the check and
-    reported back in the result.
+    every fired packet got through; ``dropout_spans``, the (starts, ends) of
+    the half-open spans from a dropped attempt until the next successful
+    commit, are excluded from the check and counted in the result.
     """
     times = np.asarray(times, dtype=float)
     y_norm = np.linalg.norm(np.asarray(outputs, dtype=float).reshape(len(times), -1), axis=1)
@@ -97,10 +97,10 @@ def sampled_output_bound_check(times, outputs, held, delta: float,
     # t lies in some span [a, b) iff the spans starting at or before t reach
     # past it: sorted starts plus a running max of ends, exact for unsorted
     # or overlapping spans (fmax skips a NaN end, as the comparison would)
-    spans = np.asarray(dropout_spans, dtype=float).reshape(-1, 2)
-    order = np.argsort(spans[:, 0], kind="stable")
-    reach = np.concatenate(([-np.inf], np.fmax.accumulate(spans[order, 1])))
-    checked = ~(reach[np.searchsorted(spans[order, 0], times, side="right")] > times)
+    starts, ends = (np.asarray(a, dtype=float) for a in dropout_spans)
+    order = np.argsort(starts, kind="stable")
+    reach = np.concatenate(([-np.inf], np.fmax.accumulate(ends[order])))
+    checked = ~(reach[np.searchsorted(starts[order], times, side="right")] > times)
     # factor * ||y|| + 1e-12 * (1 + ||y||), built in place
     limit = 1.0 + y_norm
     limit *= 1e-12
@@ -110,4 +110,4 @@ def sampled_output_bound_check(times, outputs, held, delta: float,
         ratio = s_norm[bad] / y_norm[bad]   # inf where ||y|| is 0 or tiny
     return BoundReport(ok=(len(bad) == 0),
                        violations=tuple(zip(times[bad].tolist(), ratio.tolist())),
-                       excluded_spans=tuple((float(a), float(b)) for a, b in dropout_spans))
+                       excluded_spans=len(starts))

@@ -9,7 +9,6 @@ check raise.  Checks return (passed, detail) pairs keyed by name.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -32,7 +31,7 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     h = scenario.h
     checks: Dict[str, CheckResult] = {}
 
-    n_expected = int(math.floor(scenario.t_end / h + 1e-9)) + 1
+    n_expected = scenario.n_rows
     checks["row_count"] = (len(t) == n_expected,
                            f"{len(t)} rows, expected {n_expected}")
 

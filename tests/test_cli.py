@@ -535,6 +535,19 @@ def test_run_shorter_than_one_step_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("design", "design.m11=1e308"), ("design", "quant_p.b=1e308"),
+    ("design", "trigger_p.delta=1e-320"), ("design", "quant_c.b=1e-320"),
+    # row counts past sim.MAX_ROWS, the last one finite
+    ("simulate", "sim.t_end=1e308"), ("simulate", "sim.h=1e-320"),
+    ("simulate", "sim.t_end=1e15")])
+def test_extreme_finite_config_value_is_a_config_error(tmp_path, capsys, command, setting):
+    """Values that overflow, divide by zero or ask for an unbounded row log."""
+    assert main([command, "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--set", setting]) == 1
+    assert capsys.readouterr().err.startswith("config error")
+
+
 def test_explicit_gains_beside_a_garbled_design_key_simulate(tmp_path):
     """The design comparisons need a feasible design; without one the run
     still completes and leaves them out."""

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from etncs.design import (DesignParams, InfeasibleDesign, TransformGains,
                           cone_apex_angle, controller_budget_report,
-                          dropout_budget_controller, dropout_budget_plant,
                           effective_damping, interevent_bound_controller,
                           interevent_bound_plant, l2_gain_bounds, min_m22_sq,
-                          recompute_indices, stability_margins, synthesize,
-                          transformed_indices)
+                          plant_budget_report, recompute_indices,
+                          stability_margins, synthesize, transformed_indices)
 
 # the worked example's parameter set
 WE = DesignParams(rho_p=1.8, nu_p=0.0, rho_c=0.27, nu_c=0.49,
@@ -248,27 +247,26 @@ def test_interevent_controller_reduction_without_disturbance():
 
 
 def test_dropout_budget_plant_worked_example():
-    assert dropout_budget_plant(WE, nu_c_tilde=0.03) == 1
+    assert plant_budget_report(WE, nu_c_tilde=0.03).budget == 1
 
 
 def test_dropout_budget_plant_nonpositive_radicand():
     p = DesignParams(rho_p=0.0005, nu_p=0.0, rho_c=0.27, nu_c=0.49,
                      delta_p=0.4, delta_c=0.15, gamma=250.0)
-    assert dropout_budget_plant(p, 0.03) == 0
+    assert plant_budget_report(p, 0.03).budget == 0
 
 
 def test_dropout_budget_boundary_argument_equals_base():
     # rho_p chosen so sqrt(2(rho_p - 1/(4 gamma))/alpha) + 1 == 1 + sqrt(delta_p)
     p = DesignParams(rho_p=0.4 / 2.0 + 1.0 / 1000.0, nu_p=0.0, rho_c=0.27,
                      nu_c=0.49, delta_p=0.4, delta_c=0.15, alpha=1.0, gamma=250.0)
-    assert dropout_budget_plant(p, 0.03) == 0
+    assert plant_budget_report(p, 0.03).budget == 0
 
 
 def test_dropout_budget_controller_exact_vs_truncated_base():
     gains = synthesize(WE, WE_M22, WE_M11).gains
     rep = controller_budget_report(WE, gains)
     assert rep.budget == 1
-    assert dropout_budget_controller(WE, gains) == 1
     assert rep.note is not None
     assert "1.38" in rep.note and "would give 2" in rep.note
 
@@ -287,8 +285,8 @@ def test_dropout_budget_controller_note_absent_when_floors_agree():
 def test_budget_plant_monotone_in_rho_p(rho_lo, bump):
     base = dict(nu_p=0.0, rho_c=0.27, nu_c=0.49, delta_p=0.4, delta_c=0.15,
                 alpha=1.0, gamma=250.0)
-    lo = dropout_budget_plant(DesignParams(rho_p=rho_lo, **base), 0.01)
-    hi = dropout_budget_plant(DesignParams(rho_p=rho_lo + bump, **base), 0.01)
+    lo = plant_budget_report(DesignParams(rho_p=rho_lo, **base), 0.01).budget
+    hi = plant_budget_report(DesignParams(rho_p=rho_lo + bump, **base), 0.01).budget
     assert hi >= lo
 
 
@@ -299,7 +297,7 @@ def test_budget_controller_monotone_in_m22(scale, bump):
     m22b = m22a * bump
     ga = TransformGains(m11=0.1, m21=-1.0, m22=m22a)
     gb = TransformGains(m11=0.1, m21=-1.0, m22=m22b)
-    assert dropout_budget_controller(WE, gb) >= dropout_budget_controller(WE, ga)
+    assert controller_budget_report(WE, gb).budget >= controller_budget_report(WE, ga).budget
 
 
 def test_gains_validation():

@@ -143,7 +143,7 @@ def event_tables(draw, m):
 def test_array_event_analyses_equal_per_event_loops(data, m, rows, delta):
     trace = _trace(data.draw(event_tables(m)), rows)
     for side in ("plant", "controller"):
-        spans = dropout_spans(trace, side)
+        spans = np.column_stack(dropout_spans(trace, side))   # (start, end) rows
         assert _bits(spans).tolist() == _bits(_ref_dropout_spans(trace, side)).tolist()
         assert max_consecutive_drops(trace, side) == _ref_max_consecutive_drops(trace, side)
         held = held_samples(trace, side)

@@ -169,6 +169,44 @@ def test_divergence_aborts_with_row_index():
     assert "row" in str(err.value)
 
 
+def _constant_from(t_first, value, model, name):
+    """``model`` whose dynamics return ``value`` everywhere at every stage
+    time from ``t_first`` on.  Step k evaluates at k*h, k*h + h/2 and
+    (k+1)*h, so 0.2502 is first reached inside step 250, which fills row 251."""
+    def f(x, u, t):
+        return np.full_like(x, value) if t >= t_first else model.dynamics(x, u, t)
+    return dataclasses.replace(model, dynamics=f, name=name)
+
+
+def _third_stage_inf_at_step_100():
+    """The plant x' = 1 whose RK4 stage k3 alone is infinite, in step 100."""
+    calls = []
+
+    def f(x, u, t):
+        calls.append(t)
+        return np.array([np.inf if len(calls) == 4 * 100 + 3 else 1.0])
+    return dict(plant=dataclasses.replace(lti_siso(-1.0, 1.0, 1.0, 0.0), dynamics=f,
+                                          name="bad_k3"), x0_plant=np.array([1.0]))
+
+
+@pytest.mark.parametrize("make, row, detail", [
+    (lambda: dict(plant=_constant_from(0.2502, math.nan, cubic_nl2(), "nan_late")),
+     251, "non-finite step at t=0.25 (model 'nan_late')"),
+    (_third_stage_inf_at_step_100, 101, "non-finite step at t=0.1 (model 'bad_k3')"),
+    # in one row the plant passes the limit and the controller turns NaN:
+    # the controller's non-finite state is named
+    (lambda: dict(plant=_constant_from(0.2502, 1e12, lti_siso(-1.0, 1.0, 1.0, 0.0), "jump"),
+                  x0_plant=np.array([1.0]), divergence_limit=1e6,
+                  controller=_constant_from(0.2502, math.nan, firstorder_lead(), "nan_ctrl")),
+     251, "non-finite step at t=0.25 (model 'nan_ctrl')"),
+], ids=["nan-from-a-row", "inf-third-stage", "nonfinite-outranks-norm"])
+def test_nonfinite_step_diverges_at_its_row(make, row, detail):
+    with pytest.raises(DivergenceError) as err:
+        run_scenario(_scenario(**make()))
+    assert err.value.row == row
+    assert str(err.value) == f"divergence at row {row} (t={row * 1e-3:.6f}): {detail}"
+
+
 def test_approximates_continuous_feedback():
     # tiny thresholds, pass-through quantizers, zero delay and near-zero
     # coupling gain reduce the loop to u_p = w1 - y_c, u_c = y_p up to one
@@ -207,11 +245,11 @@ def test_dropout_spans_cover_drops():
     trace = run_scenario(_scenario(chan_pc=chan,
                                    x0_plant=np.array([5.0, -8.0]),
                                    w1=SignalSpec(kind="constant", value=1.0)))
-    spans = dropout_spans(trace, "plant")
+    starts, ends = dropout_spans(trace, "plant")
     plant = trace.events_on("plant")
     drops = plant.t[plant.dropped]
-    assert len(spans) == 1 and len(drops) == 1
-    a, b = spans[0]
+    assert len(starts) == len(ends) == 1 and len(drops) == 1
+    a, b = starts[0], ends[0]
     assert a == drops[0]
     commits = trace.commits_on("plant").t
     assert b == commits[commits > a][0]
