@@ -9,17 +9,15 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = [
     "PassivityIndices",
     "SystemModel",
-    "Trajectory",
     "IndexMarginReport",
     "rk4_step",
-    "simulate_open_loop",
     "supply_rate",
     "dissipativity_residuals",
     "l2_gain_estimate",
@@ -97,31 +95,6 @@ class SystemModel:
             )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled trajectory with zero-order-hold input convention.
-
-    ``inputs[k]`` is the input held constant on ``[times[k], times[k+1])``;
-    ``outputs[k]`` is the output at ``times[k]`` under that input.  All arrays
-    share the leading sample dimension and times are strictly increasing.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    outputs: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.times)
-        if n == 0:
-            raise ValueError("trajectory must contain at least one sample")
-        for name in ("states", "inputs", "outputs"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length does not match times")
-        if n > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-
 def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
              t: float, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step with the input held constant.
@@ -142,31 +115,6 @@ def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
     return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def simulate_open_loop(model: SystemModel, x0: Sequence[float],
-                       input_fn: Callable[[float], np.ndarray],
-                       t_end: float, h: float = 1e-3) -> Trajectory:
-    """Integrate ``model`` under ``input_fn(t)`` with fixed-step RK4.
-
-    The input is sampled at the start of each step and held constant across
-    it, matching the hold semantics used by the closed-loop executor.
-    """
-    n_steps = int(np.floor(t_end / h + 1e-9))
-    times = np.arange(n_steps + 1) * h
-    states = np.empty((n_steps + 1, model.state_dim))
-    inputs = np.empty((n_steps + 1, model.input_dim))
-
-    x = np.asarray(x0, dtype=float)
-    for k in range(n_steps + 1):
-        t = k * h
-        u = np.atleast_1d(np.asarray(input_fn(t), dtype=float))
-        states[k] = x
-        inputs[k] = u
-        if k < n_steps:
-            x = rk4_step(model, x, u, t, h)
-    outputs = np.asarray(model.output(states.T, inputs.T, times), dtype=float).T
-    return Trajectory(times=times, states=states, inputs=inputs, outputs=outputs)
-
-
 def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices):
     """Energy inflow u'y - rho*y'y - nu*u'u per sample (per column of 2-D arrays)."""
     u = np.asarray(u, dtype=float)
@@ -179,29 +127,31 @@ def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices):
     return np.add.reduce(rate, axis=0)
 
 
-def dissipativity_residuals(model: SystemModel, traj: Trajectory) -> np.ndarray:
+def dissipativity_residuals(model: SystemModel, times: np.ndarray,
+                            states: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Per-interval residuals of the integral dissipation inequality.
 
-    For each consecutive sample pair returns
+    ``states`` ``(N, state_dim)`` and ``inputs`` ``(N, input_dim)`` are
+    sampled at ``times`` ``(N,)``, with ``inputs[k]`` held on
+    ``[times[k], times[k+1])``.  For each consecutive sample pair returns
     ``V(x_{k+1}) - V(x_k) - trapz(supply rate)`` with the interval's held
-    input applied at both quadrature endpoints (outputs are re-evaluated from
-    the stored states, so feedthrough systems are integrated consistently).
+    input applied at both quadrature endpoints (outputs are evaluated from
+    the states, so feedthrough systems are integrated consistently).
     The trajectory is dissipative w.r.t. the declared indices iff every
     residual is below the quadrature tolerance.
     """
     if model.storage is None:
         raise ValueError("model has no storage function to check against")
-    x = traj.states.T
+    x = states.T
     v = np.asarray(model.storage(x), dtype=float)
     if np.any(v < 0):
         raise ValueError(
             f"storage function is negative at sample {int(np.argmax(v < 0))}")
-    t = traj.times
-    u = traj.inputs[:-1].T
-    # (v[1:] - v[:-1]) - 0.5 * diff(t) * (w0 + w1), built in place
-    trapz = supply_rate(u, model.output(x[:, :-1], u, t[:-1]), model.indices)
-    trapz += supply_rate(u, model.output(x[:, 1:], u, t[1:]), model.indices)
-    step = np.diff(t)
+    u = inputs[:-1].T
+    # (v[1:] - v[:-1]) - 0.5 * diff(times) * (w0 + w1), built in place
+    trapz = supply_rate(u, model.output(x[:, :-1], u, times[:-1]), model.indices)
+    trapz += supply_rate(u, model.output(x[:, 1:], u, times[1:]), model.indices)
+    step = np.diff(times)
     step *= 0.5
     trapz *= step
     res = v[1:] - v[:-1]

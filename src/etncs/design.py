@@ -27,7 +27,6 @@ __all__ = [
     "stability_margins",
     "min_m22_sq",
     "transformed_indices",
-    "recompute_indices",
     "synthesize",
     "l2_gain_bounds",
     "cone_apex_angle",
@@ -173,19 +172,6 @@ def transformed_indices(p: DesignParams, m22: float, m11: float) -> Tuple[float,
     rho_t = p.rho_c * m22 ** 2 / (2.0 * k)
     nu_t = k / (2.0 * p.rho_c * m22 ** 2) \
         - (1.0 / (2.0 * p.rho_c) + abs(p.nu_c)) * p.b_p ** 2 * (1.0 + p.d1) * m11 ** 2
-    return rho_t, nu_t
-
-
-def recompute_indices(p: DesignParams, gains: TransformGains) -> Tuple[float, float]:
-    """Re-derive (rho_c_tilde, nu_c_tilde) from the gains alone.
-
-    Uses the coupling identity rho_c*|m21|*|m22| = k, which eliminates the
-    channel constants; exact agreement with transformed_indices is a
-    consistency invariant of the synthesis.
-    """
-    rho_t = abs(gains.m22) / (2.0 * abs(gains.m21))
-    nu_t = abs(gains.m21) / (2.0 * abs(gains.m22)) \
-        - (1.0 / (2.0 * p.rho_c) + abs(p.nu_c)) * p.b_p ** 2 * (1.0 + p.d1) * gains.m11 ** 2
     return rho_t, nu_t
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SignalSpec", "build_signal", "hash_uniform"]
+__all__ = ["SignalSpec", "Signal", "hash_uniform"]
 
 
 def hash_uniform(key: str) -> float:
@@ -89,6 +89,3 @@ class Signal:
             return abs(s.amplitude) * 2.0 * np.pi * abs(s.freq)
         return 0.0
 
-
-def build_signal(spec: SignalSpec) -> Signal:
-    return Signal(spec)

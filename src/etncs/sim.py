@@ -27,7 +27,7 @@ from .design import (DesignParams, DesignResult, TransformGains,
                      interevent_bound_controller, interevent_bound_plant)
 from .network import Channel, DelayProfile, DropoutModel
 from .quantizer import QuantizerSpec, quantize
-from .signals import SignalSpec, build_signal
+from .signals import Signal, SignalSpec
 from .trigger import TriggerConfig, check_violation
 
 __all__ = [
@@ -241,6 +241,8 @@ def _check_lanes(cfgs: List[ScenarioConfig]) -> None:
                     f"only in w1, w2 and the channels' dropout models")
 
 
+# overflow to inf and NaN needs no warning: the divergence test fails both
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceError]]:
     """The per-row loop, advancing B lanes in lockstep (see run_scenario).
 
@@ -271,8 +273,8 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     w1 = np.empty((n_rows, m) + shape)
     w2 = np.empty((n_rows, m) + shape)
     for i, lane in enumerate(cfgs):
-        columns(w1)[..., i] = build_signal(lane.w1)(t_col)
-        columns(w2)[..., i] = build_signal(lane.w2)(t_col)
+        columns(w1)[..., i] = Signal(lane.w1)(t_col)
+        columns(w2)[..., i] = Signal(lane.w2)(t_col)
     chan_pc = Channel(cfg.chan_pc.delay, [c.chan_pc.dropout for c in cfgs], "pc",
                       dim=m, initial_hold=np.full(m, cfg.chan_pc.initial_hold))
     chan_cp = Channel(cfg.chan_cp.delay, [c.chan_cp.dropout for c in cfgs], "cp",
@@ -470,9 +472,7 @@ def plant_dissipativity(trace: TraceLog) -> Tuple[np.ndarray, np.ndarray]:
     quadrature error allowance with the storage at either end of the step.
     """
     plant = trace.config.plant
-    traj = core.Trajectory(times=trace.t, states=trace.x_p,
-                           inputs=trace.u_p, outputs=trace.y_p)
-    res = core.dissipativity_residuals(plant, traj)
+    res = core.dissipativity_residuals(plant, trace.t, trace.x_p, trace.u_p)
     v = np.abs(plant.storage(trace.x_p.T))
     tol = np.maximum(v[:-1], v[1:])
     tol += 1.0
@@ -612,8 +612,8 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
 def _excitation_bounds(trace: TraceLog) -> Dict[str, float]:
     """The inter-switch slope (c0) and sup-norm (c1, c2) constants of the
     disturbance and reconstructed-output signals on each side."""
-    sig_w1 = build_signal(trace.config.w1)
-    sig_w2 = build_signal(trace.config.w2)
+    sig_w1 = Signal(trace.config.w1)
+    sig_w2 = Signal(trace.config.w2)
     w2_vals = sig_w2(trace.t)
     return {"c0": sig_w1.slope_bound,
             "c1": float(np.max(np.linalg.norm(trace.w1, axis=1))),

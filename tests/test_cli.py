@@ -428,29 +428,80 @@ def test_only_simulate_loads_openssl(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [False, True]"
 
 
+# a run long enough that row 200 exists
+HALF = ["--set", "sim.t_end=0.5"]
+
+
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("short_run")
-    assert main(["simulate", "--config", str(CONFIG), "--out", str(out),
-                 "--set", "sim.t_end=0.2"]) == 0
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(out), *HALF]) == 0
     return out
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_byte_flip_in_trace_never_raises(short_run, data):
-    """One byte of trace.csv changed at a random offset: verify exits 0, 1 or
-    4 and report 0 or 1, and neither raises."""
-    trace = bytearray((short_run / "trace.csv").read_bytes())
-    offset = data.draw(st.integers(0, len(trace) - 1), label="offset")
-    trace[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
+@settings(max_examples=250, deadline=None)
+@given(name=st.sampled_from(["trace.csv", "events.csv"]), data=st.data())
+def test_byte_flip_in_trace_never_raises(short_run, name, data):
+    """One byte of trace.csv or events.csv changed at a random offset: verify
+    exits 0, 1 or 4 and report 0 or 1, and neither raises (warnings are
+    errors under pytest)."""
+    text = bytearray((short_run / name).read_bytes())
+    offset = data.draw(st.integers(0, len(text) - 1), label="offset")
+    text[offset] ^= data.draw(st.integers(1, 255), label="xor mask")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        shutil.copy(short_run / "events.csv", out)
-        (out / "trace.csv").write_bytes(bytes(trace))
-        args = ["--config", str(CONFIG), "--out", str(out), "--set", "sim.t_end=0.2"]
-        assert main(["verify", *args]) in (0, 1, 4)
-        assert main(["report", *args]) in (0, 1)
+        for other in ("trace.csv", "events.csv"):
+            shutil.copy(short_run / other, out)
+        (out / name).write_bytes(bytes(text))
+        args = ["--config", str(CONFIG), "--out", str(out), *HALF]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(["verify", *args]) in (0, 1, 4)
+            assert main(["report", *args]) in (0, 1)
+
+
+def _verify_edited_trace(run: Path, out: Path, edit) -> int:
+    """verify on a copy of ``run`` whose data rows, as lists of cells,
+    ``edit(rows, header)`` changed in place."""
+    shutil.copy(run / "events.csv", out)
+    rows = [line.split(",") for line in (run / "trace.csv").read_text().splitlines()]
+    edit(rows[1:], rows[0])
+    (out / "trace.csv").write_text("".join(",".join(r) + "\n" for r in rows))
+    return main(["verify", "--config", str(CONFIG), "--out", str(out), *HALF])
+
+
+def test_out_of_order_time_column_fails_time_grid(tmp_path, short_run):
+    """Two rows' times swapped are a failed check, not a malformed trace."""
+    def swap(rows, header):
+        rows[100][0], rows[101][0] = rows[101][0], rows[100][0]
+
+    assert _verify_edited_trace(short_run, tmp_path, swap) == 4
+    assert _read_kv(tmp_path / "verify.kv")["check.time_grid"] == "fail"
+
+
+@pytest.mark.parametrize("column, text, failed", [
+    ("x_p2", "1e+300", {"dissipativity_p"}),
+    ("u_p", "1e+300", {"dissipativity_p"}),
+    ("y_p", "1e+300", {"error_columns", "l2_gain_bound"}),
+    ("t", "4.3e+901", {"time_grid", "finite_values", "dissipativity_p"}),  # parses to inf
+])
+def test_extreme_trace_value_fails_its_checks_without_a_warning(
+        tmp_path, short_run, column, text, failed):
+    """Overflow in the checks is a failed verdict, not a RuntimeWarning
+    (a traceback under warnings-as-errors)."""
+    def edit(rows, header):
+        rows[200][header.index(column)] = text
+
+    assert _verify_edited_trace(short_run, tmp_path, edit) == 4
+    kv = _read_kv(tmp_path / "verify.kv")
+    assert {k[len("check."):] for k, v in kv.items() if v == "fail"} == failed
+
+
+@pytest.mark.parametrize("setting", ["controller.x0=1e308", "chan_pc.initial_hold=1e308"])
+def test_extreme_initial_value_diverges_without_a_warning(tmp_path, capsys, setting):
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path), *HALF,
+                 "--set", setting]) == 3
+    assert "non-finite step at t=0.0 (model 'firstorder_lead')" in capsys.readouterr().err
 
 
 def test_zero_input_energy_leaves_out_the_l2_verdict(tmp_path):

@@ -5,11 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etncs.core import (PassivityIndices, Trajectory,
-                        default_frequency_grid, dissipativity_residuals,
-                        l2_gain_estimate, rk4_step, simulate_open_loop,
+from etncs.core import (PassivityIndices, default_frequency_grid,
+                        dissipativity_residuals, l2_gain_estimate, rk4_step,
                         supply_rate, verify_lti_indices)
 from etncs.models import FIRSTORDER_LEAD_SS, cubic_nl2, firstorder_lead, lti_siso
+
+
+def _open_loop(model, x0, input_fn, t_end, h):
+    """(times, states, inputs) of ``model`` under ``input_fn(t)`` by fixed-step
+    RK4, each input sampled at its step's start and held across it."""
+    n_steps = int(np.floor(t_end / h + 1e-9))
+    times = np.arange(n_steps + 1) * h
+    states = np.empty((n_steps + 1, model.state_dim))
+    inputs = np.array([np.atleast_1d(input_fn(t)) for t in times], dtype=float)
+    states[0] = x0
+    for k in range(n_steps):
+        states[k + 1] = rk4_step(model, states[k], inputs[k], times[k], h)
+    return times, states, inputs
 
 
 def test_indices_domain_accepts_boundary():
@@ -45,18 +57,18 @@ def test_rk4_zero_dynamics_is_identity():
 def test_rk4_exponential_decay():
     # x' = -3x from x(0)=1 has x(1) = e^-3
     model = lti_siso(-3.0, 1.0, 7.0, 1.0)
-    traj = simulate_open_loop(model, [1.0], lambda t: np.array([0.0]),
+    _, states, _ = _open_loop(model, [1.0], lambda t: np.array([0.0]),
                               t_end=1.0, h=1e-3)
-    assert abs(traj.states[-1, 0] - math.exp(-3.0)) < 1e-6
+    assert abs(states[-1, 0] - math.exp(-3.0)) < 1e-6
 
 
 def test_rk4_order_four():
     model = lti_siso(-3.0, 1.0, 1.0, 0.0)
     errs = []
     for h in (0.02, 0.01):
-        traj = simulate_open_loop(model, [1.0], lambda t: np.array([0.0]),
+        _, states, _ = _open_loop(model, [1.0], lambda t: np.array([0.0]),
                                   t_end=1.0, h=h)
-        errs.append(abs(traj.states[-1, 0] - math.exp(-3.0)))
+        errs.append(abs(states[-1, 0] - math.exp(-3.0)))
     assert errs[0] / errs[1] >= 14.0
 
 
@@ -82,11 +94,8 @@ def test_supply_rate_examples():
 def test_dissipativity_constant_zero_trajectory():
     plant = cubic_nl2()
     n = 50
-    traj = Trajectory(times=np.arange(n) * 1e-3,
-                      states=np.zeros((n, 2)),
-                      inputs=np.zeros((n, 1)),
-                      outputs=np.zeros((n, 1)))
-    res = dissipativity_residuals(plant, traj)
+    res = dissipativity_residuals(plant, np.arange(n) * 1e-3, np.zeros((n, 2)),
+                                  np.zeros((n, 1)))
     assert np.allclose(res, 0.0, atol=1e-15)
 
 
@@ -98,19 +107,18 @@ def test_dissipativity_plant_under_excitation():
     def u(t):
         return np.array([1.5 * math.sin(3.0 * t)])
 
-    traj = simulate_open_loop(plant, [10.0, -14.0], u, t_end=3.0, h=1e-3)
-    res = dissipativity_residuals(plant, traj)
-    v = np.array([plant.storage(x) for x in traj.states])
+    times, states, inputs = _open_loop(plant, [10.0, -14.0], u, t_end=3.0, h=1e-3)
+    res = dissipativity_residuals(plant, times, states, inputs)
+    v = np.array([plant.storage(x) for x in states])
     tol = 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
     assert np.all(res <= tol)
 
 
 def test_dissipativity_requires_storage():
     ctrl = firstorder_lead()
-    traj = simulate_open_loop(ctrl, [0.0], lambda t: np.array([1.0]),
-                              t_end=0.1, h=1e-3)
+    traj = _open_loop(ctrl, [0.0], lambda t: np.array([1.0]), t_end=0.1, h=1e-3)
     with pytest.raises(ValueError, match="storage"):
-        dissipativity_residuals(ctrl, traj)
+        dissipativity_residuals(ctrl, *traj)
 
 
 def _rich_input(t: float) -> np.ndarray:
@@ -129,9 +137,9 @@ def test_controller_storage_line_search():
     feasible = []
     for p in np.arange(0.5, 10.01, 0.5):
         model = lti_siso(-3.0, 1.0, 7.0, 1.0, nu=0.49, rho=0.25, storage_p=p)
-        traj = simulate_open_loop(model, [1.0], _rich_input, t_end=1.5, h=1e-3)
-        res = dissipativity_residuals(model, traj)
-        v = np.array([model.storage(x) for x in traj.states])
+        times, states, inputs = _open_loop(model, [1.0], _rich_input, t_end=1.5, h=1e-3)
+        res = dissipativity_residuals(model, times, states, inputs)
+        v = np.array([model.storage(x) for x in states])
         tol = 1e-6 * (1.0 + np.maximum(np.abs(v[:-1]), np.abs(v[1:])))
         if np.all(res <= tol):
             feasible.append(float(p))
@@ -195,24 +203,15 @@ def test_lti_indices_imaginary_pole_rejected():
                            PassivityIndices(0.0, 0.0), default_frequency_grid())
 
 
-def test_trajectory_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Trajectory(times=np.array([0.0, 0.0]), states=np.zeros((2, 1)),
-                   inputs=np.zeros((2, 1)), outputs=np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="length"):
-        Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((3, 1)),
-                   inputs=np.zeros((2, 1)), outputs=np.zeros((2, 1)))
-
-
-def _residuals_by_row(model, traj):
+def _residuals_by_row(model, times, states, inputs):
     """Reference: the dissipation residuals with one model call per sample."""
     res = []
-    for k in range(len(traj.times) - 1):
-        t0, t1 = traj.times[k], traj.times[k + 1]
-        u = traj.inputs[k]
-        w0 = supply_rate(u, model.output(traj.states[k], u, t0), model.indices)
-        w1 = supply_rate(u, model.output(traj.states[k + 1], u, t1), model.indices)
-        dv = model.storage(traj.states[k + 1]) - model.storage(traj.states[k])
+    for k in range(len(times) - 1):
+        t0, t1 = times[k], times[k + 1]
+        u = inputs[k]
+        w0 = supply_rate(u, model.output(states[k], u, t0), model.indices)
+        w1 = supply_rate(u, model.output(states[k + 1], u, t1), model.indices)
+        dv = model.storage(states[k + 1]) - model.storage(states[k])
         res.append(dv - 0.5 * (t1 - t0) * (w0 + w1))
     return np.array(res)
 
@@ -222,9 +221,9 @@ def _residuals_by_row(model, traj):
     (lti_siso(-3.0, 1.0, 7.0, 1.0, nu=0.49, rho=0.25, storage_p=5.0), [1.0]),
 ])
 def test_dissipativity_residuals_match_per_row_loop(model, x0):
-    traj = simulate_open_loop(model, x0, _rich_input, t_end=1.5, h=1e-3)
-    assert np.array_equal(dissipativity_residuals(model, traj),
-                          _residuals_by_row(model, traj))
+    traj = _open_loop(model, x0, _rich_input, t_end=1.5, h=1e-3)
+    assert np.array_equal(dissipativity_residuals(model, *traj),
+                          _residuals_by_row(model, *traj))
 
 
 def test_dissipativity_negative_storage_names_first_sample():
@@ -233,15 +232,12 @@ def test_dissipativity_negative_storage_names_first_sample():
                        dynamics=base.dynamics, output=base.output,
                        indices=base.indices, storage=lambda x: x[0] - 0.5)
     n = 5
-    traj = Trajectory(times=np.arange(n) * 1e-3,
-                      states=np.array([[1.0], [0.8], [0.2], [-0.1], [0.9]]),
-                      inputs=np.zeros((n, 1)), outputs=np.zeros((n, 1)))
+    times, inputs = np.arange(n) * 1e-3, np.zeros((n, 1))
+    states = np.array([[1.0], [0.8], [0.2], [-0.1], [0.9]])
     with pytest.raises(ValueError, match="negative at sample 2$"):
-        dissipativity_residuals(model, traj)
-    at_start = Trajectory(times=traj.times, states=traj.states[::-1] - 0.5,
-                          inputs=traj.inputs, outputs=traj.outputs)
+        dissipativity_residuals(model, times, states, inputs)
     with pytest.raises(ValueError, match="negative at sample 0$"):
-        dissipativity_residuals(model, at_start)
+        dissipativity_residuals(model, times, states[::-1] - 0.5, inputs)
 
 
 def test_cubic_dynamics_on_columns_match_per_sample_calls():

@@ -11,8 +11,8 @@ from etncs.design import (DesignParams, InfeasibleDesign, TransformGains,
                           cone_apex_angle, controller_budget_report,
                           effective_damping, interevent_bound_controller,
                           interevent_bound_plant, l2_gain_bounds, min_m22_sq,
-                          plant_budget_report, recompute_indices,
-                          stability_margins, synthesize, transformed_indices)
+                          plant_budget_report, stability_margins, synthesize,
+                          transformed_indices)
 
 # the worked example's parameter set
 WE = DesignParams(rho_p=1.8, nu_p=0.0, rho_c=0.27, nu_c=0.49,
@@ -117,7 +117,12 @@ def test_synthesis_roundtrip(rho_c, nu_c, nu_p, delta_c, d1, d2, b_p, b_c,
     except InfeasibleDesign:
         assume(False)
         return
-    rho_t, nu_t = recompute_indices(p, r.gains)
+    # the coupling identity rho_c*|m21|*|m22| = k re-derives the transformed
+    # indices from the gains alone, without the channel constants
+    g = r.gains
+    rho_t = abs(g.m22) / (2.0 * abs(g.m21))
+    nu_t = abs(g.m21) / (2.0 * abs(g.m22)) \
+        - (1.0 / (2.0 * p.rho_c) + abs(p.nu_c)) * p.b_p ** 2 * (1.0 + p.d1) * g.m11 ** 2
     assert rho_t == pytest.approx(r.rho_c_tilde, abs=1e-12, rel=1e-12)
     assert nu_t == pytest.approx(r.nu_c_tilde, abs=1e-12, rel=1e-12)
 

@@ -12,7 +12,7 @@ from etncs.design import TransformGains
 from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
 from etncs.quantizer import QuantizerSpec
-from etncs.signals import SignalSpec, build_signal
+from etncs.signals import Signal, SignalSpec
 from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans,
                        format_blocks, invariant_checks, run_scenario, write_trace_csv)
@@ -273,18 +273,18 @@ def test_logarithmic_quantizers_in_the_loop():
 
 
 def test_signal_generators():
-    pw = build_signal(SignalSpec(kind="piecewise_uniform", lo=0.0, hi=2.0,
-                                 dwell=0.1, seed=9))
+    pw = Signal(SignalSpec(kind="piecewise_uniform", lo=0.0, hi=2.0,
+                           dwell=0.1, seed=9))
     vals = np.array([pw(t)[0] for t in np.arange(0.0, 1.0, 1e-3)])
     assert np.all((vals >= 0.0) & (vals <= 2.0))
     # constant within each dwell window, and reproducible
     assert len(np.unique(vals[:100])) == 1
     assert len(np.unique(np.round(vals, 12))) == 10
-    pw2 = build_signal(SignalSpec(kind="piecewise_uniform", lo=0.0, hi=2.0,
-                                  dwell=0.1, seed=9))
+    pw2 = Signal(SignalSpec(kind="piecewise_uniform", lo=0.0, hi=2.0,
+                            dwell=0.1, seed=9))
     assert pw2(0.55) == pw(0.55)
     assert pw.slope_bound == 0.0
-    sine = build_signal(SignalSpec(kind="sine", amplitude=2.0, freq=3.0))
+    sine = Signal(SignalSpec(kind="sine", amplitude=2.0, freq=3.0))
     assert sine.slope_bound == pytest.approx(2.0 * 2.0 * math.pi * 3.0)
     assert sine(0.25 / 3.0)[0] == pytest.approx(2.0)
 
@@ -342,7 +342,7 @@ _SIGNAL_SPECS = st.one_of(
        times=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=40),
        h=st.sampled_from([1e-3, 1e-2, 0.05]), n=st.integers(1, 300))
 def test_signal_on_times_equals_per_time_calls(spec, times, h, n):
-    sig = build_signal(spec)
+    sig = Signal(spec)
     for ts in (np.array(times), np.arange(n) * h):
         got = sig(ts)
         assert got.shape == (len(ts), 1)

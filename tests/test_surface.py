@@ -1,0 +1,39 @@
+"""Every name an etncs module exports is used by the package, its scripts or
+perfbench; a name only tests call is dead surface."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "etncs"
+
+# ROADMAP item 1 wires these
+ALLOWLIST = {"verify_lti_indices", "default_frequency_grid", "sector_certificate",
+             "FIRSTORDER_LEAD_SS"}
+
+
+def _exports(tree: ast.Module) -> list:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def test_every_exported_name_is_loaded():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
+             for path in sorted(folder.rglob("*.py"))}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    exported = {name: path.name for path, tree in trees.items()
+                if path.parent == PACKAGE for name in _exports(tree)}
+    unused = {name: module for name, module in exported.items()
+              if name not in loaded and name not in ALLOWLIST}
+    assert unused == {}
+    assert ALLOWLIST <= exported.keys()
