@@ -12,7 +12,6 @@ Exit codes: 0 success/pass, 1 usage or config error, 2 design infeasible,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -185,10 +184,6 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # the draws hash with sha256 (signals.hash_uniform). Imported here, hashlib
-    # stays out of design, verify and report, and a sweep's pool workers
-    # inherit its OpenSSL mapping instead of each mapping it at its first draw.
-    import hashlib  # noqa: F401
     cfg = _load_config(args)
     seeds = _parse_seeds(args.seed)
     print("# effective config")
@@ -206,6 +201,8 @@ def cmd_simulate(args) -> int:
              for batch in batches]
     if jobs == 1:
         return max(_simulate_batch(*task) for task in tasks)
+    import concurrent.futures
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_simulate_batch, *task) for task in tasks]
         return max(f.result() for f in futures)
@@ -278,12 +275,12 @@ def cmd_report(args) -> int:
              + ["output_plant.dat", "output_controller_held.dat"])
     _write_dat(out_dir, names, trace.t, trace.x_p, trace.x_c, trace.y_p[:, 0],
                trace.u_r[:, 0])
+    ev = trace.events
     for side in ("plant", "controller"):
-        commit_t = trace.commits_on(side).t
+        commit_t = ev.t[ev.commits(side)]
         _write_dat(out_dir, [f"interevent_{side}.dat"], commit_t[1:], np.diff(commit_t))
-        attempts = trace.events_on(side)
-        _write_dat(out_dir, [f"dropouts_{side}.dat"], attempts.t,
-                   (~attempts.dropped).astype(float))
+        on = ev.on(side)
+        _write_dat(out_dir, [f"dropouts_{side}.dat"], ev.t[on], (~ev.dropped[on]).astype(float))
     print(f"report data written to {out_dir}")
     return EXIT_OK
 

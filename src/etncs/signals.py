@@ -12,6 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:                                    # CPython 3.12+
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:                                # CPython 3.10-3.11
+        from _sha256 import sha256 as _sha256
+    except ImportError:                 # a build without the built-in module
+        from hashlib import sha256 as _sha256
+
 __all__ = ["SignalSpec", "Signal", "hash_uniform"]
 
 
@@ -19,12 +27,12 @@ def hash_uniform(key: str) -> float:
     """Deterministic uniform draw in [0, 1): the first 8 bytes of the sha256
     of ``key``, read as a big-endian fraction.
 
-    hashlib maps OpenSSL, about 3.6 MB of resident memory, so it is imported
-    here, at the first draw, and not with the package; ``simulate`` imports it
-    before a sweep's pool forks, so the workers share that mapping.
+    The digest comes from CPython's built-in sha256 module, which gives the
+    same bytes as ``hashlib.sha256`` without mapping OpenSSL (about 3.6 MB of
+    resident memory), so no subcommand loads OpenSSL.  ``hashlib`` is only the
+    fallback for a Python built without that module.
     """
-    import hashlib
-    digest = hashlib.sha256(key.encode()).digest()
+    digest = _sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
 

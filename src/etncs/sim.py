@@ -492,18 +492,20 @@ def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, np.ndarray, np.ndarra
     return min_gap, gaps, trace.events.y_norm[commits][1:]
 
 
-def _accum_ratio_excess(commits: EventTable, delta: float) -> float:
-    """Worst excess of the accumulated-error ratio e_norm / y_norm at each
-    re-commit after the first over the geometric-series factor
+def _accum_ratio_excess(trace: TraceLog, side: str, delta: float) -> float:
+    """Worst excess of the accumulated-error ratio e_norm / y_norm at each of
+    ``side``'s re-commits after the first over the geometric-series factor
     (1+sqrt(delta))^(n+1) - 1 of its n preceding drops: -inf with no
     re-commit, +inf where a nonzero error meets a zero output."""
-    c = commits[1:]
+    ev = trace.events
+    recommits = np.flatnonzero(ev.commits(side))[1:]
+    e_norm, y_norm = ev.e_norm[recommits], ev.y_norm[recommits]
     # float_power calls libm pow on each element, as the scalar ** did
-    bound = np.float_power(1.0 + math.sqrt(delta), c.drops_before + 1) - 1.0
-    zero = c.y_norm == 0.0
+    bound = np.float_power(1.0 + math.sqrt(delta), ev.drops_before[recommits] + 1) - 1.0
+    zero = y_norm == 0.0
     with np.errstate(over="ignore", invalid="ignore"):   # inf and NaN, as a float / gave
-        ratio = np.divide(c.e_norm, c.y_norm, where=~zero,
-                          out=np.where(c.e_norm > 0.0, math.inf, -math.inf))
+        ratio = np.divide(e_norm, y_norm, where=~zero,
+                          out=np.where(e_norm > 0.0, math.inf, -math.inf))
     # fmax skips a NaN ratio, as the max over the commits did
     return float(np.fmax.reduce(ratio - bound, initial=-math.inf))
 
@@ -593,7 +595,7 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
                             ("controller", "c", cfg.trigger_c)):
         me[f"trigger_ok_{key}"] = checks[f"trigger_ineq_{key}"][0]
         me[f"sampled_bound_ok_{key}"] = checks[f"held_norm_bound_{key}"][0]
-        worst_excess = _accum_ratio_excess(trace.commits_on(side), tcfg.delta)
+        worst_excess = _accum_ratio_excess(trace, side, tcfg.delta)
         me[f"accum_ratio_excess_{key}"] = worst_excess
         me[f"accum_ratio_ok_{key}"] = worst_excess <= 1e-9
 

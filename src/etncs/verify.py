@@ -69,7 +69,7 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     # ZOH: the held link value may change only when a commit's arrival falls
     # inside the step (recomputed from the delay profile, so this also checks
     # causality of the logged schedule)
-    sent = trace.commits_on("controller").t
+    sent = ev.t[ev.commits("controller")]
     arrivals = scenario.chan_cp.delay.arrival(sent)
     causal = bool(np.all(arrivals >= sent - 1e-12))
     arrivals.sort()

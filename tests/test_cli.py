@@ -408,24 +408,29 @@ def test_report_rejects_a_seed_list(tmp_path, capsys):
     assert "only simulate does" in capsys.readouterr().err
 
 
-def test_only_simulate_loads_openssl(tmp_path):
-    """design, verify and report draw nothing, so they never import hashlib,
-    whose OpenSSL mapping takes about 3.6 MB; simulate does."""
-    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path), *SHORT]) == 0
-    script = (
-        "import sys\n"
-        "import etncs\n"
-        "from etncs.cli import main\n"
-        f"args = ['--config', {str(CONFIG)!r}, '--out', {str(tmp_path)!r}, *{SHORT!r}]\n"
-        "codes = [main([command, *args]) for command in ('design', 'verify', 'report')]\n"
-        "loaded = ['_hashlib' in sys.modules]\n"
-        "main(['simulate', *args])\n"
-        "print(codes, loaded + ['_hashlib' in sys.modules])\n")
+def _run_python(script: str) -> str:
+    """The last line ``script`` prints, run by a fresh interpreter on this
+    checkout's etncs."""
     src = str(Path(etncs.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={"PYTHONPATH": src, "PATH": ""})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] [False, True]"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_no_subcommand_loads_openssl_or_the_pool(tmp_path):
+    """The draws hash with CPython's built-in sha256, so no subcommand maps
+    OpenSSL (about 3.6 MB), and only a pooled sweep imports concurrent.futures."""
+    args = ["--config", str(CONFIG), "--out", str(tmp_path), *SHORT]
+    script = (
+        "import sys\n"
+        "from etncs.cli import main\n"
+        f"args = {args!r}\n"
+        "codes = [main([command, *args]) for command in\n"
+        "         ('simulate', 'design', 'verify', 'report')]\n"
+        "codes.append(main(['simulate', *args, '--seed', '3,4', '--jobs', '1']))\n"
+        "print(codes, [name in sys.modules for name in ('_hashlib', 'concurrent.futures')])\n")
+    assert _run_python(script) == "[0, 0, 0, 0, 0] [False, False]"
 
 
 # a run long enough that row 200 exists
@@ -437,6 +442,23 @@ def short_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("short_run")
     assert main(["simulate", "--config", str(CONFIG), "--out", str(out), *HALF]) == 0
     return out
+
+
+def test_draws_without_the_builtin_sha256_give_the_same_trace(tmp_path, short_run):
+    """A Python without _sha2 and _sha256 draws through hashlib and writes
+    the same trace.csv and events.csv."""
+    args = ["--config", str(CONFIG), "--out", str(tmp_path / "fallback"), *HALF]
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from etncs import signals\n"
+        "from etncs.cli import main\n"
+        f"print(main(['simulate', *{args!r}]), signals._sha256 is hashlib.sha256)\n")
+    assert _run_python(script) == "0 True"
+    for name in ("trace.csv", "events.csv"):
+        assert (tmp_path / "fallback" / name).read_bytes() == \
+            (short_run / name).read_bytes(), name
 
 
 @settings(max_examples=250, deadline=None)

@@ -152,9 +152,8 @@ def test_array_event_analyses_equal_per_event_loops(data, m, rows, delta):
         (min_gap, gaps, y_norms), ref = _gap_stats(trace, side), _ref_gap_stats(trace, side)
         assert [_bits(v).tolist() for v in (min_gap, gaps, y_norms)] == \
             [_bits(v).tolist() for v in ref]
-        commits = trace.commits_on(side)
-        assert _bits(_accum_ratio_excess(commits, delta)) == \
-            _bits(_ref_accum_ratio_excess(commits, delta))
+        assert _bits(_accum_ratio_excess(trace, side, delta)) == \
+            _bits(_ref_accum_ratio_excess(trace.commits_on(side), delta))
 
 
 @given(data=st.data(), m=st.sampled_from([1, 2]), blocks=st.booleans())

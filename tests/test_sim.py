@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from etncs.design import TransformGains
 from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
 from etncs.quantizer import QuantizerSpec
-from etncs.signals import Signal, SignalSpec
+from etncs.signals import Signal, SignalSpec, hash_uniform
 from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans,
                        format_blocks, invariant_checks, run_scenario, write_trace_csv)
@@ -287,6 +288,13 @@ def test_signal_generators():
     sine = Signal(SignalSpec(kind="sine", amplitude=2.0, freq=3.0))
     assert sine.slope_bound == pytest.approx(2.0 * 2.0 * math.pi * 3.0)
     assert sine(0.25 / 3.0)[0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("key", ["sig/7/0", "101/pc/0", "202/cp/12345", "", "sig/\u00e9/\u2603"])
+def test_hash_uniform_is_the_hashlib_sha256_draw(key):
+    """The built-in sha256 the draws bind gives hashlib's digest."""
+    digest = hashlib.sha256(key.encode()).digest()
+    assert hash_uniform(key) == int.from_bytes(digest[:8], "big") / 2 ** 64
 
 
 def _dropout_run():
