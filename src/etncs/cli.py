@@ -258,11 +258,12 @@ def _write_dat(out_dir: Path, names: Sequence[str], x, *ys) -> None:
     """Write ``x`` beside each of ``ys``, one file per name.  They go through
     the formatter together, so the values they share are formatted once."""
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(out_dir / name, "w")) for name in names]
+        files = [stack.enter_context(open(out_dir / name, "wb")) for name in names]
         for text in sim.format_blocks(x, *ys):
-            x_text, *y_texts = text.T.tolist()
-            for fh, y_text in zip(files, y_texts):
-                fh.writelines(f"{a} {b}\n" for a, b in zip(x_text, y_text))
+            text[:, 0, -1] = ord(" ")
+            text[:, 1:, -1] = ord("\n")
+            for j, fh in enumerate(files, start=1):
+                fh.write(sim.text_bytes(text[:, [0, j]]))
 
 
 def cmd_report(args) -> int:

@@ -14,6 +14,7 @@ each array carrying them as columns, and a single run is a batch of one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -46,6 +47,7 @@ __all__ = [
     "TRACE_COLUMNS",
     "split_columns",
     "format_blocks",
+    "text_bytes",
     "write_trace_csv",
     "write_events_csv",
     "read_trace_csv",
@@ -572,6 +574,8 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
     the empirical L2 gain of the disturbance-to-plant-output map, energy
     residuals against the plant storage, and, when a design result is
     supplied, boolean comparisons of the observed trace against its bounds.
+    A comparison with nothing to compare is left out: ``accum_ratio_*`` for
+    a side with no re-commit, ``interevent_*`` for a side with no gap.
     """
     cfg, ev = trace.config, trace.events
     checks, values = invariant_checks(trace, design)
@@ -595,9 +599,10 @@ def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
                             ("controller", "c", cfg.trigger_c)):
         me[f"trigger_ok_{key}"] = checks[f"trigger_ineq_{key}"][0]
         me[f"sampled_bound_ok_{key}"] = checks[f"held_norm_bound_{key}"][0]
-        worst_excess = _accum_ratio_excess(trace, side, tcfg.delta)
-        me[f"accum_ratio_excess_{key}"] = worst_excess
-        me[f"accum_ratio_ok_{key}"] = worst_excess <= 1e-9
+        if me[f"events_{key}"] > 1:   # a re-commit to compare
+            worst_excess = _accum_ratio_excess(trace, side, tcfg.delta)
+            me[f"accum_ratio_excess_{key}"] = worst_excess
+            me[f"accum_ratio_ok_{key}"] = worst_excess <= 1e-9
 
     for name, key in (("l2_gain_bound", "within_l2_bound"), ("dropout_budget_p", "budget_ok_p"),
                       ("dropout_budget_c", "budget_ok_c")):
@@ -628,8 +633,9 @@ def _excitation_bounds(trace: TraceLog) -> Dict[str, float]:
 def _interevent_comparison(trace: TraceLog, params: DesignParams,
                            me: Dict[str, object]) -> Dict[str, object]:
     """Each gap between a side's commits against its conic-sector lower
-    bound.  The bound needs an output-strictly passive side (rho > 0); a
-    side whose rho is not positive gets no ``interevent_*`` entries."""
+    bound.  The bound needs an output-strictly passive side (rho > 0), and
+    the comparison a gap; a side without both gets no ``interevent_*``
+    entries."""
     h = trace.config.h
     out: Dict[str, object] = {}
     for side, key, rho, fn, consts in (
@@ -637,9 +643,9 @@ def _interevent_comparison(trace: TraceLog, params: DesignParams,
              (me["c0"], me["c1"], me["c2"])),
             ("controller", "c", params.rho_c, interevent_bound_controller,
              (me["c0_prime"], me["c1_prime"], me["c2_prime"]))):
-        if rho <= 0:
-            continue
         _, gaps, y_norms = _gap_stats(trace, side)
+        if rho <= 0 or not len(gaps):
+            continue
         slack = gaps - (fn(params, *consts, y_norms) - h)
         out[f"interevent_ok_{key}"] = not np.any(slack < -1e-12)
         out[f"interevent_worst_slack_{key}"] = float(
@@ -688,56 +694,168 @@ def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
     return out
 
 
+# Each value's text fills a slot of _SLOT bytes in a block's uint8 array, as
+# seven native 32-bit words:
+#   [sign or NUL, lead digit, '.', NUL] [4 digits] x4 ['e', exp sign, NUL or
+#   hundreds, tens] [units, NUL, NUL, separator]
+# A block's text is its bytes with the NULs dropped.
+_SLOT = 28
+_E_MAX = 280   # the fast path's decimal exponents, -_E_MAX.._E_MAX
+_POW_LO, _POW_HI = 16 - _E_MAX, 16 + _E_MAX   # the powers 10^p it scales by
+_SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's split of a double into two halves
+
+
+def _veltkamp(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x as hi + lo exactly, each with at most 26 significant bits."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.cache
+def _format_tables() -> Tuple[np.ndarray, ...]:
+    """The fast path's tables, built on first use from exact integers:
+    10^p as the double-double hi + lo (``float`` of an int and int / int are
+    correctly rounded, and lo rounds the exact remainder), hi's Veltkamp
+    halves, and the 32-bit words of the sign and lead digit, of each 4-digit
+    group and of each exponent."""
+    hi, lo = [], []
+    for p in range(_POW_LO, _POW_HI + 1):
+        if p >= 0:
+            n = 10 ** p
+            hi.append(float(n))
+            lo.append(float(n - int(hi[-1])))
+        else:
+            d = 10 ** -p
+            hi.append(1 / d)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * d) / (d * den))
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    groups = np.empty((10, 10, 10, 10, 4), np.uint8)   # [thousands]..[units]
+    for i in range(4):
+        groups[..., i] = digit.reshape((10,) + (1,) * (3 - i))
+    lead = "".join(sign + d + ".\0" for sign in "\0-" for d in "0123456789")
+    exp = "".join("e" + t[0] + t[1:].rjust(3, "\0") + "\0" * 3
+                  for t in map("{:+03d}".format, range(-_E_MAX, _E_MAX + 1)))
+    hi = np.array(hi)
+    return (hi, np.array(lo), *_veltkamp(hi), np.frombuffer(lead.encode(), np.uint32),
+            groups.view(np.uint32).reshape(10000),
+            *np.frombuffer(exp.encode(), np.uint32).reshape(-1, 2).T.copy())
+
+
+def _format_values(v: np.ndarray) -> np.ndarray:
+    """The ``_FMT`` text of each value of a float64 vector, one NUL-padded
+    slot per value; the separator byte is left NUL.
+
+    The fast path takes zeros and the values a with 1e-280 <= a < 1e281.
+    With E = floor(log10 a), N = a * 10^(16-E) is computed as P + Q: P is the
+    rounded product a * hi and Q the sum of its exact error (Dekker's product
+    on Veltkamp halves) and a * lo.  If E is right, 1e16 <= N < 1e17 < 2^57,
+    so P is an integer, and the 17 digits are P + rint(Q), which rounds half
+    to even because P is even.  The error of P + Q is a few ulps of Q
+    (|Q| < 32) plus 2^-106 N, below 1e-14, far inside the 0.001 tie band, so
+    a value is taken only when |Q - rint(Q)| < 0.499, (P - 1e16) + Q >= 0
+    and P < 1e17 - 16.  That sends to ``_FMT % v`` the near ties, a log10
+    off by one either way and a value that would round up to 10^17, besides
+    NaN, infinities, subnormals and the rest outside the range.
+    """
+    hi_t, lo_t, bh_t, bl_t, lead, groups, *exp = _format_tables()
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a >= 1e-280) & (a < 1e281)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(e, -_E_MAX, _E_MAX, out=e)
+    k = 16 - _POW_LO - e
+    p = a * hi_t[k]
+    ah, al = _veltkamp(a)
+    bh, bl = bh_t[k], bl_t[k]
+    q = ((ah * bh - p) + ah * bl + al * bh) + al * bl + a * lo_t[k]
+    r = np.rint(q)
+    fast &= (np.abs(q - r) < 0.499) & ((p - 1e16) + q >= 0) & (p < 1e17 - 16)
+    fast |= zero
+    digits = np.where(fast, p.astype(np.int64) + r.astype(np.int64), 10 ** 16)
+    digits[zero] = 0   # their e is log10(1.0) = 0 already
+    # numpy floor-divides int64 by a scalar through libdivide; its % has no such path
+    top = digits // 10 ** 16
+    rest = digits - top * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    high_hi, low_hi = high // 10000, low // 10000
+    out = np.empty((len(v), _SLOT), np.uint8)
+    words = out.view(np.uint32)
+    words[:, 0] = lead[10 * np.signbit(v) + top]
+    words[:, 1] = groups[high_hi]
+    words[:, 2] = groups[high - high_hi * 10000]
+    words[:, 3] = groups[low_hi]
+    words[:, 4] = groups[low - low_hi * 10000]
+    words[:, 5] = exp[0][e + _E_MAX]
+    words[:, 6] = exp[1][e + _E_MAX]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array([_FMT % x for x in v[slow].tolist()], dtype=f"S{_SLOT}")
+        out[slow] = text.view(np.uint8).reshape(len(slow), _SLOT)
+    return out
+
+
 def format_blocks(*columns: np.ndarray) -> Iterator[np.ndarray]:
     """The ``_FMT`` text of float64 columns set side by side (each a vector
-    or a matrix with one row per row), one object array per block of rows;
-    only one block is stacked at a time.  Each distinct value of a block is
-    formatted once, keyed by its bits, never by float ``==``, so ``-0.0``
-    keeps its sign."""
+    or a matrix with one row per row), one uint8 array of shape
+    (rows, columns, _SLOT) per block of rows; only one block is stacked at a
+    time.  A slot holds its value's text, NUL padded, and ends in a NUL byte
+    for the caller's separator; ``text_bytes`` drops the NULs.  A run of
+    equal values down a column is formatted once, keyed by its bits, never by
+    float ``==``, so ``-0.0`` keeps its sign."""
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns])
-        bits, where = np.unique(block.view(np.int64), return_inverse=True)
-        values = bits.view(np.float64).tolist()
-        # one format string for all of them is faster than one % per value
-        texts = (",".join([_FMT] * len(values)) % tuple(values)).split(",")
-        yield np.array(texts, dtype=object)[where.reshape(block.shape)]
+        block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in columns]).T
+        bits = block.view(np.int64)
+        new = np.empty(bits.shape, bool)   # run starts, one column after another
+        new[:, 0] = True
+        np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+        yield np.take(_format_values(block[new]), (np.cumsum(new) - 1).reshape(new.shape).T,
+                      axis=0)
+
+
+def text_bytes(text: np.ndarray) -> bytes:
+    """The bytes of a uint8 array of NUL-padded text, in order, NULs dropped."""
+    return text.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(trace: TraceLog, path) -> None:
     names, cols = _trace_table(trace)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
+    seps = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         for text in format_blocks(*cols):
-            fh.writelines(",".join(row) + "\n" for row in text.tolist())
+            text[:, :, -1] = seps
+            fh.write(text_bytes(text))
 
 
-def _join(texts: np.ndarray, sep: str) -> np.ndarray:
-    """Each row of an object array of strings joined by ``sep``."""
-    out = texts[:, 0]
-    for j in range(1, texts.shape[1]):
-        out = out + sep + texts[:, j]
-    return out
-
-
-_SIDES = np.array(["controller", "plant"], dtype=object)
-_KINDS = np.array(["commit", "drop"], dtype=object)
+# the side and kind labels as NUL-padded uint8 rows, each with its comma
+_SIDES = np.array([b"controller,", b"plant,"]).view(np.uint8).reshape(2, -1)
+_KINDS = np.array([b"commit,", b"drop,"]).view(np.uint8).reshape(2, -1)
 
 
 def write_events_csv(trace: TraceLog, path) -> None:
     ev, m = trace.events, trace.events.payload.shape[1]
-    with open(path, "w") as fh:
-        fh.write(_EVENTS_HEADER + "\n")
+    # after t, e_norm, y_norm, each payload and each committed value
+    seps = np.frombuffer(b",,," + (b";" * (m - 1) + b",") + (b";" * (m - 1) + b"\n"),
+                         np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((_EVENTS_HEADER + "\n").encode())
         start = 0
         for text in format_blocks(ev.t, ev.e_norm, ev.y_norm, ev.payload, ev.committed):
-            block = ev[start:start + len(text)]
-            start += len(text)
-            ints = np.column_stack((block.sample_index, block.attempt_index,
-                                    block.drops_before)).astype(str).astype(object)
-            table = np.column_stack((_SIDES[block.plant.view(np.uint8)],
-                                     _KINDS[block.dropped.view(np.uint8)], text[:, 0],
-                                     ints, text[:, 1:3], _join(text[:, 3:3 + m], ";"),
-                                     _join(text[:, 3 + m:], ";")))
-            fh.writelines(",".join(row) + "\n" for row in table.tolist())
+            n = len(text)
+            block = ev[start:start + n]
+            start += n
+            text[:, :, -1] = seps
+            ints = np.char.add(np.column_stack(   # an int64 takes at most 20 bytes
+                (block.sample_index, block.attempt_index, block.drops_before)).astype("S20"),
+                b",")
+            fh.write(text_bytes(np.concatenate(
+                (_SIDES[block.plant.view(np.uint8)], _KINDS[block.dropped.view(np.uint8)],
+                 text[:, 0], ints.view(np.uint8).reshape(n, -1), text[:, 1:].reshape(n, -1)),
+                axis=1)))
 
 
 def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:

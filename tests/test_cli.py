@@ -22,6 +22,8 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "worked_example.cf
 
 # short-horizon overrides shared by the CLI round-trip tests
 SHORT = ["--set", "sim.t_end=1.0"]
+# a run long enough that row 200 exists and the controller commits twice
+HALF = ["--set", "sim.t_end=0.5"]
 
 
 def _read_kv(path: Path) -> dict:
@@ -433,15 +435,24 @@ def test_no_subcommand_loads_openssl_or_the_pool(tmp_path):
     assert _run_python(script) == "[0, 0, 0, 0, 0] [False, False]"
 
 
-# a run long enough that row 200 exists
-HALF = ["--set", "sim.t_end=0.5"]
-
-
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("short_run")
     assert main(["simulate", "--config", str(CONFIG), "--out", str(out), *HALF]) == 0
     return out
+
+
+def test_import_builds_no_format_tables_and_loads_no_exact_arithmetic():
+    """Importing the command line and the verifier neither loads ``fractions``
+    nor ``decimal`` (about 0.44 MB a process) nor builds the formatter's
+    tables: they are made on first use, from exact integers."""
+    script = (
+        "import sys\n"
+        "import etncs.cli, etncs.verify\n"
+        "from etncs import sim\n"
+        "print([name in sys.modules for name in ('fractions', 'decimal')],\n"
+        "      sim._format_tables.cache_info().currsize)\n")
+    assert _run_python(script) == "[False, False] 0"
 
 
 def test_draws_without_the_builtin_sha256_give_the_same_trace(tmp_path, short_run):
@@ -588,15 +599,38 @@ def test_metrics_and_verify_agree_on_every_shared_verdict(tmp_path):
 
 def test_interevent_comparison_needs_a_positive_rho(tmp_path):
     """The conic-sector inter-event bound needs rho_p > 0: with rho_p <= 0
-    the run completes and the plant side's comparison is left out."""
+    the run completes and the plant side's comparison is left out.  The run
+    is long enough for the controller to commit twice, so it has a gap."""
     for rho in ("0", "-1"):
         out = tmp_path / rho
         assert main(["simulate", "--config", str(CONFIG), "--out", str(out),
-                     "--set", "sim.t_end=0.1", "--set", f"plant.rho={rho}"]) == 0
+                     *HALF, "--set", f"plant.rho={rho}"]) == 0
         metrics = _read_kv(out / "metrics.kv")
         assert "interevent_ok_p" not in metrics
         assert "interevent_worst_slack_p" not in metrics
         assert "interevent_ok_c" in metrics and "interevent_worst_slack_c" in metrics
+
+
+@pytest.fixture(scope="module")
+def resting_run(tmp_path_factory):
+    """A run from rest: every plant payload quantizes to 0, so the controller
+    commits only at t = 0 while the plant commits six times."""
+    out = tmp_path_factory.mktemp("resting_run")
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(out), *HALF,
+                 "--set", "plant.x0=0,0"]) == 0
+    metrics = _read_kv(out / "metrics.kv")
+    assert (metrics["events_p"], metrics["events_c"]) == ("6", "1")
+    return metrics
+
+
+def test_side_without_a_gap_has_no_interevent_verdict(resting_run):
+    assert not any(key.endswith("_c") for key in resting_run if key.startswith("interevent"))
+    assert {"interevent_ok_p", "interevent_worst_slack_p"} <= resting_run.keys()
+
+
+def test_side_without_a_recommit_has_no_accum_ratio_verdict(resting_run):
+    assert not any(key.endswith("_c") for key in resting_run if key.startswith("accum_ratio"))
+    assert {"accum_ratio_ok_p", "accum_ratio_excess_p"} <= resting_run.keys()
 
 
 def test_run_shorter_than_one_step_is_a_config_error(tmp_path, capsys):

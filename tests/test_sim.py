@@ -16,7 +16,8 @@ from etncs.quantizer import QuantizerSpec
 from etncs.signals import Signal, SignalSpec, hash_uniform
 from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans,
-                       format_blocks, invariant_checks, run_scenario, write_trace_csv)
+                       format_blocks, invariant_checks, run_scenario, text_bytes,
+                       write_trace_csv)
 from etncs.trigger import TriggerConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -398,8 +399,69 @@ def test_format_blocks_text_equals_per_value_format(rows, cols, runs):
     mat = np.ascontiguousarray(seq.reshape(cols, rows).T)
     blocks = list(format_blocks(mat))
     assert len(blocks) == -(-rows // _BLOCK_ROWS)
-    assert np.vstack(blocks).tolist() == [["%.16e" % v for v in row]
+    assert _decode(np.vstack(blocks)) == [["%.16e" % v for v in row]
                                           for row in mat.tolist()]
+
+
+def _decode(slots):
+    """The text in each slot of ``format_blocks`` output, NULs dropped."""
+    marked = slots.copy()
+    marked[..., -1] = ord(",")
+    cells = text_bytes(marked).decode().split(",")[:-1]
+    return np.array(cells, dtype=object).reshape(slots.shape[:2]).tolist()
+
+
+def _halfway_candidates():
+    """Values m * 2^-(p+s) whose 17-digit mantissa N = m * 5^p / 2^s lies
+    r / 2^s past a half-integer: exact ties (s = 1), and near ties the
+    double-double arithmetic cannot tell from one."""
+    out = []
+    for p in range(90):
+        five = 5 ** p
+        for s in range(1, 54):
+            inverse = pow(five, -1, 1 << s)
+            for r in ((0,) if s == 1 else (-1, 1)):
+                m = ((1 << (s - 1)) + r) * inverse % (1 << s)
+                low = -(-(10 ** 16 << s) // five)   # the least m with N >= 1e16
+                m += max(0, -(-(low - m) >> s)) << s
+                if m < 2 ** 53 and m * five < 10 ** 17 << s:
+                    out.append(math.ldexp(m, -(p + s)))
+    return out
+
+
+def test_format_blocks_is_exact_on_hard_values():
+    """Every kind of value the fast path takes or hands to the per-value
+    format, against ``"%.16e" % v``: random bit patterns (NaN payloads,
+    infinities, subnormals among them), each 10^k with its neighbours, exact
+    and near halfway cases, signed zeros and runs of equal bits."""
+    rng = np.random.default_rng(16)
+    powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    ties = np.array(_halfway_candidates())
+    values = np.concatenate([
+        rng.integers(-2 ** 63, 2 ** 63, 10 ** 5, dtype=np.int64).view(np.float64),
+        powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf),
+        ties, np.nextafter(ties, 0), np.nextafter(ties, math.inf),
+        np.array([0.0, -0.0, -0.0, 0.0, math.inf, -math.inf, *_BITS])])
+    values = np.concatenate([values, -values])
+    assert len(ties) > 1000
+    # consecutive values go down a column, so the signed zeros make runs
+    mat = np.ascontiguousarray(values[:len(values) // 4 * 4].reshape(4, -1).T)
+    assert _decode(np.vstack(list(format_blocks(mat)))) == [
+        ["%.16e" % v for v in row] for row in mat.tolist()]
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_report_files_of_zero_and_one_row(tmp_path, rows):
+    """An empty column pair writes an empty file, one row writes one line."""
+    from etncs.cli import _write_dat
+
+    x, y = np.arange(rows, dtype=float) + 0.5, -np.arange(rows, dtype=float)
+    _write_dat(tmp_path, ["a.dat", "b.dat"], x, y, 2 * y)
+    assert len(list(format_blocks(x))) == rows
+    assert (tmp_path / "a.dat").read_text() == "".join(
+        "%.16e %.16e\n" % (a, b) for a, b in zip(x, y))
+    assert (tmp_path / "b.dat").read_text() == "".join(
+        "%.16e %.16e\n" % (a, 2 * b) for a, b in zip(x, y))
 
 
 def _same_run(a, b):
