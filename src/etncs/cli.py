@@ -132,14 +132,17 @@ def _load_effective_config(args) -> Dict[str, str]:
     return _apply_seed(cfg, seeds[0])
 
 
+def _seed_offsets(cfg: Dict[str, str]) -> Dict[str, int]:
+    """The keys a seed sets, each to the seed plus its offset."""
+    offsets = {"w1.seed": 0}
+    for link, offset in (("chan_pc", 1), ("chan_cp", 2)):
+        if cfg.get(f"{link}.dropout.kind", "none") == "bernoulli":
+            offsets[f"{link}.dropout.seed"] = offset
+    return offsets
+
+
 def _apply_seed(cfg: Dict[str, str], seed: int) -> Dict[str, str]:
-    out = dict(cfg)
-    out["w1.seed"] = str(seed)
-    if out.get("chan_pc.dropout.kind", "none") == "bernoulli":
-        out["chan_pc.dropout.seed"] = str(seed + 1)
-    if out.get("chan_cp.dropout.kind", "none") == "bernoulli":
-        out["chan_cp.dropout.seed"] = str(seed + 2)
-    return out
+    return {**cfg, **{key: str(seed + offset) for key, offset in _seed_offsets(cfg).items()}}
 
 
 def cmd_design(args) -> int:
@@ -186,13 +189,16 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     seeds = _parse_seeds(args.seed)
+    if seeds is not None and len(seeds) == 1:
+        cfg, seeds = _apply_seed(cfg, seeds[0]), None
     print("# effective config")
     print(format_config(cfg), end="")
     out = Path(args.out)
     if seeds is None:
         return _simulate_batch([cfg], [out])
-    if len(seeds) == 1:
-        return _simulate_batch([_apply_seed(cfg, seeds[0])], [out])
+    print("# each lane's seed s sets " + ", ".join(
+        f"{key} = s" + (f" + {offset}" if offset else "")
+        for key, offset in _seed_offsets(cfg).items()))
     # contiguous batches, one per job and none over BATCH_LANES lanes
     jobs = max(1, args.jobs)
     n = min(len(seeds), max(jobs, -(-len(seeds) // BATCH_LANES)))

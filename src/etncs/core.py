@@ -70,10 +70,12 @@ class SystemModel:
     one-sample call: take powers with ``np.float_power``, since an ndarray
     ``**`` can round differently from the scalar one.
 
-    ``dynamics`` returns a float ndarray shaped like ``x``; it is used as
-    returned, not converted.  A step that leaves a lane's state non-finite
-    or past the scenario's divergence limit retires that lane at that row
-    (``sim.DivergenceError``, exit code 3 from the command line).
+    ``dynamics`` returns a float ndarray shaped like ``x``, and ``output``
+    one of ``(output_dim,)`` on one sample or ``(output_dim, N)`` on columns;
+    both are used as returned, not converted.  A step that leaves a lane's
+    state non-finite or past the scenario's divergence limit retires that
+    lane at that row (``sim.DivergenceError``, exit code 3 from the command
+    line).
     """
 
     state_dim: int

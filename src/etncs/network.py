@@ -145,9 +145,10 @@ class Channel:
     otherwise, every lane starting from ``initial_hold``.  ``send`` makes one
     attempt on one lane and returns its record.  ``poll`` delivers every
     packet that has arrived by ``t`` into its lane's hold and returns
-    ``hold`` itself, which later polls update in place.  ``keep`` retires
-    lanes.  Each lane counts its own attempts, so its dropout draws are keyed
-    by its own model's seed and attempt counter.
+    ``hold`` itself, which later polls update in place.  Lane i is column i
+    of ``hold`` for the channel's whole life.  Each lane counts its own
+    attempts, so its dropout draws are keyed by its own model's seed and
+    attempt counter.
     """
 
     def __init__(self, delay: DelayProfile,
@@ -213,15 +214,3 @@ class Channel:
                 self._heads[lane] = fifo[0][0] if fifo else math.inf
             self._soonest = float(self._heads.min())
         return self.hold
-
-    def keep(self, columns: Sequence[int]) -> None:
-        """Retire every lane not in ``columns``; the kept lanes are renumbered
-        in that order and the hold becomes ``(dim, len(columns))``."""
-        self._columns = self.hold = self._columns[:, columns]
-        self.dropouts = [self.dropouts[i] for i in columns]
-        self.attempts = [self.attempts[i] for i in columns]
-        self.consecutive_drops = [self.consecutive_drops[i] for i in columns]
-        self._last_send = [self._last_send[i] for i in columns]
-        self._in_flight = [self._in_flight[i] for i in columns]
-        self._heads = self._heads[columns]
-        self._soonest = float(np.min(self._heads, initial=math.inf))

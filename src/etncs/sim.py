@@ -45,7 +45,6 @@ __all__ = [
     "held_samples",
     "plant_dissipativity",
     "TRACE_COLUMNS",
-    "split_columns",
     "format_blocks",
     "text_bytes",
     "write_trace_csv",
@@ -216,8 +215,9 @@ def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]]):
     dropout models; any other difference raises ValueError.  One config
     gives its TraceLog, or raises DivergenceError with the offending row
     index if a state leaves the finite/trusted region.  A sequence gives one
-    TraceLog or DivergenceError per lane: a lane that diverges is retired
-    and the others go on, every lane byte-identical to its own run.
+    TraceLog or DivergenceError per lane, in lane order: a lane that
+    diverges is retired at its row while the others go on, every lane
+    byte-identical to its own run.
     """
     if isinstance(cfg, ScenarioConfig):
         (run,) = _run_lanes([cfg])
@@ -253,7 +253,10 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     ``(rows, dim, B)``.  A single lane has no lane axis, so its models see
     one sample, as in a scalar run.
     Every operation on the arrays is elementwise or reduces over axis 0
-    only, so no lane's bits depend on another lane.
+    only, so no lane's bits depend on another lane.  Lane i is column i
+    from the first row to the last: a lane whose new state fails the norm
+    test gets its DivergenceError and leaves the mask ``live``, keeping its
+    column with a NaN state, and the batch stops when no lane is live.
     """
     if not cfgs:
         raise ValueError("run_scenario needs at least one scenario")
@@ -290,13 +293,12 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     x_c = every_lane(cfg.x0_controller)
     held_p = every_lane(np.zeros(m))   # last committed sample of each detector,
     held_c = every_lane(np.zeros(m))   # updated in place on every commit
-    first_row = np.ones(len(cfgs), dtype=bool)
+    live = np.ones(len(cfgs), dtype=bool)   # the lanes not yet retired
     # a single lane's verdict is a numpy bool, which bool() reads at a
     # fraction of the cost of .any()
     any_lane = np.ndarray.any if shape else bool
     force_first = not cfg.drop_first_allowed
     limit = cfg.divergence_limit
-    lanes = list(range(len(cfgs)))     # the lane held in each column
     events = [_event_buffers() for _ in cfgs]   # per lane
     out: List[Union[TraceLog, DivergenceError, None]] = [None] * len(cfgs)
 
@@ -306,16 +308,16 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
         v_pc = chan_pc.poll(t)
         u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
         u_c = w2[k] + v_pc
-        y_c = np.asarray(cfg.controller.output(x_c, u_c, t), dtype=float)
+        y_c = cfg.controller.output(x_c, u_c, t)
 
         # plant-side detector (initial transmission at t=0 is unconditional);
         # a committed sample feeds the local gain block immediately
-        fire = check_violation(held_p, y_p, cfg.trigger_p) if k else first_row
+        fire = check_violation(held_p, y_p, cfg.trigger_p) if k else live
         if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
                                         cfg.quant_p, chan_pc, events, force_first):
             u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
         # controller-side detector (send only; no local feedback to itself)
-        fire = check_violation(held_c, y_c, cfg.trigger_c) if k else first_row
+        fire = check_violation(held_c, y_c, cfg.trigger_c) if k else live
         if any_lane(fire):
             _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
                       chan_cp, events, force_first)
@@ -339,34 +341,30 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
         # a non-finite state
         norm_p = np.sqrt(np.add.reduce(x_p * x_p, axis=0))
         norm_c = np.sqrt(np.add.reduce(x_c * x_c, axis=0))
-        if any_lane(~(norm_p <= limit)) or any_lane(~(norm_c <= limit)):
-            failed = _divergences(cfg, (x_p, x_c), (norm_p, norm_c), k + 1, t)
-            for i, err in failed.items():
-                out[lanes[i]] = err
-            keep = [i for i in range(len(lanes)) if i not in failed]
-            lanes = [lanes[i] for i in keep]
-            if not lanes:
+        failed = ~((norm_p <= limit) & (norm_c <= limit)) & live
+        if any_lane(failed):
+            for i, err in _divergences(cfg, (x_p, x_c), (norm_p, norm_c), failed,
+                                       k + 1, t).items():
+                out[i] = err
+            live &= ~failed
+            if not live.any():
                 break
-            # retire the failed lanes: the batch goes on with the other columns
-            x_p, x_c, held_p, held_c, w1, w2 = (
-                a[..., keep] for a in (x_p, x_c, held_p, held_c, w1, w2))
-            log = {name: a[..., keep] for name, a in log.items()}
-            events = [events[i] for i in keep]
-            chan_pc.keep(keep)
-            chan_cp.keep(keep)
+            # NaN > x is false, so no detector fires on a retired lane again
+            x_p[:, failed] = np.nan
+            x_c[:, failed] = np.nan
 
     # the other columns follow elementwise from the logged held samples, by
     # the formulas the loop used on them
-    for i, lane in enumerate(lanes):
+    for i in np.flatnonzero(live):
         cols = {name: columns(a)[..., i] for name, a in log.items()}
         held_p, held_c = cols.pop("held_p"), cols.pop("held_c")
         w1_i = columns(w1)[..., i]
         y_tilde_c, u_p = _gain_block(g, held_p, cols["u_r"], w1_i)
-        out[lane] = TraceLog(config=cfgs[lane], t=t_col, w1=w1_i,
-                             events=_event_table(events[i], m),
-                             e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c,
-                             y_r=g.m11 * held_p, u_tilde_c=held_p,
-                             y_tilde_c=y_tilde_c, u_p=u_p, **cols)
+        out[i] = TraceLog(config=cfgs[i], t=t_col, w1=w1_i,
+                          events=_event_table(events[i], m),
+                          e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c,
+                          y_r=g.m11 * held_p, u_tilde_c=held_p,
+                          y_tilde_c=y_tilde_c, u_p=u_p, **cols)
     return out
 
 
@@ -381,7 +379,7 @@ def _gain_block(g: TransformGains, held_p, u_r, w1):
 def _plant_side(plant: core.SystemModel, g: TransformGains, held_p, u_r, w1, x_p, t):
     """(u_p, y_p) from the gain block and the plant output."""
     _, u_p = _gain_block(g, held_p, u_r, w1)
-    return u_p, np.asarray(plant.output(x_p, u_p, t), dtype=float)
+    return u_p, plant.output(x_p, u_p, t)
 
 
 def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
@@ -412,21 +410,21 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
     return committed
 
 
-def _divergences(cfg: ScenarioConfig, states, norms, row: int, t: float
+def _divergences(cfg: ScenarioConfig, states, norms, failed, row: int, t: float
                  ) -> Dict[int, DivergenceError]:
-    """column -> DivergenceError of each lane whose new plant or controller
-    state failed the norm test at ``row``.  A lane's first cause wins, in
-    this order: plant non-finite, controller non-finite, plant over the
-    limit, controller over the limit."""
+    """column -> DivergenceError of each lane in the mask ``failed``, whose
+    new plant or controller state failed the norm test at ``row``.  A lane's
+    first cause wins, in this order: plant non-finite, controller
+    non-finite, plant over the limit, controller over the limit."""
     limit, h = cfg.divergence_limit, cfg.h
     causes: Dict[int, str] = {}
     for model, x in zip((cfg.plant, cfg.controller), states):
         finite = np.isfinite(x).reshape(len(x), -1).all(axis=0)
-        for i in np.flatnonzero(~finite):
+        for i in np.flatnonzero(~finite & failed):
             causes.setdefault(i, f"non-finite step at t={t!r} (model {model.name!r})")
     for label, norm in zip(("plant", "controller"), norms):
         norm = np.atleast_1d(norm)
-        for i in np.flatnonzero(~(norm <= limit)):
+        for i in np.flatnonzero(~(norm <= limit) & failed):
             causes.setdefault(i, f"{label} state norm {norm[i]:.3e} exceeds {limit:.3e}")
     return {i: DivergenceError(row, t + h, text) for i, text in causes.items()}
 
@@ -665,33 +663,18 @@ _EVENTS_HEADER = ("side,kind,t,sample_index,attempt_index,drops_before,"
                   "e_norm,y_norm,payload,committed")
 
 
-def _trace_table(trace: TraceLog) -> Tuple[List[str], List[np.ndarray]]:
-    """trace.csv's header and columns; only a port of dimension one is unnumbered."""
-    names, cols = ["t"], [trace.t]
+def _trace_header(scenario: ScenarioConfig) -> Dict[str, List[str]]:
+    """trace.csv's column names for the scenario's plant, controller and port
+    dimensions, grouped by TRACE_COLUMNS entry in file order; only a port of
+    dimension one is unnumbered."""
+    states = {"x_p": scenario.plant.state_dim, "x_c": scenario.controller.state_dim}
+    port = scenario.plant.output_dim
+    header = {"t": ["t"]}
     for base in TRACE_COLUMNS[1:]:
-        a = getattr(trace, base)
-        cols.append(a)
-        one = a.shape[1] == 1 and base not in ("x_p", "x_c")
-        names += [base] if one else [f"{base}{i + 1}" for i in range(a.shape[1])]
-    return names, cols
-
-
-def split_columns(names: List[str], mat: np.ndarray, plant_dim: int,
-                  ctrl_dim: int, port_dim: int) -> Dict[str, np.ndarray]:
-    """Group raw CSV columns back into named signal arrays (views of ``mat``)."""
-    widths = {"t": 1, "x_p": plant_dim, "x_c": ctrl_dim}
-    expected = sum(widths.get(base, port_dim) for base in TRACE_COLUMNS)
-    if len(names) != expected:
-        raise ValueError(
-            f"trace has {len(names)} columns, expected {expected} for these models")
-    out: Dict[str, np.ndarray] = {}
-    i = 0
-    for base in TRACE_COLUMNS:
-        width = widths.get(base, port_dim)
-        out[base] = mat[:, i:i + width]
-        i += width
-    out["t"] = mat[:, 0]
-    return out
+        width = states.get(base, port)
+        one = width == 1 and base not in states
+        header[base] = [base] if one else [f"{base}{i + 1}" for i in range(width)]
+    return header
 
 
 # Each value's text fills a slot of _SLOT bytes in a block's uint8 array, as
@@ -822,11 +805,11 @@ def text_bytes(text: np.ndarray) -> bytes:
 
 
 def write_trace_csv(trace: TraceLog, path) -> None:
-    names, cols = _trace_table(trace)
+    names = [name for group in _trace_header(trace.config).values() for name in group]
     seps = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
-        for text in format_blocks(*cols):
+        for text in format_blocks(*(getattr(trace, base) for base in TRACE_COLUMNS)):
             text[:, :, -1] = seps
             fh.write(text_bytes(text))
 
@@ -946,9 +929,20 @@ def read_events_csv(path, width: int) -> EventTable:
 
 def read_trace(scenario: ScenarioConfig, trace_path, events_path) -> TraceLog:
     """A run read back from its trace and events files, as ``run_scenario``
-    returned it; the signal arrays are column views of the parsed matrix."""
+    returned it; the signal arrays are column views of the parsed matrix.
+    A trace header other than the one these models write is a ValueError
+    naming its first column that differs."""
     names, mat = read_trace_csv(trace_path)
-    port = scenario.plant.output_dim
-    cols = split_columns(names, mat, scenario.plant.state_dim,
-                         scenario.controller.state_dim, port)
-    return TraceLog(config=scenario, events=read_events_csv(events_path, port), **cols)
+    header = _trace_header(scenario)
+    expected = (name for group in header.values() for name in group)
+    for i, (name, want) in enumerate(itertools.zip_longest(names, expected)):
+        if name != want:   # None stands for a missing or an extra column
+            raise ValueError(f"trace file {trace_path} column {i + 1} is {name!r}, "
+                             f"expected {want!r} for these models")
+    cols, start = {}, 0
+    for base, group in header.items():
+        cols[base] = mat[:, start:start + len(group)]
+        start += len(group)
+    cols["t"] = mat[:, 0]
+    events = read_events_csv(events_path, scenario.plant.output_dim)
+    return TraceLog(config=scenario, events=events, **cols)

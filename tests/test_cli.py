@@ -402,6 +402,41 @@ def test_verify_applies_one_seed_and_rejects_a_malformed_one(tmp_path, capsys):
     assert "config error: --seed" in capsys.readouterr().err
 
 
+def test_simulate_echoes_the_config_its_seed_gives(tmp_path, capsys):
+    """One seed echoes the config that seed gives, as design does; a seed
+    list echoes the base config and the keys each lane's seed sets."""
+    args = ["--config", str(CONFIG), "--set", "sim.t_end=0.05"]
+    assert main(["design", *args, "--out", str(tmp_path / "design"), "--seed", "42"]) == 0
+    design_out = capsys.readouterr().out
+    assert main(["simulate", *args, "--out", str(tmp_path / "one"), "--seed", "42"]) == 0
+    echo = capsys.readouterr().out
+    for line in ("w1.seed = 42", "chan_pc.dropout.seed = 43", "chan_cp.dropout.seed = 44"):
+        assert f"\n{line}\n" in echo, line
+    assert design_out.startswith(echo)
+    assert main(["simulate", *args, "--out", str(tmp_path / "sweep"), "--seed", "42,43"]) == 0
+    base = format_config(apply_overrides(load_config(CONFIG), ["sim.t_end=0.05"]))
+    assert capsys.readouterr().out == (
+        "# effective config\n" + base + "# each lane's seed s sets w1.seed = s, "
+        "chan_pc.dropout.seed = s + 1, chan_cp.dropout.seed = s + 2\n")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda header: header.replace(",y_p,", ",zz,"), "column 4 is 'zz', expected 'y_p'"),
+    (lambda header: header.replace("x_p1,x_p2", "x_p2,x_p1"),
+     "column 2 is 'x_p2', expected 'x_p1'"),
+], ids=["renamed", "swapped"])
+def test_trace_header_other_than_the_models_is_malformed(tmp_path, capsys, short_run,
+                                                         edit, message):
+    shutil.copy(short_run / "events.csv", tmp_path)
+    header, rows = (short_run / "trace.csv").read_text().split("\n", 1)
+    (tmp_path / "trace.csv").write_text(edit(header) + "\n" + rows)
+    capsys.readouterr()
+    for command in ("verify", "report"):
+        assert main([command, "--config", str(CONFIG), "--out", str(tmp_path), *HALF]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed trace: ") and message in err, command
+
+
 def test_report_rejects_a_seed_list(tmp_path, capsys):
     assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path), *SHORT]) == 0
     code = main(["report", "--config", str(CONFIG), "--out", str(tmp_path),

@@ -258,3 +258,18 @@ def test_rk4_batched_lanes_match_one_sample_steps():
     batched = rk4_step(model, x, u, 0.0, 1e-3)
     for i in range(3):
         assert np.array_equal(batched[:, i], rk4_step(model, x[:, i], u[:, i], 0.0, 1e-3))
+
+
+@pytest.mark.parametrize("model", [cubic_nl2(), firstorder_lead(),
+                                   lti_siso(-2.0, 1.0, 3.0, 0.5)], ids=lambda model: model.name)
+def test_output_is_a_float_array_of_the_port_shape(model):
+    # the executor uses ``output`` as returned, as RK4 does ``dynamics``
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(model.state_dim, 7))
+    u = rng.normal(size=(model.input_dim, 7))
+    one = model.output(x[:, 0], u[:, 0], 0.0)
+    columns = model.output(x, u, np.zeros(7))
+    assert isinstance(one, np.ndarray) and one.dtype == np.float64
+    assert one.shape == (model.output_dim,)
+    assert isinstance(columns, np.ndarray) and columns.dtype == np.float64
+    assert columns.shape == (model.output_dim, 7)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etncs.config import load_config, run_design, build_scenario
@@ -504,6 +504,46 @@ def test_lockstep_lanes_match_solo_runs_and_a_diverging_lane_retires():
     for i in (0, 2):
         _same_run(runs[i], run_scenario(lanes[i]))
         assert len(runs[i].t) == 501
+
+
+# constant disturbances that stay below the limit, ones that drive the plant
+# state past it near rows 238, 109, 35, 11 and 2 of the lanes below, and NaN,
+# which ends the first step
+_LANE_W1 = [0.0, -3.0, 2e6, 5e6, -1e7, 3e7, -1e8, 1e9, math.nan]
+
+
+@settings(max_examples=25, deadline=None)
+@given(draws=st.lists(st.tuples(st.sampled_from(_LANE_W1), st.integers(0, 2 ** 31)),
+                      min_size=2, max_size=5))
+@example(draws=[(5e6, 1), (0.0, 2), (1e9, 3), (math.nan, 4), (-3.0, 5)])
+def test_retired_lanes_leave_every_lane_as_its_solo_run(draws):
+    """Lanes retired at different rows, or all of them, change no other
+    lane's bytes, and each retired lane reports its solo run's row and text."""
+    plant, controller = lti_siso(-1.0, 1.0, 1.0, 0.0), firstorder_lead()
+
+    def lane(w1, seed):
+        drop = DropoutModel(kind="bernoulli", p=0.5, seed=seed)
+        return _scenario(plant=plant, controller=controller, x0_plant=np.array([1.0]),
+                         w1=SignalSpec(kind="constant", value=w1),
+                         chan_pc=ChannelConfig(DelayProfile(t0=0.05, d=0.2), drop),
+                         chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.1), drop),
+                         divergence_limit=1e6, t_end=0.3)
+
+    lanes = [lane(w1, seed) for w1, seed in draws]
+    for run, sc in zip(run_scenario(lanes), lanes):
+        try:
+            solo = run_scenario(sc)
+        except DivergenceError as err:
+            assert isinstance(run, DivergenceError)
+            assert (str(run), run.row) == (str(err), err.row)
+            continue
+        for f in dataclasses.fields(solo):
+            if f.name not in ("config", "events"):
+                a, b = getattr(run, f.name), getattr(solo, f.name)
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), f.name
+        for f in dataclasses.fields(EventTable):
+            a, b = getattr(run.events, f.name), getattr(solo.events, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 @pytest.mark.parametrize("field, override", [

@@ -1,5 +1,6 @@
-"""Every name an etncs module exports is used by the package, its scripts or
-perfbench; a name only tests call is dead surface."""
+"""Every name an etncs module exports, and every public method of its
+classes, is used by the package, its scripts or perfbench; a name only
+tests call is dead surface."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ PACKAGE = ROOT / "src" / "etncs"
 # ROADMAP item 1 wires these
 ALLOWLIST = {"verify_lti_indices", "default_frequency_grid", "sector_certificate",
              "FIRSTORDER_LEAD_SS"}
+# the acceptance criteria select a side's attempts and commits with these
+METHOD_ALLOWLIST = {"TraceLog.events_on", "TraceLog.commits_on"}
 
 
 def _exports(tree: ast.Module) -> list:
@@ -18,6 +21,15 @@ def _exports(tree: ast.Module) -> list:
                 and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
             return [elt.value for elt in node.value.elts]
     return []
+
+
+def _methods(tree: ast.Module) -> list:
+    """``Class.method`` of each public method of each public class."""
+    return [f"{node.name}.{item.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not item.name.startswith("_")]
 
 
 def test_every_exported_name_is_loaded():
@@ -37,3 +49,9 @@ def test_every_exported_name_is_loaded():
               if name not in loaded and name not in ALLOWLIST}
     assert unused == {}
     assert ALLOWLIST <= exported.keys()
+    methods = {name: path.name for path, tree in trees.items()
+               if path.parent == PACKAGE for name in _methods(tree)}
+    unused = {name: module for name, module in methods.items()
+              if name.split(".")[1] not in loaded and name not in METHOD_ALLOWLIST}
+    assert unused == {}
+    assert METHOD_ALLOWLIST <= methods.keys()
