@@ -35,10 +35,10 @@ EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
 
 # Lanes per lockstep batch of a seed sweep. It bounds a batch's memory. Each
-# lane holds about 148 B per row of trace columns at the executor's peak, plus
+# lane holds about 140 B per row of trace columns at the executor's peak, plus
 # 50 + 16*m B per attempt in its event buffers (66 B at port dimension m = 1).
 # A 5 001-row lane of the worked example (about 96 attempts) thus holds about
-# 0.74 MB, and a full batch about 47 MB (tracemalloc, 16 and 64 lanes).
+# 0.70 MB, and a full batch about 45 MB (tracemalloc, 16 and 64 lanes).
 BATCH_LANES = 64
 
 
@@ -209,7 +209,7 @@ def cmd_simulate(args) -> int:
         return max(_simulate_batch(*task) for task in tasks)
     import concurrent.futures
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(_simulate_batch, *task) for task in tasks]
         return max(f.result() for f in futures)
 

@@ -57,8 +57,8 @@ __all__ = [
 _FMT = "%.16e"  # 17 significant digits: round-trips float64 exactly
 _BLOCK_ROWS = 256  # rows formatted or parsed at once; one block's text is held in memory
 # Rows one lane may log. The executor holds every row of a lane in memory,
-# about 148 B per row at port dimension 1 (see cli.BATCH_LANES), so the cap
-# bounds one lane's trace columns at about 1.5 GB.
+# about 140 B per row at port dimension 1 (see cli.BATCH_LANES), so the cap
+# bounds one lane's trace columns at about 1.4 GB.
 MAX_ROWS = 10_000_000
 
 
@@ -251,7 +251,8 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
     Per-lane arrays carry the lanes on their last axis: states ``(n, B)``,
     ports, held samples and each link's ``Channel`` hold ``(m, B)``, logs
     ``(rows, dim, B)``.  A single lane has no lane axis, so its models see
-    one sample, as in a scalar run.
+    one sample, as in a scalar run.  Only the event table records commits:
+    the epilogue reads each lane's held samples back with ``held_samples``.
     Every operation on the arrays is elementwise or reduces over axis 0
     only, so no lane's bits depend on another lane.  Lane i is column i
     from the first row to the last: a lane whose new state fails the norm
@@ -286,8 +287,7 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
                       dim=m, initial_hold=np.full(m, cfg.chan_cp.initial_hold))
     log = {name: np.empty((n_rows, dim) + shape) for name, dim in (
         ("x_p", cfg.plant.state_dim), ("x_c", cfg.controller.state_dim),
-        ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m),
-        ("held_p", m), ("held_c", m), ("y_qp", m), ("y_qc", m))}
+        ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m), ("y_qp", m), ("y_qc", m))}
 
     x_p = every_lane(cfg.x0_plant)
     x_c = every_lane(cfg.x0_controller)
@@ -328,8 +328,6 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
         log["y_c"][k] = y_c
         log["u_c"][k] = u_c
         log["u_r"][k] = u_r
-        log["held_p"][k] = held_p
-        log["held_c"][k] = held_c
         log["y_qp"][k] = quantize(cfg.quant_p, g.m11 * held_p)
         log["y_qc"][k] = quantize(cfg.quant_c, held_c)
         if k == n_rows - 1:
@@ -353,15 +351,15 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
             x_p[:, failed] = np.nan
             x_c[:, failed] = np.nan
 
-    # the other columns follow elementwise from the logged held samples, by
-    # the formulas the loop used on them
+    # the other columns follow elementwise from the held samples the event
+    # table records, by the formulas the loop used on them
     for i in np.flatnonzero(live):
         cols = {name: columns(a)[..., i] for name, a in log.items()}
-        held_p, held_c = cols.pop("held_p"), cols.pop("held_c")
+        table = _event_table(events[i], m)
+        held_p, held_c = (held_samples(table, side, n_rows) for side in ("plant", "controller"))
         w1_i = columns(w1)[..., i]
         y_tilde_c, u_p = _gain_block(g, held_p, cols["u_r"], w1_i)
-        out[i] = TraceLog(config=cfgs[i], t=t_col, w1=w1_i,
-                          events=_event_table(events[i], m),
+        out[i] = TraceLog(config=cfgs[i], t=t_col, w1=w1_i, events=table,
                           e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c,
                           y_r=g.m11 * held_p, u_tilde_c=held_p,
                           y_tilde_c=y_tilde_c, u_p=u_p, **cols)
@@ -431,16 +429,17 @@ def _divergences(cfg: ScenarioConfig, states, norms, failed, row: int, t: float
 
 def dropout_spans(trace: TraceLog, side: str) -> Tuple[np.ndarray, np.ndarray]:
     """(starts, ends) of the half-open [first drop, next success) spans where
-    the held-sample norm bound is not expected to hold."""
+    the held-sample norm bound is not expected to hold, as int64 trace rows
+    (``sample_index``); a span the run ends inside ends at ``len(trace.t)``."""
     ev = trace.events
     on = ev.on(side)
-    dropped, t = ev.dropped[on], ev.t[on]
+    dropped, rows = ev.dropped[on], ev.sample_index[on]
     after_drop = np.zeros_like(dropped)
     after_drop[1:] = dropped[:-1]
-    starts = t[dropped & ~after_drop]
-    ends = t[~dropped & after_drop]
+    starts = rows[dropped & ~after_drop]
+    ends = rows[~dropped & after_drop]
     if len(ends) < len(starts):   # the run ends inside a span
-        ends = np.append(ends, float(trace.t[-1]) + trace.config.h)
+        ends = np.append(ends, len(trace.t))
     return starts, ends
 
 
@@ -451,18 +450,19 @@ def max_consecutive_drops(trace: TraceLog, side: str) -> int:
     return int(np.max(edges[1::2] - edges[::2], initial=0))
 
 
-def held_samples(trace: TraceLog, side: str) -> np.ndarray:
-    """The detector's held sample per row: row k holds the last commit with
-    ``sample_index <= k`` (zeros before the first commit).  Sorted by index,
-    a running max of table positions keeps this exact for unsorted commits.
+def held_samples(events: EventTable, side: str, rows: int) -> np.ndarray:
+    """The detector's held sample at each of ``rows`` trace rows, from the
+    event table: row k holds the last commit with ``sample_index <= k``
+    (zeros before the first commit).  Sorted by index, a running max of
+    table positions keeps this exact for unsorted commits.
     """
-    ev = trace.events
-    commits = ev.commits(side)
-    index = ev.sample_index[commits]
-    values = np.concatenate((np.zeros((1, trace.y_p.shape[1])), ev.committed[commits]))
+    commits = events.commits(side)
+    index = events.sample_index[commits]
+    values = np.concatenate((np.zeros((1, events.committed.shape[1])),
+                             events.committed[commits]))
     order = np.argsort(index, kind="stable")
     last = np.concatenate(([0], np.maximum.accumulate(order) + 1))
-    below = np.searchsorted(index[order], np.arange(len(trace.t)), side="right")
+    below = np.searchsorted(index[order], np.arange(rows), side="right")
     return values[last[below]]
 
 
@@ -527,7 +527,7 @@ def invariant_checks(trace: TraceLog, design: Optional[DesignResult] = None, hel
     checks: Dict[str, Tuple[bool, str]] = {}
     for side, key, delta, y in (("plant", "p", cfg.trigger_p.delta, trace.y_p),
                                 ("controller", "c", cfg.trigger_c.delta, trace.y_c)):
-        held_side = held_samples(trace, side) if held is None else held[side]
+        held_side = held_samples(ev, side, len(t)) if held is None else held[side]
         ok, bad = trigger.trigger_inequality_check(t, y, held_side, delta,
                                                    ev.sample_index[ev.on(side)])
         checks[f"trigger_ineq_{key}"] = (

@@ -38,7 +38,6 @@ def check_violation(held, y, cfg: TriggerConfig):
     """True iff ||y - held||^2 > delta * ||y||^2 (strict), where ``held`` is
     the last successfully transmitted sample; on 2-D arrays, one verdict per
     column (lane)."""
-    y = np.asarray(y, dtype=float)
     e = y - held
     return np.add.reduce(e * e, axis=0) > cfg.delta * np.add.reduce(y * y, axis=0)
 
@@ -83,24 +82,24 @@ class BoundReport:
 
 def sampled_output_bound_check(
         times, outputs, held, delta: float,
-        dropout_spans: Tuple[Sequence[float], Sequence[float]] = ((), ())) -> BoundReport:
+        dropout_spans: Tuple[Sequence[int], Sequence[int]] = ((), ())) -> BoundReport:
     """Verify ||held(t)|| <= (1 + sqrt(delta)) * ||y(t)|| between events.
 
     The bound is a consequence of the triggering rule and only holds while
-    every fired packet got through; ``dropout_spans``, the (starts, ends) of
-    the half-open spans from a dropped attempt until the next successful
-    commit, are excluded from the check and counted in the result.
+    every fired packet got through; ``dropout_spans``, the (starts, ends)
+    rows of the half-open spans from a dropped attempt until the next
+    successful commit, are excluded from the check and counted in the result.
     """
+    n = len(times)
     times = np.asarray(times, dtype=float)
-    y_norm = np.linalg.norm(np.asarray(outputs, dtype=float).reshape(len(times), -1), axis=1)
-    s_norm = np.linalg.norm(np.asarray(held, dtype=float).reshape(len(times), -1), axis=1)
-    # t lies in some span [a, b) iff the spans starting at or before t reach
-    # past it: sorted starts plus a running max of ends, exact for unsorted
-    # or overlapping spans (fmax skips a NaN end, as the comparison would)
-    starts, ends = (np.asarray(a, dtype=float) for a in dropout_spans)
-    order = np.argsort(starts, kind="stable")
-    reach = np.concatenate(([-np.inf], np.fmax.accumulate(ends[order])))
-    checked = ~(reach[np.searchsorted(starts[order], times, side="right")] > times)
+    y_norm = np.linalg.norm(np.asarray(outputs, dtype=float).reshape(n, -1), axis=1)
+    s_norm = np.linalg.norm(np.asarray(held, dtype=float).reshape(n, -1), axis=1)
+    # the spans open at row k are those starting at or before k less those
+    # ending there or before, exact for unsorted, overlapping or reversed spans
+    starts, ends = (np.clip(np.asarray(a, dtype=np.int64), 0, n) for a in dropout_spans)
+    keep = starts < ends
+    edges = np.bincount(starts[keep], minlength=n + 1) - np.bincount(ends[keep], minlength=n + 1)
+    checked = np.cumsum(edges[:n]) == 0
     # factor * ||y|| + 1e-12 * (1 + ||y||), built in place
     limit = 1.0 + y_norm
     limit *= 1e-12

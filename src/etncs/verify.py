@@ -54,7 +54,7 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     # an off-row commit leaves the held-sample join, failing the checks on it
     cause = "" if len(off) == 0 else f"; likely cause: {checks['events_on_grid'][1]}"
 
-    held = {side: held_samples(trace, side) for side in ("plant", "controller")}
+    held = {side: held_samples(ev, side, len(t)) for side in ("plant", "controller")}
     e_p_ok = np.allclose(trace.e_p, trace.y_p - held["plant"], rtol=0, atol=1e-9)
     e_c_ok = np.allclose(trace.e_c, trace.y_c - held["controller"], rtol=0, atol=1e-9)
     held_col_ok = np.allclose(trace.u_tilde_c, held["plant"], rtol=0, atol=1e-9)

@@ -392,6 +392,35 @@ def test_seed_sweep_lanes_match_single_seed_runs(tmp_path, jobs):
             assert lane.read_bytes() == (solo / name).read_bytes(), (seed, name)
 
 
+def test_pool_has_no_more_workers_than_batches(tmp_path, monkeypatch):
+    """A large --jobs on two seeds asks for two workers, not one per job."""
+    import concurrent.futures
+
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--seed", "3,4", "--jobs", "5000", "--set", "sim.t_end=0.1"]) == 0
+    assert workers == [2]
+    assert (tmp_path / "seed_3" / "trace.csv").exists()
+    assert (tmp_path / "seed_4" / "trace.csv").exists()
+
+
 def test_verify_applies_one_seed_and_rejects_a_malformed_one(tmp_path, capsys):
     assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
                  "--seed", "8", *SHORT]) == 0
@@ -701,6 +730,23 @@ def test_explicit_gains_beside_a_garbled_design_key_simulate(tmp_path):
     assert "trigger_ok_p" in metrics
     assert not any(key.startswith(("within_l2", "budget_ok", "interevent"))
                    for key in metrics)
+
+
+def test_explicit_gains_leave_out_the_design_verdicts(tmp_path):
+    """The run uses the explicit gains, so no verdict compares it with the
+    design its design keys synthesize."""
+    gains = ["--set", "sim.t_end=0.5", "--set", "gains.m11=0.16",
+             "--set", "gains.m21=-1", "--set", "gains.m22=20"]
+    for command in ("simulate", "verify"):
+        assert main([command, "--config", str(CONFIG), "--out", str(tmp_path), *gains]) == 0
+    metrics = _read_kv(tmp_path / "metrics.kv")
+    assert "trigger_ok_p" in metrics
+    assert not any(key.startswith(("within_l2", "budget_ok", "interevent"))
+                   for key in metrics)
+    checks = _read_kv(tmp_path / "verify.kv")
+    assert checks["check.held_norm_bound_p"] == "pass"
+    assert not any(key.startswith(("check.l2_gain_bound", "check.dropout_budget"))
+                   for key in checks)
 
 
 # every key whose value is not a number

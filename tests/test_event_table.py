@@ -44,12 +44,12 @@ def _ref_dropout_spans(trace, side):
     start = None
     for e in _rows(trace.events_on(side)):
         if e.dropped and start is None:
-            start = e.t
+            start = int(e.sample_index)
         elif not e.dropped and start is not None:
-            spans.append((start, e.t))
+            spans.append((start, int(e.sample_index)))
             start = None
     if start is not None:
-        spans.append((start, float(trace.t[-1]) + trace.config.h))
+        spans.append((start, len(trace.t)))
     return spans
 
 
@@ -61,12 +61,12 @@ def _ref_max_consecutive_drops(trace, side):
     return worst
 
 
-def _ref_held_samples(trace, side):
+def _ref_held_samples(events, side, rows):
     """Row k holds the commit latest in the table among those with
     ``sample_index <= k``, zeros before any."""
-    commits = _rows(trace.commits_on(side))
-    held = np.zeros(trace.y_p.shape)
-    for k in range(len(trace.t)):
+    commits = _rows(events[events.commits(side)])
+    held = np.zeros((rows, events.committed.shape[1]))
+    for k in range(rows):
         for e in commits:
             if e.sample_index <= k:
                 held[k] = e.committed
@@ -143,12 +143,14 @@ def event_tables(draw, m):
 def test_array_event_analyses_equal_per_event_loops(data, m, rows, delta):
     trace = _trace(data.draw(event_tables(m)), rows)
     for side in ("plant", "controller"):
-        spans = np.column_stack(dropout_spans(trace, side))   # (start, end) rows
-        assert _bits(spans).tolist() == _bits(_ref_dropout_spans(trace, side)).tolist()
+        starts, ends = dropout_spans(trace, side)
+        assert starts.dtype == ends.dtype == np.int64
+        assert list(zip(starts.tolist(), ends.tolist())) == _ref_dropout_spans(trace, side)
         assert max_consecutive_drops(trace, side) == _ref_max_consecutive_drops(trace, side)
-        held = held_samples(trace, side)
+        held = held_samples(trace.events, side, rows)
         assert held.shape == (rows, m)
-        assert _bits(held).tolist() == _bits(_ref_held_samples(trace, side)).tolist()
+        assert _bits(held).tolist() == \
+            _bits(_ref_held_samples(trace.events, side, rows)).tolist()
         (min_gap, gaps, y_norms), ref = _gap_stats(trace, side), _ref_gap_stats(trace, side)
         assert [_bits(v).tolist() for v in (min_gap, gaps, y_norms)] == \
             [_bits(v).tolist() for v in ref]

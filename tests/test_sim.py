@@ -249,11 +249,11 @@ def test_dropout_spans_cover_drops():
                                    w1=SignalSpec(kind="constant", value=1.0)))
     starts, ends = dropout_spans(trace, "plant")
     plant = trace.events_on("plant")
-    drops = plant.t[plant.dropped]
+    drops = plant.sample_index[plant.dropped]
     assert len(starts) == len(ends) == 1 and len(drops) == 1
     a, b = starts[0], ends[0]
     assert a == drops[0]
-    commits = trace.commits_on("plant").t
+    commits = trace.commits_on("plant").sample_index
     assert b == commits[commits > a][0]
 
 
@@ -326,12 +326,31 @@ def test_read_trace_round_trip_equals_run(tmp_path):
         assert a.dtype == b.dtype and np.array_equal(a, b), f.name
 
 
-def test_held_samples_match_logged_hold():
+_MODELS = dict(plant=cubic_nl2(), controller=firstorder_lead())   # lanes share models
+
+
+def _bernoulli_lane(seed: int, w1: SignalSpec) -> ScenarioConfig:
+    chan = ChannelConfig(DelayProfile(t0=0.01, d=0.0, form="constant"),
+                         DropoutModel(kind="bernoulli", p=0.5, seed=seed))
+    return _scenario(chan_pc=chan, chan_cp=chan, x0_plant=np.array([5.0, -8.0]), w1=w1,
+                     **_MODELS)
+
+
+def test_event_table_holds_equal_the_loops_live_holds():
+    """With identity quantizers the loop logs y_qp = m11 * its live plant
+    hold and y_qc = its live controller hold; held_samples reads the holds
+    back from the event table, and they agree bit for bit, on a single run
+    and on each lane of a batch."""
     from etncs.sim import held_samples
-    trace = _dropout_run()
-    assert np.array_equal(held_samples(trace, "plant"), trace.u_tilde_c)
-    assert np.allclose(held_samples(trace, "controller"), trace.y_c - trace.e_c,
-                       rtol=0, atol=1e-12)
+    solo = run_scenario(_bernoulli_lane(11, SignalSpec(kind="constant", value=1.0)))
+    batch = run_scenario([_bernoulli_lane(seed, SignalSpec(kind="sine", amplitude=a, freq=2.0))
+                          for seed, a in ((21, 1.0), (22, 2.0), (24, 3.0))])
+    for trace in (solo, *batch):
+        ev, rows, m11 = trace.events, len(trace.t), trace.config.gains.m11
+        assert (ev.on("plant") & ev.dropped).any() and (ev.on("controller") & ev.dropped).any()
+        for logged, held in ((trace.y_qc, held_samples(ev, "controller", rows)),
+                             (trace.y_qp, m11 * held_samples(ev, "plant", rows))):
+            assert logged.view(np.int64).tolist() == held.view(np.int64).tolist()
 
 
 _SIGNAL_SPECS = st.one_of(

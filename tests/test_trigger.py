@@ -12,30 +12,30 @@ def _held(value):
 
 
 def test_no_violation_when_error_zero():
-    assert not check_violation(_held(1.0), [1.0], TriggerConfig(0.4))
+    assert not check_violation(_held(1.0), np.array([1.0]), TriggerConfig(0.4))
 
 
 def test_violation_arithmetic():
     # e^2 = 0.49 > 0.4 * 1.0
-    assert check_violation(_held(0.3), [1.0], TriggerConfig(0.4))
+    assert check_violation(_held(0.3), np.array([1.0]), TriggerConfig(0.4))
     # e^2 = 0.36 < 0.4
-    assert not check_violation(_held(0.4), [1.0], TriggerConfig(0.4))
+    assert not check_violation(_held(0.4), np.array([1.0]), TriggerConfig(0.4))
 
 
 def test_zero_output_zero_error_never_fires():
-    assert not check_violation(_held(0.0), [0.0], TriggerConfig(0.4))
+    assert not check_violation(_held(0.0), np.array([0.0]), TriggerConfig(0.4))
 
 
 def test_zero_output_nonzero_error_fires():
     # strict inequality: any nonzero error over zero output fires
-    assert check_violation(_held(0.5), [0.0], TriggerConfig(1.0))
+    assert check_violation(_held(0.5), np.array([0.0]), TriggerConfig(1.0))
 
 
 @settings(max_examples=100)
 @given(y=st.lists(st.floats(-100, 100), min_size=1, max_size=4),
        delta=st.floats(0.01, 1.0))
 def test_commit_then_same_sample_never_violates(y, delta):
-    assert not check_violation(np.array(y), y, TriggerConfig(delta))
+    assert not check_violation(np.array(y), np.array(y), TriggerConfig(delta))
 
 
 def test_constant_output_fires_at_most_once():
@@ -104,29 +104,29 @@ def test_bound_check_dropout_interval_excluded():
     rep = sampled_output_bound_check(times, y, held, delta=0.4)
     assert not rep.ok
     rep = sampled_output_bound_check(times, y, held, delta=0.4,
-                                     dropout_spans=(np.array([0.1]), np.array([0.4])))
+                                     dropout_spans=(np.array([1]), np.array([4])))
     assert rep.ok
     assert rep.excluded_spans == 1
 
 
 @settings(max_examples=200)
-@given(y=st.lists(st.floats(-3, 3), min_size=1, max_size=40),
-       scale=st.floats(0.5, 3.0),
-       spans=st.lists(st.tuples(st.integers(-2, 42), st.integers(-2, 42)),
-                      max_size=8),
-       delta=st.floats(0.01, 1.0))
-def test_bound_check_spans_match_reference_loop(y, scale, spans, delta):
-    # unsorted, overlapping and empty spans on a 0.1 grid, with zero outputs
-    times = np.arange(len(y)) * 0.1
+@given(data=st.data(), y=st.lists(st.floats(-3, 3), min_size=1, max_size=40),
+       scale=st.floats(0.5, 3.0), delta=st.floats(0.01, 1.0))
+def test_bound_check_spans_match_reference_loop(data, y, scale, delta):
+    # unsorted, overlapping, empty, reversed and out-of-range row spans, with
+    # zero outputs
+    n = len(y)
+    row = st.integers(-2, n + 2)
+    spans = data.draw(st.lists(st.tuples(row, row), max_size=8))
+    times = np.arange(n) * 0.1
     y = np.array(y)[:, None]
     held = np.roll(y, 1) * scale
-    spans = [(a * 0.1, b * 0.1) for a, b in spans]
     rep = sampled_output_bound_check(times, y, held, delta,
                                      ([a for a, _ in spans], [b for _, b in spans]))
     factor = 1.0 + np.sqrt(delta)
     want = []
     for k, t in enumerate(times):
-        if any(a <= t < b for a, b in spans):
+        if any(a <= k < b for a, b in spans):
             continue
         y_norm = float(np.linalg.norm(y[k]))
         s_norm = float(np.linalg.norm(held[k]))
@@ -134,6 +134,7 @@ def test_bound_check_spans_match_reference_loop(y, scale, spans, delta):
             want.append((float(t), s_norm / y_norm if y_norm else np.inf))
     assert rep.ok == (not want)
     assert rep.violations == tuple(want)
+    assert rep.excluded_spans == len(spans)
 
 
 def test_violation_check_on_columns_gives_one_verdict_per_lane():
