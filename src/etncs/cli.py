@@ -145,10 +145,19 @@ def _apply_seed(cfg: Dict[str, str], seed: int) -> Dict[str, str]:
     return {**cfg, **{key: str(seed + offset) for key, offset in _seed_offsets(cfg).items()}}
 
 
+def _make_dir(path: Path) -> None:
+    """``path`` and its parents as directories; a file in the way is a
+    config error naming the path."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror}") from exc
+
+
 def cmd_design(args) -> int:
     cfg = _load_effective_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     print("# effective config")
     print(format_config(cfg), end="")
     params, result = run_design(cfg)
@@ -166,7 +175,7 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
     """Run the configs as the lanes of one lockstep batch and write each
     lane's trace, events and metrics to its directory."""
     for out_dir in out_dirs:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(out_dir)
     scenarios = [build_scenario(cfg) for cfg in cfgs]
     # a seed changes only w1 and the dropouts, so the lanes can share the
     # model objects the batch requires
@@ -228,14 +237,16 @@ def _parse_seeds(spec: Optional[str]) -> Optional[List[int]]:
 
 
 def _read_run(out_dir: Path, read):
-    """``read(trace_path, events_path)`` on the run in ``out_dir``; a missing
-    or malformed trace file is a config error."""
+    """``read(trace_path, events_path)`` on the run in ``out_dir``; a missing,
+    unreadable or malformed trace file is a config error."""
     paths = (out_dir / "trace.csv", out_dir / "events.csv")
     for path in paths:
         if not path.exists():
             raise ConfigError(f"missing trace file {path}")
     try:
         return read(*paths)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {exc.filename or out_dir}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"malformed trace: {exc}") from exc
 

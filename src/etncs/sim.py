@@ -683,8 +683,9 @@ def _trace_header(scenario: ScenarioConfig) -> Dict[str, List[str]]:
 #   hundreds, tens] [units, NUL, NUL, separator]
 # A block's text is its bytes with the NULs dropped.
 _SLOT = 28
-_E_MAX = 280   # the fast path's decimal exponents, -_E_MAX.._E_MAX
-_POW_LO, _POW_HI = 16 - _E_MAX, 16 + _E_MAX   # the powers 10^p it scales by
+_E_MAX = 280   # the fast paths' decimal exponents, -_E_MAX.._E_MAX
+# the powers 10^p they scale by: 10^(16-E) to format, 10^(E-16) to parse
+_POW_LO, _POW_HI = -16 - _E_MAX, 16 + _E_MAX
 _SPLIT = 134217729.0   # 2^27 + 1: Veltkamp's split of a double into two halves
 
 
@@ -697,7 +698,7 @@ def _veltkamp(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _format_tables() -> Tuple[np.ndarray, ...]:
-    """The fast path's tables, built on first use from exact integers:
+    """The fast paths' tables, built on first use from exact integers:
     10^p as the double-double hi + lo (``float`` of an int and int / int are
     correctly rounded, and lo rounds the exact remainder), hi's Veltkamp
     halves, and the 32-bit words of the sign and lead digit, of each 4-digit
@@ -842,20 +843,11 @@ def write_events_csv(trace: TraceLog, path) -> None:
 
 
 def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:
-    """Header names and the raw value matrix of a trace file."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ValueError(f"trace file {path} is empty")
-        names = header.split(",")
-        start = fh.tell()
-        if not any(line.strip() for line in fh):   # loadtxt only warns on these
-            raise ValueError(f"trace file {path} has no data rows")
-        fh.seek(start)
-        mat = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-    if mat.shape[1] != len(names):
-        raise ValueError(f"trace file {path} is malformed: ragged rows")
-    return names, mat
+    """Header names and the raw value matrix of a trace file (see
+    ``tracecsv.read``)."""
+    from .tracecsv import read   # here, so that only verify and report compile it
+
+    return read(path)
 
 
 _EVENT_FIELDS = _EVENTS_HEADER.split(",")

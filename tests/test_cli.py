@@ -7,6 +7,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -565,6 +566,72 @@ def _verify_edited_trace(run: Path, out: Path, edit) -> int:
     edit(rows[1:], rows[0])
     (out / "trace.csv").write_text("".join(",".join(r) + "\n" for r in rows))
     return main(["verify", "--config", str(CONFIG), "--out", str(out), *HALF])
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+@pytest.mark.parametrize("name", ["trace.csv", "events.csv"])
+def test_unreadable_run_file_is_a_config_error(tmp_path, capsys, short_run, command, name):
+    """A run file that cannot be opened (here a directory) exits 1 with a
+    message naming it, not with a traceback."""
+    for other in ("trace.csv", "events.csv"):
+        shutil.copy(short_run / other, tmp_path)
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+    assert main([command, "--config", str(CONFIG), "--out", str(tmp_path), *HALF]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot read {tmp_path / name}: Is a directory\n")
+
+
+def test_out_naming_a_regular_file_is_a_config_error(tmp_path, capsys):
+    """--out naming a file, not a directory, exits 1 with a message naming
+    the directory that could not be made."""
+    out = tmp_path / "out"
+    out.write_text("")
+    assert main(["design", "--config", str(CONFIG), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot create output directory {out}: File exists\n")
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(out), *HALF,
+                 "--seed", "1,2"]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: cannot create output directory {out / 'seed_1'}: Not a directory\n")
+
+
+# t at row 500, the last row of the short run, in its second block of rows
+_ROW_500 = "\n5.0000000000000000e-01,"
+
+
+def _trace_with_row_500(run: Path, out: Path, text: str) -> None:
+    out.mkdir()
+    shutil.copy(run / "events.csv", out)
+    trace = (run / "trace.csv").read_text()
+    assert trace.count(_ROW_500) == 1
+    (out / "trace.csv").write_text(trace.replace(_ROW_500, f"\n{text},"))
+
+
+def test_respelled_value_reads_and_verifies_as_the_writers(tmp_path, short_run):
+    """One value of a later block respelled outside the writer's layout
+    sends the file through np.loadtxt: the same matrix and the same
+    verify.kv as the written text, which the numpy parser reads."""
+    _trace_with_row_500(short_run, tmp_path / "written", "5.0000000000000000e-01")
+    _trace_with_row_500(short_run, tmp_path / "respelled", "5e-1")
+    names, mat = sim.read_trace_csv(tmp_path / "written" / "trace.csv")
+    respelled_names, respelled = sim.read_trace_csv(tmp_path / "respelled" / "trace.csv")
+    assert respelled_names == names
+    assert np.array_equal(respelled.view(np.int64), mat.view(np.int64))
+    for run in ("written", "respelled"):
+        assert main(["verify", "--config", str(CONFIG), "--out", str(tmp_path / run),
+                     *HALF]) == 0
+    assert ((tmp_path / "written" / "verify.kv").read_bytes()
+            == (tmp_path / "respelled" / "verify.kv").read_bytes())
+
+
+def test_garbled_value_in_a_later_block_gives_loadtxts_message(tmp_path, capsys, short_run):
+    _trace_with_row_500(short_run, tmp_path / "run", "5.0000000000000000e-0x")
+    assert main(["verify", "--config", str(CONFIG), "--out", str(tmp_path / "run"),
+                 *HALF]) == 1
+    assert capsys.readouterr().err == (
+        "config error: malformed trace: could not convert string "
+        "'5.0000000000000000e-0x' to float64 at row 500, column 1.\n")
 
 
 def test_out_of_order_time_column_fails_time_grid(tmp_path, short_run):

@@ -1,7 +1,10 @@
 import dataclasses
+import decimal
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
+from typing import List
 
 import numpy as np
 import pytest
@@ -16,8 +19,8 @@ from etncs.quantizer import QuantizerSpec
 from etncs.signals import Signal, SignalSpec, hash_uniform
 from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans,
-                       format_blocks, invariant_checks, run_scenario, text_bytes,
-                       write_trace_csv)
+                       format_blocks, invariant_checks, read_trace_csv, run_scenario,
+                       text_bytes, write_trace_csv)
 from etncs.trigger import TriggerConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -448,11 +451,10 @@ def _halfway_candidates():
     return out
 
 
-def test_format_blocks_is_exact_on_hard_values():
-    """Every kind of value the fast path takes or hands to the per-value
-    format, against ``"%.16e" % v``: random bit patterns (NaN payloads,
-    infinities, subnormals among them), each 10^k with its neighbours, exact
-    and near halfway cases, signed zeros and runs of equal bits."""
+def _hard_values() -> np.ndarray:
+    """Random bit patterns (NaN payloads, infinities, subnormals among them),
+    each 10^k with its neighbours, exact and near halfway cases and signed
+    zeros, each with its negation."""
     rng = np.random.default_rng(16)
     powers = np.array([float(f"1e{k}") for k in range(-320, 309)])
     ties = np.array(_halfway_candidates())
@@ -461,12 +463,131 @@ def test_format_blocks_is_exact_on_hard_values():
         powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf),
         ties, np.nextafter(ties, 0), np.nextafter(ties, math.inf),
         np.array([0.0, -0.0, -0.0, 0.0, math.inf, -math.inf, *_BITS])])
-    values = np.concatenate([values, -values])
     assert len(ties) > 1000
+    return np.concatenate([values, -values])
+
+
+def test_format_blocks_is_exact_on_hard_values():
+    """Every kind of value the fast path takes or hands to the per-value
+    format, against ``"%.16e" % v``: the hard values and runs of equal bits."""
+    values = _hard_values()
     # consecutive values go down a column, so the signed zeros make runs
     mat = np.ascontiguousarray(values[:len(values) // 4 * 4].reshape(4, -1).T)
     assert _decode(np.vstack(list(format_blocks(mat)))) == [
         ["%.16e" % v for v in row] for row in mat.tolist()]
+
+
+def _write_body(path: Path, mat: np.ndarray) -> None:
+    """A trace file of ``mat`` as ``write_trace_csv`` writes one."""
+    names = [f"c{j}" for j in range(mat.shape[1])]
+    seps = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
+        for text in format_blocks(mat):
+            text[:, :, -1] = seps
+            fh.write(text_bytes(text))
+
+
+def _loadtxt(path: Path) -> np.ndarray:
+    with open(path) as fh:
+        fh.readline()
+        return np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_read_trace_csv_equals_loadtxt_on_the_hard_values(tmp_path, monkeypatch):
+    """The finite hard values, written as a trace body, read back bit-equal
+    to np.loadtxt of the same file, without np.loadtxt: every field is in
+    the writer's layout, and those outside the numpy path's range or near a
+    tie go through float()."""
+    values = _hard_values()
+    values = values[np.isfinite(values)]
+    mat = np.ascontiguousarray(values[:len(values) // 4 * 4].reshape(4, -1).T)
+    path = tmp_path / "trace.csv"
+    _write_body(path, mat)
+    want = _loadtxt(path)
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on text in the writer's layout")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
+    names, got = read_trace_csv(path)
+    assert names == ["c0", "c1", "c2", "c3"]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(got), _bits(mat))
+
+
+def _midpoint_texts(rng, n: int) -> List[str]:
+    """The 17-digit decimals nearest the midpoints between n random positive
+    doubles and the next double up, and between 2^k and its neighbours, in
+    the writer's layout; about half negated."""
+    xs = np.abs(rng.integers(-2 ** 63, 2 ** 63, n, dtype=np.int64).view(np.float64))
+    xs = [x for x in xs.tolist() if 0 < x < math.inf]
+    pairs = [(x, math.nextafter(x, math.inf)) for x in xs]
+    for k in range(-1070, 1024, 11):
+        two = math.ldexp(1.0, k)
+        pairs += [(math.nextafter(two, 0), two), (two, math.nextafter(two, math.inf))]
+    texts = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200   # every sum of two doubles exactly
+        for i, (a, b) in enumerate(pairs):
+            mantissa, exp = format((decimal.Decimal(a) + decimal.Decimal(b)) / 2,
+                                   ".16e").split("e")
+            texts.append(("-" if i % 2 else "") + f"{mantissa}e{int(exp):+03d}")
+    return texts
+
+
+def test_read_trace_csv_reads_midpoint_decimals_as_float_does(tmp_path):
+    """17-digit decimals nearest the midpoints between adjacent doubles, the
+    inputs the numpy path's 0.499 margin is for, read as float() reads them."""
+    texts = _midpoint_texts(np.random.default_rng(19), 6000)
+    texts = texts[:len(texts) // 4 * 4]
+    path = tmp_path / "trace.csv"
+    path.write_text("a,b,c,d\n" + "".join(",".join(texts[i:i + 4]) + "\n"
+                                          for i in range(0, len(texts), 4)))
+    names, got = read_trace_csv(path)
+    want = np.array([float(t) for t in texts]).reshape(-1, 4)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_read_trace_csv_of_a_non_finite_value_takes_loadtxt(tmp_path, monkeypatch, value):
+    """NaN or an infinity is outside the writer's numeric layout, so the
+    whole file goes through np.loadtxt and reads as it always has."""
+    mat = np.linspace(-1.0, 1.0, 3 * _BLOCK_ROWS * 2).reshape(-1, 2)
+    mat[_BLOCK_ROWS + 7, 1] = value
+    path = tmp_path / "trace.csv"
+    _write_body(path, mat)
+    want = _loadtxt(path)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+    names, got = read_trace_csv(path)
+    assert calls == [1]
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(got), _bits(mat))
+
+
+def test_read_trace_csv_peak_memory_is_the_matrix(tmp_path):
+    """The numpy path allocates the matrix once and parses a block at a
+    time: its tracemalloc peak on a 20 001 x 17 trace is at most the
+    matrix's bytes plus 1 MiB."""
+    rng = np.random.default_rng(20)
+    mat = rng.standard_normal((20_001, 17)) * 10.0 ** rng.integers(-3, 4, (20_001, 17))
+    path = tmp_path / "trace.csv"
+    _write_body(path, mat)
+    read_trace_csv(path)   # loads the reader's module and tables first
+    tracemalloc.start()
+    try:
+        names, got = read_trace_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(_bits(got), _bits(mat))
+    assert peak <= got.nbytes + 2 ** 20
 
 
 @pytest.mark.parametrize("rows", [0, 1])
