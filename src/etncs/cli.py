@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -34,11 +35,12 @@ EXIT_INFEASIBLE = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
 
-# Lanes per lockstep batch of a seed sweep. It bounds a batch's memory. Each
-# lane holds about 140 B per row of trace columns at the executor's peak, plus
-# 50 + 16*m B per attempt in its event buffers (66 B at port dimension m = 1).
-# A 5 001-row lane of the worked example (about 96 attempts) thus holds about
-# 0.70 MB, and a full batch about 45 MB (tracemalloc, 16 and 64 lanes).
+# Lanes per lockstep batch of a seed sweep. It bounds a batch's memory. Rows
+# pass through in blocks of sim._RUN_BLOCK, so a lane keeps 16 B per row (the
+# two energy terms of its L2 gain) and 50 + 16*m B per attempt in its event
+# buffers (66 B at port dimension m = 1), beside about 0.3 MB of block
+# buffers. A full batch of the worked example took 19.0 MB at 5 001 rows a
+# lane and 35.6 MB at 20 001 (tracemalloc of the simulate step).
 BATCH_LANES = 64
 
 
@@ -171,6 +173,44 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
+def _partial(path: Path) -> Path:
+    """The temporary name a file is written under until it is complete."""
+    return path.with_name(path.name + ".partial")
+
+
+class _LaneFiles:
+    """The sink of one lane of a batch: each block of rows goes to its trace
+    file and its checks as the run goes.  The trace is written under a
+    temporary name, which becomes trace.csv once the run completes, so a
+    lane that diverges leaves no file and an earlier run's files as they
+    were."""
+
+    def __init__(self, out_dir: Path, scenario: sim.ScenarioConfig):
+        from .checks import RunMetrics   # here, so that only simulate compiles it
+
+        self.out_dir = out_dir
+        self.checks = RunMetrics(scenario)
+        self.file = open(_partial(out_dir / "trace.csv"), "wb")
+
+    def __call__(self, block: sim.TraceBlock) -> None:
+        sim.write_trace_csv(block, self.file)
+        self.checks.add(block)
+
+    def finish(self, events: sim.EventTable, result, params) -> None:
+        """Name the trace and write the events and metrics of a completed run."""
+        self.file.close()
+        os.replace(self.file.name, self.out_dir / "trace.csv")
+        self.checks.events = events
+        sim.write_events_csv(self.checks, self.out_dir / "events.csv")
+        _write_kv(self.out_dir / "metrics.kv", sim.compute_metrics(self.checks, result, params))
+
+    def discard(self) -> None:
+        """Remove the temporary trace of a run that did not complete."""
+        self.file.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(self.file.name)
+
+
 def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
     """Run the configs as the lanes of one lockstep batch and write each
     lane's trace, events and metrics to its directory."""
@@ -184,14 +224,19 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
                  for s in scenarios]
     params, result = feasible_design(cfgs[0])
     code = EXIT_OK
-    for out_dir, run in zip(out_dirs, sim.run_scenario(scenarios)):
-        if isinstance(run, sim.DivergenceError):
-            print(f"simulation aborted: {run}", file=sys.stderr)
-            code = EXIT_DIVERGENCE
-            continue
-        sim.write_trace_csv(run, out_dir / "trace.csv")
-        sim.write_events_csv(run, out_dir / "events.csv")
-        _write_kv(out_dir / "metrics.kv", sim.compute_metrics(run, result, params))
+    lanes: List[_LaneFiles] = []
+    try:
+        for out_dir, scenario in zip(out_dirs, scenarios):
+            lanes.append(_LaneFiles(out_dir, scenario))
+        for lane, run in zip(lanes, sim.run_scenario(scenarios, lanes)):
+            if isinstance(run, sim.DivergenceError):
+                print(f"simulation aborted: {run}", file=sys.stderr)
+                code = EXIT_DIVERGENCE
+                continue
+            lane.finish(run, result, params)
+    finally:
+        for lane in lanes:
+            lane.discard()
     return code
 
 
@@ -272,28 +317,55 @@ def cmd_verify(args) -> int:
 
 
 def _write_dat(out_dir: Path, names: Sequence[str], x, *ys) -> None:
-    """Write ``x`` beside each of ``ys``, one file per name.  They go through
-    the formatter together, so the values they share are formatted once."""
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(out_dir / name, "wb")) for name in names]
-        for text in sim.format_blocks(x, *ys):
-            text[:, 0, -1] = ord(" ")
-            text[:, 1:, -1] = ord("\n")
-            for j, fh in enumerate(files, start=1):
-                fh.write(sim.text_bytes(text[:, [0, j]]))
+    """Write ``x`` beside each of ``ys``, one file per name (see
+    ``_write_dat_blocks``)."""
+    _write_dat_blocks(out_dir, names, [(x, *ys)])
+
+
+def _write_dat_blocks(out_dir: Path, names: Sequence[str], blocks) -> None:
+    """Write the first column of each block beside each of the others, one
+    file per name; ``blocks`` gives ``(x, *ys)`` tuples of the rows in turn.
+    The columns go through the formatter together, so the values they share
+    are formatted once.  The files are written under temporary names and
+    renamed once all rows are written, so a fault in a later block leaves
+    no file, and the files of an earlier report as they were."""
+    paths = [out_dir / name for name in names]
+    try:
+        with contextlib.ExitStack() as stack:
+            files = [stack.enter_context(open(_partial(path), "wb")) for path in paths]
+            for columns in blocks:
+                for text in sim.format_blocks(*columns):
+                    text[:, 0, -1] = ord(" ")
+                    text[:, 1:, -1] = ord("\n")
+                    for j, fh in enumerate(files, start=1):
+                        fh.write(sim.text_bytes(text[:, [0, j]]))
+        for path in paths:
+            os.replace(_partial(path), path)
+    finally:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(_partial(path))
+
+
+def _report_rows(out_dir: Path, scenario: sim.ScenarioConfig, trace_path, events_path
+                 ) -> sim.EventTable:
+    """Write the .dat files of the trace's rows, a block of rows at a time;
+    returns the run's event table."""
+    from .tracecsv import read_run   # here, so that only verify and report compile it
+
+    ev, blocks = read_run(scenario, trace_path, events_path, sim._RUN_BLOCK)
+    names = ([f"states_plant_{i + 1}.dat" for i in range(scenario.plant.state_dim)]
+             + [f"states_controller_{i + 1}.dat" for i in range(scenario.controller.state_dim)]
+             + ["output_plant.dat", "output_controller_held.dat"])
+    _write_dat_blocks(out_dir, names,
+                      ((b.t, b.x_p, b.x_c, b.y_p[:, 0], b.u_r[:, 0]) for b in blocks))
+    return ev
 
 
 def cmd_report(args) -> int:
     scenario = build_scenario(_load_effective_config(args))
     out_dir = Path(args.out)
-    trace = _read_run(out_dir, functools.partial(sim.read_trace, scenario))
-
-    names = ([f"states_plant_{i + 1}.dat" for i in range(trace.x_p.shape[1])]
-             + [f"states_controller_{i + 1}.dat" for i in range(trace.x_c.shape[1])]
-             + ["output_plant.dat", "output_controller_held.dat"])
-    _write_dat(out_dir, names, trace.t, trace.x_p, trace.x_c, trace.y_p[:, 0],
-               trace.u_r[:, 0])
-    ev = trace.events
+    ev = _read_run(out_dir, functools.partial(_report_rows, out_dir, scenario))
     for side in ("plant", "controller"):
         commit_t = ev.t[ev.commits(side)]
         _write_dat(out_dir, [f"interevent_{side}.dat"], commit_t[1:], np.diff(commit_t))

@@ -20,6 +20,7 @@ __all__ = [
     "rk4_step",
     "supply_rate",
     "dissipativity_residuals",
+    "energy_terms",
     "l2_gain_estimate",
     "verify_lti_indices",
     "default_frequency_grid",
@@ -161,24 +162,36 @@ def dissipativity_residuals(model: SystemModel, times: np.ndarray,
     return res
 
 
-def _trapz(values: np.ndarray, times: np.ndarray) -> float:
-    return float(np.sum(0.5 * (values[1:] + values[:-1]) * np.diff(times)))
+def energy_terms(traj: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The trapezoid terms of int ||traj||^2 dt, one per step between the
+    samples of ``traj`` ``(N, dim)`` at ``times`` ``(N,)``.  Each term needs
+    only its step's two rows, so a trajectory read in blocks that overlap by
+    one row gives the terms of the whole."""
+    values = np.sum(traj * traj, axis=1)
+    return 0.5 * (values[1:] + values[:-1]) * np.diff(times)
 
 
 def l2_gain_estimate(input_traj: np.ndarray, output_traj: np.ndarray,
-                     times: np.ndarray) -> float:
+                     times: Optional[np.ndarray] = None) -> float:
     """Empirical gain sqrt(int ||y||^2 / int ||w||^2) by trapezoidal quadrature.
 
-    This is a lower bound on the true L2 gain of the map w -> y.
+    Without ``times``, the two arguments are already the ``energy_terms`` of
+    the input and of the output, as a blockwise pass keeps them; each
+    integral is their one pairwise sum.  This is a lower bound on the true
+    L2 gain of the map w -> y.
     """
-    w = np.atleast_2d(np.asarray(input_traj, dtype=float).reshape(len(times), -1))
-    y = np.atleast_2d(np.asarray(output_traj, dtype=float).reshape(len(times), -1))
-    if not (len(w) == len(y) == len(times)):
-        raise ValueError("input, output and times must be aligned")
-    e_in = _trapz(np.sum(w * w, axis=1), times)
+    if times is None:
+        in_terms, out_terms = input_traj, output_traj
+    else:
+        w = np.atleast_2d(np.asarray(input_traj, dtype=float).reshape(len(times), -1))
+        y = np.atleast_2d(np.asarray(output_traj, dtype=float).reshape(len(times), -1))
+        if not (len(w) == len(y) == len(times)):
+            raise ValueError("input, output and times must be aligned")
+        in_terms, out_terms = energy_terms(w, times), energy_terms(y, times)
+    e_in = float(np.sum(in_terms))
     if e_in <= 0.0:
         raise ValueError("input signal has zero energy; gain is undefined")
-    e_out = _trapz(np.sum(y * y, axis=1), times)
+    e_out = float(np.sum(out_terms))
     return float(np.sqrt(e_out / e_in))
 
 

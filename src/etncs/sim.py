@@ -10,12 +10,13 @@ their inputs held constant.
 
 One loop serves a single run and a seed sweep: B lanes advance in lockstep,
 each array carrying them as columns, and a single run is a batch of one.
+Rows leave the loop one block at a time, to a consumer per lane, so a run
+holds one block of rows per lane, not the whole trace.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, fields, replace
@@ -23,9 +24,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import core, trigger
-from .design import (DesignParams, DesignResult, TransformGains,
-                     interevent_bound_controller, interevent_bound_plant)
+from . import core
+from .design import DesignParams, DesignResult, TransformGains
 from .network import Channel, DelayProfile, DropoutModel
 from .quantizer import QuantizerSpec, quantize
 from .signals import Signal, SignalSpec
@@ -37,13 +37,13 @@ __all__ = [
     "ScenarioConfig",
     "EventTable",
     "TraceLog",
+    "TraceBlock",
     "run_scenario",
     "compute_metrics",
     "invariant_checks",
     "dropout_spans",
     "max_consecutive_drops",
     "held_samples",
-    "plant_dissipativity",
     "TRACE_COLUMNS",
     "format_blocks",
     "text_bytes",
@@ -51,14 +51,17 @@ __all__ = [
     "write_events_csv",
     "read_trace_csv",
     "read_events_csv",
-    "read_trace",
 ]
 
 _FMT = "%.16e"  # 17 significant digits: round-trips float64 exactly
 _BLOCK_ROWS = 256  # rows formatted or parsed at once; one block's text is held in memory
-# Rows one lane may log. The executor holds every row of a lane in memory,
-# about 140 B per row at port dimension 1 (see cli.BATCH_LANES), so the cap
-# bounds one lane's trace columns at about 1.4 GB.
+# Rows a run hands on at once. The executor fills, and the trace reader
+# parses, one block of this many rows per lane; the trace writer, the checks
+# and the report take each block in turn, so no step holds a whole run.
+_RUN_BLOCK = 8 * _BLOCK_ROWS
+# Rows one lane may log. A lane keeps 16 B of every row, the two energy terms
+# of its L2 gain (see checks.RunChecks), and holds the rest one block at a
+# time, so the cap bounds what it keeps at 160 MB.
 MAX_ROWS = 10_000_000
 
 
@@ -199,6 +202,7 @@ class TraceLog:
     y_qc: np.ndarray
     w1: np.ndarray
     events: EventTable
+    first_row = 0   # the trace row of the first row; a whole run starts at 0
 
     def events_on(self, side: str) -> EventTable:
         return self.events[self.events.on(side)]
@@ -207,7 +211,15 @@ class TraceLog:
         return self.events[self.events.commits(side)]
 
 
-def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]]):
+@dataclass
+class TraceBlock(TraceLog):
+    """One block of a run's rows, which starts at trace row ``first_row``;
+    its event table holds at least every attempt up to its last row."""
+
+    first_row: int = 0
+
+
+def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]], sinks=None):
     """Execute the loop and return the complete trace.
 
     ``cfg`` is one ScenarioConfig, or a sequence of them: the lanes of one
@@ -218,13 +230,46 @@ def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]]):
     TraceLog or DivergenceError per lane, in lane order: a lane that
     diverges is retired at its row while the others go on, every lane
     byte-identical to its own run.
+
+    With ``sinks``, one callable per lane, no rows are kept: each block of
+    up to ``_RUN_BLOCK`` rows of a live lane goes to ``sinks[i](block)``, in
+    row order, as a TraceBlock starting at its ``first_row``, and the lane
+    gives its whole EventTable in place of its TraceLog.  A block's arrays
+    are reused for the next block, and its event table views the lane's
+    growing buffers, so a sink copies what it keeps and keeps no events.  A
+    lane that diverges has had the blocks before the one it diverged in.
     """
+    lanes = [cfg] if isinstance(cfg, ScenarioConfig) else list(cfg)
+    if sinks is None:
+        kept = [_KeptRows() for _ in lanes]
+        runs = [run if isinstance(run, DivergenceError) else rows.trace(lane, run)
+                for lane, rows, run in zip(lanes, kept, _run_lanes(lanes, kept))]
+    else:
+        runs = _run_lanes(lanes, list(sinks))
     if isinstance(cfg, ScenarioConfig):
-        (run,) = _run_lanes([cfg])
+        (run,) = runs
         if isinstance(run, DivergenceError):
             raise run
         return run
-    return _run_lanes(list(cfg))
+    return runs
+
+
+class _KeptRows:
+    """The sink that keeps every block of a lane, in whole-run columns."""
+
+    def __init__(self):
+        self.columns: Dict[str, np.ndarray] = {}
+
+    def __call__(self, block: TraceBlock) -> None:
+        stop = block.first_row + len(block.t)
+        for name in TRACE_COLUMNS:
+            rows = getattr(block, name)
+            if name not in self.columns:
+                self.columns[name] = np.empty((block.config.n_rows,) + rows.shape[1:])
+            self.columns[name][block.first_row:stop] = rows
+
+    def trace(self, config: ScenarioConfig, events: EventTable) -> TraceLog:
+        return TraceLog(config=config, events=events, **self.columns)
 
 
 def _check_lanes(cfgs: List[ScenarioConfig]) -> None:
@@ -243,21 +288,37 @@ def _check_lanes(cfgs: List[ScenarioConfig]) -> None:
                     f"only in w1, w2 and the channels' dropout models")
 
 
+def _squares_bound(limit: float) -> float:
+    """A bound that the sum of both states' squared norms is tested against
+    before the exact norm test: a sum below it puts each norm within
+    ``limit``, because a rounded sum of nonnegative terms is at least each
+    term, the bound lies below limit**2, and sqrt rounds correctly and is
+    monotone.  It is finite, so that inf and NaN fail it, and 0 where the
+    exact test must always run."""
+    if not limit > 0.0:
+        return 0.0
+    square = min(limit * limit, 2.0 ** 1023)   # within half an ulp of limit**2
+    return math.nextafter(math.nextafter(square, 0.0), 0.0)
+
+
 # overflow to inf and NaN needs no warning: the divergence test fails both
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceError]]:
+def _run_lanes(cfgs: List[ScenarioConfig], sinks) -> List[Union[EventTable, DivergenceError]]:
     """The per-row loop, advancing B lanes in lockstep (see run_scenario).
 
     Per-lane arrays carry the lanes on their last axis: states ``(n, B)``,
-    ports, held samples and each link's ``Channel`` hold ``(m, B)``, logs
-    ``(rows, dim, B)``.  A single lane has no lane axis, so its models see
-    one sample, as in a scalar run.  Only the event table records commits:
-    the epilogue reads each lane's held samples back with ``held_samples``.
-    Every operation on the arrays is elementwise or reduces over axis 0
-    only, so no lane's bits depend on another lane.  Lane i is column i
-    from the first row to the last: a lane whose new state fails the norm
-    test gets its DivergenceError and leaves the mask ``live``, keeping its
-    column with a NaN state, and the batch stops when no lane is live.
+    ports, held samples and each link's ``Channel`` hold ``(m, B)``, the
+    block's logs ``(rows, dim, B)``.  A single lane has no lane axis, so its
+    models see one sample, as in a scalar run.  Only the event table records
+    commits: each block's held samples are read back from it with
+    ``held_samples``.  Every operation on the arrays is elementwise or
+    reduces over axis 0 only, so no lane's bits depend on another lane.
+    Lane i is column i from the first row to the last: a lane whose new
+    state fails the norm test gets its DivergenceError and leaves the mask
+    ``live``, keeping its column with a NaN state, and the batch stops when
+    no lane is live.  The log arrays hold one block of rows; when it is
+    full, each live lane's block goes to its sink and the arrays are
+    refilled.
     """
     if not cfgs:
         raise ValueError("run_scenario needs at least one scenario")
@@ -275,109 +336,135 @@ def _run_lanes(cfgs: List[ScenarioConfig]) -> List[Union[TraceLog, DivergenceErr
         columns(a)[:] = np.asarray(value, dtype=float)[:, None]
         return a
 
-    t_col = np.arange(n_rows) * h      # bit-equal to k * h
-    w1 = np.empty((n_rows, m) + shape)
-    w2 = np.empty((n_rows, m) + shape)
-    for i, lane in enumerate(cfgs):
-        columns(w1)[..., i] = Signal(lane.w1)(t_col)
-        columns(w2)[..., i] = Signal(lane.w2)(t_col)
+    block = min(_RUN_BLOCK, n_rows)
+    w1 = np.empty((block, m) + shape)
+    w2 = np.empty((block, m) + shape)
     chan_pc = Channel(cfg.chan_pc.delay, [c.chan_pc.dropout for c in cfgs], "pc",
                       dim=m, initial_hold=np.full(m, cfg.chan_pc.initial_hold))
     chan_cp = Channel(cfg.chan_cp.delay, [c.chan_cp.dropout for c in cfgs], "cp",
                       dim=m, initial_hold=np.full(m, cfg.chan_cp.initial_hold))
-    log = {name: np.empty((n_rows, dim) + shape) for name, dim in (
+    log = {name: np.empty((block, dim) + shape) for name, dim in (
         ("x_p", cfg.plant.state_dim), ("x_c", cfg.controller.state_dim),
         ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m), ("y_qp", m), ("y_qc", m))}
+    log_x_p, log_x_c, log_y_p, log_y_c, log_u_c, log_u_r, log_y_qp, log_y_qc = log.values()
+    plant, controller = cfg.plant, cfg.controller
+    output_p, output_c = plant.output, controller.output
 
     x_p = every_lane(cfg.x0_plant)
     x_c = every_lane(cfg.x0_controller)
     held_p = every_lane(np.zeros(m))   # last committed sample of each detector,
     held_c = every_lane(np.zeros(m))   # updated in place on every commit
+    # the gain block's products with the plant's held sample, redone on a commit
+    m21_held, y_r = g.m21 * held_p, g.m11 * held_p
     live = np.ones(len(cfgs), dtype=bool)   # the lanes not yet retired
     # a single lane's verdict is a numpy bool, which bool() reads at a
     # fraction of the cost of .any()
     any_lane = np.ndarray.any if shape else bool
     force_first = not cfg.drop_first_allowed
     limit = cfg.divergence_limit
+    bound = _squares_bound(limit)
     events = [_event_buffers() for _ in cfgs]   # per lane
-    out: List[Union[TraceLog, DivergenceError, None]] = [None] * len(cfgs)
+    out: List[Union[EventTable, DivergenceError, None]] = [None] * len(cfgs)
 
-    for k in range(n_rows):
-        t = k * h
-        u_r = chan_cp.poll(t)
-        v_pc = chan_pc.poll(t)
-        u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
-        u_c = w2[k] + v_pc
-        y_c = cfg.controller.output(x_c, u_c, t)
+    for start in range(0, n_rows, block):
+        t_col = np.arange(start, min(start + block, n_rows)) * h   # bit-equal to k * h
+        rows = len(t_col)
+        for i in np.flatnonzero(live):
+            columns(w1)[:rows, ..., i] = Signal(cfgs[i].w1)(t_col)
+            columns(w2)[:rows, ..., i] = Signal(cfgs[i].w2)(t_col)
+        for j in range(rows):
+            k = start + j
+            t = k * h
+            u_r = chan_cp.poll(t)
+            v_pc = chan_pc.poll(t)
+            u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1[j], x_p, t)
+            u_c = w2[j] + v_pc
+            y_c = output_c(x_c, u_c, t)
 
-        # plant-side detector (initial transmission at t=0 is unconditional);
-        # a committed sample feeds the local gain block immediately
-        fire = check_violation(held_p, y_p, cfg.trigger_p) if k else live
-        if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
-                                        cfg.quant_p, chan_pc, events, force_first):
-            u_p, y_p = _plant_side(cfg.plant, g, held_p, u_r, w1[k], x_p, t)
-        # controller-side detector (send only; no local feedback to itself)
-        fire = check_violation(held_c, y_c, cfg.trigger_c) if k else live
-        if any_lane(fire):
-            _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
-                      chan_cp, events, force_first)
+            # plant-side detector (initial transmission at t=0 is unconditional);
+            # a committed sample feeds the local gain block immediately
+            fire = check_violation(held_p, y_p, cfg.trigger_p) if k else live
+            if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
+                                            cfg.quant_p, chan_pc, events, force_first):
+                m21_held, y_r = g.m21 * held_p, g.m11 * held_p
+                u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1[j], x_p, t)
+            # controller-side detector (send only; no local feedback to itself)
+            fire = check_violation(held_c, y_c, cfg.trigger_c) if k else live
+            if any_lane(fire):
+                _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
+                          chan_cp, events, force_first)
 
-        log["x_p"][k] = x_p
-        log["x_c"][k] = x_c
-        log["y_p"][k] = y_p
-        log["y_c"][k] = y_c
-        log["u_c"][k] = u_c
-        log["u_r"][k] = u_r
-        log["y_qp"][k] = quantize(cfg.quant_p, g.m11 * held_p)
-        log["y_qc"][k] = quantize(cfg.quant_c, held_c)
-        if k == n_rows - 1:
-            break
-
-        x_p = core.rk4_step(cfg.plant, x_p, u_p, t, h)
-        x_c = core.rk4_step(cfg.controller, x_c, u_c, t, h)
-        # the one divergence test: NaN <= limit is false, so it also catches
-        # a non-finite state
-        norm_p = np.sqrt(np.add.reduce(x_p * x_p, axis=0))
-        norm_c = np.sqrt(np.add.reduce(x_c * x_c, axis=0))
-        failed = ~((norm_p <= limit) & (norm_c <= limit)) & live
-        if any_lane(failed):
-            for i, err in _divergences(cfg, (x_p, x_c), (norm_p, norm_c), failed,
-                                       k + 1, t).items():
-                out[i] = err
-            live &= ~failed
-            if not live.any():
+            log_x_p[j] = x_p
+            log_x_c[j] = x_c
+            log_y_p[j] = y_p
+            log_y_c[j] = y_c
+            log_u_c[j] = u_c
+            log_u_r[j] = u_r
+            log_y_qp[j] = quantize(cfg.quant_p, y_r)
+            log_y_qc[j] = quantize(cfg.quant_c, held_c)
+            if k == n_rows - 1:
                 break
-            # NaN > x is false, so no detector fires on a retired lane again
-            x_p[:, failed] = np.nan
-            x_c[:, failed] = np.nan
 
-    # the other columns follow elementwise from the held samples the event
-    # table records, by the formulas the loop used on them
+            x_p = core.rk4_step(plant, x_p, u_p, t, h)
+            x_c = core.rk4_step(controller, x_c, u_c, t, h)
+            # the one divergence test: a sum of squares below the bound passes
+            # both norms; any other sum, NaN too, gets the exact norm test,
+            # whose NaN <= limit is false, so it also catches a non-finite state
+            squares = np.add.reduce(x_p * x_p, axis=0) + np.add.reduce(x_c * x_c, axis=0)
+            near = ~(squares < bound)
+            if not any_lane(near & live if shape else near):
+                continue
+            norm_p = np.sqrt(np.add.reduce(x_p * x_p, axis=0))
+            norm_c = np.sqrt(np.add.reduce(x_c * x_c, axis=0))
+            failed = ~((norm_p <= limit) & (norm_c <= limit)) & live
+            if any_lane(failed):
+                for i, err in _divergences(cfg, (x_p, x_c), (norm_p, norm_c), failed,
+                                           k + 1, t).items():
+                    out[i] = err
+                live &= ~failed
+                if not live.any():
+                    return out
+                # NaN > x is false, so no detector fires on a retired lane again
+                x_p[:, failed] = np.nan
+                x_c[:, failed] = np.nan
+
+        for i in np.flatnonzero(live):
+            _hand_off(sinks[i], cfgs[i], start, t_col, events[i], m, columns(w1)[:rows, ..., i],
+                      {name: columns(a)[:rows, ..., i] for name, a in log.items()})
     for i in np.flatnonzero(live):
-        cols = {name: columns(a)[..., i] for name, a in log.items()}
-        table = _event_table(events[i], m)
-        held_p, held_c = (held_samples(table, side, n_rows) for side in ("plant", "controller"))
-        w1_i = columns(w1)[..., i]
-        y_tilde_c, u_p = _gain_block(g, held_p, cols["u_r"], w1_i)
-        out[i] = TraceLog(config=cfgs[i], t=t_col, w1=w1_i, events=table,
-                          e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c,
-                          y_r=g.m11 * held_p, u_tilde_c=held_p,
-                          y_tilde_c=y_tilde_c, u_p=u_p, **cols)
+        out[i] = _event_table(events[i], m)
     return out
 
 
-def _gain_block(g: TransformGains, held_p, u_r, w1):
+def _hand_off(sink, cfg: ScenarioConfig, start: int, t_col: np.ndarray,
+              buffers: Sequence[array], m: int, w1: np.ndarray, cols: Dict[str, np.ndarray]
+              ) -> None:
+    """Send one block of a lane to its sink: the logged columns, and those
+    that follow elementwise from the held samples the event table records,
+    by the formulas the loop used on them.  The table views the lane's
+    buffers only until this returns, so that they can grow again."""
+    table = _event_table(buffers, m)
+    stop = start + len(t_col)
+    held_p, held_c = (held_samples(table, side, stop, start) for side in ("plant", "controller"))
+    g = cfg.gains
+    y_tilde_c, u_p = _gain_block(g, g.m21 * held_p, cols["u_r"], w1)
+    sink(TraceBlock(config=cfg, t=t_col, w1=w1, events=table, first_row=start,
+                    e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c, y_r=g.m11 * held_p,
+                    u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=u_p, **cols))
+
+
+def _gain_block(g: TransformGains, m21_held, u_r, w1):
     """The plant-side gain block: the controller output y_tilde_c it
-    reconstructs from the held link value and the held plant sample, and
-    the plant input u_p."""
-    y_tilde_c = (u_r - g.m21 * held_p) / g.m22
+    reconstructs from the held link value and ``m21_held``, m21 times the
+    held plant sample, and the plant input u_p."""
+    y_tilde_c = (u_r - m21_held) / g.m22
     return y_tilde_c, w1 - y_tilde_c
 
 
-def _plant_side(plant: core.SystemModel, g: TransformGains, held_p, u_r, w1, x_p, t):
-    """(u_p, y_p) from the gain block and the plant output."""
-    _, u_p = _gain_block(g, held_p, u_r, w1)
-    return u_p, plant.output(x_p, u_p, t)
+def _plant_side(output, g: TransformGains, m21_held, u_r, w1, x_p, t):
+    """(u_p, y_p) from the gain block and the plant's ``output``."""
+    _, u_p = _gain_block(g, m21_held, u_r, w1)
+    return u_p, output(x_p, u_p, t)
 
 
 def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
@@ -430,7 +517,8 @@ def _divergences(cfg: ScenarioConfig, states, norms, failed, row: int, t: float
 def dropout_spans(trace: TraceLog, side: str) -> Tuple[np.ndarray, np.ndarray]:
     """(starts, ends) of the half-open [first drop, next success) spans where
     the held-sample norm bound is not expected to hold, as int64 trace rows
-    (``sample_index``); a span the run ends inside ends at ``len(trace.t)``."""
+    (``sample_index``); a span still open after the trace's last row ends
+    just past it."""
     ev = trace.events
     on = ev.on(side)
     dropped, rows = ev.dropped[on], ev.sample_index[on]
@@ -438,8 +526,8 @@ def dropout_spans(trace: TraceLog, side: str) -> Tuple[np.ndarray, np.ndarray]:
     after_drop[1:] = dropped[:-1]
     starts = rows[dropped & ~after_drop]
     ends = rows[~dropped & after_drop]
-    if len(ends) < len(starts):   # the run ends inside a span
-        ends = np.append(ends, len(trace.t))
+    if len(ends) < len(starts):   # the trace ends inside a span
+        ends = np.append(ends, trace.first_row + len(trace.t))
     return starts, ends
 
 
@@ -450,11 +538,11 @@ def max_consecutive_drops(trace: TraceLog, side: str) -> int:
     return int(np.max(edges[1::2] - edges[::2], initial=0))
 
 
-def held_samples(events: EventTable, side: str, rows: int) -> np.ndarray:
-    """The detector's held sample at each of ``rows`` trace rows, from the
-    event table: row k holds the last commit with ``sample_index <= k``
-    (zeros before the first commit).  Sorted by index, a running max of
-    table positions keeps this exact for unsorted commits.
+def held_samples(events: EventTable, side: str, rows: int, start: int = 0) -> np.ndarray:
+    """The detector's held sample at each trace row from ``start`` up to
+    ``rows``, from the event table: row k holds the last commit with
+    ``sample_index <= k`` (zeros before the first commit).  Sorted by index,
+    a running max of table positions keeps this exact for unsorted commits.
     """
     commits = events.commits(side)
     index = events.sample_index[commits]
@@ -462,22 +550,8 @@ def held_samples(events: EventTable, side: str, rows: int) -> np.ndarray:
                              events.committed[commits]))
     order = np.argsort(index, kind="stable")
     last = np.concatenate(([0], np.maximum.accumulate(order) + 1))
-    below = np.searchsorted(index[order], np.arange(rows), side="right")
+    below = np.searchsorted(index[order], np.arange(start, rows), side="right")
     return values[last[below]]
-
-
-def plant_dissipativity(trace: TraceLog) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-step residuals of the plant's dissipation inequality and their
-    tolerance ``1e-6 * (1 + max(|V_k|, |V_{k+1}|))``, which scales the
-    quadrature error allowance with the storage at either end of the step.
-    """
-    plant = trace.config.plant
-    res = core.dissipativity_residuals(plant, trace.t, trace.x_p, trace.u_p)
-    v = np.abs(plant.storage(trace.x_p.T))
-    tol = np.maximum(v[:-1], v[1:])
-    tol += 1.0
-    tol *= 1e-6
-    return res, tol
 
 
 def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, np.ndarray, np.ndarray]:
@@ -510,145 +584,27 @@ def _accum_ratio_excess(trace: TraceLog, side: str, delta: float) -> float:
     return float(np.fmax.reduce(ratio - bound, initial=-math.inf))
 
 
-def invariant_checks(trace: TraceLog, design: Optional[DesignResult] = None, held=None
+def invariant_checks(run, design: Optional[DesignResult] = None
                      ) -> Tuple[Dict[str, Tuple[bool, str]], Dict[str, float]]:
     """The verdicts metrics.kv and verify.kv share, as name -> (pass, detail),
-    and the values metrics.kv prints with them: ``l2_gain_emp`` (NaN without
-    input energy) and the dissipation maxima.  ``held`` maps a side to its
-    ``held_samples``, if known.  A verdict whose premise fails is left out:
-    ``trigger_ineq_*`` (||y - held||^2 <= delta*||y||^2 where the detector
-    did not fire) and ``held_norm_bound_*`` (||held|| <= (1+sqrt(delta))*||y||
-    outside dropout spans) need only the triggering rule; ``dissipativity_p``
-    needs a storage function; ``l2_gain_bound`` (gain <= ``gamma_bound``)
-    needs positive input energy and a feasible design; ``dropout_budget_*``
-    need a feasible design.
-    """
-    cfg, t, ev = trace.config, trace.t, trace.events
-    checks: Dict[str, Tuple[bool, str]] = {}
-    for side, key, delta, y in (("plant", "p", cfg.trigger_p.delta, trace.y_p),
-                                ("controller", "c", cfg.trigger_c.delta, trace.y_c)):
-        held_side = held_samples(ev, side, len(t)) if held is None else held[side]
-        ok, bad = trigger.trigger_inequality_check(t, y, held_side, delta,
-                                                   ev.sample_index[ev.on(side)])
-        checks[f"trigger_ineq_{key}"] = (
-            ok, "holds at all non-firing samples" if ok
-            else f"violated at {len(bad)} samples, first at t={t[bad[0]]:.6f}")
-        rep = trigger.sampled_output_bound_check(t, y, held_side, delta,
-                                                 dropout_spans(trace, side))
-        checks[f"held_norm_bound_{key}"] = (
-            rep.ok, f"{rep.excluded_spans} dropout spans excluded" if rep.ok
-            else f"violated at t={rep.violations[0][0]:.6f}")
-        del held_side, rep   # free one side's arrays before the next
-    try:
-        gain = core.l2_gain_estimate(trace.w1, trace.y_p, t)
-    except ValueError:   # zero input energy: the gain is undefined
-        gain = math.nan
-    values = {"l2_gain_emp": gain}
-    if cfg.plant.storage is not None:
-        res, tol = plant_dissipativity(trace)
-        worst = float(np.max(res / tol)) if len(res) else 0.0
-        values["dissip_residual_max_p"] = float(np.max(res)) if len(res) else 0.0
-        values["dissip_norm_residual_max_p"] = worst
-        checks["dissipativity_p"] = (bool(np.all(res <= tol)),
-                                     f"worst residual at {worst:.3e} of tolerance")
-    if design is not None:
-        if not math.isnan(gain):
-            checks["l2_gain_bound"] = (
-                bool(gain <= design.gamma_bound),
-                f"empirical {gain:.4f} vs certified {design.gamma_bound:.4f}")
-        for side, key, budget in (("plant", "p", design.d_p_max),
-                                  ("controller", "c", design.d_c_max)):
-            drops = max_consecutive_drops(trace, side)
-            checks[f"dropout_budget_{key}"] = (
-                drops <= budget, f"observed {drops} consecutive vs budget {budget}")
-    return checks, values
+    and the values metrics.kv prints with them (see ``checks.verdicts``).
+    ``run`` is a TraceLog, or the ``checks.RunChecks`` of a run fed to it
+    block by block."""
+    from . import checks   # here, so that only the steps that check a run compile it
+
+    return checks.verdicts(checks.RunChecks.of(run) if isinstance(run, TraceLog) else run,
+                           design)
 
 
-def compute_metrics(trace: TraceLog, design: Optional[DesignResult] = None,
+def compute_metrics(run, design: Optional[DesignResult] = None,
                     params: Optional[DesignParams] = None) -> Dict[str, object]:
-    """Aggregate the quantities the design formulas talk about.
+    """metrics.kv's entries (see ``checks.metrics``).  ``run`` is a
+    TraceLog, or the ``checks.RunMetrics`` of a run fed to it block by
+    block."""
+    from . import checks
 
-    Extracts event statistics, the inter-switch slope and sup-norm constants,
-    the empirical L2 gain of the disturbance-to-plant-output map, energy
-    residuals against the plant storage, and, when a design result is
-    supplied, boolean comparisons of the observed trace against its bounds.
-    A comparison with nothing to compare is left out: ``accum_ratio_*`` for
-    a side with no re-commit, ``interevent_*`` for a side with no gap.
-    """
-    cfg, ev = trace.config, trace.events
-    checks, values = invariant_checks(trace, design)
-    me: Dict[str, object] = {}
-    for side, key in (("plant", "p"), ("controller", "c")):
-        attempts = int(np.count_nonzero(ev.on(side)))
-        drops = int(np.count_nonzero(ev.on(side) & ev.dropped))
-        me[f"attempts_{key}"] = attempts
-        me[f"events_{key}"] = attempts - drops
-        me[f"drops_{key}"] = drops
-        me[f"max_consec_drops_{key}"] = max_consecutive_drops(trace, side)
-        me[f"min_gap_{key}"], _, _ = _gap_stats(trace, side)
-
-    me["sup_x_p"] = float(np.max(np.linalg.norm(trace.x_p, axis=1)))
-    me["l2_gain_emp"] = values.pop("l2_gain_emp")
-    me.update(_excitation_bounds(trace))
-    me.update(values)   # the dissipation maxima, with a storage function
-    if "dissipativity_p" in checks:
-        me["dissip_ok_p"] = checks["dissipativity_p"][0]
-    for side, key, tcfg in (("plant", "p", cfg.trigger_p),
-                            ("controller", "c", cfg.trigger_c)):
-        me[f"trigger_ok_{key}"] = checks[f"trigger_ineq_{key}"][0]
-        me[f"sampled_bound_ok_{key}"] = checks[f"held_norm_bound_{key}"][0]
-        if me[f"events_{key}"] > 1:   # a re-commit to compare
-            worst_excess = _accum_ratio_excess(trace, side, tcfg.delta)
-            me[f"accum_ratio_excess_{key}"] = worst_excess
-            me[f"accum_ratio_ok_{key}"] = worst_excess <= 1e-9
-
-    for name, key in (("l2_gain_bound", "within_l2_bound"), ("dropout_budget_p", "budget_ok_p"),
-                      ("dropout_budget_c", "budget_ok_c")):
-        if name in checks:
-            me[key] = checks[name][0]
-    if design is not None and params is not None:
-        me.update(_interevent_comparison(trace, params, me))
-    return me
-
-
-# Each helper below returns scalars only, so the row-length arrays it needs
-# are freed before compute_metrics goes on to the next.
-
-def _excitation_bounds(trace: TraceLog) -> Dict[str, float]:
-    """The inter-switch slope (c0) and sup-norm (c1, c2) constants of the
-    disturbance and reconstructed-output signals on each side."""
-    sig_w1 = Signal(trace.config.w1)
-    sig_w2 = Signal(trace.config.w2)
-    w2_vals = sig_w2(trace.t)
-    return {"c0": sig_w1.slope_bound,
-            "c1": float(np.max(np.linalg.norm(trace.w1, axis=1))),
-            "c2": float(np.max(np.linalg.norm(trace.y_tilde_c, axis=1))),
-            "c0_prime": sig_w2.slope_bound,
-            "c1_prime": float(np.max(np.linalg.norm(w2_vals, axis=1))),
-            "c2_prime": float(np.max(np.linalg.norm(trace.u_c - w2_vals, axis=1)))}
-
-
-def _interevent_comparison(trace: TraceLog, params: DesignParams,
-                           me: Dict[str, object]) -> Dict[str, object]:
-    """Each gap between a side's commits against its conic-sector lower
-    bound.  The bound needs an output-strictly passive side (rho > 0), and
-    the comparison a gap; a side without both gets no ``interevent_*``
-    entries."""
-    h = trace.config.h
-    out: Dict[str, object] = {}
-    for side, key, rho, fn, consts in (
-            ("plant", "p", params.rho_p, interevent_bound_plant,
-             (me["c0"], me["c1"], me["c2"])),
-            ("controller", "c", params.rho_c, interevent_bound_controller,
-             (me["c0_prime"], me["c1_prime"], me["c2_prime"]))):
-        _, gaps, y_norms = _gap_stats(trace, side)
-        if rho <= 0 or not len(gaps):
-            continue
-        slack = gaps - (fn(params, *consts, y_norms) - h)
-        out[f"interevent_ok_{key}"] = not np.any(slack < -1e-12)
-        out[f"interevent_worst_slack_{key}"] = float(
-            np.fmin.reduce(slack, initial=math.inf))
-    return out
+    return checks.metrics(checks.RunMetrics.of(run) if isinstance(run, TraceLog) else run,
+                          design, params)
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +761,20 @@ def text_bytes(text: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def write_trace_csv(trace: TraceLog, path) -> None:
+def write_trace_csv(trace: TraceLog, dest) -> None:
+    """Write the rows of ``trace`` to ``dest``, a path or a binary file open
+    for writing, after the header if ``trace`` starts at row 0: the blocks
+    of a run written in turn to one file make the file of the whole run."""
+    if not hasattr(dest, "write"):
+        with open(dest, "wb") as fh:
+            return write_trace_csv(trace, fh)
     names = [name for group in _trace_header(trace.config).values() for name in group]
+    if trace.first_row == 0:
+        dest.write((",".join(names) + "\n").encode())
     seps = np.frombuffer(b"," * (len(names) - 1) + b"\n", np.uint8)
-    with open(path, "wb") as fh:
-        fh.write((",".join(names) + "\n").encode())
-        for text in format_blocks(*(getattr(trace, base) for base in TRACE_COLUMNS)):
-            text[:, :, -1] = seps
-            fh.write(text_bytes(text))
+    for text in format_blocks(*(getattr(trace, base) for base in TRACE_COLUMNS)):
+        text[:, :, -1] = seps
+        dest.write(text_bytes(text))
 
 
 # the side and kind labels as NUL-padded uint8 rows, each with its comma
@@ -842,99 +804,35 @@ def write_events_csv(trace: TraceLog, path) -> None:
                 axis=1)))
 
 
-def read_trace_csv(path) -> Tuple[List[str], np.ndarray]:
-    """Header names and the raw value matrix of a trace file (see
-    ``tracecsv.read``)."""
+def read_trace_csv(path, block_rows: Optional[int] = None):
+    """Header names and the raw value matrix of a trace file; with
+    ``block_rows``, the names and an iterator of the matrix's blocks of that
+    many rows (see ``tracecsv.read``)."""
     from .tracecsv import read   # here, so that only verify and report compile it
 
-    return read(path)
-
-
-_EVENT_FIELDS = _EVENTS_HEADER.split(",")
-_INT64 = np.iinfo(np.int64)
-
-
-def _event_rows(rows: List[str], width: int) -> EventTable:
-    """The EventTable of stripped, non-blank events.csv rows whose vectors
-    are ``width`` long.  ValueError describes the first fault found in the
-    first row with one."""
-    counts = [r.count(",") for r in rows]
-    if counts.count(9) != len(counts):
-        raise ValueError(f"expected 10 fields, got {next(c for c in counts if c != 9) + 1}")
-    cells = np.array(",".join(rows).split(","), dtype=object).reshape(-1, 10)
-    plant, dropped = cells[:, 0] == "plant", cells[:, 1] == "drop"
-    known = (plant | (cells[:, 0] == "controller")) & (dropped | (cells[:, 1] == "commit"))
-    if not known.all():
-        side, kind = cells[np.argmin(known), :2]
-        raise ValueError(f"unknown side or kind {side!r}, {kind!r}")
-    try:
-        ints = cells[:, 3:6].astype(np.int64)
-    except OverflowError:
-        name, value = next((_EVENT_FIELDS[3 + j], v) for row in cells[:, 3:6]
-                           for j, v in enumerate(row)
-                           if not _INT64.min <= int(v) <= _INT64.max)
-        raise ValueError(f"{name} {value} out of range") from None
-    # sample_index joins rows through int64 arrays, so its magnitude must fit
-    if (ints[:, 0] == _INT64.min).any():
-        raise ValueError(f"sample_index {_INT64.min} out of range")
-    vectors = []
-    for j in (8, 9):
-        lengths = [v.count(";") + 1 for v in cells[:, j]]
-        if lengths.count(width) != len(lengths):
-            bad = next(n for n in lengths if n != width)
-            raise ValueError(f"{_EVENT_FIELDS[j]} has {bad} values, expected {width}")
-        vectors.append(";".join(cells[:, j]).split(";"))
-    floats = np.array(cells[:, [2, 6, 7]].T.ravel().tolist() + vectors[0] + vectors[1],
-                      dtype=object).astype(float)
-    n = len(rows)
-    t, e_norm, y_norm = floats[:3 * n].reshape(3, n)
-    payload, committed = floats[3 * n:].reshape(2, n, width)
-    return EventTable(plant, dropped, t, *ints.T, e_norm, y_norm, payload, committed)
+    names, blocks = read(path, block_rows)
+    if block_rows is not None:
+        return names, blocks
+    (mat,) = blocks
+    return names, mat
 
 
 def read_events_csv(path, width: int) -> EventTable:
     """The event table of an events file whose vectors are ``width`` long.
     A short or garbled row, an index outside int64 or a vector of another
-    length is a ValueError naming its line."""
-    blocks = []
-    with open(path) as fh:
-        if fh.readline().strip() != _EVENTS_HEADER:
-            raise ValueError(f"events file {path} lacks the events header")
-        # (line number, text) of each non-blank line, parsed a block at a time
-        # as it is read, which bounds the memory the line and cell texts take
-        lines = ((n, r) for n, r in enumerate(map(str.strip, fh), start=2) if r)
-        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
-            try:
-                blocks.append(_event_rows([r for _, r in block], width))
-            except ValueError as exc:
-                for n, r in block:   # name the first bad line
-                    try:
-                        _event_rows([r], width)
-                    except ValueError as line_exc:
-                        raise ValueError(f"events file {path} line {n}: {line_exc}") from None
-                raise ValueError(f"events file {path}: {exc}") from None
-    if not blocks:
-        return _event_table(_event_buffers(), width)
-    return EventTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                        for f in fields(EventTable)))
+    length is a ValueError naming its line (see ``tracecsv.read_events``)."""
+    from .tracecsv import read_events
+
+    return read_events(path, width)
 
 
 def read_trace(scenario: ScenarioConfig, trace_path, events_path) -> TraceLog:
-    """A run read back from its trace and events files, as ``run_scenario``
-    returned it; the signal arrays are column views of the parsed matrix.
-    A trace header other than the one these models write is a ValueError
-    naming its first column that differs."""
-    names, mat = read_trace_csv(trace_path)
-    header = _trace_header(scenario)
-    expected = (name for group in header.values() for name in group)
-    for i, (name, want) in enumerate(itertools.zip_longest(names, expected)):
-        if name != want:   # None stands for a missing or an extra column
-            raise ValueError(f"trace file {trace_path} column {i + 1} is {name!r}, "
-                             f"expected {want!r} for these models")
-    cols, start = {}, 0
-    for base, group in header.items():
-        cols[base] = mat[:, start:start + len(group)]
-        start += len(group)
-    cols["t"] = mat[:, 0]
-    events = read_events_csv(events_path, scenario.plant.output_dim)
-    return TraceLog(config=scenario, events=events, **cols)
+    """A whole run read back from its trace and events files, as
+    ``run_scenario`` returns it; the signal arrays are column views of the
+    parsed matrix.  The steps read a run a block at a time instead
+    (``tracecsv.read_run``), which raises the same faults."""
+    from .tracecsv import read_run
+
+    _, blocks = read_run(scenario, trace_path, events_path)
+    (trace,) = blocks
+    return trace

@@ -1,23 +1,29 @@
-"""Reading trace.csv back.
+"""Reading trace.csv and events.csv back.
 
 Text in the writer's own layout (``sim.format_blocks``: every value
 ``[-]d.<16 digits>e[+-]dd[d]``, every line ending in a newline) is parsed
-with numpy arithmetic into the values ``np.loadtxt`` gives, bit for bit; any
-other text goes through ``np.loadtxt``, with its messages.  This is a module
+with numpy arithmetic, a block of lines at a time, into the values
+``np.loadtxt`` and ``float`` give, bit for bit; any other text goes through
+``np.loadtxt`` or the events reader's line parser, with their messages.  A
+run's rows can be read one block at a time (``read_run``).  This is a module
 of its own, imported by ``sim.read_trace_csv`` when first called, so that
-only the processes that read a trace compile and load it.
+only the processes that read a run compile and load it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import fields
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sim import _BLOCK_ROWS, _E_MAX, _POW_LO, _format_tables, _veltkamp
+from .sim import (_BLOCK_ROWS, _E_MAX, _EVENTS_HEADER, _POW_LO, EventTable, ScenarioConfig,
+                  TraceBlock, _event_buffers, _event_table, _format_tables, _trace_header,
+                  _veltkamp, read_events_csv, read_trace_csv)
 
-__all__ = ["read"]
+__all__ = ["read", "read_events", "read_run"]
 
 # The bytes of the shortest and the longest field the writer makes, with its
 # separator: "d.<16 digits>e+dd," and "-d.<16 digits>e+ddd,".
@@ -149,70 +155,115 @@ def _parse_fields(buf: np.ndarray, spans: np.ndarray, starts: np.ndarray,
     return x
 
 
-def _read_layout(fh, width: int, size: int) -> Optional[np.ndarray]:
-    """The value matrix of the ``size`` bytes left in binary file ``fh``, if
-    they are rows of ``width`` fields in the writer's layout, each line
-    ending in a newline; else None.  The matrix is allocated once for the
-    most rows ``size`` bytes can hold and shrunk at the end, so pages past
-    the last row are never touched; the text is read _BLOCK_ROWS lines at
-    a time into one buffer that holds that many of the longest lines, or
-    the whole text and a byte more, if that is less."""
-    tables = _format_tables()[:4]   # made first, so the cache pins no heap above the blocks
-    cap = min(_BLOCK_ROWS * width * _FIELD_MAX, size + 1)
+def _chunks(fh, size: int, line_max: int, fields: int, separators: bytes, parse):
+    """``parse(buf, spans, starts, ends, neg)`` of each block of lines of the
+    ``size`` bytes left in binary file ``fh``, read _BLOCK_ROWS lines at a
+    time into one buffer that holds that many ``line_max``-byte lines, or
+    the whole text and a byte more, if that is less.  Each line is
+    ``fields`` fields split by the bytes of ``separators`` and ended by a
+    newline; ``parse`` gets the buffer, the 24 bytes from each of its
+    bytes, the [start, end) of every field of the block's lines and whether
+    it starts with '-'.  None, and nothing after it, where a line is
+    longer, has another field count or has no newline.  Only what ``parse``
+    returns is held while the caller works on it.
+    """
+    cap = min(_BLOCK_ROWS * line_max, size + 1)
     buf = np.zeros(cap + 32, np.uint8)   # a field's 24 bytes may run past the text
     spans = np.ndarray((len(buf) - 23,), "V24", buf, strides=(1,))
-    mat = np.empty((size // (width * _FIELD_MIN), width))
-    rows = held = 0
+    held = 0
     while True:
         read = fh.readinto(memoryview(buf)[held:cap])
         end = held + read
         if not end:
-            break
+            return
         newline = buf[:end] == ord("\n")
-        seps = np.flatnonzero(newline | (buf[:end] == ord(",")))
+        split = newline.copy()
+        for sep in separators:
+            split |= buf[:end] == sep
+        seps = np.flatnonzero(split)
         line_ends = np.searchsorted(seps, np.flatnonzero(newline))   # as indices of seps
-        del newline
+        del newline, split
         if len(line_ends) >= _BLOCK_ROWS:
             lines = _BLOCK_ROWS
         elif read < cap - held and buf[end - 1] == ord("\n"):
             lines = len(line_ends)   # the last lines of the file
         else:
-            return None   # a line longer than the writer's, or no final newline
-        fields = lines * width
-        if (not np.array_equal(line_ends[:lines], np.arange(width - 1, fields, width))
-                or rows + lines > len(mat)):
-            return None
-        ends = seps[:fields]
+            yield None   # a line longer than the writer's, or no final newline
+            return
+        n = lines * fields
+        if not np.array_equal(line_ends[:lines], np.arange(fields - 1, n, fields)):
+            yield None
+            return
+        ends = seps[:n]
         starts = np.empty_like(ends)
         starts[0] = 0
         starts[1:] = ends[:-1] + 1
         # compared over the bytes the separator scan compares, so that it runs
         # the same numpy code: a shorter slice mapped 64 KB more of numpy
         neg = (buf[:end] == ord("-"))[starts]
-        values = _parse_fields(buf, spans, starts, ends, neg, tables)
-        if values is None:
-            return None
-        mat[rows:rows + lines] = values.reshape(lines, width)
-        rows += lines
         cut = ends[-1] + 1
+        parsed = parse(buf, spans, starts, ends, neg)
+        del seps, line_ends, starts, ends, neg
+        yield parsed
+        if parsed is None:
+            return
+        del parsed
         held = end - cut
         buf[:held] = buf[cut:end]
-    if not rows:
-        return None
-    mat.resize((rows, width), refcheck=False)
-    return mat
 
 
-def read(path) -> Tuple[List[str], np.ndarray]:
-    """Header names and the raw value matrix of a trace file."""
+def _blocks(path, offset: int, width: int, block_rows: Optional[int]) -> Iterator[np.ndarray]:
+    """The value matrix of the trace file after its ``offset``-byte header,
+    in blocks of ``block_rows`` rows, each valid until the next, or whole.
+    Rows in the writer's layout are parsed as they are read.  At any other
+    text, ``np.loadtxt`` reads the whole file and its matrix gives the rows
+    not yet given: the fast path's rows are bit-equal to its."""
+    if block_rows is not None and block_rows % _BLOCK_ROWS:
+        raise ValueError(f"block_rows must be a multiple of {_BLOCK_ROWS}, got {block_rows}")
+    tables = _format_tables()[:4]   # made first, so the cache pins no heap above the blocks
+    done = 0
     with open(path, "rb") as fh:
-        head = fh.readline()
-        if head.endswith(b"\n") and head.isascii() and b"\r" not in head:
-            names = head.decode().strip().split(",")
-            if names != [""]:
-                mat = _read_layout(fh, len(names), os.fstat(fh.fileno()).st_size - len(head))
-                if mat is not None:
-                    return names, mat
+        fh.seek(offset)
+        size = os.fstat(fh.fileno()).st_size - offset
+        # a whole matrix is allocated once for the most rows ``size`` bytes can
+        # hold (each field takes at least _FIELD_MIN) and shrunk at the end, so
+        # pages past the last row are never touched
+        out = np.empty((size // (width * _FIELD_MIN) if block_rows is None else block_rows,
+                        width))
+        rows = 0
+        for values in _chunks(fh, size, width * _FIELD_MAX, width, b",",
+                              lambda *chunk: _parse_fields(*chunk, tables)):
+            if values is None:
+                break
+            lines = len(values) // width
+            out[rows:rows + lines] = values.reshape(lines, width)
+            rows += lines
+            del values
+            if rows == len(out) and block_rows is not None:
+                yield out
+                done += rows
+                rows = 0
+        else:
+            if done + rows:
+                if block_rows is None:
+                    out.resize((rows, width), refcheck=False)
+                    yield out
+                elif rows:
+                    yield out[:rows]
+                return
+    _, mat = _loadtxt(path)   # text outside the layout, or no row at all
+    yield from _slices(mat, done, block_rows)
+
+
+def _slices(mat: np.ndarray, start: int, block_rows: Optional[int]) -> Iterator[np.ndarray]:
+    """The rows of ``mat`` from ``start`` on, in blocks of ``block_rows`` rows
+    or as one block."""
+    step = block_rows or len(mat)
+    return (mat[i:i + step] for i in range(start, len(mat), step))
+
+
+def _loadtxt(path) -> Tuple[List[str], np.ndarray]:
+    """Header names and the value matrix of a trace file, by ``np.loadtxt``."""
     with open(path) as fh:
         header = fh.readline().strip()
         if not header:
@@ -226,3 +277,235 @@ def read(path) -> Tuple[List[str], np.ndarray]:
     if mat.shape[1] != len(names):
         raise ValueError(f"trace file {path} is malformed: ragged rows")
     return names, mat
+
+
+def read(path, block_rows: Optional[int] = None) -> Tuple[List[str], Iterator[np.ndarray]]:
+    """Header names and the raw value matrix of a trace file, as an iterator
+    of its blocks of ``block_rows`` rows (a multiple of ``_BLOCK_ROWS``),
+    each valid until the next, or of the one whole matrix.  A fault in the
+    rows is raised where the iteration meets it."""
+    with open(path, "rb") as fh:
+        head = fh.readline()
+    if head.endswith(b"\n") and head.isascii() and b"\r" not in head:
+        names = head.decode().strip().split(",")
+        if names != [""]:
+            return names, _blocks(path, len(head), len(names), block_rows)
+    names, mat = _loadtxt(path)
+    return names, _slices(mat, 0, block_rows)
+
+
+def read_run(scenario: ScenarioConfig, trace_path, events_path,
+             block_rows: Optional[int] = None) -> Tuple[EventTable, Iterator[TraceBlock]]:
+    """The run of ``scenario`` read back from its trace and events files:
+    the event table, and the rows as TraceBlocks of ``block_rows`` rows
+    that carry it, each valid until the next (without ``block_rows``, one
+    block of every row, whose signal arrays are column views of the parsed
+    matrix).  Faults come in the order a whole read meets them, so the
+    trace's rows are read through before another fault is raised: one in
+    the trace's rows, then a header other than these models write (naming
+    its first column that differs), then one in the events file."""
+    names, blocks = read_trace_csv(trace_path, block_rows)
+    if block_rows is None:
+        blocks = iter([blocks])   # the whole matrix
+    header = _trace_header(scenario)
+    expected = (name for group in header.values() for name in group)
+    fault: Optional[Exception] = None
+    for i, (name, want) in enumerate(itertools.zip_longest(names, expected)):
+        if name != want:   # None stands for a missing or an extra column
+            fault = ValueError(f"trace file {trace_path} column {i + 1} is {name!r}, "
+                               f"expected {want!r} for these models")
+            break
+    if fault is None:
+        try:
+            events = read_events_csv(events_path, scenario.plant.output_dim)
+        except (OSError, ValueError) as exc:
+            fault = exc
+    if fault is not None:
+        for _ in blocks:
+            pass
+        raise fault
+    return events, _trace_logs(scenario, header, events, blocks)
+
+
+def _trace_logs(scenario: ScenarioConfig, header: Dict[str, List[str]], events: EventTable,
+                blocks: Iterator[np.ndarray]) -> Iterator[TraceBlock]:
+    start = 0
+    for mat in blocks:
+        cols, col = {}, 0
+        for base, group in header.items():
+            cols[base] = mat[:, col:col + len(group)]
+            col += len(group)
+        cols["t"] = mat[:, 0]
+        yield TraceBlock(config=scenario, events=events, first_row=start, **cols)
+        start += len(mat)
+
+
+# ---------------------------------------------------------------------------
+# events.csv
+
+_EVENTS_HEAD = (_EVENTS_HEADER + "\n").encode()
+_EVENT_FIELDS = _EVENTS_HEADER.split(",")
+_INT64 = np.iinfo(np.int64)
+_LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(8)] + [-1], np.int64)   # j low bytes set
+
+
+def _word(text: bytes) -> int:
+    """The little-endian int64 word of up to 8 ASCII bytes."""
+    return int.from_bytes(text, "little")
+
+
+def read_events(path, width: int) -> EventTable:
+    """The event table of an events file whose vectors are ``width`` long.
+
+    Text in the writer's layout is parsed with numpy arithmetic, _BLOCK_ROWS
+    lines at a time from one reused buffer, into the table's own growing
+    buffers: one separator scan over ',', ';' and newline per block, the
+    side and kind labels compared byte for byte, the three indices read as
+    up to 16 digits and the floats by ``_parse_fields``.  Any other text is
+    read again by ``_read_event_lines``, with its messages."""
+    table = _read_event_layout(path, width)
+    return _read_event_lines(path, width) if table is None else table
+
+
+def _read_event_layout(path, width: int) -> Optional[EventTable]:
+    """The event table of an events file in the writer's layout, else None."""
+    fields = 8 + 2 * width
+    # the separator after each field of a line
+    pattern = np.frombuffer(b"," * 8 + b";" * (width - 1) + b"," + b";" * (width - 1) + b"\n",
+                            np.uint8)
+    floats = [2, 6, 7, *range(8, fields)]   # t, e_norm, y_norm, payload, committed
+    tables = _format_tables()[:4]
+
+    def columns(buf, spans, starts, ends, neg):
+        """The table's columns of a block of lines, or None."""
+        if not (buf[ends].reshape(-1, fields) == pattern).all():
+            return None
+        starts, ends = starts.reshape(-1, fields), ends.reshape(-1, fields)
+        labels = _labels(spans, starts[:, :2], ends[:, :2])
+        values = _parse_fields(buf, spans, starts[:, floats].ravel(), ends[:, floats].ravel(),
+                               neg.reshape(-1, fields)[:, floats].ravel(), tables)
+        ints = None if values is None else _digits(spans, starts[:, 3:6], ends[:, 3:6])
+        if labels is None or ints is None:
+            return None
+        values = values.reshape(-1, 3 + 2 * width)
+        return (*labels, values[:, 0], *ints.T, values[:, 1], values[:, 2],
+                values[:, 3:3 + width], values[:, 3 + width:])
+
+    buffers = _event_buffers()
+    with open(path, "rb") as fh:
+        if fh.readline() != _EVENTS_HEAD:
+            return None
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        line_max = len(b"controller,commit,") + 3 * 17 + (3 + 2 * width) * _FIELD_MAX
+        for block in _chunks(fh, size, line_max, fields, b",;", columns):
+            if block is None:
+                return None
+            for buffer, column in zip(buffers, block):
+                buffer.frombytes(memoryview(np.ascontiguousarray(column)).cast("B"))
+    return _event_table(buffers, width)
+
+
+def _labels(spans: np.ndarray, starts: np.ndarray, ends: np.ndarray
+            ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(plant, dropped) from each line's side and kind fields, at columns 0
+    and 1 of ``starts`` and ``ends``, or None if one is not a writer's
+    label."""
+    size = ends - starts
+    side = spans[starts[:, 0]].view(np.int64).reshape(-1, 3)
+    kind = spans[starts[:, 1]].view(np.int64).reshape(-1, 3)[:, 0]
+    plant = (size[:, 0] == 5) & ((side[:, 0] & _LOW_BYTES[5]) == _word(b"plant"))
+    controller = ((size[:, 0] == 10) & (side[:, 0] == _word(b"controll"))
+                  & ((side[:, 1] & _LOW_BYTES[2]) == _word(b"er")))
+    dropped = (size[:, 1] == 4) & ((kind & _LOW_BYTES[4]) == _word(b"drop"))
+    commit = (size[:, 1] == 6) & ((kind & _LOW_BYTES[6]) == _word(b"commit"))
+    if not ((plant | controller) & (dropped | commit)).all():
+        return None
+    return plant, dropped
+
+
+def _digits(spans: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> Optional[np.ndarray]:
+    """The values of fields of 1 to 16 ASCII digits, shaped as ``starts``,
+    or None if one is not: the 16 bytes that end at a field's end, as two
+    words whose bytes before the field are set to '0', joined by SWAR."""
+    size = (ends - starts).ravel()
+    if not (((size >= 1) & (size <= 16)).all() and (ends >= 16).all()):
+        return None
+    words = spans[ends.ravel() - 16].view(np.int64).reshape(-1, 3)[:, :2].T.copy()
+    before = 16 - size   # the bytes of the 16 that precede the field
+    for word, n in ((words[0], np.minimum(before, 8)), (words[1], np.maximum(before - 8, 0))):
+        mask = _LOW_BYTES[n]
+        word &= ~mask
+        word |= mask & _ZEROS
+    if not _all_digits(words):
+        return None
+    words -= _ZEROS
+    for width in (1, 2, 4):
+        _join_digits(words, width)
+    words[0] *= 10 ** 8
+    words[0] += words[1]
+    return words[0].reshape(starts.shape)
+
+
+def _event_rows(rows: List[str], width: int) -> EventTable:
+    """The EventTable of stripped, non-blank events.csv rows whose vectors
+    are ``width`` long.  ValueError describes the first fault found in the
+    first row with one."""
+    counts = [r.count(",") for r in rows]
+    if counts.count(9) != len(counts):
+        raise ValueError(f"expected 10 fields, got {next(c for c in counts if c != 9) + 1}")
+    cells = np.array(",".join(rows).split(","), dtype=object).reshape(-1, 10)
+    plant, dropped = cells[:, 0] == "plant", cells[:, 1] == "drop"
+    known = (plant | (cells[:, 0] == "controller")) & (dropped | (cells[:, 1] == "commit"))
+    if not known.all():
+        side, kind = cells[np.argmin(known), :2]
+        raise ValueError(f"unknown side or kind {side!r}, {kind!r}")
+    try:
+        ints = cells[:, 3:6].astype(np.int64)
+    except OverflowError:
+        name, value = next((_EVENT_FIELDS[3 + j], v) for row in cells[:, 3:6]
+                           for j, v in enumerate(row)
+                           if not _INT64.min <= int(v) <= _INT64.max)
+        raise ValueError(f"{name} {value} out of range") from None
+    # sample_index joins rows through int64 arrays, so its magnitude must fit
+    if (ints[:, 0] == _INT64.min).any():
+        raise ValueError(f"sample_index {_INT64.min} out of range")
+    vectors = []
+    for j in (8, 9):
+        lengths = [v.count(";") + 1 for v in cells[:, j]]
+        if lengths.count(width) != len(lengths):
+            bad = next(n for n in lengths if n != width)
+            raise ValueError(f"{_EVENT_FIELDS[j]} has {bad} values, expected {width}")
+        vectors.append(";".join(cells[:, j]).split(";"))
+    floats = np.array(cells[:, [2, 6, 7]].T.ravel().tolist() + vectors[0] + vectors[1],
+                      dtype=object).astype(float)
+    n = len(rows)
+    t, e_norm, y_norm = floats[:3 * n].reshape(3, n)
+    payload, committed = floats[3 * n:].reshape(2, n, width)
+    return EventTable(plant, dropped, t, *ints.T, e_norm, y_norm, payload, committed)
+
+
+def _read_event_lines(path, width: int) -> EventTable:
+    """The event table of an events file read line by line as text.  A short
+    or garbled row, an index outside int64 or a vector of another length is
+    a ValueError naming its line."""
+    blocks = []
+    with open(path) as fh:
+        if fh.readline().strip() != _EVENTS_HEADER:
+            raise ValueError(f"events file {path} lacks the events header")
+        # (line number, text) of each non-blank line, parsed a block at a time
+        # as it is read, which bounds the memory the line and cell texts take
+        lines = ((n, r) for n, r in enumerate(map(str.strip, fh), start=2) if r)
+        while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+            try:
+                blocks.append(_event_rows([r for _, r in block], width))
+            except ValueError as exc:
+                for n, r in block:   # name the first bad line
+                    try:
+                        _event_rows([r], width)
+                    except ValueError as line_exc:
+                        raise ValueError(f"events file {path} line {n}: {line_exc}") from None
+                raise ValueError(f"events file {path}: {exc}") from None
+    if not blocks:
+        return _event_table(_event_buffers(), width)
+    return EventTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                        for f in fields(EventTable)))

@@ -1,10 +1,13 @@
 """Re-derive invariants from serialized trace files.
 
-The run is read back as a ``TraceLog`` (``sim.read_trace``).  The verdicts
-metrics.kv reports too come from ``sim.invariant_checks``; the checks here
-are on the files themselves.  Events join their trace rows on
-``sample_index``, and an event off its row (``events_on_grid``) makes no
-check raise.  Checks return (passed, detail) pairs keyed by name.
+The run is read back one block of rows at a time (``tracecsv.read_run``),
+so no check holds the whole trace.  The verdicts metrics.kv reports too
+come from ``sim.invariant_checks`` on the blocks merged by a
+``checks.RunChecks``; the checks here are on the files themselves, each
+merged across blocks from counts, first rows and the last row of the block
+before.  Events join their trace rows on ``sample_index``, and an event off
+its row (``events_on_grid``) makes no check raise.  Checks return (passed,
+detail) pairs keyed by name.
 """
 
 from __future__ import annotations
@@ -13,13 +16,22 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .checks import RunChecks
 from .design import DesignResult
-from .sim import (TRACE_COLUMNS, ScenarioConfig, held_samples, invariant_checks,
-                  read_trace)
+from .sim import (_RUN_BLOCK, TRACE_COLUMNS, ScenarioConfig, held_samples,
+                  invariant_checks)
+from .tracecsv import read_run
 
 __all__ = ["verify_trace_files"]
 
 CheckResult = Tuple[bool, str]
+
+
+def _close(a: np.ndarray, b) -> bool:
+    """``np.allclose(a, b, rtol=0, atol=1e-9)`` of a float array and a float
+    array of its shape or a float, without its argument handling: equal
+    infinities are close, NaN is close to nothing."""
+    return bool(np.all((np.abs(a - b) <= 1e-9) | (a == b)))
 
 
 # inf and NaN in the files need no warning: the checks' <= comparisons fail both
@@ -28,44 +40,13 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
                        trace_path, events_path) -> Dict[str, CheckResult]:
     """Run all trace-level invariant checks on the run of ``scenario``,
     against ``design`` when it is feasible; returns name -> (pass, detail)."""
-    trace = read_trace(scenario, trace_path, events_path)
-    t = trace.t
     h = scenario.h
-    checks: Dict[str, CheckResult] = {}
-
-    n_expected = scenario.n_rows
-    checks["row_count"] = (len(t) == n_expected,
-                           f"{len(t)} rows, expected {n_expected}")
-
-    dt = np.diff(t)
-    uniform = len(t) > 1 and np.all(dt > 0) and np.allclose(dt, h, rtol=0, atol=1e-9)
-    checks["time_grid"] = (bool(uniform), "strictly increasing uniform grid")
-
-    finite = all(np.all(np.isfinite(getattr(trace, c))) for c in TRACE_COLUMNS)
-    checks["finite_values"] = (finite, "all samples finite")
-
-    ev = trace.events
-    row = np.clip(ev.sample_index, 0, len(t) - 1)
-    on_row = (ev.sample_index == row) & (t[row] == ev.t)
-    off = np.flatnonzero(~on_row)
-    checks["events_on_grid"] = (
-        len(off) == 0, "event times lie on the sample grid" if len(off) == 0
-        else f"{len(off)} events off their row, first at t={ev.t[off[0]]:.6f}")
-    # an off-row commit leaves the held-sample join, failing the checks on it
-    cause = "" if len(off) == 0 else f"; likely cause: {checks['events_on_grid'][1]}"
-
-    held = {side: held_samples(ev, side, len(t)) for side in ("plant", "controller")}
-    e_p_ok = np.allclose(trace.e_p, trace.y_p - held["plant"], rtol=0, atol=1e-9)
-    e_c_ok = np.allclose(trace.e_c, trace.y_c - held["controller"], rtol=0, atol=1e-9)
-    held_col_ok = np.allclose(trace.u_tilde_c, held["plant"], rtol=0, atol=1e-9)
-    ok = bool(e_p_ok and e_c_ok and held_col_ok)
-    checks["error_columns"] = (
-        ok, "logged errors equal output minus last commit" + ("" if ok else cause))
-
-    for name, (ok, detail) in invariant_checks(trace, design, held)[0].items():
-        on_join = name.startswith(("trigger_ineq", "held_norm_bound"))
-        checks[name] = (ok, detail + cause if on_join and not ok else detail)
-
+    ev, blocks = read_run(scenario, trace_path, events_path, _RUN_BLOCK)
+    run = RunChecks(scenario)
+    run.events = ev
+    on_row = np.zeros(len(ev), bool)   # the event's sample_index names a row at its time
+    agree = np.zeros(len(ev), bool)    # ... whose logged output is the committed sample
+    uniform = finite = errors_ok = True
     # ZOH: the held link value may change only when a commit's arrival falls
     # inside the step (recomputed from the delay profile, so this also checks
     # causality of the logged schedule)
@@ -73,17 +54,61 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     arrivals = scenario.chan_cp.delay.arrival(sent)
     causal = bool(np.all(arrivals >= sent - 1e-12))
     arrivals.sort()
-    changed = np.flatnonzero(np.any(trace.u_r[1:] != trace.u_r[:-1], axis=1)) + 1
-    next_arrival = np.append(arrivals, np.inf)[
-        np.searchsorted(arrivals, t[changed - 1], side="right")]
-    unexplained = changed[~(next_arrival <= t[changed] + 1e-12)]
-    checks["zoh_u_r"] = (
-        causal and len(unexplained) == 0,
-        "piecewise constant between arrivals" if len(unexplained) == 0
-        else f"u_r changed at t={t[unexplained[0]]:.6f} with no packet arrival")
+    next_arrivals = np.append(arrivals, np.inf)
+    unexplained_t = None   # the first u_r change with no packet arrival
+    last = None            # t and u_r at the last row of the block before
+    for block in blocks:
+        t = block.t
+        first, stop = block.first_row, block.first_row + len(t)
+        t2, u_r2 = ((t, block.u_r) if last is None else
+                    (np.concatenate((last[0], t)), np.concatenate((last[1], block.u_r))))
+        dt = np.diff(t2)
+        uniform &= bool(np.all(dt > 0)) and _close(dt, h)
+        finite &= all(np.all(np.isfinite(getattr(block, c))) for c in TRACE_COLUMNS)
 
-    logged = np.where(ev.plant[:, None], trace.y_p[row], trace.y_c[row])
-    agree = on_row & np.all(ev.committed == logged, axis=1)
+        mine = np.flatnonzero((ev.sample_index >= first) & (ev.sample_index < stop))
+        rows = ev.sample_index[mine] - first
+        on_row[mine] = t[rows] == ev.t[mine]
+        logged = np.where(ev.plant[mine, None], block.y_p[rows], block.y_c[rows])
+        agree[mine] = on_row[mine] & np.all(ev.committed[mine] == logged, axis=1)
+
+        held = {side: held_samples(ev, side, stop, first) for side in ("plant", "controller")}
+        errors_ok &= (_close(block.e_p, block.y_p - held["plant"])
+                      and _close(block.e_c, block.y_c - held["controller"])
+                      and _close(block.u_tilde_c, held["plant"]))
+        run.add(block, held)
+
+        changed = np.flatnonzero(np.any(u_r2[1:] != u_r2[:-1], axis=1)) + 1
+        next_arrival = next_arrivals[np.searchsorted(arrivals, t2[changed - 1], side="right")]
+        unexplained = changed[~(next_arrival <= t2[changed] + 1e-12)]
+        if unexplained_t is None and len(unexplained):
+            unexplained_t = t2[unexplained[0]]
+        last = (t[-1:].copy(), block.u_r[-1:].copy())
+        del block, held
+
+    checks: Dict[str, CheckResult] = {}
+    n_expected = scenario.n_rows
+    checks["row_count"] = (run.rows == n_expected, f"{run.rows} rows, expected {n_expected}")
+    checks["time_grid"] = (run.rows > 1 and uniform, "strictly increasing uniform grid")
+    checks["finite_values"] = (finite, "all samples finite")
+    off = np.flatnonzero(~on_row)
+    checks["events_on_grid"] = (
+        len(off) == 0, "event times lie on the sample grid" if len(off) == 0
+        else f"{len(off)} events off their row, first at t={ev.t[off[0]]:.6f}")
+    # an off-row commit leaves the held-sample join, failing the checks on it
+    cause = "" if len(off) == 0 else f"; likely cause: {checks['events_on_grid'][1]}"
+    checks["error_columns"] = (
+        errors_ok, "logged errors equal output minus last commit" + ("" if errors_ok else cause))
+
+    for name, (ok, detail) in invariant_checks(run, design)[0].items():
+        on_join = name.startswith(("trigger_ineq", "held_norm_bound"))
+        checks[name] = (ok, detail + cause if on_join and not ok else detail)
+
+    checks["zoh_u_r"] = (
+        causal and unexplained_t is None,
+        "piecewise constant between arrivals" if unexplained_t is None
+        else f"u_r changed at t={unexplained_t:.6f} with no packet arrival")
+
     bad = np.flatnonzero(~ev.dropped & ~agree)
     detail = "committed samples equal the logged output at their row"
     if len(bad):

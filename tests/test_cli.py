@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -840,3 +841,96 @@ def test_garbled_config_number_never_raises(command, key, value):
         assert code in (0, 1, 2, 3)
         if code == 1:
             assert err.getvalue().startswith("config error"), err.getvalue()
+
+
+def _traced_peaks(out: Path, t_end: float) -> dict:
+    """The tracemalloc peak of simulate, verify and report, each run in this
+    process on the worked example at ``t_end``."""
+    args = ["--config", str(CONFIG), "--out", str(out), "--set", f"sim.t_end={t_end}"]
+    peaks = {}
+    for step in ("simulate", "verify", "report"):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([step, *args]) == 0
+            peaks[step] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_memory_is_set_by_the_block(tmp_path):
+    """simulate, verify and report hold one block of rows, so 6 000 more
+    rows (2 001 to 8 001) raise each step's peak by no more than what a run
+    keeps of every row: the two L2 energy terms (16 B per row) in simulate
+    and verify.  The margin covers the rest, measured at 5, 62 and 53 KB:
+    the longer run's event table, and in verify and report the 109 KB text
+    buffer of the trace reader, which a run of one block (2 001 rows) has
+    freed before its rows are checked and plotted.  Holding the rows, as
+    whole-trace steps did, adds about 140 B per row, 820 KB here."""
+    _traced_peaks(tmp_path / "warm", 0.2)   # compiles and loads every module first
+    small, large = _traced_peaks(tmp_path / "small", 2), _traced_peaks(tmp_path / "large", 8)
+    terms = 2 * 8 * 6000
+    margin = 128 * 1024
+    for step, kept in (("simulate", terms), ("verify", terms), ("report", 0)):
+        assert large[step] - small[step] <= kept + margin, step
+
+
+# the divergence sweep: seeds 0-15 of the worked example with a wide w1 and
+# a low divergence limit, where seeds 2, 3, 8, 9, 10, 14 and 15 diverge
+_DIVERGING = ["--set", "w1.lo=-400", "--set", "w1.hi=400", "--set", "sim.divergence_limit=100",
+              "--set", "sim.t_end=2"]
+_RETIRED = (2, 3, 8, 9, 10, 14, 15)
+_EARLIER = {"trace.csv": "earlier trace\n", "events.csv": "earlier events\n",
+            "metrics.kv": "earlier = run\n"}
+
+
+def _earlier_run(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in _EARLIER.items():
+        (out / name).write_text(text)
+
+
+def _files(out: Path) -> dict:
+    return {p.name: p.read_text() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_retired_lane_leaves_no_files(tmp_path, capfd, jobs):
+    """A lane that diverges leaves no trace.csv, events.csv, metrics.kv or
+    temporary file, and the files an earlier run left in its directory as
+    they were; every other lane writes its three files, and stderr and the
+    exit code are the divergence sweep's.  (capfd: pool workers write their
+    lines to the inherited stderr descriptor.)"""
+    for seed in _RETIRED[:3]:
+        _earlier_run(tmp_path / f"seed_{seed}")
+    code = main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path), *_DIVERGING,
+                 "--seed", ",".join(map(str, range(16))), "--jobs", jobs])
+    assert code == 3
+    rows = (1862, 493, 580, 741, 783, 856, 879)
+    norms = ("1.001", "1.002", "1.000", "1.000", "1.000", "1.002", "1.000")
+    assert sorted(capfd.readouterr().err.splitlines()) == [
+        f"simulation aborted: divergence at row {row} (t={row / 1000:.6f}): plant state norm "
+        f"{norm}e+02 exceeds 1.000e+02" for row, norm in zip(rows, norms)]
+    for seed in range(16):
+        files = _files(tmp_path / f"seed_{seed}")
+        if seed in _RETIRED[:3]:
+            assert files == _EARLIER, seed
+        elif seed in _RETIRED:
+            assert files == {}, seed
+        else:
+            assert sorted(files) == ["events.csv", "metrics.kv", "trace.csv"], seed
+
+
+def test_lane_retired_after_its_first_block_leaves_no_files(tmp_path, capsys):
+    """A run that diverges at row 2556, after its first block of rows went
+    to the trace file, leaves the earlier run's files as they were."""
+    _earlier_run(tmp_path)
+    code = main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path), *_DIVERGING,
+                 "--set", "sim.divergence_limit=80", "--set", "sim.t_end=3", "--seed", "0"])
+    assert code == 3
+    assert sim._RUN_BLOCK < 2556
+    assert capsys.readouterr().err == (
+        "simulation aborted: divergence at row 2556 (t=2.556000): plant state norm "
+        "8.018e+01 exceeds 8.000e+01\n")
+    assert _files(tmp_path) == _EARLIER

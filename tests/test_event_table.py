@@ -7,13 +7,14 @@ computes; they walk the table one row at a time (``table[i]``).
 """
 
 import math
+import re
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etncs.design import TransformGains
@@ -23,6 +24,7 @@ from etncs.quantizer import QuantizerSpec
 from etncs.sim import (_BLOCK_ROWS, ChannelConfig, EventTable, ScenarioConfig, TraceLog,
                        _accum_ratio_excess, _gap_stats, dropout_spans, held_samples,
                        max_consecutive_drops, read_events_csv, write_events_csv)
+from etncs.tracecsv import _read_event_layout, _read_event_lines
 from etncs.trigger import TriggerConfig
 
 _IDENTITY = QuantizerSpec(kind="identity", sector=(1.0, 1.0))
@@ -198,3 +200,67 @@ def test_bad_line_past_the_first_block_is_named(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"{path} line 401: expected 10 fields, got 11"):
         read_events_csv(path, 1)
+
+
+def _assert_tables_equal_bits(got: EventTable, want: EventTable) -> None:
+    for f in fields(EventTable):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), m=st.sampled_from([1, 2]), blocks=st.booleans())
+def test_layout_reader_equals_the_line_reader(data, m, blocks):
+    """On the writer's text the numpy events reader is taken, and gives the
+    line parser's table bit for bit: any finite float, indices of 1 to 16
+    digits, rows that cross two edges of its blocks of lines."""
+    events = data.draw(event_tables(m))
+    n = len(events)
+    finite = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    floats = st.lists(finite, min_size=n, max_size=n)
+    vectors = st.lists(finite, min_size=n * m, max_size=n * m)
+    ints = st.lists(st.one_of(st.integers(0, 10 ** 16 - 1),
+                              st.sampled_from([0, 9, 10, 10 ** 8 - 1, 10 ** 8, 10 ** 16 - 1])),
+                    min_size=n, max_size=n)
+    events = replace(
+        events,
+        **{name: np.array(data.draw(floats)) for name in ("t", "e_norm", "y_norm")},
+        **{name: np.array(data.draw(ints), dtype=np.int64) for name
+           in ("sample_index", "attempt_index", "drops_before")},
+        **{name: np.array(data.draw(vectors)).reshape(n, m) for name in ("payload", "committed")})
+    if blocks and n:
+        events = events[np.arange(2 * _BLOCK_ROWS + 1) % n]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.csv"
+        write_events_csv(_trace(events, 1), path)
+        fast = _read_event_layout(path, m)
+        assert fast is not None
+        _assert_tables_equal_bits(fast, _read_event_lines(path, m))
+
+
+@pytest.mark.parametrize("old, new", [
+    (",7,", ",-7,"), (",7,", ",12345678901234567,"), ("e-", "E-"), ("plant,", "Plant,"),
+    ("commit,", "commit ,"), ("\n", "\r\n"), (",", ";"), ("\n", "\n\n")])
+def test_other_text_takes_the_line_reader(tmp_path, old, new):
+    """Text outside the writer's layout (a signed or 17-digit index, a
+    respelled value or label, a space, CRLF, a wrong separator, a blank
+    line) leaves the numpy reader, and read_events_csv gives what the line
+    reader gives: its table or its message."""
+    n = 40
+    k = np.arange(n)
+    events = EventTable(plant=k % 3 == 0, dropped=k % 4 == 0, t=k * 1e-3, sample_index=k,
+                        attempt_index=k, drops_before=0 * k, e_norm=np.full(n, 0.125),
+                        y_norm=np.ones(n), payload=np.ones((n, 1)), committed=np.ones((n, 1)))
+    path = tmp_path / "events.csv"
+    write_events_csv(_trace(events, 1), path)
+    head, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(head + b"\n" + body.replace(old.encode(), new.encode(), 1))
+    assert _read_event_layout(path, 1) is None
+    try:
+        want = _read_event_lines(path, 1)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            read_events_csv(path, 1)
+    else:
+        _assert_tables_equal_bits(read_events_csv(path, 1), want)

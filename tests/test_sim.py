@@ -713,3 +713,82 @@ def test_compute_metrics_reads_its_verdicts_from_invariant_checks():
         assert me[f"trigger_ok_{side}"] is checks[f"trigger_ineq_{side}"][0]
         assert me[f"sampled_bound_ok_{side}"] is checks[f"held_norm_bound_{side}"][0]
     assert me["dissip_ok_p"] is checks["dissipativity_p"][0]
+
+
+def _value_bits(items: dict) -> dict:
+    """The values of a dict, floats by their bits, so that NaN equals NaN."""
+    return {k: np.float64(v).tobytes() if isinstance(v, float) else v for k, v in items.items()}
+
+
+def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
+    """A run handed on one block at a time writes the whole run's trace.csv
+    and merges to the whole run's metrics bit for bit, and the run read
+    back a block at a time merges to its verdicts.  The run spans three
+    blocks, with drops on both links and a dropout span across a block's
+    edge on each side."""
+    from etncs.checks import RunChecks, RunMetrics
+    from etncs.sim import _RUN_BLOCK, read_events_csv, write_events_csv
+    from etncs.tracecsv import read_run
+
+    pc = ChannelConfig(DelayProfile(t0=0.01, d=0.0, form="constant"),
+                       DropoutModel(kind="bernoulli", p=0.6, seed=5))
+    cp = ChannelConfig(DelayProfile(t0=0.02, d=0.0, form="constant"),
+                       DropoutModel(kind="bernoulli", p=0.6, seed=6))
+    sc = _scenario(chan_pc=pc, chan_cp=cp, x0_plant=np.array([5.0, -8.0]), t_end=5.0,
+                   w1=SignalSpec(kind="piecewise_uniform", lo=-2.0, hi=2.0, dwell=0.05, seed=3),
+                   w2=SignalSpec(kind="sine", amplitude=0.5, freq=2.0))
+    whole = run_scenario(sc)
+    write_trace_csv(whole, tmp_path / "trace.csv")
+    write_events_csv(whole, tmp_path / "events.csv")
+    for side in ("plant", "controller"):
+        starts, ends = dropout_spans(whole, side)
+        assert ((starts < 2 * _RUN_BLOCK) & (ends > 2 * _RUN_BLOCK)).any() or \
+            ((starts < _RUN_BLOCK) & (ends > _RUN_BLOCK)).any()
+
+    merged, sizes = RunMetrics(sc), []
+    with open(tmp_path / "blocks.csv", "wb") as fh:
+        def sink(block):
+            sizes.append(len(block.t))
+            write_trace_csv(block, fh)
+            merged.add(block)
+        (merged.events,) = run_scenario([sc], [sink])
+    assert sizes == [_RUN_BLOCK, _RUN_BLOCK, sc.n_rows - 2 * _RUN_BLOCK]
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
+    assert _value_bits(compute_metrics(merged)) == _value_bits(compute_metrics(whole))
+
+    read = RunChecks(sc)
+    read.events, blocks = read_run(sc, tmp_path / "trace.csv", tmp_path / "events.csv",
+                                   _RUN_BLOCK)
+    for block in blocks:
+        read.add(block)
+    for got, want in zip(invariant_checks(read), invariant_checks(whole)):
+        assert _value_bits(got) == _value_bits(want)
+    assert read_events_csv(tmp_path / "events.csv", 1).t.tobytes() == whole.events.t.tobytes()
+
+
+@pytest.mark.parametrize("text", ["respelled", "garbled"])
+def test_read_trace_csv_in_blocks_falls_back_where_the_layout_ends(tmp_path, text):
+    """Read a block at a time, a trace gives its matrix's rows.  Text
+    outside the writer's layout in the third block sends the rest to
+    np.loadtxt after two blocks were given: its rows for a respelled value,
+    its message for a garbled one."""
+    from etncs.sim import _RUN_BLOCK
+
+    mat = np.linspace(-1.0, 1.0, (3 * _RUN_BLOCK + 5) * 2).reshape(-1, 2)
+    path = tmp_path / "trace.csv"
+    _write_body(path, mat)
+    lines = path.read_text().splitlines(keepends=True)
+    row = 2 * _RUN_BLOCK + 100
+    cell = lines[row + 1].split(",")[0]
+    lines[row + 1] = lines[row + 1].replace(
+        cell, cell.replace("e", "E") if text == "respelled" else "1.0x", 1)
+    path.write_text("".join(lines))
+    names, blocks = read_trace_csv(path, _RUN_BLOCK)
+    got = [next(blocks).copy(), next(blocks).copy()]
+    if text == "garbled":
+        with pytest.raises(ValueError, match="could not convert string '1.0x' to float64"):
+            next(blocks)
+        return
+    got += [block.copy() for block in blocks]
+    assert [len(block) for block in got] == [_RUN_BLOCK] * 3 + [5]
+    assert np.array_equal(_bits(np.vstack(got)), _bits(mat))
