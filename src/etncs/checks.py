@@ -22,22 +22,44 @@ from . import core, trigger
 from .design import (DesignParams, DesignResult, interevent_bound_controller,
                      interevent_bound_plant)
 from .signals import Signal
-from .sim import (EventTable, ScenarioConfig, TraceBlock, TraceLog, _accum_ratio_excess,
-                  _gap_stats, dropout_spans, held_samples, max_consecutive_drops)
+from .sim import (EventTable, HeldSamples, ScenarioConfig, TraceBlock, TraceLog,
+                  _accum_ratio_excess, _gap_stats, _spans, max_consecutive_drops)
 
 __all__ = ["RunChecks", "RunMetrics", "verdicts", "metrics"]
 
 _SIDES = ("plant", "controller")
 # the columns whose last row a block carries over to the next
 _JOINED = ("t", "w1", "y_p", "x_p", "u_p")
+# the end of a dropout span still open at the table's end: past every row
+_OPEN = np.iinfo(np.int64).max
+
+
+class Attempts:
+    """One side's attempts in an event table, prepared for lookups by row
+    range: its held samples (``held.rows``), its firing rows, sorted, and
+    its dropout spans, a span still open at the table's end running past
+    every row."""
+
+    def __init__(self, events: EventTable, side: str):
+        self.held = HeldSamples(events, side)
+        self.fired = np.sort(events.sample_index[events.on(side)])
+        self.spans = _spans(events, side, _OPEN)
+
+    def fired_in(self, first: int, stop: int) -> np.ndarray:
+        """The firing rows from ``first`` up to ``stop``, less ``first``."""
+        lo, hi = np.searchsorted(self.fired, (first, stop))
+        return self.fired[lo:hi] - first
 
 
 class RunChecks:
     """The merged row-level results of one run's shared verdicts.
 
-    Feed every block of the run, in row order, to ``add``; then set
-    ``events`` to the run's whole event table.  A block's own event table
-    need only hold every attempt up to its last row, and is not kept.
+    Feed every block of the run, in row order, to ``add``, and set
+    ``events`` to the run's whole event table.  Set before the first block,
+    as when the run is read back, each side's attempts are prepared from it
+    once (``attempts``); set after the last, as when the executor hands on
+    blocks, each block's own table is prepared in turn.  That table need
+    only hold every attempt up to the block's last row, and is not kept.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -56,14 +78,24 @@ class RunChecks:
         self.dissip_max = self.dissip_norm_max = -math.inf
         self.dissip_ok = True
         self._last: Optional[Dict[str, np.ndarray]] = None
+        self._attempts: Optional[Dict[str, Attempts]] = None
 
     @classmethod
     def of(cls, trace: TraceLog) -> "RunChecks":
         """The checks of a whole trace, as one block."""
         run = cls(trace.config)
-        run.add(trace)
         run.events = trace.events
+        run.add(trace)
         return run
+
+    def attempts(self, block: TraceBlock) -> Dict[str, Attempts]:
+        """Each side's Attempts for ``block``: of ``events`` if set, prepared
+        on the first call, else of the block's own table."""
+        if self.events is None:
+            return {side: Attempts(block.events, side) for side in _SIDES}
+        if self._attempts is None:
+            self._attempts = {side: Attempts(self.events, side) for side in _SIDES}
+        return self._attempts
 
     def _joined(self, block: TraceBlock, name: str) -> np.ndarray:
         """A column of the block after the last row of the block before."""
@@ -73,18 +105,19 @@ class RunChecks:
     def add(self, block: TraceBlock, held=None) -> None:
         """Merge the next block; ``held`` maps a side to the block's held
         samples, if known."""
-        cfg, ev, t = self.config, block.events, block.t
+        cfg, t = self.config, block.t
         first, stop = block.first_row, block.first_row + len(t)
+        attempts = self.attempts(block)
         for side, delta, y in (("plant", cfg.trigger_p.delta, block.y_p),
                                ("controller", cfg.trigger_c.delta, block.y_c)):
-            held_side = held_samples(ev, side, stop, first) if held is None else held[side]
-            fired = ev.sample_index[ev.on(side)]
-            fired = fired[(fired >= first) & (fired < stop)] - first
-            _, bad = trigger.trigger_inequality_check(t, y, held_side, delta, fired)
+            mine = attempts[side]
+            held_side = mine.held.rows(first, stop) if held is None else held[side]
+            _, bad = trigger.trigger_inequality_check(t, y, held_side, delta,
+                                                      mine.fired_in(first, stop))
             if bad:
                 self.trigger_first.setdefault(side, t[bad[0]])
                 self.trigger_count[side] += len(bad)
-            spans = tuple(np.clip(rows, first, stop) - first for rows in dropout_spans(block, side))
+            spans = tuple(np.clip(rows, first, stop) - first for rows in mine.spans)
             rep = trigger.sampled_output_bound_check(t, y, held_side, delta, spans)
             if not rep.ok:
                 self.bound_first.setdefault(side, rep.violations[0][0])
@@ -200,6 +233,9 @@ def metrics(run: RunMetrics, design: Optional[DesignResult] = None,
         drops = int(np.count_nonzero(ev.on(side) & ev.dropped))
         me[f"attempts_{key}"] = attempts
         me[f"events_{key}"] = attempts - drops
+        # the paper's lower communication rate: commits per simulated second,
+        # against 1/h for a periodic link
+        me[f"commit_rate_{key}"] = (attempts - drops) / cfg.t_end
         me[f"drops_{key}"] = drops
         me[f"max_consec_drops_{key}"] = max_consecutive_drops(run, side)
         me[f"min_gap_{key}"], _, _ = _gap_stats(run, side)

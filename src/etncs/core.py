@@ -109,13 +109,29 @@ def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
     (ScenarioConfig checks them once per run) and judges the new state, which
     is not finite if any stage derivative was not (each enters it with a
     positive weight).
+
+    One sample (no lane axis) takes its stage sums on Python floats, which
+    saves numpy's per-call cost on arrays of a few elements; each stage
+    input is rebuilt as a float ndarray for the model.  The bits are those
+    of the array form: binary64 add and multiply round correctly in CPython
+    as in numpy, numpy does not contract these ufuncs into a fused
+    multiply-add, and each float sum keeps the array expression's order.
     """
     f = model.dynamics
     k1 = f(state, u, t)
-    k2 = f(state + 0.5 * h * k1, u, t + 0.5 * h)
-    k3 = f(state + 0.5 * h * k2, u, t + 0.5 * h)
-    k4 = f(state + h * k3, u, t + h)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if state.ndim != 1:
+        k2 = f(state + 0.5 * h * k1, u, t + 0.5 * h)
+        k3 = f(state + 0.5 * h * k2, u, t + 0.5 * h)
+        k4 = f(state + h * k3, u, t + h)
+        return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * h
+    x, a = state.tolist(), k1.tolist()
+    b = f(np.array([xi + half * ai for xi, ai in zip(x, a)]), u, t + half).tolist()
+    c = f(np.array([xi + half * bi for xi, bi in zip(x, b)]), u, t + half).tolist()
+    d = f(np.array([xi + h * ci for xi, ci in zip(x, c)]), u, t + h).tolist()
+    sixth = h / 6.0
+    return np.array([xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
+                     for xi, ai, bi, ci, di in zip(x, a, b, c, d)])
 
 
 def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices):

@@ -9,6 +9,7 @@ dead-zone edge |v| = D/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -57,7 +58,25 @@ class QuantizerSpec:
 
 
 def _mid_tread(v: np.ndarray, step: float) -> np.ndarray:
-    # round-half-away-from-zero keeps odd symmetry at the tie points
+    """sign(v) * floor(|v|/step + 1/2) * step: round-half-away-from-zero
+    keeps odd symmetry at the tie points.
+
+    One sample (no lane axis) of fewer than 8 elements is quantized on
+    Python floats, which saves numpy's per-call cost and gives its bits:
+    binary64 divide, add and multiply round correctly in both, the order of
+    operations is the same, and the sign follows np.sign (1, -1, or 0 for
+    either zero).  Any element whose |v|/step + 1/2 is not finite (NaN, an
+    infinity, or an overflowing quotient) sends the sample to numpy, as do
+    longer arrays, where numpy is the faster."""
+    if v.ndim == 1 and len(v) < 8:
+        out = []
+        for vi in v.tolist():
+            q = abs(vi) / step + 0.5
+            if not q < math.inf:
+                break
+            out.append((1.0 if vi > 0.0 else -1.0 if vi < 0.0 else 0.0) * math.floor(q) * step)
+        else:
+            return np.array(out)
     return np.sign(v) * np.floor(np.abs(v) / step + 0.5) * step
 
 

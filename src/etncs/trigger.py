@@ -37,7 +37,21 @@ class TriggerConfig:
 def check_violation(held, y, cfg: TriggerConfig):
     """True iff ||y - held||^2 > delta * ||y||^2 (strict), where ``held`` is
     the last successfully transmitted sample; on 2-D arrays, one verdict per
-    column (lane)."""
+    column (lane).
+
+    One sample (no lane axis) of fewer than 8 elements is summed as a left
+    fold of Python floats, which saves numpy's per-call cost and gives its
+    bits: binary64 arithmetic rounds correctly in both, and numpy's sum of
+    fewer than 8 elements is that same left fold (from 8 on it sums
+    pairwise, so longer samples stay with numpy).
+    """
+    if y.ndim == 1 and len(y) < 8:
+        e2 = y2 = 0.0
+        for yi, si in zip(y.tolist(), held.tolist()):
+            e = yi - si
+            e2 += e * e
+            y2 += yi * yi
+        return e2 > cfg.delta * y2
     e = y - held
     return np.add.reduce(e * e, axis=0) > cfg.delta * np.add.reduce(y * y, axis=0)
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .checks import RunChecks
 from .design import DesignResult
-from .sim import (_RUN_BLOCK, TRACE_COLUMNS, ScenarioConfig, held_samples,
-                  invariant_checks)
+from .sim import _RUN_BLOCK, TRACE_COLUMNS, ScenarioConfig, invariant_checks
 from .tracecsv import read_run
 
 __all__ = ["verify_trace_files"]
@@ -72,7 +71,7 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
         logged = np.where(ev.plant[mine, None], block.y_p[rows], block.y_c[rows])
         agree[mine] = on_row[mine] & np.all(ev.committed[mine] == logged, axis=1)
 
-        held = {side: held_samples(ev, side, stop, first) for side in ("plant", "controller")}
+        held = {side: a.held.rows(first, stop) for side, a in run.attempts(block).items()}
         errors_ok &= (_close(block.e_p, block.y_p - held["plant"])
                       and _close(block.e_c, block.y_c - held["controller"])
                       and _close(block.u_tilde_c, held["plant"]))

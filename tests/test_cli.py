@@ -481,7 +481,7 @@ def _run_python(script: str) -> str:
     checkout's etncs."""
     src = str(Path(etncs.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={"PYTHONPATH": src, "PATH": ""})
+                          env={"PYTHONPATH": src, "PATH": "", "PYTHONDONTWRITEBYTECODE": "1"})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1]
 

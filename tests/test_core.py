@@ -260,6 +260,66 @@ def test_rk4_batched_lanes_match_one_sample_steps():
         assert np.array_equal(batched[:, i], rk4_step(model, x[:, i], u[:, i], 0.0, 1e-3))
 
 
+_WIDE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e200, max_value=1e200)
+# magnitudes over 24 binades, so that the order of a sum of squares shows
+_SPREAD = st.builds(lambda sign, frac, exp: sign * frac * 2.0 ** exp, st.sampled_from([1.0, -1.0]),
+                    st.floats(1.0, 2.0), st.integers(-12, 12))
+_STEPS = (0.5, 0.25, 1.0 / 3.0, 1e-300)
+# ±0, exact ties (k + 1/2) * step for the steps 0.5 and 0.25, NaN, ±inf and
+# magnitudes whose quotient by a small step overflows
+_QUANT_EDGES = st.sampled_from([0.0, -0.0, 0.25, -0.75, 1.125, -2.375, 0.375, math.nan,
+                                math.inf, -math.inf, 1e308, -1.7e308, 5e-324])
+
+
+def _one_lane(f, *arrays):
+    """f on 1-D arrays and on their (n, 1) lane-axis columns, the second as
+    1-D, with every floating-point warning off."""
+    with np.errstate(all="ignore"):
+        return f(*arrays), np.asarray(f(*(a[:, None] for a in arrays)))[..., 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_lane_float_paths_give_the_lane_axis_bits(data):
+    """Without a lane axis, rk4_step, check_violation and the mid-tread
+    quantizer compute on Python floats; each gives the bits of its numpy
+    form on a lane axis, the detector on either side of numpy's 8-element
+    pairwise block, and the quantizer at its edges."""
+    from etncs.quantizer import QuantizerSpec, quantize
+    from etncs.trigger import TriggerConfig, check_violation
+
+    model = data.draw(st.sampled_from([cubic_nl2(), firstorder_lead()]))
+    x = np.array(data.draw(st.lists(_WIDE | st.floats(-20.0, 20.0), min_size=model.state_dim,
+                                    max_size=model.state_dim)))
+    u = np.array([data.draw(_WIDE | st.floats(-20.0, 20.0))])
+    t, h = data.draw(st.floats(0.0, 1e3)), data.draw(st.floats(1e-6, 1.0))
+    one, lanes = _one_lane(lambda x, u: rk4_step(model, x, u, t, h), x, u)
+    assert one.tobytes() == lanes.tobytes()
+
+    m = data.draw(st.integers(1, 9))
+    y, e = (np.array(data.draw(st.lists(_SPREAD, min_size=m, max_size=m))) for _ in range(2))
+    held = y - e / 16.0
+    e2, y2 = np.add.reduce((y - held) ** 2), np.add.reduce(y * y)
+    # a delta with delta * y2 just at or just below e2 flips the verdict on a
+    # one-ulp change in either sum; any other draw takes a plain delta
+    target = e2 if data.draw(st.booleans()) else np.nextafter(e2, 0.0)
+    delta = target / y2
+    for _ in range(4):
+        if delta * y2 == target:
+            break
+        delta = np.nextafter(delta, math.inf if delta * y2 < target else 0.0)
+    if not (0.0 < delta <= 1.0 and delta * y2 == target):
+        delta = data.draw(st.floats(1e-3, 1.0))
+    cfg = TriggerConfig(float(delta))
+    one, lanes = _one_lane(lambda held, y: check_violation(held, y, cfg), held, y)
+    assert one == lanes
+
+    spec = QuantizerSpec(kind="uniform-mid-tread", step=data.draw(st.sampled_from(_STEPS)))
+    v = np.array(data.draw(st.lists(_QUANT_EDGES | _WIDE, min_size=1, max_size=7)))
+    one, lanes = _one_lane(lambda v: quantize(spec, v), v)
+    assert one.tobytes() == lanes.tobytes()
+
+
 @pytest.mark.parametrize("model", [cubic_nl2(), firstorder_lead(),
                                    lti_siso(-2.0, 1.0, 3.0, 0.5)], ids=lambda model: model.name)
 def test_output_is_a_float_array_of_the_port_shape(model):

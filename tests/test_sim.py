@@ -120,6 +120,7 @@ def test_budget_exceeded_flagged_in_metrics():
     me = compute_metrics(trace, result, params)
     assert me["max_consec_drops_p"] == 2
     assert me["budget_ok_p"] is False
+    assert me["commit_rate_p"] == np.count_nonzero(trace.events.commits("plant")) / trace.config.t_end
 
 
 def test_trigger_inequality_between_events():
