@@ -57,7 +57,7 @@ class RunChecks:
     Feed every block of the run, in row order, to ``add``, and set
     ``events`` to the run's whole event table.  Set before the first block,
     as when the run is read back, each side's attempts are prepared from it
-    once (``attempts``); set after the last, as when the executor hands on
+    once; set after the last, as when the executor hands on
     blocks, each block's own table is prepared in turn.  That table need
     only hold every attempt up to the block's last row, and is not kept.
     """
@@ -78,7 +78,7 @@ class RunChecks:
         self.dissip_max = self.dissip_norm_max = -math.inf
         self.dissip_ok = True
         self._last: Optional[Dict[str, np.ndarray]] = None
-        self._attempts: Optional[Dict[str, Attempts]] = None
+        self._prepared: Optional[Dict[str, Attempts]] = None
 
     @classmethod
     def of(cls, trace: TraceLog) -> "RunChecks":
@@ -88,41 +88,41 @@ class RunChecks:
         run.add(trace)
         return run
 
-    def attempts(self, block: TraceBlock) -> Dict[str, Attempts]:
-        """Each side's Attempts for ``block``: of ``events`` if set, prepared
-        on the first call, else of the block's own table."""
+    def _attempts(self, block: TraceBlock) -> Dict[str, Attempts]:
+        """Each side's Attempts: of ``events`` if set, prepared on the first
+        call, else of the block's own table."""
         if self.events is None:
             return {side: Attempts(block.events, side) for side in _SIDES}
-        if self._attempts is None:
-            self._attempts = {side: Attempts(self.events, side) for side in _SIDES}
-        return self._attempts
+        if self._prepared is None:
+            self._prepared = {side: Attempts(self.events, side) for side in _SIDES}
+        return self._prepared
 
     def _joined(self, block: TraceBlock, name: str) -> np.ndarray:
         """A column of the block after the last row of the block before."""
         rows = getattr(block, name)
         return rows if self._last is None else np.concatenate((self._last[name], rows))
 
-    def add(self, block: TraceBlock, held=None) -> None:
-        """Merge the next block; ``held`` maps a side to the block's held
-        samples, if known."""
+    def add(self, block: TraceBlock) -> Dict[str, np.ndarray]:
+        """Merge the next block; returns each side's held samples of its
+        rows."""
         cfg, t = self.config, block.t
         first, stop = block.first_row, block.first_row + len(t)
-        attempts = self.attempts(block)
+        attempts, held = self._attempts(block), {}
         for side, delta, y in (("plant", cfg.trigger_p.delta, block.y_p),
                                ("controller", cfg.trigger_c.delta, block.y_c)):
             mine = attempts[side]
-            held_side = mine.held.rows(first, stop) if held is None else held[side]
-            _, bad = trigger.trigger_inequality_check(t, y, held_side, delta,
+            held[side] = mine.held.rows(first, stop)
+            _, bad = trigger.trigger_inequality_check(t, y, held[side], delta,
                                                       mine.fired_in(first, stop))
             if bad:
                 self.trigger_first.setdefault(side, t[bad[0]])
                 self.trigger_count[side] += len(bad)
             spans = tuple(np.clip(rows, first, stop) - first for rows in mine.spans)
-            rep = trigger.sampled_output_bound_check(t, y, held_side, delta, spans)
+            rep = trigger.sampled_output_bound_check(t, y, held[side], delta, spans)
             if not rep.ok:
                 self.bound_first.setdefault(side, rep.violations[0][0])
             self.excluded[side] = rep.excluded_spans   # the last block sees every attempt
-            del held_side, rep   # free one side's arrays before the next
+            del rep   # free one side's arrays before the next
         times = self._joined(block, "t")
         for i, name in enumerate(("w1", "y_p")):
             terms = core.energy_terms(self._joined(block, name), times)
@@ -148,6 +148,7 @@ class RunChecks:
                 self.dissip_ok &= bool(np.all(res <= tol))
         self._last = {name: getattr(block, name)[-1:].copy() for name in _JOINED}
         self.rows = stop
+        return held
 
 
 class RunMetrics(RunChecks):
@@ -160,13 +161,14 @@ class RunMetrics(RunChecks):
         self.maxima = dict.fromkeys(("sup_x_p", "c1", "c2", "c1_prime", "c2_prime"), -math.inf)
         self._w2 = Signal(config.w2)
 
-    def add(self, block: TraceBlock, held=None) -> None:
-        super().add(block, held)
+    def add(self, block: TraceBlock) -> Dict[str, np.ndarray]:
+        held = super().add(block)
         w2 = self._w2(block.t)
         for key, rows in (("sup_x_p", block.x_p), ("c1", block.w1), ("c2", block.y_tilde_c),
                           ("c1_prime", w2), ("c2_prime", block.u_c - w2)):
             self.maxima[key] = np.maximum(self.maxima[key],
                                           np.max(np.linalg.norm(rows, axis=1)))
+        return held
 
 
 def verdicts(run: RunChecks, design: Optional[DesignResult] = None
