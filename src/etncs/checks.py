@@ -57,9 +57,9 @@ class RunChecks:
     Feed every block of the run, in row order, to ``add``, and set
     ``events`` to the run's whole event table.  Set before the first block,
     as when the run is read back, each side's attempts are prepared from it
-    once; set after the last, as when the executor hands on
-    blocks, each block's own table is prepared in turn.  That table need
-    only hold every attempt up to the block's last row, and is not kept.
+    once; set after the last, as when the executor hands on blocks, each
+    block's own table is prepared in turn.  That table need only hold every
+    attempt up to the block's last row, and is not kept.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -122,7 +122,7 @@ class RunChecks:
             if not rep.ok:
                 self.bound_first.setdefault(side, rep.violations[0][0])
             self.excluded[side] = rep.excluded_spans   # the last block sees every attempt
-            del rep   # free one side's arrays before the next
+            del rep   # free one side's report before the next
         times = self._joined(block, "t")
         for i, name in enumerate(("w1", "y_p")):
             terms = core.energy_terms(self._joined(block, name), times)
