@@ -22,44 +22,22 @@ from . import core, trigger
 from .design import (DesignParams, DesignResult, interevent_bound_controller,
                      interevent_bound_plant)
 from .signals import Signal
-from .sim import (EventTable, HeldSamples, ScenarioConfig, TraceBlock, TraceLog,
-                  _accum_ratio_excess, _gap_stats, _spans, max_consecutive_drops)
+from .sim import (EventTable, ScenarioConfig, TraceBlock, TraceLog, _accum_ratio_excess,
+                  _gap_stats, dropout_spans, held_samples, max_consecutive_drops)
 
 __all__ = ["RunChecks", "RunMetrics", "verdicts", "metrics"]
 
 _SIDES = ("plant", "controller")
 # the columns whose last row a block carries over to the next
 _JOINED = ("t", "w1", "y_p", "x_p", "u_p")
-# the end of a dropout span still open at the table's end: past every row
-_OPEN = np.iinfo(np.int64).max
-
-
-class Attempts:
-    """One side's attempts in an event table, prepared for lookups by row
-    range: its held samples (``held.rows``), its firing rows, sorted, and
-    its dropout spans, a span still open at the table's end running past
-    every row."""
-
-    def __init__(self, events: EventTable, side: str):
-        self.held = HeldSamples(events, side)
-        self.fired = np.sort(events.sample_index[events.on(side)])
-        self.spans = _spans(events, side, _OPEN)
-
-    def fired_in(self, first: int, stop: int) -> np.ndarray:
-        """The firing rows from ``first`` up to ``stop``, less ``first``."""
-        lo, hi = np.searchsorted(self.fired, (first, stop))
-        return self.fired[lo:hi] - first
 
 
 class RunChecks:
     """The merged row-level results of one run's shared verdicts.
 
-    Feed every block of the run, in row order, to ``add``, and set
-    ``events`` to the run's whole event table.  Set before the first block,
-    as when the run is read back, each side's attempts are prepared from it
-    once; set after the last, as when the executor hands on blocks, each
-    block's own table is prepared in turn.  That table need only hold every
-    attempt up to the block's last row, and is not kept.
+    Feed every block of the run, in row order, to ``add``; then set
+    ``events`` to the run's whole event table.  A block's own event table
+    need only hold every attempt up to its last row, and is not kept.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -78,51 +56,40 @@ class RunChecks:
         self.dissip_max = self.dissip_norm_max = -math.inf
         self.dissip_ok = True
         self._last: Optional[Dict[str, np.ndarray]] = None
-        self._prepared: Optional[Dict[str, Attempts]] = None
 
     @classmethod
     def of(cls, trace: TraceLog) -> "RunChecks":
         """The checks of a whole trace, as one block."""
         run = cls(trace.config)
-        run.events = trace.events
         run.add(trace)
+        run.events = trace.events
         return run
-
-    def _attempts(self, block: TraceBlock) -> Dict[str, Attempts]:
-        """Each side's Attempts: of ``events`` if set, prepared on the first
-        call, else of the block's own table."""
-        if self.events is None:
-            return {side: Attempts(block.events, side) for side in _SIDES}
-        if self._prepared is None:
-            self._prepared = {side: Attempts(self.events, side) for side in _SIDES}
-        return self._prepared
 
     def _joined(self, block: TraceBlock, name: str) -> np.ndarray:
         """A column of the block after the last row of the block before."""
         rows = getattr(block, name)
         return rows if self._last is None else np.concatenate((self._last[name], rows))
 
-    def add(self, block: TraceBlock) -> Dict[str, np.ndarray]:
-        """Merge the next block; returns each side's held samples of its
-        rows."""
-        cfg, t = self.config, block.t
+    def add(self, block: TraceBlock, held=None) -> None:
+        """Merge the next block; ``held`` maps a side to the block's held
+        samples, if known."""
+        cfg, ev, t = self.config, block.events, block.t
         first, stop = block.first_row, block.first_row + len(t)
-        attempts, held = self._attempts(block), {}
         for side, delta, y in (("plant", cfg.trigger_p.delta, block.y_p),
                                ("controller", cfg.trigger_c.delta, block.y_c)):
-            mine = attempts[side]
-            held[side] = mine.held.rows(first, stop)
-            _, bad = trigger.trigger_inequality_check(t, y, held[side], delta,
-                                                      mine.fired_in(first, stop))
+            held_side = held_samples(ev, side, stop, first) if held is None else held[side]
+            fired = ev.sample_index[ev.on(side)]
+            fired = fired[(fired >= first) & (fired < stop)] - first
+            _, bad = trigger.trigger_inequality_check(t, y, held_side, delta, fired)
             if bad:
                 self.trigger_first.setdefault(side, t[bad[0]])
                 self.trigger_count[side] += len(bad)
-            spans = tuple(np.clip(rows, first, stop) - first for rows in mine.spans)
-            rep = trigger.sampled_output_bound_check(t, y, held[side], delta, spans)
+            spans = tuple(np.clip(rows, first, stop) - first for rows in dropout_spans(block, side))
+            rep = trigger.sampled_output_bound_check(t, y, held_side, delta, spans)
             if not rep.ok:
                 self.bound_first.setdefault(side, rep.violations[0][0])
             self.excluded[side] = rep.excluded_spans   # the last block sees every attempt
-            del rep   # free one side's report before the next
+            del held_side, rep   # free one side's arrays before the next
         times = self._joined(block, "t")
         for i, name in enumerate(("w1", "y_p")):
             terms = core.energy_terms(self._joined(block, name), times)
@@ -148,7 +115,6 @@ class RunChecks:
                 self.dissip_ok &= bool(np.all(res <= tol))
         self._last = {name: getattr(block, name)[-1:].copy() for name in _JOINED}
         self.rows = stop
-        return held
 
 
 class RunMetrics(RunChecks):
@@ -161,14 +127,13 @@ class RunMetrics(RunChecks):
         self.maxima = dict.fromkeys(("sup_x_p", "c1", "c2", "c1_prime", "c2_prime"), -math.inf)
         self._w2 = Signal(config.w2)
 
-    def add(self, block: TraceBlock) -> Dict[str, np.ndarray]:
-        held = super().add(block)
+    def add(self, block: TraceBlock, held=None) -> None:
+        super().add(block, held)
         w2 = self._w2(block.t)
         for key, rows in (("sup_x_p", block.x_p), ("c1", block.w1), ("c2", block.y_tilde_c),
                           ("c1_prime", w2), ("c2_prime", block.u_c - w2)):
             self.maxima[key] = np.maximum(self.maxima[key],
                                           np.max(np.linalg.norm(rows, axis=1)))
-        return held
 
 
 def verdicts(run: RunChecks, design: Optional[DesignResult] = None

@@ -61,14 +61,13 @@ def _mid_tread(v: np.ndarray, step: float) -> np.ndarray:
     """sign(v) * floor(|v|/step + 1/2) * step: round-half-away-from-zero
     keeps odd symmetry at the tie points.
 
-    One sample (no lane axis) of fewer than 8 elements is quantized on
-    Python floats, which saves numpy's per-call cost and gives its bits:
-    binary64 divide, add and multiply round correctly in both, the order of
-    operations is the same, and the sign follows np.sign (1, -1, or 0 for
-    either zero).  Any element whose |v|/step + 1/2 is not finite (NaN, an
-    infinity, or an overflowing quotient) sends the sample to numpy, as do
-    longer arrays, where numpy is the faster."""
-    if v.ndim == 1 and len(v) < 8:
+    One sample (no lane axis) is quantized on Python floats, which saves
+    numpy's per-call cost and gives its bits: binary64 divide, add and
+    multiply round correctly in both, the order of operations is the same,
+    and the sign follows np.sign (1, -1, or 0 for either zero).  Any element
+    whose |v|/step + 1/2 is not finite (NaN, an infinity, or an overflowing
+    quotient) sends the sample to numpy."""
+    if v.ndim == 1:
         out = []
         for vi in v.tolist():
             q = abs(vi) / step + 0.5

@@ -519,12 +519,7 @@ def dropout_spans(trace: TraceLog, side: str) -> Tuple[np.ndarray, np.ndarray]:
     the held-sample norm bound is not expected to hold, as int64 trace rows
     (``sample_index``); a span still open after the trace's last row ends
     just past it."""
-    return _spans(trace.events, side, trace.first_row + len(trace.t))
-
-
-def _spans(ev: EventTable, side: str, end: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``dropout_spans`` of one side of ``ev``, a span still open at the
-    table's end ending at row ``end``."""
+    ev = trace.events
     on = ev.on(side)
     dropped, rows = ev.dropped[on], ev.sample_index[on]
     after_drop = np.zeros_like(dropped)
@@ -532,7 +527,7 @@ def _spans(ev: EventTable, side: str, end: int) -> Tuple[np.ndarray, np.ndarray]
     starts = rows[dropped & ~after_drop]
     ends = rows[~dropped & after_drop]
     if len(ends) < len(starts):   # the trace ends inside a span
-        ends = np.append(ends, end)
+        ends = np.append(ends, trace.first_row + len(trace.t))
     return starts, ends
 
 
@@ -545,30 +540,18 @@ def max_consecutive_drops(trace: TraceLog, side: str) -> int:
 
 def held_samples(events: EventTable, side: str, rows: int, start: int = 0) -> np.ndarray:
     """The detector's held sample at each trace row from ``start`` up to
-    ``rows``, from the event table (see HeldSamples)."""
-    return HeldSamples(events, side).rows(start, rows)
-
-
-class HeldSamples:
-    """One detector's held samples, prepared once from an event table for
-    lookups by row range: row k holds the last commit with
+    ``rows``, from the event table: row k holds the last commit with
     ``sample_index <= k`` (zeros before the first commit).  Sorted by index,
     a running max of table positions keeps this exact for unsorted commits.
     """
-
-    def __init__(self, events: EventTable, side: str):
-        commits = events.commits(side)
-        index = events.sample_index[commits]
-        values = np.concatenate((np.zeros((1, events.committed.shape[1])),
-                                 events.committed[commits]))
-        order = np.argsort(index, kind="stable")
-        # the held sample after each count of commits in index order
-        self.values = values[np.concatenate(([0], np.maximum.accumulate(order) + 1))]
-        self.index = index[order]
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """The held samples of rows ``start`` up to ``stop``."""
-        return self.values[np.searchsorted(self.index, np.arange(start, stop), side="right")]
+    commits = events.commits(side)
+    index = events.sample_index[commits]
+    values = np.concatenate((np.zeros((1, events.committed.shape[1])),
+                             events.committed[commits]))
+    order = np.argsort(index, kind="stable")
+    last = np.concatenate(([0], np.maximum.accumulate(order) + 1))
+    below = np.searchsorted(index[order], np.arange(start, rows), side="right")
+    return values[last[below]]
 
 
 def _gap_stats(trace: TraceLog, side: str) -> Tuple[float, np.ndarray, np.ndarray]:

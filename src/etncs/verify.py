@@ -18,7 +18,8 @@ import numpy as np
 
 from .checks import RunChecks
 from .design import DesignResult
-from .sim import _RUN_BLOCK, TRACE_COLUMNS, ScenarioConfig, invariant_checks
+from .sim import (_RUN_BLOCK, TRACE_COLUMNS, ScenarioConfig, held_samples,
+                  invariant_checks)
 from .tracecsv import read_run
 
 __all__ = ["verify_trace_files"]
@@ -71,10 +72,11 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
         logged = np.where(ev.plant[mine, None], block.y_p[rows], block.y_c[rows])
         agree[mine] = on_row[mine] & np.all(ev.committed[mine] == logged, axis=1)
 
-        held = run.add(block)
+        held = {side: held_samples(ev, side, stop, first) for side in ("plant", "controller")}
         errors_ok &= (_close(block.e_p, block.y_p - held["plant"])
                       and _close(block.e_c, block.y_c - held["controller"])
                       and _close(block.u_tilde_c, held["plant"]))
+        run.add(block, held)
 
         changed = np.flatnonzero(np.any(u_r2[1:] != u_r2[:-1], axis=1)) + 1
         next_arrival = next_arrivals[np.searchsorted(arrivals, t2[changed - 1], side="right")]

@@ -315,7 +315,7 @@ def test_one_lane_float_paths_give_the_lane_axis_bits(data):
     assert one == lanes
 
     spec = QuantizerSpec(kind="uniform-mid-tread", step=data.draw(st.sampled_from(_STEPS)))
-    v = np.array(data.draw(st.lists(_QUANT_EDGES | _WIDE, min_size=1, max_size=7)))
+    v = np.array(data.draw(st.lists(_QUANT_EDGES | _WIDE, min_size=1, max_size=9)))
     one, lanes = _one_lane(lambda v: quantize(spec, v), v)
     assert one.tobytes() == lanes.tobytes()
 
