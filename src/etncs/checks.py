@@ -70,10 +70,10 @@ class RunChecks:
         rows = getattr(block, name)
         return rows if self._last is None else np.concatenate((self._last[name], rows))
 
-    def add(self, block: TraceBlock, held=None) -> None:
-        """Merge the next block; ``held`` maps a side to the block's held
-        samples, if known."""
-        cfg, ev, t = self.config, block.events, block.t
+    def add(self, block: TraceBlock) -> None:
+        """Merge the next block; its held samples are derived from its event
+        table unless it carries them."""
+        cfg, ev, t, held = self.config, block.events, block.t, block.held
         first, stop = block.first_row, block.first_row + len(t)
         for side, delta, y in (("plant", cfg.trigger_p.delta, block.y_p),
                                ("controller", cfg.trigger_c.delta, block.y_c)):
@@ -127,8 +127,8 @@ class RunMetrics(RunChecks):
         self.maxima = dict.fromkeys(("sup_x_p", "c1", "c2", "c1_prime", "c2_prime"), -math.inf)
         self._w2 = Signal(config.w2)
 
-    def add(self, block: TraceBlock, held=None) -> None:
-        super().add(block, held)
+    def add(self, block: TraceBlock) -> None:
+        super().add(block)
         w2 = self._w2(block.t)
         for key, rows in (("sup_x_p", block.x_p), ("c1", block.w1), ("c2", block.y_tilde_c),
                           ("c1_prime", w2), ("c2_prime", block.u_c - w2)):

@@ -1,15 +1,17 @@
 """Continuous-time system models, fixed-step integration, and trajectory-level
 energy checks (dissipativity, supply rates, empirical L2 gains).
 
-States, inputs and outputs are plain float64 numpy arrays.  All functions here
-are pure with respect to their inputs and safe to call from parallel scenario
+States, inputs and outputs are plain float64 numpy arrays; a model's
+``dynamics`` works on their rows (see SystemModel).  All functions here are
+pure with respect to their inputs and safe to call from parallel scenario
 runs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -17,6 +19,7 @@ __all__ = [
     "PassivityIndices",
     "SystemModel",
     "IndexMarginReport",
+    "power",
     "rk4_step",
     "supply_rate",
     "dissipativity_residuals",
@@ -49,7 +52,7 @@ class PassivityIndices:
             )
 
 
-DynamicsFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+DynamicsFn = Callable[[Sequence, Sequence, float], Sequence]
 OutputFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 StorageFn = Callable[[np.ndarray], np.ndarray]
 
@@ -62,21 +65,26 @@ class SystemModel:
     optional nonnegative energy certificate used for trajectory spot checks;
     declared indices are trusted metadata otherwise.
 
-    All three act columnwise: on one sample (``x`` of shape ``(state_dim,)``)
-    or on N samples as columns (``x`` of ``(state_dim, N)``, ``u`` of
-    ``(input_dim, N)``, ``t`` of ``(N,)``), so write them with row indexing
-    (``x[i]``), never ``float(x)``.  The executor calls ``dynamics`` and
-    ``output`` on the ``(state_dim, B)`` columns of B lockstep lanes with
-    one scalar ``t``, so each element must come out with the same bits as a
-    one-sample call: take powers with ``np.float_power``, since an ndarray
-    ``**`` can round differently from the scalar one.
+    ``dynamics`` works on rows: ``x`` and ``u`` are sequences of
+    ``state_dim`` and ``input_dim`` rows, and it returns a sequence of
+    ``state_dim`` rows (a tuple, a list or an ndarray).  A single run's RK4
+    step calls it on one sample, where each row is a Python float (``x`` and
+    ``u`` are lists); a sweep's calls it on the ``(state_dim, B)`` columns of
+    B lockstep lanes, where each row is an ndarray, with one scalar ``t``.
+    So write it with row indexing (``x[i]``) and arithmetic that works on
+    both, and take powers with ``core.power``, which gives the same bits on
+    a float and on each element of an array.  On floats a division by zero
+    raises ZeroDivisionError where numpy returns inf or NaN.
 
-    ``dynamics`` returns a float ndarray shaped like ``x``, and ``output``
-    one of ``(output_dim,)`` on one sample or ``(output_dim, N)`` on columns;
-    both are used as returned, not converted.  A step that leaves a lane's
-    state non-finite or past the scenario's divergence limit retires that
-    lane at that row (``sim.DivergenceError``, exit code 3 from the command
-    line).
+    ``output`` and ``storage`` act columnwise on arrays: on one sample
+    (``x`` of shape ``(state_dim,)``) or on N samples as columns (``x`` of
+    ``(state_dim, N)``, ``u`` of ``(input_dim, N)``, ``t`` of ``(N,)``).
+    ``output`` returns a float ndarray of ``(output_dim,)`` on one sample or
+    ``(output_dim, N)`` on columns, used as returned, not converted; each
+    element must come out with the same bits as a one-sample call.  A step
+    that leaves a lane's state non-finite or past the scenario's divergence
+    limit retires that lane at that row (``sim.DivergenceError``, exit code
+    3 from the command line).
     """
 
     state_dim: int
@@ -98,6 +106,23 @@ class SystemModel:
             )
 
 
+def power(v, p):
+    """``v`` to the power ``p`` with the bits of ``np.float_power``.  A
+    Python float takes ``math.pow``, which calls the same C ``pow()``
+    without numpy's per-call cost; where it raises (an overflow, or a NaN
+    from numbers) or gives NaN (keeping a NaN ``v``'s sign and payload,
+    which numpy does not), numpy's result is returned.  Anything else goes
+    to ``np.float_power``."""
+    if type(v) is float:
+        try:
+            r = math.pow(v, p)
+        except (OverflowError, ValueError):
+            return np.float_power(v, p)
+        if r == r:
+            return r
+    return np.float_power(v, p)
+
+
 def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
              t: float, h: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step with the input held constant.
@@ -110,25 +135,26 @@ def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
     is not finite if any stage derivative was not (each enters it with a
     positive weight).
 
-    One sample (no lane axis) takes its stage sums on Python floats, which
-    saves numpy's per-call cost on arrays of a few elements; each stage
-    input is rebuilt as a float ndarray for the model.  The bits are those
-    of the array form: binary64 add and multiply round correctly in CPython
-    as in numpy, numpy does not contract these ufuncs into a fused
+    One sample (no lane axis) runs on Python floats: the model gets its rows
+    as lists of floats, and only the new state is built as an array, which
+    saves numpy's per-call cost on arrays of a few elements.  The bits are
+    those of the array form: binary64 add and multiply round correctly in
+    CPython as in numpy, numpy does not contract these ufuncs into a fused
     multiply-add, and each float sum keeps the array expression's order.
     """
     f = model.dynamics
-    k1 = f(state, u, t)
     if state.ndim != 1:
-        k2 = f(state + 0.5 * h * k1, u, t + 0.5 * h)
-        k3 = f(state + 0.5 * h * k2, u, t + 0.5 * h)
-        k4 = f(state + h * k3, u, t + h)
+        k1 = np.array(f(state, u, t))
+        k2 = np.array(f(state + 0.5 * h * k1, u, t + 0.5 * h))
+        k3 = np.array(f(state + 0.5 * h * k2, u, t + 0.5 * h))
+        k4 = np.array(f(state + h * k3, u, t + h))
         return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     half = 0.5 * h
-    x, a = state.tolist(), k1.tolist()
-    b = f(np.array([xi + half * ai for xi, ai in zip(x, a)]), u, t + half).tolist()
-    c = f(np.array([xi + half * bi for xi, bi in zip(x, b)]), u, t + half).tolist()
-    d = f(np.array([xi + h * ci for xi, ci in zip(x, c)]), u, t + h).tolist()
+    x, u = state.tolist(), u.tolist()
+    a = f(x, u, t)
+    b = f([xi + half * ai for xi, ai in zip(x, a)], u, t + half)
+    c = f([xi + half * bi for xi, bi in zip(x, b)], u, t + half)
+    d = f([xi + h * ci for xi, ci in zip(x, c)], u, t + h)
     sixth = h / 6.0
     return np.array([xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
                      for xi, ai, bi, ci, di in zip(x, a, b, c, d)])

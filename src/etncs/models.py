@@ -6,7 +6,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PassivityIndices, SystemModel
+from .core import PassivityIndices, SystemModel, power
 
 __all__ = ["cubic_nl2", "firstorder_lead", "FIRSTORDER_LEAD_SS", "lti_siso", "build_model"]
 
@@ -19,8 +19,8 @@ FIRSTORDER_LEAD_SS = (
 )
 
 
-# Powers use np.float_power: it calls pow() per element as a scalar ``**``
-# does, while an ndarray ``**`` multiplies and can differ in the last bit,
+# Powers use core.power: it calls pow() on a float and on each element of an
+# array, while an ndarray ``**`` multiplies and can differ in the last bit,
 # which would make one-sample and column calls (and so a lockstep lane and
 # its own one-lane run) disagree.
 def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
@@ -32,8 +32,8 @@ def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
     """
 
     def f(x, u, t):
-        return np.array([-3.0 * np.float_power(x[0], 3) + x[0] * x[1],
-                         -3.6 * x[1] + 2.0 * u[0]])
+        return (-3.0 * power(x[0], 3) + x[0] * x[1],
+                -3.6 * x[1] + 2.0 * u[0])
 
     def h(x, u, t):
         return np.array([x[1]])
@@ -41,7 +41,7 @@ def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
     return SystemModel(state_dim=2, input_dim=1, output_dim=1,
                        dynamics=f, output=h,
                        indices=PassivityIndices(nu=nu, rho=rho),
-                       storage=lambda x: 0.25 * np.float_power(x[1], 2),
+                       storage=lambda x: 0.25 * power(x[1], 2),
                        name="cubic_nl2")
 
 
@@ -60,7 +60,7 @@ def lti_siso(a: float, b: float, c: float, d: float,
     """Scalar-state SISO linear system x' = a*x + b*u, y = c*x + d*u."""
 
     def f(x, u, t):
-        return np.array([a * x[0] + b * u[0]])
+        return (a * x[0] + b * u[0],)
 
     def h(x, u, t):
         return np.array([c * x[0] + d * u[0]])
@@ -69,7 +69,7 @@ def lti_siso(a: float, b: float, c: float, d: float,
     if storage_p is not None:
         if storage_p < 0:
             raise ValueError("storage coefficient must be nonnegative")
-        storage = lambda x: 0.5 * storage_p * np.float_power(x[0], 2)
+        storage = lambda x: 0.5 * storage_p * power(x[0], 2)
 
     return SystemModel(state_dim=1, input_dim=1, output_dim=1,
                        dynamics=f, output=h,

@@ -203,6 +203,7 @@ class TraceLog:
     w1: np.ndarray
     events: EventTable
     first_row = 0   # the trace row of the first row; a whole run starts at 0
+    held = None     # side -> held samples at the rows, where the producer derived them
 
     def events_on(self, side: str) -> EventTable:
         return self.events[self.events.on(side)]
@@ -214,9 +215,11 @@ class TraceLog:
 @dataclass
 class TraceBlock(TraceLog):
     """One block of a run's rows, which starts at trace row ``first_row``;
-    its event table holds at least every attempt up to its last row."""
+    its event table holds at least every attempt up to its last row, and
+    ``held``, if set, maps each side to its held samples at the rows."""
 
     first_row: int = 0
+    held: Optional[Dict[str, np.ndarray]] = None
 
 
 def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]], sinks=None):
@@ -357,9 +360,10 @@ def _run_lanes(cfgs: List[ScenarioConfig], sinks) -> List[Union[EventTable, Dive
     # the gain block's products with the plant's held sample, redone on a commit
     m21_held, y_r = g.m21 * held_p, g.m11 * held_p
     live = np.ones(len(cfgs), dtype=bool)   # the lanes not yet retired
-    # a single lane's verdict is a numpy bool, which bool() reads at a
-    # fraction of the cost of .any()
-    any_lane = np.ndarray.any if shape else bool
+    # a single lane's verdict is a numpy bool, which bool() reads, and a
+    # batch's a mask, which count_nonzero reads; both at a fraction of the
+    # cost of .any()
+    any_lane = (lambda mask: bool(np.count_nonzero(mask))) if shape else bool
     force_first = not cfg.drop_first_allowed
     limit = cfg.divergence_limit
     bound = _squares_bound(limit)
@@ -407,15 +411,25 @@ def _run_lanes(cfgs: List[ScenarioConfig], sinks) -> List[Union[EventTable, Dive
 
             x_p = core.rk4_step(plant, x_p, u_p, t, h)
             x_c = core.rk4_step(controller, x_c, u_c, t, h)
-            # the one divergence test: a sum of squares below the bound passes
-            # both norms; any other sum, NaN too, gets the exact norm test,
-            # whose NaN <= limit is false, so it also catches a non-finite state
-            squares = np.add.reduce(x_p * x_p, axis=0) + np.add.reduce(x_c * x_c, axis=0)
-            near = ~(squares < bound)
-            if not any_lane(near & live if shape else near):
-                continue
-            norm_p = np.sqrt(np.add.reduce(x_p * x_p, axis=0))
-            norm_c = np.sqrt(np.add.reduce(x_c * x_c, axis=0))
+            # the one divergence test: a sum of both states' squared norms
+            # below the bound passes both norms; any other sum, NaN too, gets
+            # the exact norm test, whose NaN <= limit is false, so it also
+            # catches a non-finite state.  A batch reduces over axis 0, a left
+            # fold, and one lane folds the same squares on Python floats
+            if shape:
+                sq_p = np.add.reduce(x_p * x_p, axis=0)
+                sq_c = np.add.reduce(x_c * x_c, axis=0)
+                if not any_lane(~(sq_p + sq_c < bound) & live):
+                    continue
+            else:
+                sq_p = sq_c = 0.0
+                for v in x_p.tolist():
+                    sq_p += v * v
+                for v in x_c.tolist():
+                    sq_c += v * v
+                if sq_p + sq_c < bound:
+                    continue
+            norm_p, norm_c = np.sqrt(sq_p), np.sqrt(sq_c)
             failed = ~((norm_p <= limit) & (norm_c <= limit)) & live
             if any_lane(failed):
                 for i, err in _divergences(cfg, (x_p, x_c), (norm_p, norm_c), failed,
@@ -439,16 +453,18 @@ def _run_lanes(cfgs: List[ScenarioConfig], sinks) -> List[Union[EventTable, Dive
 def _hand_off(sink, cfg: ScenarioConfig, start: int, t_col: np.ndarray,
               buffers: Sequence[array], m: int, w1: np.ndarray, cols: Dict[str, np.ndarray]
               ) -> None:
-    """Send one block of a lane to its sink: the logged columns, and those
-    that follow elementwise from the held samples the event table records,
-    by the formulas the loop used on them.  The table views the lane's
-    buffers only until this returns, so that they can grow again."""
+    """Send one block of a lane to its sink: the logged columns, the held
+    samples the event table records, and the columns that follow from them
+    elementwise, by the formulas the loop used on them.  The table views
+    the lane's buffers only until this returns, so that they can grow
+    again."""
     table = _event_table(buffers, m)
     stop = start + len(t_col)
-    held_p, held_c = (held_samples(table, side, stop, start) for side in ("plant", "controller"))
+    held = {side: held_samples(table, side, stop, start) for side in ("plant", "controller")}
+    held_p, held_c = held.values()
     g = cfg.gains
     y_tilde_c, u_p = _gain_block(g, g.m21 * held_p, cols["u_r"], w1)
-    sink(TraceBlock(config=cfg, t=t_col, w1=w1, events=table, first_row=start,
+    sink(TraceBlock(config=cfg, t=t_col, w1=w1, events=table, first_row=start, held=held,
                     e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c, y_r=g.m11 * held_p,
                     u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=u_p, **cols))
 

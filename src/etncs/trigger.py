@@ -39,13 +39,12 @@ def check_violation(held, y, cfg: TriggerConfig):
     the last successfully transmitted sample; on 2-D arrays, one verdict per
     column (lane).
 
-    One sample (no lane axis) of fewer than 8 elements is summed as a left
-    fold of Python floats, which saves numpy's per-call cost and gives its
-    bits: binary64 arithmetic rounds correctly in both, and numpy's sum of
-    fewer than 8 elements is that same left fold (from 8 on it sums
-    pairwise, so longer samples stay with numpy).
+    One sample (no lane axis) is summed as a left fold of Python floats,
+    which saves numpy's per-call cost and gives the bits of a lane of a
+    batch: binary64 arithmetic rounds correctly in both, and numpy reduces
+    an ``(m, B)`` array over axis 0 as that same left fold.
     """
-    if y.ndim == 1 and len(y) < 8:
+    if y.ndim == 1:
         e2 = y2 = 0.0
         for yi, si in zip(y.tolist(), held.tolist()):
             e = yi - si

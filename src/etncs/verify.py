@@ -72,11 +72,12 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
         logged = np.where(ev.plant[mine, None], block.y_p[rows], block.y_c[rows])
         agree[mine] = on_row[mine] & np.all(ev.committed[mine] == logged, axis=1)
 
-        held = {side: held_samples(ev, side, stop, first) for side in ("plant", "controller")}
+        block.held = held = {side: held_samples(ev, side, stop, first)
+                             for side in ("plant", "controller")}
         errors_ok &= (_close(block.e_p, block.y_p - held["plant"])
                       and _close(block.e_c, block.y_c - held["controller"])
                       and _close(block.u_tilde_c, held["plant"]))
-        run.add(block, held)
+        run.add(block)
 
         changed = np.flatnonzero(np.any(u_r2[1:] != u_r2[:-1], axis=1)) + 1
         next_arrival = next_arrivals[np.searchsorted(arrivals, t2[changed - 1], side="right")]

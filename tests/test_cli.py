@@ -1,11 +1,13 @@
 import contextlib
 import importlib.util
 import io
+import math
 import shutil
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 import etncs
 
-from etncs import sim
+from etncs import core, sim
 from etncs.cli import main
 from etncs.config import (KNOWN_KEYS, apply_overrides, build_scenario, format_config,
                           load_config)
@@ -920,6 +922,45 @@ def test_retired_lane_leaves_no_files(tmp_path, capfd, jobs):
             assert files == {}, seed
         else:
             assert sorted(files) == ["events.csv", "metrics.kv", "trace.csv"], seed
+
+
+# a plant whose x2 starts high enough that x1's cubic damping makes RK4
+# unstable: depending on the seed's w1, the state blows up until an RK4
+# stage's cube overflows, or settles
+_OVERFLOWING = ["--set", "plant.x0=1,3000", "--set", "w1.lo=-400", "--set", "w1.hi=400",
+                "--set", "sim.divergence_limit=1e300", "--set", "sim.t_end=0.1"]
+
+
+def test_solo_run_of_an_overflowing_seed_aborts_as_its_lane(tmp_path, capfd, monkeypatch):
+    """A single run's RK4 takes the cube on a float, where math.pow raises
+    OverflowError and core.power takes numpy's inf; each diverging seed run
+    alone prints the same line as its lane of the sweep, which takes the cube
+    on arrays."""
+    run = ["simulate", "--config", str(CONFIG), *_OVERFLOWING]
+    seeds = range(8)
+    assert main([*run, "--out", str(tmp_path / "sweep"), "--jobs", "1",
+                 "--seed", ",".join(map(str, seeds))]) == 3
+    lanes = sorted(capfd.readouterr().err.splitlines())
+    overflows = []
+
+    def counting_pow(v, p):
+        try:
+            return math.pow(v, p)
+        except OverflowError:
+            overflows.append(v)
+            raise
+
+    monkeypatch.setattr(core, "math", types.SimpleNamespace(pow=counting_pow))
+    solo = []
+    for seed in seeds:
+        code = main([*run, "--out", str(tmp_path / f"seed_{seed}"), "--seed", str(seed)])
+        err = capfd.readouterr().err.splitlines()
+        assert code == (3 if err else 0)
+        solo += err
+    assert sorted(solo) == lanes
+    assert 2 <= len(lanes) < len(seeds) and overflows
+    assert any("non-finite step" in line for line in lanes)
+    assert any("plant state norm inf exceeds" in line for line in lanes)
 
 
 def test_lane_retired_after_its_first_block_leaves_no_files(tmp_path, capsys):

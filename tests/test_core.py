@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etncs.core import (PassivityIndices, default_frequency_grid,
-                        dissipativity_residuals, l2_gain_estimate, rk4_step,
+                        dissipativity_residuals, l2_gain_estimate, power, rk4_step,
                         supply_rate, verify_lti_indices)
 from etncs.models import FIRSTORDER_LEAD_SS, cubic_nl2, firstorder_lead, lti_siso
 
@@ -272,19 +272,21 @@ _QUANT_EDGES = st.sampled_from([0.0, -0.0, 0.25, -0.75, 1.125, -2.375, 0.375, ma
 
 
 def _one_lane(f, *arrays):
-    """f on 1-D arrays and on their (n, 1) lane-axis columns, the second as
-    1-D, with every floating-point warning off."""
+    """f on 1-D arrays and on a 2-lane batch whose column 0 they are (column
+    1 holds them reversed), the second as 1-D, with every floating-point
+    warning off."""
     with np.errstate(all="ignore"):
-        return f(*arrays), np.asarray(f(*(a[:, None] for a in arrays)))[..., 0]
+        batch = (np.stack((a, a[::-1]), axis=-1) for a in arrays)
+        return f(*arrays), np.asarray(f(*batch))[..., 0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_one_lane_float_paths_give_the_lane_axis_bits(data):
     """Without a lane axis, rk4_step, check_violation and the mid-tread
-    quantizer compute on Python floats; each gives the bits of its numpy
-    form on a lane axis, the detector on either side of numpy's 8-element
-    pairwise block, and the quantizer at its edges."""
+    quantizer compute on Python floats; each gives the bits of a lane of a
+    batch, the detector on either side of the 8 elements from which numpy
+    sums a 1-D array pairwise, and the quantizer at its edges."""
     from etncs.quantizer import QuantizerSpec, quantize
     from etncs.trigger import TriggerConfig, check_violation
 
@@ -296,7 +298,7 @@ def test_one_lane_float_paths_give_the_lane_axis_bits(data):
     one, lanes = _one_lane(lambda x, u: rk4_step(model, x, u, t, h), x, u)
     assert one.tobytes() == lanes.tobytes()
 
-    m = data.draw(st.integers(1, 9))
+    m = data.draw(st.integers(1, 12))
     y, e = (np.array(data.draw(st.lists(_SPREAD, min_size=m, max_size=m))) for _ in range(2))
     held = y - e / 16.0
     e2, y2 = np.add.reduce((y - held) ** 2), np.add.reduce(y * y)
@@ -318,6 +320,24 @@ def test_one_lane_float_paths_give_the_lane_axis_bits(data):
     v = np.array(data.draw(st.lists(_QUANT_EDGES | _WIDE, min_size=1, max_size=9)))
     one, lanes = _one_lane(lambda v: quantize(spec, v), v)
     assert one.tobytes() == lanes.tobytes()
+
+
+# ±0, subnormals, ±inf, NaN of either sign, and magnitudes whose square or
+# cube overflows
+_POWER_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, math.inf,
+                                -math.inf, math.nan, -math.nan, 1e103, -6e102, 1.4e154,
+                                -1e155, 1.7e308])
+
+
+@settings(max_examples=400, deadline=None)
+@given(v=_POWER_EDGES | st.floats(), p=st.sampled_from([2, 3]))
+def test_power_gives_the_bits_of_float_power(v, p):
+    """core.power takes math.pow on a Python float and gives
+    np.float_power's bits, on an array's elements and on the float alone."""
+    with np.errstate(all="ignore"):
+        want = np.float_power(v, p)
+        assert np.float64(power(v, p)).tobytes() == want.tobytes()
+        assert power(np.array([v, v]), p).tobytes() == np.float_power([v, v], p).tobytes()
 
 
 @pytest.mark.parametrize("model", [cubic_nl2(), firstorder_lead(),

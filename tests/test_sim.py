@@ -687,6 +687,28 @@ def test_retired_lanes_leave_every_lane_as_its_solo_run(draws):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
+def test_a_model_returning_an_ndarray_runs_as_one_returning_rows():
+    """dynamics may return its rows as a float ndarray, as models did before
+    they worked on rows: a single run and a batch's lanes keep their bits."""
+    def as_array(model):
+        f = model.dynamics
+        return dataclasses.replace(model, dynamics=lambda x, u, t: np.array(f(x, u, t)))
+
+    def lane(plant, controller, seed):
+        drop = DropoutModel(kind="bernoulli", p=0.3, seed=seed)
+        return _scenario(plant=plant, controller=controller, x0_plant=np.array([5.0, -8.0]),
+                         w1=SignalSpec(kind="piecewise_uniform", lo=-2.0, hi=2.0, seed=seed),
+                         chan_pc=ChannelConfig(DelayProfile(t0=0.02, d=0.05), drop),
+                         chan_cp=ChannelConfig(DelayProfile(t0=0.01, d=0.05), drop))
+
+    rows = (cubic_nl2(), firstorder_lead())
+    arrays = tuple(as_array(model) for model in rows)
+    _same_run(run_scenario(lane(*arrays, 1)), run_scenario(lane(*rows, 1)))
+    for a, b in zip(run_scenario([lane(*arrays, s) for s in (1, 2)]),
+                    run_scenario([lane(*rows, s) for s in (1, 2)])):
+        _same_run(a, b)
+
+
 @pytest.mark.parametrize("field, override", [
     ("plant", {"plant": cubic_nl2(rho=1.7)}), ("h", {"h": 2e-3}), ("t_end", {"t_end": 0.5})])
 def test_lockstep_lanes_share_all_but_disturbances_and_dropouts(field, override):
