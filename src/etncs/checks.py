@@ -6,9 +6,9 @@ verdicts need: counts, the time of the first failing row, maxima, and the
 two trapezoid energy terms of each step (16 B per row), which are summed
 once at the end so that the empirical L2 gain keeps the bits of one
 pairwise sum.  The energy terms and the dissipation residuals span two rows,
-so each block is joined to the last row of the block before.  A whole
-TraceLog is a run of one block.  This is a module of its own, imported by
-the steps that check a run, so that design and report do not compile it.
+so each block is joined to the last row of the block before.  This is a
+module of its own, imported by the steps that check a run, so that design
+and report do not compile it.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from . import core, trigger
 from .design import (DesignParams, DesignResult, interevent_bound_controller,
                      interevent_bound_plant)
 from .signals import Signal
-from .sim import (EventTable, ScenarioConfig, TraceBlock, TraceLog, _accum_ratio_excess,
-                  _gap_stats, dropout_spans, held_samples, max_consecutive_drops)
+from .sim import (EventTable, ScenarioConfig, TraceLog, _accum_ratio_excess, _gap_stats,
+                  dropout_spans, held_samples, max_consecutive_drops)
 
 __all__ = ["RunChecks", "RunMetrics", "verdicts", "metrics"]
 
@@ -57,20 +57,12 @@ class RunChecks:
         self.dissip_ok = True
         self._last: Optional[Dict[str, np.ndarray]] = None
 
-    @classmethod
-    def of(cls, trace: TraceLog) -> "RunChecks":
-        """The checks of a whole trace, as one block."""
-        run = cls(trace.config)
-        run.add(trace)
-        run.events = trace.events
-        return run
-
-    def _joined(self, block: TraceBlock, name: str) -> np.ndarray:
+    def _joined(self, block: TraceLog, name: str) -> np.ndarray:
         """A column of the block after the last row of the block before."""
         rows = getattr(block, name)
         return rows if self._last is None else np.concatenate((self._last[name], rows))
 
-    def add(self, block: TraceBlock) -> None:
+    def add(self, block: TraceLog) -> None:
         """Merge the next block; its held samples are derived from its event
         table unless it carries them."""
         cfg, ev, t, held = self.config, block.events, block.t, block.held
@@ -127,7 +119,7 @@ class RunMetrics(RunChecks):
         self.maxima = dict.fromkeys(("sup_x_p", "c1", "c2", "c1_prime", "c2_prime"), -math.inf)
         self._w2 = Signal(config.w2)
 
-    def add(self, block: TraceBlock) -> None:
+    def add(self, block: TraceLog) -> None:
         super().add(block)
         w2 = self._w2(block.t)
         for key, rows in (("sup_x_p", block.x_p), ("c1", block.w1), ("c2", block.y_tilde_c),

@@ -192,7 +192,7 @@ class _LaneFiles:
         self.checks = RunMetrics(scenario)
         self.file = open(_partial(out_dir / "trace.csv"), "wb")
 
-    def __call__(self, block: sim.TraceBlock) -> None:
+    def __call__(self, block: sim.TraceLog) -> None:
         sim.write_trace_csv(block, self.file)
         self.checks.add(block)
 
@@ -353,7 +353,7 @@ def _report_rows(out_dir: Path, scenario: sim.ScenarioConfig, trace_path, events
     returns the run's event table."""
     from .tracecsv import read_run   # here, so that only verify and report compile it
 
-    ev, blocks = read_run(scenario, trace_path, events_path, sim._RUN_BLOCK)
+    ev, blocks = read_run(scenario, trace_path, events_path)
     names = ([f"states_plant_{i + 1}.dat" for i in range(scenario.plant.state_dim)]
              + [f"states_controller_{i + 1}.dat" for i in range(scenario.controller.state_dim)]
              + ["output_plant.dat", "output_controller_held.dat"])

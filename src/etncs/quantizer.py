@@ -52,6 +52,8 @@ class QuantizerSpec:
                 raise ValueError("logarithmic quantizer needs density in (0, 1)")
             if self.u0 <= 0:
                 raise ValueError("logarithmic quantizer needs u0 > 0")
+        if self.n_levels < 0:
+            raise ValueError(f"n_levels must be >= 0, got {self.n_levels}")
         a, b = self.sector
         if not (0.0 <= a <= b < np.inf):
             raise ValueError(f"sector must satisfy 0 <= a <= b < inf, got {self.sector}")

@@ -20,7 +20,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, fields, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "ScenarioConfig",
     "EventTable",
     "TraceLog",
-    "TraceBlock",
     "run_scenario",
     "compute_metrics",
     "invariant_checks",
@@ -182,7 +181,9 @@ def _event_table(buffers: Sequence[array], m: int) -> EventTable:
 
 @dataclass
 class TraceLog:
-    """Per-sample signal record plus the event table for one run."""
+    """Per-sample signal record of a run's rows from trace row ``first_row``
+    on, and the run's event table up to at least the last of them; ``held``,
+    if set, maps each side to its held samples at the rows."""
 
     config: ScenarioConfig
     t: np.ndarray
@@ -202,8 +203,8 @@ class TraceLog:
     y_qc: np.ndarray
     w1: np.ndarray
     events: EventTable
-    first_row = 0   # the trace row of the first row; a whole run starts at 0
-    held = None     # side -> held samples at the rows, where the producer derived them
+    first_row: int = 0
+    held: Optional[Dict[str, np.ndarray]] = None
 
     def events_on(self, side: str) -> EventTable:
         return self.events[self.events.on(side)]
@@ -212,70 +213,7 @@ class TraceLog:
         return self.events[self.events.commits(side)]
 
 
-@dataclass
-class TraceBlock(TraceLog):
-    """One block of a run's rows, which starts at trace row ``first_row``;
-    its event table holds at least every attempt up to its last row, and
-    ``held``, if set, maps each side to its held samples at the rows."""
-
-    first_row: int = 0
-    held: Optional[Dict[str, np.ndarray]] = None
-
-
-def run_scenario(cfg: Union[ScenarioConfig, Sequence[ScenarioConfig]], sinks=None):
-    """Execute the loop and return the complete trace.
-
-    ``cfg`` is one ScenarioConfig, or a sequence of them: the lanes of one
-    lockstep batch.  Lanes may differ only in w1, w2 and the channels'
-    dropout models; any other difference raises ValueError.  One config
-    gives its TraceLog, or raises DivergenceError with the offending row
-    index if a state leaves the finite/trusted region.  A sequence gives one
-    TraceLog or DivergenceError per lane, in lane order: a lane that
-    diverges is retired at its row while the others go on, every lane
-    byte-identical to its own run.
-
-    With ``sinks``, one callable per lane, no rows are kept: each block of
-    up to ``_RUN_BLOCK`` rows of a live lane goes to ``sinks[i](block)``, in
-    row order, as a TraceBlock starting at its ``first_row``, and the lane
-    gives its whole EventTable in place of its TraceLog.  A block's arrays
-    are reused for the next block, and its event table views the lane's
-    growing buffers, so a sink copies what it keeps and keeps no events.  A
-    lane that diverges has had the blocks before the one it diverged in.
-    """
-    lanes = [cfg] if isinstance(cfg, ScenarioConfig) else list(cfg)
-    if sinks is None:
-        kept = [_KeptRows() for _ in lanes]
-        runs = [run if isinstance(run, DivergenceError) else rows.trace(lane, run)
-                for lane, rows, run in zip(lanes, kept, _run_lanes(lanes, kept))]
-    else:
-        runs = _run_lanes(lanes, list(sinks))
-    if isinstance(cfg, ScenarioConfig):
-        (run,) = runs
-        if isinstance(run, DivergenceError):
-            raise run
-        return run
-    return runs
-
-
-class _KeptRows:
-    """The sink that keeps every block of a lane, in whole-run columns."""
-
-    def __init__(self):
-        self.columns: Dict[str, np.ndarray] = {}
-
-    def __call__(self, block: TraceBlock) -> None:
-        stop = block.first_row + len(block.t)
-        for name in TRACE_COLUMNS:
-            rows = getattr(block, name)
-            if name not in self.columns:
-                self.columns[name] = np.empty((block.config.n_rows,) + rows.shape[1:])
-            self.columns[name][block.first_row:stop] = rows
-
-    def trace(self, config: ScenarioConfig, events: EventTable) -> TraceLog:
-        return TraceLog(config=config, events=events, **self.columns)
-
-
-def _check_lanes(cfgs: List[ScenarioConfig]) -> None:
+def _check_lanes(cfgs: Sequence[ScenarioConfig]) -> None:
     """Lanes share every field but w1, w2 and the channels' dropout models."""
     first = cfgs[0]
     for n, lane in enumerate(cfgs[1:], start=1):
@@ -306,8 +244,18 @@ def _squares_bound(limit: float) -> float:
 
 # overflow to inf and NaN needs no warning: the divergence test fails both
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _run_lanes(cfgs: List[ScenarioConfig], sinks) -> List[Union[EventTable, DivergenceError]]:
-    """The per-row loop, advancing B lanes in lockstep (see run_scenario).
+def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[TraceLog], None]]
+                 ) -> List[Union[EventTable, DivergenceError]]:
+    """Execute the loop on ``cfgs``, the B lanes of one lockstep batch (a
+    single run is a batch of one), handing each block of up to
+    ``_RUN_BLOCK`` rows of a live lane to ``sinks[i]``, in row order, as a
+    TraceLog; returns one EventTable or DivergenceError per lane.
+
+    Lanes may differ only in w1, w2 and the channels' dropout models; any
+    other difference raises ValueError.  A block's arrays are reused for the
+    next block, and its event table views the lane's growing buffers, so a
+    sink copies what it keeps and keeps no events.  A lane that diverges has
+    had the blocks before the one it diverged in.
 
     Per-lane arrays carry the lanes on their last axis: states ``(n, B)``,
     ports, held samples and each link's ``Channel`` hold ``(m, B)``, the
@@ -464,9 +412,9 @@ def _hand_off(sink, cfg: ScenarioConfig, start: int, t_col: np.ndarray,
     held_p, held_c = held.values()
     g = cfg.gains
     y_tilde_c, u_p = _gain_block(g, g.m21 * held_p, cols["u_r"], w1)
-    sink(TraceBlock(config=cfg, t=t_col, w1=w1, events=table, first_row=start, held=held,
-                    e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c, y_r=g.m11 * held_p,
-                    u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=u_p, **cols))
+    sink(TraceLog(config=cfg, t=t_col, w1=w1, events=table, first_row=start, held=held,
+                  e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c, y_r=g.m11 * held_p,
+                  u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=u_p, **cols))
 
 
 def _gain_block(g: TransformGains, m21_held, u_r, w1):
@@ -603,24 +551,20 @@ def _accum_ratio_excess(trace: TraceLog, side: str, delta: float) -> float:
 def invariant_checks(run, design: Optional[DesignResult] = None
                      ) -> Tuple[Dict[str, Tuple[bool, str]], Dict[str, float]]:
     """The verdicts metrics.kv and verify.kv share, as name -> (pass, detail),
-    and the values metrics.kv prints with them (see ``checks.verdicts``).
-    ``run`` is a TraceLog, or the ``checks.RunChecks`` of a run fed to it
-    block by block."""
+    and the values metrics.kv prints with them, of the ``checks.RunChecks``
+    a run was fed to block by block (see ``checks.verdicts``)."""
     from . import checks   # here, so that only the steps that check a run compile it
 
-    return checks.verdicts(checks.RunChecks.of(run) if isinstance(run, TraceLog) else run,
-                           design)
+    return checks.verdicts(run, design)
 
 
 def compute_metrics(run, design: Optional[DesignResult] = None,
                     params: Optional[DesignParams] = None) -> Dict[str, object]:
-    """metrics.kv's entries (see ``checks.metrics``).  ``run`` is a
-    TraceLog, or the ``checks.RunMetrics`` of a run fed to it block by
-    block."""
+    """metrics.kv's entries, from the ``checks.RunMetrics`` a run was fed to
+    block by block (see ``checks.metrics``)."""
     from . import checks
 
-    return checks.metrics(checks.RunMetrics.of(run) if isinstance(run, TraceLog) else run,
-                          design, params)
+    return checks.metrics(run, design, params)
 
 
 # ---------------------------------------------------------------------------
@@ -778,12 +722,9 @@ def text_bytes(text: np.ndarray) -> bytes:
 
 
 def write_trace_csv(trace: TraceLog, dest) -> None:
-    """Write the rows of ``trace`` to ``dest``, a path or a binary file open
-    for writing, after the header if ``trace`` starts at row 0: the blocks
-    of a run written in turn to one file make the file of the whole run."""
-    if not hasattr(dest, "write"):
-        with open(dest, "wb") as fh:
-            return write_trace_csv(trace, fh)
+    """Write the rows of ``trace`` to ``dest``, a binary file open for
+    writing, after the header if ``trace`` starts at row 0: the blocks of a
+    run written in turn to one file make the file of the whole run."""
     names = [name for group in _trace_header(trace.config).values() for name in group]
     if trace.first_row == 0:
         dest.write((",".join(names) + "\n").encode())
@@ -820,17 +761,12 @@ def write_events_csv(trace: TraceLog, path) -> None:
                 axis=1)))
 
 
-def read_trace_csv(path, block_rows: Optional[int] = None):
-    """Header names and the raw value matrix of a trace file; with
-    ``block_rows``, the names and an iterator of the matrix's blocks of that
-    many rows (see ``tracecsv.read``)."""
+def read_trace_csv(path) -> Tuple[List[str], Iterator[np.ndarray]]:
+    """Header names of a trace file and an iterator of its value matrix's
+    blocks of ``_RUN_BLOCK`` rows (see ``tracecsv.read``)."""
     from .tracecsv import read   # here, so that only verify and report compile it
 
-    names, blocks = read(path, block_rows)
-    if block_rows is not None:
-        return names, blocks
-    (mat,) = blocks
-    return names, mat
+    return read(path)
 
 
 def read_events_csv(path, width: int) -> EventTable:
@@ -841,14 +777,3 @@ def read_events_csv(path, width: int) -> EventTable:
 
     return read_events(path, width)
 
-
-def read_trace(scenario: ScenarioConfig, trace_path, events_path) -> TraceLog:
-    """A whole run read back from its trace and events files, as
-    ``run_scenario`` returns it; the signal arrays are column views of the
-    parsed matrix.  The steps read a run a block at a time instead
-    (``tracecsv.read_run``), which raises the same faults."""
-    from .tracecsv import read_run
-
-    _, blocks = read_run(scenario, trace_path, events_path)
-    (trace,) = blocks
-    return trace

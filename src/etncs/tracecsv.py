@@ -5,9 +5,10 @@ Text in the writer's own layout (``sim.format_blocks``: every value
 with numpy arithmetic, a block of lines at a time, into the values
 ``np.loadtxt`` and ``float`` give, bit for bit; any other text goes through
 ``np.loadtxt`` or the events reader's line parser, with their messages.  A
-run's rows can be read one block at a time (``read_run``).  This is a module
-of its own, imported by ``sim.read_trace_csv`` when first called, so that
-only the processes that read a run compile and load it.
+run's rows are read one block of ``_RUN_BLOCK`` rows at a time
+(``read_run``).  This is a module of its own, imported by
+``sim.read_trace_csv`` when first called, so that only the processes that
+read a run compile and load it.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sim import (_BLOCK_ROWS, _E_MAX, _EVENTS_HEADER, _POW_LO, EventTable, ScenarioConfig,
-                  TraceBlock, _event_buffers, _event_table, _format_tables, _trace_header,
-                  _veltkamp, read_events_csv, read_trace_csv)
+from .sim import (_BLOCK_ROWS, _E_MAX, _EVENTS_HEADER, _POW_LO, _RUN_BLOCK, EventTable,
+                  ScenarioConfig, TraceLog, _event_buffers, _event_table, _format_tables,
+                  _trace_header, _veltkamp, read_events_csv, read_trace_csv)
 
 __all__ = ["read", "read_events", "read_run"]
 
-# The bytes of the shortest and the longest field the writer makes, with its
-# separator: "d.<16 digits>e+dd," and "-d.<16 digits>e+ddd,".
-_FIELD_MIN, _FIELD_MAX = 23, 25
+# The bytes of the longest field the writer makes, with its separator:
+# "-d.<16 digits>e+ddd,".
+_FIELD_MAX = 25
 _ZEROS = 0x3030303030303030   # ASCII '0' in each byte of an int64 word
 _NIBBLES = 0xF0F0F0F0F0F0F0F0 - 2 ** 64   # the high nibble of each byte, as an int64
 _MAGIC = 0x4330000000000000    # the bits of 2.0**52
@@ -212,24 +213,19 @@ def _chunks(fh, size: int, line_max: int, fields: int, separators: bytes, parse)
         buf[:held] = buf[cut:end]
 
 
-def _blocks(path, offset: int, width: int, block_rows: Optional[int]) -> Iterator[np.ndarray]:
+def _blocks(path, offset: int, width: int) -> Iterator[np.ndarray]:
     """The value matrix of the trace file after its ``offset``-byte header,
-    in blocks of ``block_rows`` rows, each valid until the next, or whole.
-    Rows in the writer's layout are parsed as they are read.  At any other
-    text, ``np.loadtxt`` reads the whole file and its matrix gives the rows
-    not yet given: the fast path's rows are bit-equal to its."""
-    if block_rows is not None and block_rows % _BLOCK_ROWS:
-        raise ValueError(f"block_rows must be a multiple of {_BLOCK_ROWS}, got {block_rows}")
+    in blocks of ``_RUN_BLOCK`` rows, each valid until the next.  Rows in
+    the writer's layout are parsed as they are read, _BLOCK_ROWS lines at a
+    time, which fill a block exactly.  At any other text, ``np.loadtxt``
+    reads the whole file and its matrix gives the rows not yet given: the
+    fast path's rows are bit-equal to its."""
     tables = _format_tables()[:4]   # made first, so the cache pins no heap above the blocks
     done = 0
     with open(path, "rb") as fh:
         fh.seek(offset)
         size = os.fstat(fh.fileno()).st_size - offset
-        # a whole matrix is allocated once for the most rows ``size`` bytes can
-        # hold (each field takes at least _FIELD_MIN) and shrunk at the end, so
-        # pages past the last row are never touched
-        out = np.empty((size // (width * _FIELD_MIN) if block_rows is None else block_rows,
-                        width))
+        out = np.empty((_RUN_BLOCK, width))
         rows = 0
         for values in _chunks(fh, size, width * _FIELD_MAX, width, b",",
                               lambda *chunk: _parse_fields(*chunk, tables)):
@@ -239,27 +235,22 @@ def _blocks(path, offset: int, width: int, block_rows: Optional[int]) -> Iterato
             out[rows:rows + lines] = values.reshape(lines, width)
             rows += lines
             del values
-            if rows == len(out) and block_rows is not None:
+            if rows == _RUN_BLOCK:
                 yield out
                 done += rows
                 rows = 0
         else:
+            if rows:
+                yield out[:rows]
             if done + rows:
-                if block_rows is None:
-                    out.resize((rows, width), refcheck=False)
-                    yield out
-                elif rows:
-                    yield out[:rows]
                 return
     _, mat = _loadtxt(path)   # text outside the layout, or no row at all
-    yield from _slices(mat, done, block_rows)
+    yield from _slices(mat, done)
 
 
-def _slices(mat: np.ndarray, start: int, block_rows: Optional[int]) -> Iterator[np.ndarray]:
-    """The rows of ``mat`` from ``start`` on, in blocks of ``block_rows`` rows
-    or as one block."""
-    step = block_rows or len(mat)
-    return (mat[i:i + step] for i in range(start, len(mat), step))
+def _slices(mat: np.ndarray, start: int) -> Iterator[np.ndarray]:
+    """The rows of ``mat`` from ``start`` on, in blocks of ``_RUN_BLOCK`` rows."""
+    return (mat[i:i + _RUN_BLOCK] for i in range(start, len(mat), _RUN_BLOCK))
 
 
 def _loadtxt(path) -> Tuple[List[str], np.ndarray]:
@@ -279,34 +270,30 @@ def _loadtxt(path) -> Tuple[List[str], np.ndarray]:
     return names, mat
 
 
-def read(path, block_rows: Optional[int] = None) -> Tuple[List[str], Iterator[np.ndarray]]:
+def read(path) -> Tuple[List[str], Iterator[np.ndarray]]:
     """Header names and the raw value matrix of a trace file, as an iterator
-    of its blocks of ``block_rows`` rows (a multiple of ``_BLOCK_ROWS``),
-    each valid until the next, or of the one whole matrix.  A fault in the
-    rows is raised where the iteration meets it."""
+    of its blocks of ``_RUN_BLOCK`` rows, each valid until the next.  A
+    fault in the rows is raised where the iteration meets it."""
     with open(path, "rb") as fh:
         head = fh.readline()
     if head.endswith(b"\n") and head.isascii() and b"\r" not in head:
         names = head.decode().strip().split(",")
         if names != [""]:
-            return names, _blocks(path, len(head), len(names), block_rows)
+            return names, _blocks(path, len(head), len(names))
     names, mat = _loadtxt(path)
-    return names, _slices(mat, 0, block_rows)
+    return names, _slices(mat, 0)
 
 
-def read_run(scenario: ScenarioConfig, trace_path, events_path,
-             block_rows: Optional[int] = None) -> Tuple[EventTable, Iterator[TraceBlock]]:
+def read_run(scenario: ScenarioConfig, trace_path, events_path
+             ) -> Tuple[EventTable, Iterator[TraceLog]]:
     """The run of ``scenario`` read back from its trace and events files:
-    the event table, and the rows as TraceBlocks of ``block_rows`` rows
-    that carry it, each valid until the next (without ``block_rows``, one
-    block of every row, whose signal arrays are column views of the parsed
-    matrix).  Faults come in the order a whole read meets them, so the
-    trace's rows are read through before another fault is raised: one in
-    the trace's rows, then a header other than these models write (naming
-    its first column that differs), then one in the events file."""
-    names, blocks = read_trace_csv(trace_path, block_rows)
-    if block_rows is None:
-        blocks = iter([blocks])   # the whole matrix
+    the event table, and the rows as TraceLogs of ``_RUN_BLOCK`` rows that
+    carry it, each valid until the next.  Faults come in the order reading
+    the files through meets them, so the trace's rows are read through
+    before another fault is raised: one in the trace's rows, then a header
+    other than these models write (naming its first column that differs),
+    then one in the events file."""
+    names, blocks = read_trace_csv(trace_path)
     header = _trace_header(scenario)
     expected = (name for group in header.values() for name in group)
     fault: Optional[Exception] = None
@@ -328,7 +315,7 @@ def read_run(scenario: ScenarioConfig, trace_path, events_path,
 
 
 def _trace_logs(scenario: ScenarioConfig, header: Dict[str, List[str]], events: EventTable,
-                blocks: Iterator[np.ndarray]) -> Iterator[TraceBlock]:
+                blocks: Iterator[np.ndarray]) -> Iterator[TraceLog]:
     start = 0
     for mat in blocks:
         cols, col = {}, 0
@@ -336,7 +323,7 @@ def _trace_logs(scenario: ScenarioConfig, header: Dict[str, List[str]], events: 
             cols[base] = mat[:, col:col + len(group)]
             col += len(group)
         cols["t"] = mat[:, 0]
-        yield TraceBlock(config=scenario, events=events, first_row=start, **cols)
+        yield TraceLog(config=scenario, events=events, first_row=start, **cols)
         start += len(mat)
 
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from .checks import RunChecks
 from .design import DesignResult
-from .sim import (_RUN_BLOCK, TRACE_COLUMNS, ScenarioConfig, held_samples,
-                  invariant_checks)
+from .sim import TRACE_COLUMNS, ScenarioConfig, held_samples, invariant_checks
 from .tracecsv import read_run
 
 __all__ = ["verify_trace_files"]
@@ -41,7 +40,7 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     """Run all trace-level invariant checks on the run of ``scenario``,
     against ``design`` when it is feasible; returns name -> (pass, detail)."""
     h = scenario.h
-    ev, blocks = read_run(scenario, trace_path, events_path, _RUN_BLOCK)
+    ev, blocks = read_run(scenario, trace_path, events_path)
     run = RunChecks(scenario)
     run.events = ev
     on_row = np.zeros(len(ev), bool)   # the event's sample_index names a row at its time

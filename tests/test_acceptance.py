@@ -26,9 +26,10 @@ from etncs.models import cubic_nl2, firstorder_lead
 from etncs.network import Channel, DelayProfile, DropoutModel, rate_bound_check
 from etncs.quantizer import QuantizerSpec, quantize
 from etncs.signals import SignalSpec
-from etncs.sim import (ChannelConfig, ScenarioConfig, TraceLog, compute_metrics,
-                       dropout_spans, run_scenario, write_trace_csv)
+from etncs.sim import ChannelConfig, ScenarioConfig, TraceLog, dropout_spans
 from etncs.trigger import TriggerConfig
+
+import whole
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "worked_example.cfg"
 
@@ -53,9 +54,9 @@ def golden() -> GoldenRun:
     params, result = run_design(cfg)
     scenario = build_scenario(cfg)
     t0 = time.perf_counter()
-    trace = run_scenario(scenario)
+    trace = whole.run(scenario)
     elapsed = time.perf_counter() - t0
-    metrics = compute_metrics(trace, result, params)
+    metrics = whole.metrics(trace, result, params)
     return GoldenRun(params, result, scenario, trace, metrics, elapsed)
 
 
@@ -210,7 +211,7 @@ def test_criterion_07_dropout_accumulation(golden):
     for d in (1, 2, 3):
         bound = (1.0 + math.sqrt(IDEAL_DELTA_P)) ** (d + 1) - 1.0
         for seed in range(100):
-            trace = run_scenario(_ideal_burst_scenario(d, seed, golden.result.gains))
+            trace = whole.run(_ideal_burst_scenario(d, seed, golden.result.gains))
             commits = trace.commits_on("plant")
             recommit = np.flatnonzero(commits.drops_before == d)[0]
             ratio = commits.e_norm[recommit] / commits.y_norm[recommit]
@@ -271,9 +272,9 @@ def test_criterion_10_determinism(tmp_path):
     cfg = load_config(CONFIG)
     blobs = []
     for i in range(2):
-        trace = run_scenario(build_scenario(cfg))
+        trace = whole.run(build_scenario(cfg))
         path = tmp_path / f"trace_{i}.csv"
-        write_trace_csv(trace, path)
+        whole.write_trace(trace, path)
         blobs.append(path.read_bytes())
     ok = blobs[0] == blobs[1]
     _report(10, "determinism", ok,

@@ -22,6 +22,8 @@ from etncs.cli import main
 from etncs.config import (KNOWN_KEYS, apply_overrides, build_scenario, format_config,
                           load_config)
 
+import whole
+
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "worked_example.cfg"
 
 # short-horizon overrides shared by the CLI round-trip tests
@@ -162,7 +164,7 @@ def test_report_emits_two_column_files(tmp_path):
     assert main(["report", "--config", str(CONFIG), "--out", str(tmp_path),
                  *SHORT]) == 0
     scenario = build_scenario(apply_overrides(load_config(CONFIG), ["sim.t_end=1.0"]))
-    trace = sim.read_trace(scenario, tmp_path / "trace.csv", tmp_path / "events.csv")
+    trace = whole.read(scenario, tmp_path / "trace.csv", tmp_path / "events.csv")
 
     def rows(x, y):   # the per-row reference the block formatter must match
         return "".join("%.16e %.16e\n" % (a, b) for a, b in zip(x, y))
@@ -617,8 +619,8 @@ def test_respelled_value_reads_and_verifies_as_the_writers(tmp_path, short_run):
     verify.kv as the written text, which the numpy parser reads."""
     _trace_with_row_500(short_run, tmp_path / "written", "5.0000000000000000e-01")
     _trace_with_row_500(short_run, tmp_path / "respelled", "5e-1")
-    names, mat = sim.read_trace_csv(tmp_path / "written" / "trace.csv")
-    respelled_names, respelled = sim.read_trace_csv(tmp_path / "respelled" / "trace.csv")
+    names, mat = whole.matrix(tmp_path / "written" / "trace.csv")
+    respelled_names, respelled = whole.matrix(tmp_path / "respelled" / "trace.csv")
     assert respelled_names == names
     assert np.array_equal(respelled.view(np.int64), mat.view(np.int64))
     for run in ("written", "respelled"):

@@ -116,3 +116,20 @@ def test_bad_number_reports_key():
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read"):
         load_config("/nonexistent/path.cfg")
+
+
+def test_negative_n_levels_is_a_config_error(tmp_path):
+    """A negative level count puts the logarithmic cutoff u0 * density**n_levels
+    above u0 (32 here), so every payload below it would go out as zero."""
+    sets = ["sim.t_end=2", "quant_p.kind=logarithmic", "quant_p.density=0.5",
+            "quant_p.n_levels=-5"]
+    with pytest.raises(ConfigError, match="quant_p: n_levels must be >= 0, got -5"):
+        build_scenario(apply_overrides(load_config(CONFIG_DIR / "worked_example.cfg"), sets))
+    from etncs.cli import main
+
+    args = ["simulate", "--config", str(CONFIG_DIR / "worked_example.cfg"),
+            "--out", str(tmp_path)]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 1
+    assert not (tmp_path / "events.csv").exists()

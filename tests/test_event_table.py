@@ -21,8 +21,8 @@ from etncs.design import TransformGains
 from etncs.models import cubic_nl2, firstorder_lead
 from etncs.network import DelayProfile
 from etncs.quantizer import QuantizerSpec
-from etncs.sim import (_BLOCK_ROWS, ChannelConfig, EventTable, ScenarioConfig, TraceLog,
-                       _accum_ratio_excess, _gap_stats, dropout_spans, held_samples,
+from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, ChannelConfig, EventTable, ScenarioConfig,
+                       TraceLog, _accum_ratio_excess, _gap_stats, dropout_spans, held_samples,
                        max_consecutive_drops, read_events_csv, write_events_csv)
 from etncs.tracecsv import _read_event_layout, _read_event_lines
 from etncs.trigger import TriggerConfig
@@ -102,8 +102,7 @@ def _bits(values):
 
 def _trace(events: EventTable, rows: int) -> TraceLog:
     m = events.payload.shape[1]
-    signals = {f.name: np.zeros((rows, m)) for f in fields(TraceLog)
-               if f.name not in ("config", "t", "events")}
+    signals = {name: np.zeros((rows, m)) for name in TRACE_COLUMNS[1:]}
     return TraceLog(config=_CONFIG, t=np.arange(rows) * _CONFIG.h, events=events,
                     **signals)
 

@@ -17,11 +17,13 @@ from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
 from etncs.quantizer import QuantizerSpec
 from etncs.signals import Signal, SignalSpec, hash_uniform
-from etncs.sim import (_BLOCK_ROWS, ChannelConfig, DivergenceError, EventTable,
-                       ScenarioConfig, compute_metrics, dropout_spans,
-                       format_blocks, invariant_checks, read_trace_csv, run_scenario,
-                       text_bytes, write_trace_csv)
+from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, ChannelConfig, DivergenceError, EventTable,
+                       ScenarioConfig, compute_metrics, dropout_spans, format_blocks,
+                       invariant_checks, read_trace_csv, run_scenario, text_bytes,
+                       write_trace_csv)
 from etncs.trigger import TriggerConfig
+
+import whole
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -49,19 +51,19 @@ def _scenario(**overrides) -> ScenarioConfig:
 
 def test_zero_scenario_stays_at_rest():
     sc = _scenario(x0_plant=np.zeros(2), x0_controller=np.zeros(1))
-    trace = run_scenario(sc)
+    trace = whole.run(sc)
     for arr in (trace.y_p, trace.u_p, trace.y_c, trace.u_c, trace.y_tilde_c):
         assert np.all(arr == 0.0)
     # only the unconditional t=0 transmissions
     assert len(trace.commits_on("plant")) == 1
     assert len(trace.commits_on("controller")) == 1
-    me = compute_metrics(trace)
+    me = whole.metrics(trace)
     assert me["min_gap_p"] == sc.t_end
     assert me["min_gap_c"] == sc.t_end
 
 
 def test_row_count_matches_grid():
-    trace = run_scenario(_scenario(t_end=0.01))
+    trace = whole.run(_scenario(t_end=0.01))
     assert len(trace.t) == 11
     assert trace.t[0] == 0.0
     assert trace.t[-1] == pytest.approx(0.01)
@@ -70,19 +72,19 @@ def test_row_count_matches_grid():
 def test_deterministic_reruns_bit_identical(tmp_path):
     cfg = load_config(CONFIG_DIR / "worked_example.cfg")
     cfg["sim.t_end"] = "1.0"
-    traces = [run_scenario(build_scenario(cfg)) for _ in range(2)]
+    traces = [whole.run(build_scenario(cfg)) for _ in range(2)]
     for name in ("y_p", "x_p", "u_r", "y_qc", "w1"):
         assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name))
     paths = []
     for i, tr in enumerate(traces):
         p = tmp_path / f"t{i}.csv"
-        write_trace_csv(tr, p)
+        whole.write_trace(tr, p)
         paths.append(p.read_bytes())
     assert paths[0] == paths[1]
 
 
 def test_events_lie_on_sample_grid():
-    trace = run_scenario(_scenario(w1=SignalSpec(kind="constant", value=1.0)))
+    trace = whole.run(_scenario(w1=SignalSpec(kind="constant", value=1.0)))
     k = trace.events.t / trace.config.h
     assert len(k) and np.all(np.abs(k - np.round(k)) < 1e-9)
 
@@ -91,8 +93,8 @@ def test_error_resets_only_on_success():
     # pattern: keep the initial send, drop the next two plant attempts
     chan = ChannelConfig(DelayProfile(t0=0.0, d=0.0, form="constant"),
                          DropoutModel(kind="pattern", pattern=(1, 0, 0)))
-    trace = run_scenario(_scenario(chan_pc=chan, x0_plant=np.array([1.0, -4.0]),
-                                   w1=SignalSpec(kind="constant", value=1.0)))
+    trace = whole.run(_scenario(chan_pc=chan, x0_plant=np.array([1.0, -4.0]),
+                                w1=SignalSpec(kind="constant", value=1.0)))
     plant = trace.events_on("plant")
     drops = plant[plant.dropped]
     assert len(drops) == 2
@@ -113,28 +115,28 @@ def test_budget_exceeded_flagged_in_metrics():
     assert result.d_p_max == 1
     chan = ChannelConfig(DelayProfile(t0=0.5, d=0.3, form="affine"),
                          DropoutModel(kind="pattern", pattern=(1, 0, 0)))
-    trace = run_scenario(_scenario(chan_pc=chan,
-                                   x0_plant=np.array([10.0, -14.0]),
-                                   w1=SignalSpec(kind="constant", value=1.0),
-                                   gains=result.gains))
-    me = compute_metrics(trace, result, params)
+    trace = whole.run(_scenario(chan_pc=chan,
+                                x0_plant=np.array([10.0, -14.0]),
+                                w1=SignalSpec(kind="constant", value=1.0),
+                                gains=result.gains))
+    me = whole.metrics(trace, result, params)
     assert me["max_consec_drops_p"] == 2
     assert me["budget_ok_p"] is False
     assert me["commit_rate_p"] == np.count_nonzero(trace.events.commits("plant")) / trace.config.t_end
 
 
 def test_trigger_inequality_between_events():
-    trace = run_scenario(_scenario(
+    trace = whole.run(_scenario(
         x0_plant=np.array([5.0, -8.0]),
         w1=SignalSpec(kind="piecewise_uniform", lo=0.0, hi=2.0, dwell=0.1, seed=3),
         t_end=2.0))
-    me = compute_metrics(trace)
+    me = whole.metrics(trace)
     assert me["trigger_ok_p"] and me["trigger_ok_c"]
     assert me["sampled_bound_ok_p"] and me["sampled_bound_ok_c"]
 
 
 def test_zoh_piecewise_constant_between_arrivals():
-    trace = run_scenario(_scenario(
+    trace = whole.run(_scenario(
         chan_cp=ChannelConfig(DelayProfile(t0=0.6, d=0.2, form="affine")),
         x0_plant=np.array([5.0, -8.0]),
         w1=SignalSpec(kind="constant", value=1.0), t_end=2.0))
@@ -147,8 +149,8 @@ def test_zoh_piecewise_constant_between_arrivals():
 
 
 def test_committed_sample_equals_output_row():
-    trace = run_scenario(_scenario(x0_plant=np.array([5.0, -8.0]),
-                                   w1=SignalSpec(kind="constant", value=1.0)))
+    trace = whole.run(_scenario(x0_plant=np.array([5.0, -8.0]),
+                                w1=SignalSpec(kind="constant", value=1.0)))
     for side, y in (("plant", trace.y_p), ("controller", trace.y_c)):
         commits = trace.commits_on(side)
         assert len(commits) > 1
@@ -156,11 +158,11 @@ def test_committed_sample_equals_output_row():
 
 
 def test_energy_audit_closed_loop():
-    trace = run_scenario(_scenario(x0_plant=np.array([10.0, -14.0]),
-                                   w1=SignalSpec(kind="piecewise_uniform",
-                                                 lo=0.0, hi=2.0, dwell=0.1, seed=5),
-                                   t_end=2.0))
-    me = compute_metrics(trace)
+    trace = whole.run(_scenario(x0_plant=np.array([10.0, -14.0]),
+                                w1=SignalSpec(kind="piecewise_uniform",
+                                              lo=0.0, hi=2.0, dwell=0.1, seed=5),
+                                t_end=2.0))
+    me = whole.metrics(trace)
     assert me["dissip_ok_p"]
     assert me["dissip_norm_residual_max_p"] < 1.0
 
@@ -170,7 +172,7 @@ def test_divergence_aborts_with_row_index():
     sc = _scenario(plant=plant, x0_plant=np.array([1.0]),
                    divergence_limit=1e6, t_end=5.0)
     with pytest.raises(DivergenceError) as err:
-        run_scenario(sc)
+        whole.run(sc)
     assert err.value.row > 0
     assert "row" in str(err.value)
 
@@ -208,7 +210,7 @@ def _third_stage_inf_at_step_100():
 ], ids=["nan-from-a-row", "inf-third-stage", "nonfinite-outranks-norm"])
 def test_nonfinite_step_diverges_at_its_row(make, row, detail):
     with pytest.raises(DivergenceError) as err:
-        run_scenario(_scenario(**make()))
+        whole.run(_scenario(**make()))
     assert err.value.row == row
     assert str(err.value) == f"divergence at row {row} (t={row * 1e-3:.6f}): {detail}"
 
@@ -221,7 +223,7 @@ def test_approximates_continuous_feedback():
     sc = _scenario(gains=TransformGains(m11=1.0, m21=-1e-9, m22=1.0),
                    trigger_p=TriggerConfig(1e-8), trigger_c=TriggerConfig(1e-8),
                    w1=SignalSpec(kind="constant", value=1.0), t_end=t_end)
-    trace = run_scenario(sc)
+    trace = whole.run(sc)
 
     def coupled(z, t):
         xp1, xp2, xc = z
@@ -248,9 +250,9 @@ def test_approximates_continuous_feedback():
 def test_dropout_spans_cover_drops():
     chan = ChannelConfig(DelayProfile(t0=0.0, d=0.0, form="constant"),
                          DropoutModel(kind="pattern", pattern=(1, 0)))
-    trace = run_scenario(_scenario(chan_pc=chan,
-                                   x0_plant=np.array([5.0, -8.0]),
-                                   w1=SignalSpec(kind="constant", value=1.0)))
+    trace = whole.run(_scenario(chan_pc=chan,
+                                x0_plant=np.array([5.0, -8.0]),
+                                w1=SignalSpec(kind="constant", value=1.0)))
     starts, ends = dropout_spans(trace, "plant")
     plant = trace.events_on("plant")
     drops = plant.sample_index[plant.dropped]
@@ -264,17 +266,17 @@ def test_dropout_spans_cover_drops():
 def test_logarithmic_quantizers_in_the_loop():
     log_q = QuantizerSpec(kind="logarithmic", density=0.5, u0=16.0,
                           sector=(0.0, 4.0 / 3.0))
-    trace = run_scenario(_scenario(quant_p=log_q, quant_c=log_q,
-                                   x0_plant=np.array([5.0, -8.0]),
-                                   w1=SignalSpec(kind="constant", value=1.0),
-                                   t_end=2.0))
+    trace = whole.run(_scenario(quant_p=log_q, quant_c=log_q,
+                                x0_plant=np.array([5.0, -8.0]),
+                                w1=SignalSpec(kind="constant", value=1.0),
+                                t_end=2.0))
     assert np.all(np.isfinite(trace.y_p))
     # wire values are actual quantizer outputs of the held transformed sample
     from etncs.quantizer import quantize
     g = trace.config.gains
     assert np.array_equal(trace.y_qp,
                           quantize(log_q, g.m11 * trace.u_tilde_c))
-    me = compute_metrics(trace)
+    me = whole.metrics(trace)
     assert me["trigger_ok_p"] and me["trigger_ok_c"]
 
 
@@ -307,24 +309,23 @@ def _dropout_run():
                        DropoutModel(kind="pattern", pattern=(1, 0, 0, 1, 0)))
     cp = ChannelConfig(DelayProfile(t0=0.02, d=0.0, form="constant"),
                        DropoutModel(kind="pattern", pattern=(1, 1, 0)))
-    return run_scenario(_scenario(chan_pc=pc, chan_cp=cp,
-                                  x0_plant=np.array([5.0, -8.0]),
-                                  w1=SignalSpec(kind="constant", value=1.0)))
+    return whole.run(_scenario(chan_pc=pc, chan_cp=cp,
+                               x0_plant=np.array([5.0, -8.0]),
+                               w1=SignalSpec(kind="constant", value=1.0)))
 
 
 def test_read_trace_round_trip_equals_run(tmp_path):
     from dataclasses import fields
 
-    from etncs.sim import read_trace, write_events_csv
+    from etncs.sim import write_events_csv
     trace = _dropout_run()
     assert trace.events_on("plant").dropped.any()
     assert trace.events_on("controller").dropped.any()
-    write_trace_csv(trace, tmp_path / "trace.csv")
+    whole.write_trace(trace, tmp_path / "trace.csv")
     write_events_csv(trace, tmp_path / "events.csv")
-    back = read_trace(trace.config, tmp_path / "trace.csv", tmp_path / "events.csv")
-    for f in fields(trace):
-        if f.name not in ("config", "events"):
-            assert np.array_equal(getattr(back, f.name), getattr(trace, f.name)), f.name
+    back = whole.read(trace.config, tmp_path / "trace.csv", tmp_path / "events.csv")
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(back, name), getattr(trace, name)), name
     for f in fields(EventTable):
         a, b = getattr(back.events, f.name), getattr(trace.events, f.name)
         assert a.dtype == b.dtype and np.array_equal(a, b), f.name
@@ -346,9 +347,9 @@ def test_event_table_holds_equal_the_loops_live_holds():
     back from the event table, and they agree bit for bit, on a single run
     and on each lane of a batch."""
     from etncs.sim import held_samples
-    solo = run_scenario(_bernoulli_lane(11, SignalSpec(kind="constant", value=1.0)))
-    batch = run_scenario([_bernoulli_lane(seed, SignalSpec(kind="sine", amplitude=a, freq=2.0))
-                          for seed, a in ((21, 1.0), (22, 2.0), (24, 3.0))])
+    solo = whole.run(_bernoulli_lane(11, SignalSpec(kind="constant", value=1.0)))
+    batch = whole.lanes([_bernoulli_lane(seed, SignalSpec(kind="sine", amplitude=a, freq=2.0))
+                         for seed, a in ((21, 1.0), (22, 2.0), (24, 3.0))])
     for trace in (solo, *batch):
         ev, rows, m11 = trace.events, len(trace.t), trace.config.gains.m11
         assert (ev.on("plant") & ev.dropped).any() and (ev.on("controller") & ev.dropped).any()
@@ -393,11 +394,10 @@ def test_signal_on_times_equals_per_time_calls(spec, times, h, n):
     ("t,x\n1,2#3\n", "convert"),
 ])
 def test_read_trace_csv_rejects_malformed(tmp_path, text, message):
-    from etncs.sim import read_trace_csv
     path = tmp_path / "trace.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
-        read_trace_csv(path)
+        whole.matrix(path)
 
 
 _BITS = np.array([0x7FF8000000000123, 0x7FF0000000000001, -0x0007FFFFFFFFFF00],
@@ -515,7 +515,7 @@ def test_read_trace_csv_equals_loadtxt_on_the_hard_values(tmp_path, monkeypatch)
         raise AssertionError("np.loadtxt called on text in the writer's layout")
 
     monkeypatch.setattr(np, "loadtxt", no_loadtxt)
-    names, got = read_trace_csv(path)
+    names, got = whole.matrix(path)
     assert names == ["c0", "c1", "c2", "c3"]
     assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(got), _bits(mat))
@@ -549,7 +549,7 @@ def test_read_trace_csv_reads_midpoint_decimals_as_float_does(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("a,b,c,d\n" + "".join(",".join(texts[i:i + 4]) + "\n"
                                           for i in range(0, len(texts), 4)))
-    names, got = read_trace_csv(path)
+    names, got = whole.matrix(path)
     want = np.array([float(t) for t in texts]).reshape(-1, 4)
     assert np.array_equal(_bits(got), _bits(want))
 
@@ -566,29 +566,36 @@ def test_read_trace_csv_of_a_non_finite_value_takes_loadtxt(tmp_path, monkeypatc
     calls = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
-    names, got = read_trace_csv(path)
+    names, got = whole.matrix(path)
     assert calls == [1]
     assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(got), _bits(mat))
 
 
-def test_read_trace_csv_peak_memory_is_the_matrix(tmp_path):
-    """The numpy path allocates the matrix once and parses a block at a
-    time: its tracemalloc peak on a 20 001 x 17 trace is at most the
-    matrix's bytes plus 1 MiB."""
+def test_read_trace_csv_peak_memory_is_one_block(tmp_path):
+    """The numpy path parses a block of rows at a time into one block
+    matrix, reused for every block: its tracemalloc peak on a 20 001 x 17
+    trace, read through, is at most one block's bytes plus 1 MiB."""
+    from etncs.sim import _RUN_BLOCK
+
     rng = np.random.default_rng(20)
     mat = rng.standard_normal((20_001, 17)) * 10.0 ** rng.integers(-3, 4, (20_001, 17))
     path = tmp_path / "trace.csv"
     _write_body(path, mat)
-    read_trace_csv(path)   # loads the reader's module and tables first
+    for _ in read_trace_csv(path)[1]:   # loads the reader's module and tables first
+        pass
+    rows = 0
     tracemalloc.start()
     try:
-        names, got = read_trace_csv(path)
+        names, blocks = read_trace_csv(path)
+        for block in blocks:
+            assert np.array_equal(_bits(block), _bits(mat[rows:rows + len(block)]))
+            rows += len(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(_bits(got), _bits(mat))
-    assert peak <= got.nbytes + 2 ** 20
+    assert rows == len(mat)
+    assert peak <= _RUN_BLOCK * 17 * 8 + 2 ** 20
 
 
 @pytest.mark.parametrize("rows", [0, 1])
@@ -609,9 +616,8 @@ def _same_run(a, b):
     """Every signal column and every event column bit-equal."""
     from dataclasses import fields
 
-    for f in fields(a):
-        if f.name not in ("config", "events"):
-            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
     for f in fields(EventTable):
         x, y = getattr(a.events, f.name), getattr(b.events, f.name)
         assert x.dtype == y.dtype and np.array_equal(x, y), f.name
@@ -635,15 +641,15 @@ def test_lockstep_lanes_match_solo_runs_and_a_diverging_lane_retires():
              lane(SignalSpec(kind="constant", value=1e8), 2),
              lane(SignalSpec(kind="constant", value=1.0), 3),
              lane(SignalSpec(kind="constant", value=math.nan), 4)]
-    runs = run_scenario(lanes)
+    runs = whole.lanes(lanes)
     for i, detail in ((1, "plant state norm"), (3, "non-finite step")):
         with pytest.raises(DivergenceError) as solo:
-            run_scenario(lanes[i])
+            whole.run(lanes[i])
         assert detail in str(solo.value)
         assert str(runs[i]) == str(solo.value) and runs[i].row == solo.value.row
     assert runs[3].row == 1 < runs[1].row
     for i in (0, 2):
-        _same_run(runs[i], run_scenario(lanes[i]))
+        _same_run(runs[i], whole.run(lanes[i]))
         assert len(runs[i].t) == 501
 
 
@@ -671,17 +677,16 @@ def test_retired_lanes_leave_every_lane_as_its_solo_run(draws):
                          divergence_limit=1e6, t_end=0.3)
 
     lanes = [lane(w1, seed) for w1, seed in draws]
-    for run, sc in zip(run_scenario(lanes), lanes):
+    for run, sc in zip(whole.lanes(lanes), lanes):
         try:
-            solo = run_scenario(sc)
+            solo = whole.run(sc)
         except DivergenceError as err:
             assert isinstance(run, DivergenceError)
             assert (str(run), run.row) == (str(err), err.row)
             continue
-        for f in dataclasses.fields(solo):
-            if f.name not in ("config", "events"):
-                a, b = getattr(run, f.name), getattr(solo, f.name)
-                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), f.name
+        for name in TRACE_COLUMNS:
+            a, b = getattr(run, name), getattr(solo, name)
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
         for f in dataclasses.fields(EventTable):
             a, b = getattr(run.events, f.name), getattr(solo.events, f.name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
@@ -703,9 +708,9 @@ def test_a_model_returning_an_ndarray_runs_as_one_returning_rows():
 
     rows = (cubic_nl2(), firstorder_lead())
     arrays = tuple(as_array(model) for model in rows)
-    _same_run(run_scenario(lane(*arrays, 1)), run_scenario(lane(*rows, 1)))
-    for a, b in zip(run_scenario([lane(*arrays, s) for s in (1, 2)]),
-                    run_scenario([lane(*rows, s) for s in (1, 2)])):
+    _same_run(whole.run(lane(*arrays, 1)), whole.run(lane(*rows, 1)))
+    for a, b in zip(whole.lanes([lane(*arrays, s) for s in (1, 2)]),
+                    whole.lanes([lane(*rows, s) for s in (1, 2)])):
         _same_run(a, b)
 
 
@@ -715,23 +720,23 @@ def test_lockstep_lanes_share_all_but_disturbances_and_dropouts(field, override)
     shared = dict(plant=cubic_nl2(), controller=firstorder_lead())
     first = _scenario(**shared)
     second = _scenario(**{**shared, "w1": SignalSpec(kind="constant", value=1.0), **override})
-    assert len(run_scenario([first, _scenario(**shared)])) == 2
+    assert len(whole.lanes([first, _scenario(**shared)])) == 2
     with pytest.raises(ValueError, match=f"lane 1 differs from lane 0 in {field}; "
                                          "lanes may differ only"):
-        run_scenario([first, second])
+        whole.lanes([first, second])
 
 
 def test_compute_metrics_reads_its_verdicts_from_invariant_checks():
     """metrics.kv's shared booleans are invariant_checks' pass flags, also
     when they fail: with the plant's commits after t=0 removed from the
     event table, the plant's held sample no longer follows its output."""
-    trace = run_scenario(_scenario(x0_plant=np.array([5.0, -8.0]),
-                                   w1=SignalSpec(kind="constant", value=1.0)))
+    trace = whole.run(_scenario(x0_plant=np.array([5.0, -8.0]),
+                                w1=SignalSpec(kind="constant", value=1.0)))
     ev = trace.events
     tampered = dataclasses.replace(trace, events=ev[~ev.plant | (ev.sample_index == 0)])
-    checks, _ = invariant_checks(tampered)
+    checks, _ = whole.verdicts(tampered)
     assert not checks["trigger_ineq_p"][0] and checks["trigger_ineq_c"][0]
-    me = compute_metrics(tampered)
+    me = whole.metrics(tampered)
     for side in ("p", "c"):
         assert me[f"trigger_ok_{side}"] is checks[f"trigger_ineq_{side}"][0]
         assert me[f"sampled_bound_ok_{side}"] is checks[f"held_norm_bound_{side}"][0]
@@ -760,11 +765,11 @@ def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
     sc = _scenario(chan_pc=pc, chan_cp=cp, x0_plant=np.array([5.0, -8.0]), t_end=5.0,
                    w1=SignalSpec(kind="piecewise_uniform", lo=-2.0, hi=2.0, dwell=0.05, seed=3),
                    w2=SignalSpec(kind="sine", amplitude=0.5, freq=2.0))
-    whole = run_scenario(sc)
-    write_trace_csv(whole, tmp_path / "trace.csv")
-    write_events_csv(whole, tmp_path / "events.csv")
+    trace = whole.run(sc)
+    whole.write_trace(trace, tmp_path / "trace.csv")
+    write_events_csv(trace, tmp_path / "events.csv")
     for side in ("plant", "controller"):
-        starts, ends = dropout_spans(whole, side)
+        starts, ends = dropout_spans(trace, side)
         assert ((starts < 2 * _RUN_BLOCK) & (ends > 2 * _RUN_BLOCK)).any() or \
             ((starts < _RUN_BLOCK) & (ends > _RUN_BLOCK)).any()
 
@@ -777,16 +782,15 @@ def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
         (merged.events,) = run_scenario([sc], [sink])
     assert sizes == [_RUN_BLOCK, _RUN_BLOCK, sc.n_rows - 2 * _RUN_BLOCK]
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "trace.csv").read_bytes()
-    assert _value_bits(compute_metrics(merged)) == _value_bits(compute_metrics(whole))
+    assert _value_bits(compute_metrics(merged)) == _value_bits(whole.metrics(trace))
 
     read = RunChecks(sc)
-    read.events, blocks = read_run(sc, tmp_path / "trace.csv", tmp_path / "events.csv",
-                                   _RUN_BLOCK)
+    read.events, blocks = read_run(sc, tmp_path / "trace.csv", tmp_path / "events.csv")
     for block in blocks:
         read.add(block)
-    for got, want in zip(invariant_checks(read), invariant_checks(whole)):
+    for got, want in zip(invariant_checks(read), whole.verdicts(trace)):
         assert _value_bits(got) == _value_bits(want)
-    assert read_events_csv(tmp_path / "events.csv", 1).t.tobytes() == whole.events.t.tobytes()
+    assert read_events_csv(tmp_path / "events.csv", 1).t.tobytes() == trace.events.t.tobytes()
 
 
 @pytest.mark.parametrize("text", ["respelled", "garbled"])
@@ -806,7 +810,7 @@ def test_read_trace_csv_in_blocks_falls_back_where_the_layout_ends(tmp_path, tex
     lines[row + 1] = lines[row + 1].replace(
         cell, cell.replace("e", "E") if text == "respelled" else "1.0x", 1)
     path.write_text("".join(lines))
-    names, blocks = read_trace_csv(path, _RUN_BLOCK)
+    names, blocks = read_trace_csv(path)
     got = [next(blocks).copy(), next(blocks).copy()]
     if text == "garbled":
         with pytest.raises(ValueError, match="could not convert string '1.0x' to float64"):

@@ -1,6 +1,6 @@
-"""Every name an etncs module exports, and every public method of its
-classes, is used by the package, its scripts or perfbench; a name only
-tests call is dead surface."""
+"""Every name an etncs module exports or defines at module level, and every
+public method of its classes, is used by the package, its scripts or
+perfbench; a name only tests call is dead surface."""
 
 import ast
 from pathlib import Path
@@ -32,7 +32,16 @@ def _methods(tree: ast.Module) -> list:
             and not item.name.startswith("_")]
 
 
-def test_every_exported_name_is_loaded():
+def _definitions(tree: ast.Module) -> list:
+    """Each public module-level function and class."""
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _scan():
+    """The parsed modules of the package, its scripts and perfbench, and
+    every name they load, bare or as an attribute."""
     trees = {path: ast.parse(path.read_text(), str(path))
              for folder in (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
              for path in sorted(folder.rglob("*.py"))}
@@ -43,6 +52,11 @@ def test_every_exported_name_is_loaded():
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute):
                 loaded.add(node.attr)
+    return trees, loaded
+
+
+def test_every_exported_name_is_loaded():
+    trees, loaded = _scan()
     exported = {name: path.name for path, tree in trees.items()
                 if path.parent == PACKAGE for name in _exports(tree)}
     unused = {name: module for name, module in exported.items()
@@ -55,3 +69,14 @@ def test_every_exported_name_is_loaded():
               if name.split(".")[1] not in loaded and name not in METHOD_ALLOWLIST}
     assert unused == {}
     assert METHOD_ALLOWLIST <= methods.keys()
+
+
+def test_every_public_definition_is_loaded():
+    """A public function or class that only tests call is dead surface
+    even when ``__all__`` leaves it out."""
+    trees, loaded = _scan()
+    defined = {name: path.name for path, tree in trees.items()
+               if path.parent == PACKAGE for name in _definitions(tree)}
+    unused = {name: module for name, module in defined.items()
+              if name not in loaded and name not in ALLOWLIST}
+    assert unused == {}
