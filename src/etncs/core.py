@@ -1,10 +1,10 @@
 """Continuous-time system models, fixed-step integration, and trajectory-level
 energy checks (dissipativity, supply rates, empirical L2 gains).
 
-States, inputs and outputs are plain float64 numpy arrays; a model's
-``dynamics`` works on their rows (see SystemModel).  All functions here are
-pure with respect to their inputs and safe to call from parallel scenario
-runs.
+States, inputs and outputs are float64 numpy arrays, or one sample's lists
+of Python floats; a model's ``dynamics`` and ``output`` work on their rows
+(see SystemModel).  All functions here are pure with respect to their inputs
+and safe to call from parallel scenario runs.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class PassivityIndices:
 
 
 DynamicsFn = Callable[[Sequence, Sequence, float], Sequence]
-OutputFn = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+OutputFn = Callable[[Sequence, Sequence, float], Sequence]
 StorageFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -65,26 +65,27 @@ class SystemModel:
     optional nonnegative energy certificate used for trajectory spot checks;
     declared indices are trusted metadata otherwise.
 
-    ``dynamics`` works on rows: ``x`` and ``u`` are sequences of
-    ``state_dim`` and ``input_dim`` rows, and it returns a sequence of
-    ``state_dim`` rows (a tuple, a list or an ndarray).  A single run's RK4
-    step calls it on one sample, where each row is a Python float (``x`` and
-    ``u`` are lists); a sweep's calls it on the ``(state_dim, B)`` columns of
-    B lockstep lanes, where each row is an ndarray, with one scalar ``t``.
-    So write it with row indexing (``x[i]``) and arithmetic that works on
-    both, and take powers with ``core.power``, which gives the same bits on
-    a float and on each element of an array.  On floats a division by zero
-    raises ZeroDivisionError where numpy returns inf or NaN.
+    ``dynamics`` and ``output`` work on rows: ``x`` and ``u`` are sequences
+    of ``state_dim`` and ``input_dim`` rows, and ``dynamics`` returns a
+    sequence of ``state_dim`` rows, ``output`` one of ``output_dim`` rows (a
+    tuple, a list or an ndarray).  A single run calls both on one sample,
+    where each row is a Python float (``x`` and ``u`` are lists); a sweep
+    calls them on the ``(state_dim, B)`` columns of B lockstep lanes, where
+    each row is an ndarray, with one scalar ``t``; the dissipation check
+    calls ``output`` on the N samples of a trajectory as columns, with ``t``
+    of ``(N,)``.  So write them with row indexing (``x[i]``) and arithmetic
+    that works on both, and take powers with ``core.power``, which gives the
+    same bits on a float and on each element of an array: each element must
+    come out with the bits of a one-sample call.  On floats a division by
+    zero raises ZeroDivisionError where numpy returns inf or NaN.  The
+    executor uses what they return without a copy, so it must not be a
+    buffer the model reuses.
 
-    ``output`` and ``storage`` act columnwise on arrays: on one sample
-    (``x`` of shape ``(state_dim,)``) or on N samples as columns (``x`` of
-    ``(state_dim, N)``, ``u`` of ``(input_dim, N)``, ``t`` of ``(N,)``).
-    ``output`` returns a float ndarray of ``(output_dim,)`` on one sample or
-    ``(output_dim, N)`` on columns, used as returned, not converted; each
-    element must come out with the same bits as a one-sample call.  A step
-    that leaves a lane's state non-finite or past the scenario's divergence
-    limit retires that lane at that row (``sim.DivergenceError``, exit code
-    3 from the command line).
+    ``storage`` acts columnwise on an array ``x`` of one sample
+    ``(state_dim,)`` or of N samples ``(state_dim, N)``.  A step that leaves
+    a lane's state non-finite or past the scenario's divergence limit retires
+    that lane at that row (``sim.DivergenceError``, exit code 3 from the
+    command line).
     """
 
     state_dim: int
@@ -123,41 +124,42 @@ def power(v, p):
     return np.float_power(v, p)
 
 
-def rk4_step(model: SystemModel, state: np.ndarray, u: np.ndarray,
-             t: float, h: float) -> np.ndarray:
+def rk4_step(model: SystemModel, state, u, t: float, h: float):
     """One classical 4th-order Runge-Kutta step with the input held constant.
 
-    ``state`` is one sample ``(state_dim,)`` with ``u`` of ``(input_dim,)``,
-    or B lanes as columns, ``(state_dim, B)`` with ``u`` of ``(input_dim, B)``;
-    every lane takes the same ``t`` and ``h``.  Nothing is checked here: the
-    caller passes float arrays of the model's dimensions and ``h > 0``
+    ``state`` and ``u`` are one sample as lists of ``state_dim`` and
+    ``input_dim`` Python floats, which gives a list; or float arrays, one
+    sample ``(state_dim,)`` with ``u`` of ``(input_dim,)`` or B lanes as
+    columns, ``(state_dim, B)`` with ``u`` of ``(input_dim, B)``, which gives
+    an array.  Every lane takes the same ``t`` and ``h``.  Nothing is checked
+    here: the caller passes the model's dimensions and ``h > 0``
     (ScenarioConfig checks them once per run) and judges the new state, which
     is not finite if any stage derivative was not (each enters it with a
     positive weight).
 
-    One sample (no lane axis) runs on Python floats: the model gets its rows
-    as lists of floats, and only the new state is built as an array, which
-    saves numpy's per-call cost on arrays of a few elements.  The bits are
-    those of the array form: binary64 add and multiply round correctly in
-    CPython as in numpy, numpy does not contract these ufuncs into a fused
-    multiply-add, and each float sum keeps the array expression's order.
+    On lists the model gets each stage's rows as lists of floats, which
+    saves numpy's per-call cost on a few elements.  The bits are those of
+    the array form: binary64 add and multiply round correctly in CPython as
+    in numpy, numpy does not contract these ufuncs into a fused multiply-add,
+    and each float sum keeps the array expression's order.  On arrays each
+    stage's rows are read with ``np.asarray``, so an array the model returns
+    is used without a copy.
     """
     f = model.dynamics
-    if state.ndim != 1:
-        k1 = np.array(f(state, u, t))
-        k2 = np.array(f(state + 0.5 * h * k1, u, t + 0.5 * h))
-        k3 = np.array(f(state + 0.5 * h * k2, u, t + 0.5 * h))
-        k4 = np.array(f(state + h * k3, u, t + h))
+    if isinstance(state, np.ndarray):
+        k1 = np.asarray(f(state, u, t))
+        k2 = np.asarray(f(state + 0.5 * h * k1, u, t + 0.5 * h))
+        k3 = np.asarray(f(state + 0.5 * h * k2, u, t + 0.5 * h))
+        k4 = np.asarray(f(state + h * k3, u, t + h))
         return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     half = 0.5 * h
-    x, u = state.tolist(), u.tolist()
-    a = f(x, u, t)
-    b = f([xi + half * ai for xi, ai in zip(x, a)], u, t + half)
-    c = f([xi + half * bi for xi, bi in zip(x, b)], u, t + half)
-    d = f([xi + h * ci for xi, ci in zip(x, c)], u, t + h)
+    a = f(state, u, t)
+    b = f([xi + half * ai for xi, ai in zip(state, a)], u, t + half)
+    c = f([xi + half * bi for xi, bi in zip(state, b)], u, t + half)
+    d = f([xi + h * ci for xi, ci in zip(state, c)], u, t + h)
     sixth = h / 6.0
-    return np.array([xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
-                     for xi, ai, bi, ci, di in zip(x, a, b, c, d)])
+    return [xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
+            for xi, ai, bi, ci, di in zip(state, a, b, c, d)]
 
 
 def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices):

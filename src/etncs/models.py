@@ -36,7 +36,7 @@ def cubic_nl2(nu: float = 0.0, rho: float = 1.8) -> SystemModel:
                 -3.6 * x[1] + 2.0 * u[0])
 
     def h(x, u, t):
-        return np.array([x[1]])
+        return (x[1],)
 
     return SystemModel(state_dim=2, input_dim=1, output_dim=1,
                        dynamics=f, output=h,
@@ -63,7 +63,7 @@ def lti_siso(a: float, b: float, c: float, d: float,
         return (a * x[0] + b * u[0],)
 
     def h(x, u, t):
-        return np.array([c * x[0] + d * u[0]])
+        return (c * x[0] + d * u[0],)
 
     storage = None
     if storage_p is not None:

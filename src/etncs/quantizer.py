@@ -59,25 +59,26 @@ class QuantizerSpec:
             raise ValueError(f"sector must satisfy 0 <= a <= b < inf, got {self.sector}")
 
 
-def _mid_tread(v: np.ndarray, step: float) -> np.ndarray:
+def _mid_tread(v, step: float):
     """sign(v) * floor(|v|/step + 1/2) * step: round-half-away-from-zero
     keeps odd symmetry at the tie points.
 
-    One sample (no lane axis) is quantized on Python floats, which saves
-    numpy's per-call cost and gives its bits: binary64 divide, add and
-    multiply round correctly in both, the order of operations is the same,
-    and the sign follows np.sign (1, -1, or 0 for either zero).  Any element
-    whose |v|/step + 1/2 is not finite (NaN, an infinity, or an overflowing
-    quotient) sends the sample to numpy."""
-    if v.ndim == 1:
+    A list of floats (one sample as a single run carries it) is quantized on
+    Python floats into a list, which saves numpy's per-call cost and gives
+    its bits: binary64 divide, add and multiply round correctly in both, the
+    order of operations is the same, and the sign follows np.sign (1, -1, or
+    0 for either zero).  Any element whose |v|/step + 1/2 is not finite (NaN,
+    an infinity, or an overflowing quotient) sends the sample to numpy."""
+    if type(v) is list:
         out = []
-        for vi in v.tolist():
+        for vi in v:
             q = abs(vi) / step + 0.5
             if not q < math.inf:
                 break
             out.append((1.0 if vi > 0.0 else -1.0 if vi < 0.0 else 0.0) * math.floor(q) * step)
         else:
-            return np.array(out)
+            return out
+        return _mid_tread(np.array(v, dtype=float), step).tolist()
     return np.sign(v) * np.floor(np.abs(v) / step + 0.5) * step
 
 
@@ -111,9 +112,20 @@ def _logarithmic(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
     return np.sign(v) * out
 
 
-def quantize(spec: QuantizerSpec, v) -> np.ndarray:
-    """Apply the quantizer componentwise; total on all finite inputs."""
-    v = np.asarray(v, dtype=float)
+def quantize(spec: QuantizerSpec, v):
+    """Apply the quantizer componentwise; total on all finite inputs.
+
+    A list of floats, one sample as a single run carries it, gives a list of
+    floats; anything else is read with ``np.asarray`` and gives a float
+    ndarray.  Both give the same bits."""
+    if type(v) is list:
+        if spec.kind == "uniform-mid-tread":
+            return _mid_tread(v, spec.step)
+        return _quantize_array(spec, np.array(v, dtype=float)).tolist()
+    return _quantize_array(spec, np.asarray(v, dtype=float))
+
+
+def _quantize_array(spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:
     if spec.kind == "identity":
         return v.copy()
     if spec.kind == "uniform-mid-tread":

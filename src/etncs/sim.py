@@ -9,9 +9,10 @@ success), the row is logged, and both systems advance one RK4 step with
 their inputs held constant.
 
 One loop serves a single run and a seed sweep: B lanes advance in lockstep,
-each array carrying them as columns, and a single run is a batch of one.
-Rows leave the loop one block at a time, to a consumer per lane, so a run
-holds one block of rows per lane, not the whole trace.
+each array carrying them as columns, and a single run is a batch of one,
+which carries each row's values as lists of Python floats instead.  Rows
+leave the loop one block at a time, to a consumer per lane, so a run holds
+one block of rows per lane, not the whole trace.
 """
 
 from __future__ import annotations
@@ -113,9 +114,11 @@ class ScenarioConfig:
                              f"{MAX_ROWS} rows, the most a run may log")
         if self.n_rows < 2:
             raise ValueError(f"t_end = {self.t_end} is shorter than one step h = {self.h}")
-        # the executor's norm test flags a non-finite state only below a finite limit
-        if not math.isfinite(self.divergence_limit):
-            raise ValueError(f"divergence_limit must be finite, got {self.divergence_limit}")
+        # the executor's norm test flags a non-finite state only below a finite
+        # limit, and a limit of 0 or less would fail every state
+        if not 0.0 < self.divergence_limit < math.inf:
+            raise ValueError(f"divergence_limit must be positive and finite, "
+                             f"got {self.divergence_limit}")
         if self.plant.output_dim != self.controller.input_dim:
             raise ValueError("plant and controller port dimensions disagree")
         if len(np.asarray(self.x0_plant)) != self.plant.state_dim:
@@ -234,10 +237,8 @@ def _squares_bound(limit: float) -> float:
     before the exact norm test: a sum below it puts each norm within
     ``limit``, because a rounded sum of nonnegative terms is at least each
     term, the bound lies below limit**2, and sqrt rounds correctly and is
-    monotone.  It is finite, so that inf and NaN fail it, and 0 where the
-    exact test must always run."""
-    if not limit > 0.0:
-        return 0.0
+    monotone.  It is finite, so that inf and NaN fail it.  ``limit`` is
+    positive and finite (ScenarioConfig checks it)."""
     square = min(limit * limit, 2.0 ** 1023)   # within half an ulp of limit**2
     return math.nextafter(math.nextafter(square, 0.0), 0.0)
 
@@ -257,15 +258,19 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
     sink copies what it keeps and keeps no events.  A lane that diverges has
     had the blocks before the one it diverged in.
 
-    Per-lane arrays carry the lanes on their last axis: states ``(n, B)``,
-    ports, held samples and each link's ``Channel`` hold ``(m, B)``, the
-    block's logs ``(rows, dim, B)``.  A single lane has no lane axis, so its
-    models see one sample, as in a scalar run.  Only the event table records
-    commits: each block's held samples are read back from it with
-    ``held_samples``.  Every operation on the arrays is elementwise or
-    reduces over axis 0 only, so no lane's bits depend on another lane.
-    Lane i is column i from the first row to the last: a lane whose new
-    state fails the norm test gets its DivergenceError and leaves the mask
+    A batch's per-lane arrays carry the lanes on their last axis: states
+    ``(n, B)``, ports, held samples and each link's ``Channel`` hold
+    ``(m, B)``, the block's logs ``(rows, dim, B)``.  Every operation on them
+    is elementwise or reduces over axis 0 only, so no lane's bits depend on
+    another lane.  A single lane has no lane axis: it carries every per-row
+    quantity as a list of Python floats, which its models and the kernels
+    (``core.rk4_step``, ``check_violation``, ``quantize``) take as one
+    sample and compute on with the bits of a batch's column; each row goes
+    into a list as one tuple, and every ``_BLOCK_ROWS`` rows the list is
+    written into the log arrays.  Only the event table records commits: each
+    block's held samples are read back from it with ``held_samples``.  Lane
+    i is column i from the first row to the last: a lane whose new state
+    fails the norm test gets its DivergenceError and leaves the mask
     ``live``, keeping its column with a NaN state, and the batch stops when
     no lane is live.  The log arrays hold one block of rows; when it is
     full, each live lane's block goes to its sink and the arrays are
@@ -298,19 +303,26 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
         ("x_p", cfg.plant.state_dim), ("x_c", cfg.controller.state_dim),
         ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m), ("y_qp", m), ("y_qc", m))}
     log_x_p, log_x_c, log_y_p, log_y_c, log_u_c, log_u_r, log_y_qp, log_y_qc = log.values()
+    # each log array's columns in a single lane's row tuple
+    ends = np.cumsum([a.shape[1] for a in log.values()]).tolist()
+    slots = list(zip(log.values(), [0] + ends[:-1], ends))
     plant, controller = cfg.plant, cfg.controller
     output_p, output_c = plant.output, controller.output
+    if shape:   # a batch's detectors take each output's rows as one array
+        output_p, output_c = _stacked(output_p), _stacked(output_c)
 
     x_p = every_lane(cfg.x0_plant)
     x_c = every_lane(cfg.x0_controller)
     held_p = every_lane(np.zeros(m))   # last committed sample of each detector,
     held_c = every_lane(np.zeros(m))   # updated in place on every commit
+    if not shape:
+        x_p, x_c, held_p, held_c = (a.tolist() for a in (x_p, x_c, held_p, held_c))
     # the gain block's products with the plant's held sample, redone on a commit
-    m21_held, y_r = g.m21 * held_p, g.m11 * held_p
+    m21_held, y_r = _held_products(g, held_p)
     live = np.ones(len(cfgs), dtype=bool)   # the lanes not yet retired
-    # a single lane's verdict is a numpy bool, which bool() reads, and a
-    # batch's a mask, which count_nonzero reads; both at a fraction of the
-    # cost of .any()
+    # a single lane's verdict is a bool, or at t=0 ``live``, which bool()
+    # reads, and a batch's a mask, which count_nonzero reads; both at a
+    # fraction of the cost of .any()
     any_lane = (lambda mask: bool(np.count_nonzero(mask))) if shape else bool
     force_first = not cfg.drop_first_allowed
     limit = cfg.divergence_limit
@@ -324,71 +336,88 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
         for i in np.flatnonzero(live):
             columns(w1)[:rows, ..., i] = Signal(cfgs[i].w1)(t_col)
             columns(w2)[:rows, ..., i] = Signal(cfgs[i].w2)(t_col)
-        for j in range(rows):
-            k = start + j
-            t = k * h
-            u_r = chan_cp.poll(t)
-            v_pc = chan_pc.poll(t)
-            u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1[j], x_p, t)
-            u_c = w2[j] + v_pc
-            y_c = output_c(x_c, u_c, t)
+        for first in range(0, rows, _BLOCK_ROWS):
+            last = min(first + _BLOCK_ROWS, rows)
+            w1_rows, w2_rows = w1[first:last], w2[first:last]
+            if not shape:
+                w1_rows, w2_rows, kept = w1_rows.tolist(), w2_rows.tolist(), []
+            for j, w1_j, w2_j in zip(range(first, last), w1_rows, w2_rows):
+                k = start + j
+                t = k * h
+                u_r = chan_cp.poll(t)
+                v_pc = chan_pc.poll(t)
+                if shape:
+                    u_c = w2_j + v_pc
+                else:
+                    u_r, v_pc = u_r.tolist(), v_pc.tolist()
+                    u_c = [w + v for w, v in zip(w2_j, v_pc)]
+                u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1_j, x_p, t)
+                y_c = output_c(x_c, u_c, t)
 
-            # plant-side detector (initial transmission at t=0 is unconditional);
-            # a committed sample feeds the local gain block immediately
-            fire = check_violation(held_p, y_p, cfg.trigger_p) if k else live
-            if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
-                                            cfg.quant_p, chan_pc, events, force_first):
-                m21_held, y_r = g.m21 * held_p, g.m11 * held_p
-                u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1[j], x_p, t)
-            # controller-side detector (send only; no local feedback to itself)
-            fire = check_violation(held_c, y_c, cfg.trigger_c) if k else live
-            if any_lane(fire):
-                _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
-                          chan_cp, events, force_first)
+                # plant-side detector (initial transmission at t=0 is unconditional);
+                # a committed sample feeds the local gain block immediately
+                fire = check_violation(held_p, y_p, cfg.trigger_p) if k else live
+                if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
+                                                cfg.quant_p, chan_pc, events, force_first):
+                    m21_held, y_r = _held_products(g, held_p)
+                    u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1_j, x_p, t)
+                # controller-side detector (send only; no local feedback to itself)
+                fire = check_violation(held_c, y_c, cfg.trigger_c) if k else live
+                if any_lane(fire):
+                    _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
+                              chan_cp, events, force_first)
 
-            log_x_p[j] = x_p
-            log_x_c[j] = x_c
-            log_y_p[j] = y_p
-            log_y_c[j] = y_c
-            log_u_c[j] = u_c
-            log_u_r[j] = u_r
-            log_y_qp[j] = quantize(cfg.quant_p, y_r)
-            log_y_qc[j] = quantize(cfg.quant_c, held_c)
-            if k == n_rows - 1:
-                break
+                y_qp, y_qc = quantize(cfg.quant_p, y_r), quantize(cfg.quant_c, held_c)
+                if shape:
+                    log_x_p[j] = x_p
+                    log_x_c[j] = x_c
+                    log_y_p[j] = y_p
+                    log_y_c[j] = y_c
+                    log_u_c[j] = u_c
+                    log_u_r[j] = u_r
+                    log_y_qp[j] = y_qp
+                    log_y_qc[j] = y_qc
+                else:
+                    kept.append((*x_p, *x_c, *y_p, *y_c, *u_c, *u_r, *y_qp, *y_qc))
+                if k == n_rows - 1:
+                    break
 
-            x_p = core.rk4_step(plant, x_p, u_p, t, h)
-            x_c = core.rk4_step(controller, x_c, u_c, t, h)
-            # the one divergence test: a sum of both states' squared norms
-            # below the bound passes both norms; any other sum, NaN too, gets
-            # the exact norm test, whose NaN <= limit is false, so it also
-            # catches a non-finite state.  A batch reduces over axis 0, a left
-            # fold, and one lane folds the same squares on Python floats
-            if shape:
-                sq_p = np.add.reduce(x_p * x_p, axis=0)
-                sq_c = np.add.reduce(x_c * x_c, axis=0)
-                if not any_lane(~(sq_p + sq_c < bound) & live):
-                    continue
-            else:
-                sq_p = sq_c = 0.0
-                for v in x_p.tolist():
-                    sq_p += v * v
-                for v in x_c.tolist():
-                    sq_c += v * v
-                if sq_p + sq_c < bound:
-                    continue
-            norm_p, norm_c = np.sqrt(sq_p), np.sqrt(sq_c)
-            failed = ~((norm_p <= limit) & (norm_c <= limit)) & live
-            if any_lane(failed):
-                for i, err in _divergences(cfg, (x_p, x_c), (norm_p, norm_c), failed,
-                                           k + 1, t).items():
-                    out[i] = err
-                live &= ~failed
-                if not live.any():
-                    return out
-                # NaN > x is false, so no detector fires on a retired lane again
-                x_p[:, failed] = np.nan
-                x_c[:, failed] = np.nan
+                x_p = core.rk4_step(plant, x_p, u_p, t, h)
+                x_c = core.rk4_step(controller, x_c, u_c, t, h)
+                # the one divergence test: a sum of both states' squared norms
+                # below the bound passes both norms; any other sum, NaN too,
+                # gets the exact norm test, whose NaN <= limit is false, so it
+                # also catches a non-finite state.  A batch reduces over axis
+                # 0, a left fold, and one lane folds the same squares on floats
+                if shape:
+                    sq_p = np.add.reduce(x_p * x_p, axis=0)
+                    sq_c = np.add.reduce(x_c * x_c, axis=0)
+                    if not any_lane(~(sq_p + sq_c < bound) & live):
+                        continue
+                else:
+                    sq_p = sq_c = 0.0
+                    for v in x_p:
+                        sq_p += v * v
+                    for v in x_c:
+                        sq_c += v * v
+                    if sq_p + sq_c < bound:
+                        continue
+                norm_p, norm_c = np.sqrt(sq_p), np.sqrt(sq_c)
+                failed = ~((norm_p <= limit) & (norm_c <= limit)) & live
+                if any_lane(failed):
+                    for i, err in _divergences(cfg, (x_p, x_c), (norm_p, norm_c), failed,
+                                               k + 1, t).items():
+                        out[i] = err
+                    live &= ~failed
+                    if not live.any():
+                        return out
+                    # NaN > x is false, so no detector fires on a retired lane again
+                    x_p[:, failed] = np.nan
+                    x_c[:, failed] = np.nan
+            if not shape:
+                chunk = np.array(kept)
+                for a, lo, hi in slots:
+                    a[first:last] = chunk[:, lo:hi]
 
         for i in np.flatnonzero(live):
             _hand_off(sinks[i], cfgs[i], start, t_col, events[i], m, columns(w1)[:rows, ..., i],
@@ -417,6 +446,19 @@ def _hand_off(sink, cfg: ScenarioConfig, start: int, t_col: np.ndarray,
                   u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=u_p, **cols))
 
 
+def _stacked(output):
+    """``output`` with the rows it returns stacked into one array."""
+    return lambda x, u, t: np.asarray(output(x, u, t))
+
+
+def _held_products(g: TransformGains, held):
+    """m21 and m11 times the plant's held sample, a single lane's list of
+    floats or a batch's array."""
+    if isinstance(held, np.ndarray):
+        return g.m21 * held, g.m11 * held
+    return [g.m21 * v for v in held], [g.m11 * v for v in held]
+
+
 def _gain_block(g: TransformGains, m21_held, u_r, w1):
     """The plant-side gain block: the controller output y_tilde_c it
     reconstructs from the held link value and ``m21_held``, m21 times the
@@ -426,8 +468,13 @@ def _gain_block(g: TransformGains, m21_held, u_r, w1):
 
 
 def _plant_side(output, g: TransformGains, m21_held, u_r, w1, x_p, t):
-    """(u_p, y_p) from the gain block and the plant's ``output``."""
-    _, u_p = _gain_block(g, m21_held, u_r, w1)
+    """(u_p, y_p) from the gain block and the plant's ``output``, on a
+    single lane's lists of floats, with ``_gain_block``'s operations in its
+    order, or on a batch's arrays."""
+    if isinstance(u_r, np.ndarray):
+        _, u_p = _gain_block(g, m21_held, u_r, w1)
+    else:
+        u_p = [w - (r - v) / g.m22 for w, r, v in zip(w1, u_r, m21_held)]
     return u_p, output(x_p, u_p, t)
 
 
@@ -436,13 +483,16 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
               events: List[Tuple[array, ...]], force_first: bool) -> bool:
     """Quantize ``gain * y`` and send it on every firing lane, appending the
     attempt to the lane's event buffers; a delivered sample becomes that
-    lane's held value.  True iff some lane committed."""
-    y2, held2 = y.reshape(len(y), -1), held.reshape(len(held), -1)
+    lane's held value, updated in place.  ``y`` and ``held`` are a single
+    lane's sequences of floats or a batch's ``(m, B)`` arrays; each firing
+    lane's sample is sent as floats.  True iff some lane committed."""
+    batch = isinstance(held, np.ndarray)
     committed = False
     for i in np.flatnonzero(fire):
-        y_i = y2[:, i]
-        e_norm = float(np.linalg.norm(y_i - held2[:, i]))
-        payload = quantize(spec, gain * y_i)
+        y_i = y[:, i].tolist() if batch else y
+        held_i = held[:, i] if batch else held
+        e_norm = float(np.linalg.norm(np.subtract(y_i, held_i)))
+        payload = quantize(spec, [gain * v for v in y_i])
         force = force_first and chan.attempts[i] == 0
         drops_before = chan.consecutive_drops[i]
         rec = chan.send(t, payload, force_success=force, lane=i)
@@ -451,10 +501,10 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
                 side == "plant", rec.dropped, t, k, rec.index, drops_before, e_norm,
                 float(np.linalg.norm(y_i)))):
             column.append(value)
-        payloads.extend(payload.tolist())
-        samples.extend(y_i.tolist())
+        payloads.extend(payload)
+        samples.extend(y_i)
         if not rec.dropped:
-            held2[:, i] = y_i
+            held_i[:] = y_i
             committed = True
     return committed
 

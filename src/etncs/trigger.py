@@ -36,23 +36,25 @@ class TriggerConfig:
 
 def check_violation(held, y, cfg: TriggerConfig):
     """True iff ||y - held||^2 > delta * ||y||^2 (strict), where ``held`` is
-    the last successfully transmitted sample; on 2-D arrays, one verdict per
-    column (lane).
+    the last successfully transmitted sample; on ``(m, B)`` arrays, one
+    verdict per column (lane).
 
-    One sample (no lane axis) is summed as a left fold of Python floats,
-    which saves numpy's per-call cost and gives the bits of a lane of a
-    batch: binary64 arithmetic rounds correctly in both, and numpy reduces
-    an ``(m, B)`` array over axis 0 as that same left fold.
+    numpy reduces an ``(m, B)`` array over axis 0 as a left fold.  One
+    sample, a sequence of m floats as a single run carries it (or a 1-D
+    array), is summed as the same left fold element by element, which saves
+    numpy's per-call cost and gives the bits of a lane of a batch: binary64
+    arithmetic rounds correctly in both.  (numpy would sum a 1-D array of 8
+    or more elements pairwise.)
     """
-    if y.ndim == 1:
-        e2 = y2 = 0.0
-        for yi, si in zip(y.tolist(), held.tolist()):
-            e = yi - si
-            e2 += e * e
-            y2 += yi * yi
-        return e2 > cfg.delta * y2
-    e = y - held
-    return np.add.reduce(e * e, axis=0) > cfg.delta * np.add.reduce(y * y, axis=0)
+    if isinstance(y, np.ndarray) and y.ndim == 2:
+        e = y - held
+        return np.add.reduce(e * e, axis=0) > cfg.delta * np.add.reduce(y * y, axis=0)
+    e2 = y2 = 0.0
+    for yi, si in zip(y, held):
+        e = yi - si
+        e2 += e * e
+        y2 += yi * yi
+    return e2 > cfg.delta * y2
 
 
 def trigger_inequality_check(times, outputs, held, delta: float,

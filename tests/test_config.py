@@ -133,3 +133,20 @@ def test_negative_n_levels_is_a_config_error(tmp_path):
         args += ["--set", item]
     assert main(args) == 1
     assert not (tmp_path / "events.csv").exists()
+
+
+@pytest.mark.parametrize("limit", ["-1", "0", "-0.0"])
+def test_non_positive_divergence_limit_is_a_config_error(tmp_path, limit):
+    """A limit of 0 or below fails every state, so the run would abort at its
+    first step as a divergence (exit 3) with a state norm that "exceeds" it."""
+    sets = ["sim.t_end=0.5", f"sim.divergence_limit={limit}"]
+    with pytest.raises(ConfigError, match="divergence_limit must be positive and finite"):
+        build_scenario(apply_overrides(load_config(CONFIG_DIR / "worked_example.cfg"), sets))
+    from etncs.cli import main
+
+    args = ["simulate", "--config", str(CONFIG_DIR / "worked_example.cfg"),
+            "--out", str(tmp_path)]
+    for item in sets:
+        args += ["--set", item]
+    assert main(args) == 1
+    assert not (tmp_path / "events.csv").exists()

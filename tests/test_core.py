@@ -272,19 +272,21 @@ _QUANT_EDGES = st.sampled_from([0.0, -0.0, 0.25, -0.75, 1.125, -2.375, 0.375, ma
 
 
 def _one_lane(f, *arrays):
-    """f on 1-D arrays and on a 2-lane batch whose column 0 they are (column
-    1 holds them reversed), the second as 1-D, with every floating-point
-    warning off."""
+    """f on the floats of 1-D arrays as lists, as a single run carries one
+    sample, and on a 2-lane batch whose column 0 they are (column 1 holds
+    them reversed), the second as 1-D, with every floating-point warning
+    off."""
     with np.errstate(all="ignore"):
         batch = (np.stack((a, a[::-1]), axis=-1) for a in arrays)
-        return f(*arrays), np.asarray(f(*batch))[..., 0]
+        return f(*(a.tolist() for a in arrays)), np.asarray(f(*batch))[..., 0]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_one_lane_float_paths_give_the_lane_axis_bits(data):
-    """Without a lane axis, rk4_step, check_violation and the mid-tread
-    quantizer compute on Python floats; each gives the bits of a lane of a
+    """On one sample's lists of floats, rk4_step, the models' output,
+    check_violation and the mid-tread quantizer compute on Python floats and
+    give lists (the detector a bool); each gives the bits of a lane of a
     batch, the detector on either side of the 8 elements from which numpy
     sums a 1-D array pairwise, and the quantizer at its edges."""
     from etncs.quantizer import QuantizerSpec, quantize
@@ -296,7 +298,10 @@ def test_one_lane_float_paths_give_the_lane_axis_bits(data):
     u = np.array([data.draw(_WIDE | st.floats(-20.0, 20.0))])
     t, h = data.draw(st.floats(0.0, 1e3)), data.draw(st.floats(1e-6, 1.0))
     one, lanes = _one_lane(lambda x, u: rk4_step(model, x, u, t, h), x, u)
-    assert one.tobytes() == lanes.tobytes()
+    assert type(one) is list
+    assert np.array(one).tobytes() == lanes.tobytes()
+    one, lanes = _one_lane(lambda x, u: model.output(x, u, t), x, u)
+    assert np.array(one).tobytes() == lanes.tobytes()
 
     m = data.draw(st.integers(1, 12))
     y, e = (np.array(data.draw(st.lists(_SPREAD, min_size=m, max_size=m))) for _ in range(2))
@@ -314,12 +319,14 @@ def test_one_lane_float_paths_give_the_lane_axis_bits(data):
         delta = data.draw(st.floats(1e-3, 1.0))
     cfg = TriggerConfig(float(delta))
     one, lanes = _one_lane(lambda held, y: check_violation(held, y, cfg), held, y)
+    assert type(one) is bool
     assert one == lanes
 
     spec = QuantizerSpec(kind="uniform-mid-tread", step=data.draw(st.sampled_from(_STEPS)))
     v = np.array(data.draw(st.lists(_QUANT_EDGES | _WIDE, min_size=1, max_size=9)))
     one, lanes = _one_lane(lambda v: quantize(spec, v), v)
-    assert one.tobytes() == lanes.tobytes()
+    assert type(one) is list
+    assert np.array(one).tobytes() == lanes.tobytes()
 
 
 # ±0, subnormals, ±inf, NaN of either sign, and magnitudes whose square or
@@ -343,13 +350,17 @@ def test_power_gives_the_bits_of_float_power(v, p):
 @pytest.mark.parametrize("model", [cubic_nl2(), firstorder_lead(),
                                    lti_siso(-2.0, 1.0, 3.0, 0.5)], ids=lambda model: model.name)
 def test_output_is_a_float_array_of_the_port_shape(model):
-    # the executor uses ``output`` as returned, as RK4 does ``dynamics``
+    """output works on rows, as dynamics does: one sample's lists of floats
+    give output_dim floats, and N samples as columns give rows that
+    np.asarray stacks into a float64 (output_dim, N) array, each column with
+    the bits of its one-sample call."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=(model.state_dim, 7))
     u = rng.normal(size=(model.input_dim, 7))
-    one = model.output(x[:, 0], u[:, 0], 0.0)
-    columns = model.output(x, u, np.zeros(7))
-    assert isinstance(one, np.ndarray) and one.dtype == np.float64
-    assert one.shape == (model.output_dim,)
-    assert isinstance(columns, np.ndarray) and columns.dtype == np.float64
+    columns = np.asarray(model.output(x, u, np.zeros(7)))
+    assert columns.dtype == np.float64
     assert columns.shape == (model.output_dim, 7)
+    for i in range(7):
+        one = model.output(x[:, i].tolist(), u[:, i].tolist(), 0.0)
+        assert len(one) == model.output_dim and all(type(v) is float for v in one)
+        assert np.array(one).tobytes() == columns[:, i].tobytes()
