@@ -1,0 +1,82 @@
+"""Check that two source trees give byte-identical runs.
+
+    python3 scripts/byte_identity.py PARENT_SRC CHANGE_SRC
+
+Each argument is a ``src`` directory holding the ``etncs`` package.  For
+each tree in turn, with only that tree on PYTHONPATH, this runs the command
+line on the runs an executor change must leave byte for byte as they were:
+the CLI sequences of the three perfbench workloads, a seed sweep whose lanes
+diverge (exit 3), and a 3-lane sweep with both quantizers logarithmic.  Both
+trees write to the same directory, one after the other, so paths printed in
+outputs agree.  It then compares every output file, each step's exit code
+and its sorted stderr lines, and prints the first difference (exit 1) or
+"identical" (exit 0).  Configs are read from this checkout.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads as wl  # noqa: E402  (the perfbench workloads' CLI sequences)
+
+LOG_SETS = [a for side in ("quant_p", "quant_c") for s in (
+    "kind=logarithmic", "density=0.5", "u0=16.0", "b=1.3334") for a in ("--set", f"{side}.{s}")]
+DIVERGING = ["--set", "w1.lo=-400", "--set", "w1.hi=400", "--set", "sim.divergence_limit=100",
+             "--set", "sim.t_end=2", "--seed", ",".join(map(str, range(16))), "--jobs", "2"]
+
+
+def sequences(out: Path):
+    """(name, argv) of every step, in run order, each writing under ``out``."""
+    for name, w in wl.WORKLOADS.items():
+        for step in wl.steps(w, None, out / name):
+            yield name, step.argv
+    sweep = ["simulate", "--config", wl.CONFIG, "--out"]
+    yield "divergence_sweep", sweep + [str(out / "divergence_sweep"), *DIVERGING]
+    yield "log_sweep", sweep + [str(out / "log_sweep"), *LOG_SETS, "--set", "sim.t_end=5",
+                                "--seed", "0,1,2"]
+
+
+def run_tree(src: Path, out: Path) -> list:
+    """(step, exit code, sorted stderr lines) of every step run on ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1")
+    results = []
+    for name, argv in sequences(out):
+        proc = subprocess.run([sys.executable, "-m", "etncs", *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True)
+        results.append((f"{name}: {' '.join(argv[:1])}", proc.returncode,
+                        sorted(proc.stderr.splitlines())))
+    return results
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        out, kept, runs = Path(tmp) / "out", [], []
+        for n, src in enumerate(sys.argv[1:]):
+            out.mkdir()
+            runs.append(run_tree(Path(src), out))
+            kept.append(out.rename(Path(tmp) / f"tree{n}"))
+        for a, b in zip(*runs):
+            if a != b:
+                print(f"first difference: {a[0]}\n  parent: {a[1:]}\n  change: {b[1:]}")
+                return 1
+        before, after = ({p.relative_to(top) for p in top.rglob("*") if p.is_file()}
+                         for top in kept)
+        for rel in sorted(before | after):
+            if rel not in before & after or (
+                    (kept[0] / rel).read_bytes() != (kept[1] / rel).read_bytes()):
+                print(f"first difference: {rel}")
+                return 1
+    print(f"identical: {len(runs[0])} steps, {len(before)} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -41,6 +41,12 @@ EXIT_VERIFY = 4
 # buffers (66 B at port dimension m = 1), beside about 0.3 MB of block
 # buffers. A full batch of the worked example took 19.0 MB at 5 001 rows a
 # lane and 35.6 MB at 20 001 (tracemalloc of the simulate step).
+# A batch's row loop costs about as much as 7 one-lane runs one after
+# another: 5 s worked-example lanes with a sink that keeps nothing took
+# 0.333 s as a batch of 2, 0.344 s of 4, 0.355 s of 8 and 0.368 s of 16,
+# against 0.109, 0.216, 0.420 and 0.860 s one after another (in-process,
+# min of 5, one CPU of a 2-vCPU sandbox, Python 3.11.7, numpy 2.4.6), so a
+# batch pays off from about 7 lanes on.
 BATCH_LANES = 64
 
 
@@ -391,7 +397,10 @@ def _build_parser() -> _Parser:
         if name == "simulate":
             p.add_argument("--jobs", type=int, default=1,
                            help="lockstep batches a seed sweep is split into, "
-                                "run in parallel")
+                                "run in parallel; a batch costs about as much "
+                                "as 7 seeds run one by one, so a --jobs that "
+                                "leaves fewer than about 7 seeds per batch is "
+                                "slower than fewer jobs")
         p.set_defaults(fn=fn)
     return parser
 

@@ -16,7 +16,7 @@ import numpy as np
 from .design import (DesignParams, DesignResult, InfeasibleDesign, TransformGains,
                      min_m22_sq, synthesize)
 from .models import build_model, lti_siso
-from .network import DelayProfile, DropoutModel
+from .network import DelayProfile, DropoutModel, rate_bound_check
 from .quantizer import QuantizerSpec
 from .signals import SignalSpec
 from .sim import ChannelConfig, ScenarioConfig
@@ -225,6 +225,10 @@ def _build_channel(cfg: Dict[str, str], section: str) -> ChannelConfig:
                                    cfg, f"{section}.dropout.max_consecutive", None))
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
+    # slopes between breakpoints are what can break FIFO delivery; the
+    # channel checks this too, but only once a run has started
+    if form == "table" and not rate_bound_check(delay, [p[0] for p in table]):
+        raise ConfigError(f"{section}: delay table violates its declared rate bound {delay.d}")
     return ChannelConfig(delay=delay, dropout=dropout,
                          initial_hold=_get_float(cfg, f"{section}.initial_hold", 0.0))
 

@@ -1,10 +1,11 @@
 """Continuous-time system models, fixed-step integration, and trajectory-level
 energy checks (dissipativity, supply rates, empirical L2 gains).
 
-States, inputs and outputs are float64 numpy arrays, or one sample's lists
-of Python floats; a model's ``dynamics`` and ``output`` work on their rows
-(see SystemModel).  All functions here are pure with respect to their inputs
-and safe to call from parallel scenario runs.
+The executor carries states, inputs and outputs as lists of rows: Python
+floats for a single run, ``(B,)`` arrays for B lockstep lanes.  A model's
+``dynamics`` and ``output`` work on such rows (see SystemModel).  All
+functions here are pure with respect to their inputs and safe to call from
+parallel scenario runs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "SystemModel",
     "IndexMarginReport",
     "power",
+    "lane_rows",
     "rk4_step",
     "supply_rate",
     "dissipativity_residuals",
@@ -70,13 +72,14 @@ class SystemModel:
     sequence of ``state_dim`` rows, ``output`` one of ``output_dim`` rows (a
     tuple, a list or an ndarray).  A single run calls both on one sample,
     where each row is a Python float (``x`` and ``u`` are lists); a sweep
-    calls them on the ``(state_dim, B)`` columns of B lockstep lanes, where
-    each row is an ndarray, with one scalar ``t``; the dissipation check
-    calls ``output`` on the N samples of a trajectory as columns, with ``t``
-    of ``(N,)``.  So write them with row indexing (``x[i]``) and arithmetic
-    that works on both, and take powers with ``core.power``, which gives the
-    same bits on a float and on each element of an array: each element must
-    come out with the bits of a one-sample call.  On floats a division by
+    calls them on B lockstep lanes, where ``x`` and ``u`` are lists of
+    ``(B,)`` arrays, row i holding every lane's component i, with one scalar
+    ``t``; the dissipation check calls ``output`` on the N samples of a
+    trajectory as columns, with ``t`` of ``(N,)``.  So write them with row
+    indexing (``x[i]``) and arithmetic that works on both, and take powers
+    with ``core.power``, which gives the same bits on a float and on each
+    element of an array: each element must come out with the bits of a
+    one-sample call.  On floats a division by
     zero raises ZeroDivisionError where numpy returns inf or NaN.  The
     executor uses what they return without a copy, so it must not be a
     buffer the model reuses.
@@ -124,34 +127,33 @@ def power(v, p):
     return np.float_power(v, p)
 
 
-def rk4_step(model: SystemModel, state, u, t: float, h: float):
+def lane_rows(samples: np.ndarray) -> list:
+    """B lanes' samples, a ``(B, n)`` array with lane i's in row i, as the
+    executor carries them: a list of n rows, Python floats for one lane and
+    ``(B,)`` arrays, lane i in element i, for more."""
+    if len(samples) == 1:
+        return samples[0].tolist()
+    return list(samples.T.copy())
+
+
+def rk4_step(model: SystemModel, state, u, t: float, h: float) -> list:
     """One classical 4th-order Runge-Kutta step with the input held constant.
 
-    ``state`` and ``u`` are one sample as lists of ``state_dim`` and
-    ``input_dim`` Python floats, which gives a list; or float arrays, one
-    sample ``(state_dim,)`` with ``u`` of ``(input_dim,)`` or B lanes as
-    columns, ``(state_dim, B)`` with ``u`` of ``(input_dim, B)``, which gives
-    an array.  Every lane takes the same ``t`` and ``h``.  Nothing is checked
-    here: the caller passes the model's dimensions and ``h > 0``
-    (ScenarioConfig checks them once per run) and judges the new state, which
-    is not finite if any stage derivative was not (each enters it with a
-    positive weight).
+    ``state`` and ``u`` are sequences of ``state_dim`` and ``input_dim``
+    rows, and the new state is a list of ``state_dim`` rows.  A row is a
+    Python float for one sample, as a single run carries it, or a ``(B,)``
+    array, row i of B lockstep lanes' ``(state_dim, B)`` states; every lane
+    takes the same ``t`` and ``h``.  Nothing is checked here: the caller
+    passes the model's dimensions and ``h > 0`` (ScenarioConfig checks them
+    once per run) and judges the new state, which is not finite if any stage
+    derivative was not (each enters it with a positive weight).
 
-    On lists the model gets each stage's rows as lists of floats, which
-    saves numpy's per-call cost on a few elements.  The bits are those of
-    the array form: binary64 add and multiply round correctly in CPython as
-    in numpy, numpy does not contract these ufuncs into a fused multiply-add,
-    and each float sum keeps the array expression's order.  On arrays each
-    stage's rows are read with ``np.asarray``, so an array the model returns
-    is used without a copy.
+    Each stage sum is one expression per row, so a lane of a batch gets the
+    bits of its one-sample step: binary64 add and multiply round correctly
+    in CPython as in numpy, numpy does not contract these ufuncs into a
+    fused multiply-add, and both forms keep one order of operations.
     """
     f = model.dynamics
-    if isinstance(state, np.ndarray):
-        k1 = np.asarray(f(state, u, t))
-        k2 = np.asarray(f(state + 0.5 * h * k1, u, t + 0.5 * h))
-        k3 = np.asarray(f(state + 0.5 * h * k2, u, t + 0.5 * h))
-        k4 = np.asarray(f(state + h * k3, u, t + h))
-        return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     half = 0.5 * h
     a = f(state, u, t)
     b = f([xi + half * ai for xi, ai in zip(state, a)], u, t + half)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .core import lane_rows
 from .signals import hash_uniform
 
 __all__ = [
@@ -141,12 +142,13 @@ class Channel:
     a dropout model and a zero-order hold.
 
     ``dropout`` is one model (a single lane) or a sequence of models, one per
-    lane.  ``hold`` has shape ``(dim,)`` for a single lane and ``(dim, B)``
-    otherwise, every lane starting from ``initial_hold``.  ``send`` makes one
-    attempt on one lane and returns its record.  ``poll`` delivers every
-    packet that has arrived by ``t`` into its lane's hold and returns
-    ``hold`` itself, which later polls update in place.  Lane i is column i
-    of ``hold`` for the channel's whole life.  Each lane counts its own
+    lane.  ``hold`` is the held value of every lane as a list of ``dim``
+    rows (``core.lane_rows``): Python floats for a single lane, ``(B,)``
+    arrays otherwise, lane i in element i of each row, every lane starting
+    from ``initial_hold``.  ``send`` makes one attempt on one lane and
+    returns its record.  ``poll`` delivers every packet that has arrived by
+    ``t`` into its lane's hold and returns ``hold``; a delivery replaces the
+    list, so a hold once returned never changes.  Each lane counts its own
     attempts, so its dropout draws are keyed by its own model's seed and
     attempt counter.
     """
@@ -171,8 +173,8 @@ class Channel:
         if hold0.shape != (dim,):
             raise ValueError("initial hold value has the wrong dimension")
         lanes = len(self.dropouts)
-        self._columns = np.repeat(hold0[:, None], lanes, axis=1)
-        self.hold = self._columns[:, 0] if lanes == 1 else self._columns
+        self._held = np.repeat(hold0[None, :], lanes, axis=0)   # lane i's value in row i
+        self.hold = lane_rows(self._held)
         self.attempts = [0] * lanes
         self.consecutive_drops = [0] * lanes
         self._last_send = [-math.inf] * lanes
@@ -204,13 +206,14 @@ class Channel:
         fifo.append((arrival, payload))
         return PacketRecord(index, t, payload, arrival, False)
 
-    def poll(self, t: float) -> np.ndarray:
+    def poll(self, t: float) -> list:
         """The hold after delivering every packet that arrived by ``t``."""
         if t >= self._soonest:
             for lane in np.flatnonzero(self._heads <= t):
                 fifo = self._in_flight[lane]
                 while fifo and fifo[0][0] <= t:
-                    self._columns[:, lane] = fifo.popleft()[1]
+                    self._held[lane] = fifo.popleft()[1]
                 self._heads[lane] = fifo[0][0] if fifo else math.inf
             self._soonest = float(self._heads.min())
+            self.hold = lane_rows(self._held)
         return self.hold

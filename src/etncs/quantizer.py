@@ -115,10 +115,14 @@ def _logarithmic(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
 def quantize(spec: QuantizerSpec, v):
     """Apply the quantizer componentwise; total on all finite inputs.
 
-    A list of floats, one sample as a single run carries it, gives a list of
-    floats; anything else is read with ``np.asarray`` and gives a float
-    ndarray.  Both give the same bits."""
+    A list is a sample as the executor carries it, a list of rows: a single
+    run's Python floats, which gives a list of floats, or a batch's ``(B,)``
+    arrays, which gives a list of arrays, one row at a time.  Anything else
+    is read with ``np.asarray`` and gives a float ndarray.  All give the
+    same bits, since every kind acts on each element alone."""
     if type(v) is list:
+        if v and isinstance(v[0], np.ndarray):
+            return [_quantize_array(spec, row) for row in v]
         if spec.kind == "uniform-mid-tread":
             return _mid_tread(v, spec.step)
         return _quantize_array(spec, np.array(v, dtype=float)).tolist()

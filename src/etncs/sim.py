@@ -9,10 +9,11 @@ success), the row is logged, and both systems advance one RK4 step with
 their inputs held constant.
 
 One loop serves a single run and a seed sweep: B lanes advance in lockstep,
-each array carrying them as columns, and a single run is a batch of one,
-which carries each row's values as lists of Python floats instead.  Rows
-leave the loop one block at a time, to a consumer per lane, so a run holds
-one block of rows per lane, not the whole trace.
+and a single run is a batch of one.  Every per-row quantity is a list of
+rows (``core.lane_rows``), Python floats for a single run and ``(B,)``
+arrays for a batch, so one loop body and one set of kernels serve both.
+Rows leave the loop one block at a time, to a consumer per lane, so a run
+holds one block of rows per lane, not the whole trace.
 """
 
 from __future__ import annotations
@@ -258,99 +259,86 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
     sink copies what it keeps and keeps no events.  A lane that diverges has
     had the blocks before the one it diverged in.
 
-    A batch's per-lane arrays carry the lanes on their last axis: states
-    ``(n, B)``, ports, held samples and each link's ``Channel`` hold
-    ``(m, B)``, the block's logs ``(rows, dim, B)``.  Every operation on them
-    is elementwise or reduces over axis 0 only, so no lane's bits depend on
-    another lane.  A single lane has no lane axis: it carries every per-row
-    quantity as a list of Python floats, which its models and the kernels
-    (``core.rk4_step``, ``check_violation``, ``quantize``) take as one
-    sample and compute on with the bits of a batch's column; each row goes
-    into a list as one tuple, and every ``_BLOCK_ROWS`` rows the list is
-    written into the log arrays.  Only the event table records commits: each
-    block's held samples are read back from it with ``held_samples``.  Lane
-    i is column i from the first row to the last: a lane whose new state
-    fails the norm test gets its DivergenceError and leaves the mask
-    ``live``, keeping its column with a NaN state, and the batch stops when
-    no lane is live.  The log arrays hold one block of rows; when it is
-    full, each live lane's block goes to its sink and the arrays are
-    refilled.
+    Every per-row quantity (states, ports, held samples, each link's
+    ``Channel`` hold, gain products, w1 and w2) is a list of rows, and the
+    loop body and its kernels (the models, ``core.rk4_step``,
+    ``check_violation``, ``quantize``) take and give such lists.  A row is
+    a Python float for a single run, which saves numpy's per-call cost, and
+    a ``(B,)`` array for a batch, lane i in element i; the form is picked
+    once, from the lane count.  Every operation is elementwise on a row or
+    a left fold over rows, so a lane gets the bits of its solo run.  Each
+    row goes into a list as one tuple, and every ``_BLOCK_ROWS`` rows the
+    list is written into the log arrays, ``(rows, dim, B)``.  Only the event
+    table records commits: each block's held samples are read back from it
+    with ``held_samples``.  Lane i is element i from the first row to the
+    last: a lane whose new state fails the norm test gets its
+    DivergenceError and leaves the mask ``live``, keeping its element with a
+    NaN state, and the batch stops when no lane is live.  When the log
+    arrays' block is full, each live lane's block goes to its sink.
     """
     if not cfgs:
         raise ValueError("run_scenario needs at least one scenario")
     _check_lanes(cfgs)
     cfg = cfgs[0]
     h, g, m = cfg.h, cfg.gains, cfg.plant.output_dim
-    n_rows = cfg.n_rows
-    shape = () if len(cfgs) == 1 else (len(cfgs),)
+    n_rows, lanes = cfg.n_rows, len(cfgs)
+    one = lanes == 1
 
-    def columns(a: np.ndarray) -> np.ndarray:   # a view with the lane axis
-        return a if shape else a[..., None]
-
-    def every_lane(value) -> np.ndarray:
-        a = np.empty((len(value),) + shape)
-        columns(a)[:] = np.asarray(value, dtype=float)[:, None]
-        return a
+    def rows(value) -> list:   # the same sample in every lane
+        return core.lane_rows(np.repeat(np.asarray(value, dtype=float)[None, :], lanes, axis=0))
 
     block = min(_RUN_BLOCK, n_rows)
-    w1 = np.empty((block, m) + shape)
-    w2 = np.empty((block, m) + shape)
+    w1 = np.empty((block, m, lanes))
+    w2 = np.empty((block, m, lanes))
     chan_pc = Channel(cfg.chan_pc.delay, [c.chan_pc.dropout for c in cfgs], "pc",
                       dim=m, initial_hold=np.full(m, cfg.chan_pc.initial_hold))
     chan_cp = Channel(cfg.chan_cp.delay, [c.chan_cp.dropout for c in cfgs], "cp",
                       dim=m, initial_hold=np.full(m, cfg.chan_cp.initial_hold))
-    log = {name: np.empty((block, dim) + shape) for name, dim in (
+    log = {name: np.empty((block, dim, lanes)) for name, dim in (
         ("x_p", cfg.plant.state_dim), ("x_c", cfg.controller.state_dim),
         ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m), ("y_qp", m), ("y_qc", m))}
-    log_x_p, log_x_c, log_y_p, log_y_c, log_u_c, log_u_r, log_y_qp, log_y_qc = log.values()
-    # each log array's columns in a single lane's row tuple
+    # each log array's columns in a row's tuple
     ends = np.cumsum([a.shape[1] for a in log.values()]).tolist()
     slots = list(zip(log.values(), [0] + ends[:-1], ends))
     plant, controller = cfg.plant, cfg.controller
     output_p, output_c = plant.output, controller.output
-    if shape:   # a batch's detectors take each output's rows as one array
-        output_p, output_c = _stacked(output_p), _stacked(output_c)
 
-    x_p = every_lane(cfg.x0_plant)
-    x_c = every_lane(cfg.x0_controller)
-    held_p = every_lane(np.zeros(m))   # last committed sample of each detector,
-    held_c = every_lane(np.zeros(m))   # updated in place on every commit
-    if not shape:
-        x_p, x_c, held_p, held_c = (a.tolist() for a in (x_p, x_c, held_p, held_c))
+    x_p, x_c = rows(cfg.x0_plant), rows(cfg.x0_controller)
+    held_p = rows(np.zeros(m))   # last committed sample of each detector,
+    held_c = rows(np.zeros(m))   # updated in place on every commit
     # the gain block's products with the plant's held sample, redone on a commit
     m21_held, y_r = _held_products(g, held_p)
-    live = np.ones(len(cfgs), dtype=bool)   # the lanes not yet retired
+    live = np.ones(lanes, dtype=bool)   # the lanes not yet retired
+    retired = False                     # ~live once a lane has retired
     # a single lane's verdict is a bool, or at t=0 ``live``, which bool()
     # reads, and a batch's a mask, which count_nonzero reads; both at a
-    # fraction of the cost of .any()
-    any_lane = (lambda mask: bool(np.count_nonzero(mask))) if shape else bool
+    # fraction of the cost of .any() and .all()
+    any_lane = bool if one else (lambda mask: bool(np.count_nonzero(mask)))
+    every_lane = bool if one else (lambda mask: np.count_nonzero(mask) == lanes)
     force_first = not cfg.drop_first_allowed
     limit = cfg.divergence_limit
     bound = _squares_bound(limit)
     events = [_event_buffers() for _ in cfgs]   # per lane
-    out: List[Union[EventTable, DivergenceError, None]] = [None] * len(cfgs)
+    out: List[Union[EventTable, DivergenceError, None]] = [None] * lanes
 
     for start in range(0, n_rows, block):
         t_col = np.arange(start, min(start + block, n_rows)) * h   # bit-equal to k * h
-        rows = len(t_col)
+        n = len(t_col)
         for i in np.flatnonzero(live):
-            columns(w1)[:rows, ..., i] = Signal(cfgs[i].w1)(t_col)
-            columns(w2)[:rows, ..., i] = Signal(cfgs[i].w2)(t_col)
-        for first in range(0, rows, _BLOCK_ROWS):
-            last = min(first + _BLOCK_ROWS, rows)
-            w1_rows, w2_rows = w1[first:last], w2[first:last]
-            if not shape:
-                w1_rows, w2_rows, kept = w1_rows.tolist(), w2_rows.tolist(), []
+            w1[:n, :, i] = Signal(cfgs[i].w1)(t_col)
+            w2[:n, :, i] = Signal(cfgs[i].w2)(t_col)
+        for first in range(0, n, _BLOCK_ROWS):
+            last = min(first + _BLOCK_ROWS, n)
+            if one:
+                w1_rows, w2_rows = w1[first:last, :, 0].tolist(), w2[first:last, :, 0].tolist()
+            else:
+                w1_rows, w2_rows = (list(map(list, w[first:last])) for w in (w1, w2))
+            kept = []
             for j, w1_j, w2_j in zip(range(first, last), w1_rows, w2_rows):
                 k = start + j
                 t = k * h
                 u_r = chan_cp.poll(t)
-                v_pc = chan_pc.poll(t)
-                if shape:
-                    u_c = w2_j + v_pc
-                else:
-                    u_r, v_pc = u_r.tolist(), v_pc.tolist()
-                    u_c = [w + v for w, v in zip(w2_j, v_pc)]
+                u_c = [w + v for w, v in zip(w2_j, chan_pc.poll(t))]
                 u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1_j, x_p, t)
                 y_c = output_c(x_c, u_c, t)
 
@@ -358,27 +346,17 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
                 # a committed sample feeds the local gain block immediately
                 fire = check_violation(held_p, y_p, cfg.trigger_p) if k else live
                 if any_lane(fire) and _transmit("plant", k, t, fire, y_p, held_p, g.m11,
-                                                cfg.quant_p, chan_pc, events, force_first):
+                                                cfg.quant_p, chan_pc, events, force_first, one):
                     m21_held, y_r = _held_products(g, held_p)
                     u_p, y_p = _plant_side(output_p, g, m21_held, u_r, w1_j, x_p, t)
                 # controller-side detector (send only; no local feedback to itself)
                 fire = check_violation(held_c, y_c, cfg.trigger_c) if k else live
                 if any_lane(fire):
                     _transmit("controller", k, t, fire, y_c, held_c, 1.0, cfg.quant_c,
-                              chan_cp, events, force_first)
+                              chan_cp, events, force_first, one)
 
-                y_qp, y_qc = quantize(cfg.quant_p, y_r), quantize(cfg.quant_c, held_c)
-                if shape:
-                    log_x_p[j] = x_p
-                    log_x_c[j] = x_c
-                    log_y_p[j] = y_p
-                    log_y_c[j] = y_c
-                    log_u_c[j] = u_c
-                    log_u_r[j] = u_r
-                    log_y_qp[j] = y_qp
-                    log_y_qc[j] = y_qc
-                else:
-                    kept.append((*x_p, *x_c, *y_p, *y_c, *u_c, *u_r, *y_qp, *y_qc))
+                kept.append((*x_p, *x_c, *y_p, *y_c, *u_c, *u_r,
+                             *quantize(cfg.quant_p, y_r), *quantize(cfg.quant_c, held_c)))
                 if k == n_rows - 1:
                     break
 
@@ -387,21 +365,15 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
                 # the one divergence test: a sum of both states' squared norms
                 # below the bound passes both norms; any other sum, NaN too,
                 # gets the exact norm test, whose NaN <= limit is false, so it
-                # also catches a non-finite state.  A batch reduces over axis
-                # 0, a left fold, and one lane folds the same squares on floats
-                if shape:
-                    sq_p = np.add.reduce(x_p * x_p, axis=0)
-                    sq_c = np.add.reduce(x_c * x_c, axis=0)
-                    if not any_lane(~(sq_p + sq_c < bound) & live):
-                        continue
-                else:
-                    sq_p = sq_c = 0.0
-                    for v in x_p:
-                        sq_p += v * v
-                    for v in x_c:
-                        sq_c += v * v
-                    if sq_p + sq_c < bound:
-                        continue
+                # also catches a non-finite state.  Each sum is a left fold
+                # over the rows from the first square, as in check_violation
+                sq_p, sq_c = x_p[0] * x_p[0], x_c[0] * x_c[0]
+                for v in x_p[1:]:
+                    sq_p += v * v
+                for v in x_c[1:]:
+                    sq_c += v * v
+                if every_lane((sq_p + sq_c < bound) | retired):
+                    continue
                 norm_p, norm_c = np.sqrt(sq_p), np.sqrt(sq_c)
                 failed = ~((norm_p <= limit) & (norm_c <= limit)) & live
                 if any_lane(failed):
@@ -411,17 +383,17 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
                     live &= ~failed
                     if not live.any():
                         return out
+                    retired = ~live
                     # NaN > x is false, so no detector fires on a retired lane again
-                    x_p[:, failed] = np.nan
-                    x_c[:, failed] = np.nan
-            if not shape:
-                chunk = np.array(kept)
-                for a, lo, hi in slots:
-                    a[first:last] = chunk[:, lo:hi]
+                    x_p = [np.where(failed, np.nan, v) for v in x_p]
+                    x_c = [np.where(failed, np.nan, v) for v in x_c]
+            chunk = np.array(kept).reshape(len(kept), ends[-1], lanes)
+            for a, lo, hi in slots:
+                a[first:last] = chunk[:, lo:hi]
 
         for i in np.flatnonzero(live):
-            _hand_off(sinks[i], cfgs[i], start, t_col, events[i], m, columns(w1)[:rows, ..., i],
-                      {name: columns(a)[:rows, ..., i] for name, a in log.items()})
+            _hand_off(sinks[i], cfgs[i], start, t_col, events[i], m, w1[:n, :, i],
+                      {name: a[:n, :, i] for name, a in log.items()})
     for i in np.flatnonzero(live):
         out[i] = _event_table(events[i], m)
     return out
@@ -446,16 +418,8 @@ def _hand_off(sink, cfg: ScenarioConfig, start: int, t_col: np.ndarray,
                   u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=u_p, **cols))
 
 
-def _stacked(output):
-    """``output`` with the rows it returns stacked into one array."""
-    return lambda x, u, t: np.asarray(output(x, u, t))
-
-
-def _held_products(g: TransformGains, held):
-    """m21 and m11 times the plant's held sample, a single lane's list of
-    floats or a batch's array."""
-    if isinstance(held, np.ndarray):
-        return g.m21 * held, g.m11 * held
+def _held_products(g: TransformGains, held) -> Tuple[list, list]:
+    """m21 and m11 times each row of the plant's held sample."""
     return [g.m21 * v for v in held], [g.m11 * v for v in held]
 
 
@@ -468,29 +432,25 @@ def _gain_block(g: TransformGains, m21_held, u_r, w1):
 
 
 def _plant_side(output, g: TransformGains, m21_held, u_r, w1, x_p, t):
-    """(u_p, y_p) from the gain block and the plant's ``output``, on a
-    single lane's lists of floats, with ``_gain_block``'s operations in its
-    order, or on a batch's arrays."""
-    if isinstance(u_r, np.ndarray):
-        _, u_p = _gain_block(g, m21_held, u_r, w1)
-    else:
-        u_p = [w - (r - v) / g.m22 for w, r, v in zip(w1, u_r, m21_held)]
+    """(u_p, y_p) from the gain block, row by row with ``_gain_block``'s
+    operations in its order, and the plant's ``output``."""
+    u_p = [w - (r - v) / g.m22 for w, r, v in zip(w1, u_r, m21_held)]
     return u_p, output(x_p, u_p, t)
 
 
 def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
               spec: QuantizerSpec, chan: Channel,
-              events: List[Tuple[array, ...]], force_first: bool) -> bool:
+              events: List[Tuple[array, ...]], force_first: bool, one: bool) -> bool:
     """Quantize ``gain * y`` and send it on every firing lane, appending the
     attempt to the lane's event buffers; a delivered sample becomes that
-    lane's held value, updated in place.  ``y`` and ``held`` are a single
-    lane's sequences of floats or a batch's ``(m, B)`` arrays; each firing
-    lane's sample is sent as floats.  True iff some lane committed."""
-    batch = isinstance(held, np.ndarray)
+    lane's held value, updated in place.  ``y`` and ``held`` are lists of
+    rows, a single lane's floats (``one``) or a batch's ``(B,)`` arrays;
+    each firing lane's sample is sent as floats.  True iff some lane
+    committed."""
     committed = False
     for i in np.flatnonzero(fire):
-        y_i = y[:, i].tolist() if batch else y
-        held_i = held[:, i] if batch else held
+        y_i = y if one else [v.item(i) for v in y]
+        held_i = held if one else [v.item(i) for v in held]
         e_norm = float(np.linalg.norm(np.subtract(y_i, held_i)))
         payload = quantize(spec, [gain * v for v in y_i])
         force = force_first and chan.attempts[i] == 0
@@ -504,7 +464,11 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
         payloads.extend(payload)
         samples.extend(y_i)
         if not rec.dropped:
-            held_i[:] = y_i
+            if one:
+                held[:] = y_i
+            else:
+                for row, v in zip(held, y_i):
+                    row[i] = v
             committed = True
     return committed
 

@@ -36,21 +36,18 @@ class TriggerConfig:
 
 def check_violation(held, y, cfg: TriggerConfig):
     """True iff ||y - held||^2 > delta * ||y||^2 (strict), where ``held`` is
-    the last successfully transmitted sample; on ``(m, B)`` arrays, one
-    verdict per column (lane).
+    the last successfully transmitted sample.  ``held`` and ``y`` are
+    sequences of m rows: Python floats for one sample, which gives a bool,
+    or B lanes' ``(B,)`` arrays, which give one verdict per lane.
 
-    numpy reduces an ``(m, B)`` array over axis 0 as a left fold.  One
-    sample, a sequence of m floats as a single run carries it (or a 1-D
-    array), is summed as the same left fold element by element, which saves
-    numpy's per-call cost and gives the bits of a lane of a batch: binary64
-    arithmetic rounds correctly in both.  (numpy would sum a 1-D array of 8
-    or more elements pairwise.)
+    Both sums are a left fold over the rows from the first square, so a
+    lane of a batch gets the bits of its one-sample test at any m: binary64
+    arithmetic rounds correctly in both forms.  (numpy would sum a 1-D
+    array of 8 or more elements pairwise.)
     """
-    if isinstance(y, np.ndarray) and y.ndim == 2:
-        e = y - held
-        return np.add.reduce(e * e, axis=0) > cfg.delta * np.add.reduce(y * y, axis=0)
-    e2 = y2 = 0.0
-    for yi, si in zip(y, held):
+    e = y[0] - held[0]
+    e2, y2 = e * e, y[0] * y[0]
+    for yi, si in zip(y[1:], held[1:]):
         e = yi - si
         e2 += e * e
         y2 += yi * yi

@@ -778,6 +778,21 @@ def test_run_shorter_than_one_step_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "verify", "report"])
+def test_delay_table_over_its_rate_bound_is_a_config_error(tmp_path, capsys, command):
+    """A delay table whose slope (5 s/s here) breaks its declared rate bound
+    is a config error naming the section before any run starts, not a
+    traceback from the channel the run builds."""
+    code = main([command, "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--set", "chan_pc.form=table", "--set", "chan_pc.table=0,0,1,5",
+                 "--set", "chan_pc.d=0.5", "--set", "sim.t_end=1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: chan_pc: ") and "rate bound 0.5" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 @pytest.mark.parametrize("command, setting", [
     ("design", "design.m11=1e308"), ("design", "quant_p.b=1e308"),
     ("design", "trigger_p.delta=1e-320"), ("design", "quant_c.b=1e-320"),

@@ -252,12 +252,15 @@ def test_cubic_dynamics_on_columns_match_per_sample_calls():
 
 
 def test_rk4_batched_lanes_match_one_sample_steps():
+    # three lanes as rows of (3,) arrays against each lane's one-sample floats
     model = cubic_nl2()
     x = np.array([[1.0, -2.0, 0.5], [-1.0, 3.0, 0.25]])
     u = np.array([[0.1, -0.2, 0.3]])
-    batched = rk4_step(model, x, u, 0.0, 1e-3)
+    batched = rk4_step(model, list(x), list(u), 0.0, 1e-3)
+    assert all(type(row) is np.ndarray and row.shape == (3,) for row in batched)
     for i in range(3):
-        assert np.array_equal(batched[:, i], rk4_step(model, x[:, i], u[:, i], 0.0, 1e-3))
+        one = rk4_step(model, x[:, i].tolist(), u[:, i].tolist(), 0.0, 1e-3)
+        assert np.array(batched)[:, i].tobytes() == np.array(one).tobytes()
 
 
 _WIDE = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e200, max_value=1e200)
@@ -273,11 +276,11 @@ _QUANT_EDGES = st.sampled_from([0.0, -0.0, 0.25, -0.75, 1.125, -2.375, 0.375, ma
 
 def _one_lane(f, *arrays):
     """f on the floats of 1-D arrays as lists, as a single run carries one
-    sample, and on a 2-lane batch whose column 0 they are (column 1 holds
-    them reversed), the second as 1-D, with every floating-point warning
-    off."""
+    sample, and on the rows of a 2-lane batch, a list of (2,) arrays, whose
+    lane 0 they are (lane 1 holds them reversed); the second as lane 0 of
+    f's rows, with every floating-point warning off."""
     with np.errstate(all="ignore"):
-        batch = (np.stack((a, a[::-1]), axis=-1) for a in arrays)
+        batch = (list(np.stack((a, a[::-1]), axis=-1)) for a in arrays)
         return f(*(a.tolist() for a in arrays)), np.asarray(f(*batch))[..., 0]
 
 

@@ -195,19 +195,23 @@ def _record_key(rec):
 def test_lane_channel_matches_solo_channels(models, delay, data):
     # every lane of one channel behaves as a one-lane channel with its model,
     # through sends (forced or not) and polls; each lane holds the last
-    # delivered payload that has arrived
+    # delivered payload that has arrived, and a hold once returned never
+    # changes, since a delivery replaces it
     hold0 = np.array([0.5, -1.5])
     lanes = Channel(delay, models, "link", dim=2, initial_hold=hold0)
     solos = [Channel(delay, m, "link", dim=2, initial_hold=hold0) for m in models]
     ops = data.draw(st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 0.2),
                                        st.booleans(), st.booleans()), max_size=60))
     delivered = [[] for _ in models]
+    returned = []   # (a hold poll returned, a copy of its values then)
     t = 0.0
     for n, (lane, gap, force, poll) in enumerate(ops):
         t += gap
         lane %= len(solos)
         if poll:
-            held = lanes.poll(t).reshape(2, -1)
+            rows = lanes.poll(t)   # floats for one lane, else (B,) arrays
+            held = np.array(rows).reshape(2, -1)
+            returned.append((rows, held.copy()))
             for j, solo in enumerate(solos):
                 assert np.array_equal(held[:, j], solo.poll(t))
                 landed = [r.payload for r in delivered[j] if r.arrival_time <= t]
@@ -220,3 +224,5 @@ def test_lane_channel_matches_solo_channels(models, delay, data):
             if not got.dropped:
                 delivered[lane].append(got)
             assert lanes.consecutive_drops[lane] == solos[lane].consecutive_drops[0]
+    for rows, then in returned:
+        assert np.array_equal(np.array(rows).reshape(2, -1), then)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etncs.config import load_config, run_design, build_scenario
+from etncs.core import PassivityIndices, SystemModel
 from etncs.design import TransformGains
 from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
@@ -623,6 +624,17 @@ def _same_run(a, b):
         assert x.dtype == y.dtype and np.array_equal(x, y), f.name
 
 
+def _same_bits(a, b):
+    """Every signal column and every event column with the same dtype, shape
+    and bytes, so NaN payloads and the sign of zero count too."""
+    for name in TRACE_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    for f in dataclasses.fields(EventTable):
+        x, y = getattr(a.events, f.name), getattr(b.events, f.name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
 def test_lockstep_lanes_match_solo_runs_and_a_diverging_lane_retires():
     # lanes share the model objects and differ in w1, w2 and the dropout
     # seeds; the second lane's w1 drives the plant state past the limit and
@@ -657,13 +669,18 @@ def test_lockstep_lanes_match_solo_runs_and_a_diverging_lane_retires():
 # state past it near rows 238, 109, 35, 11 and 2 of the lanes below, and NaN,
 # which ends the first step
 _LANE_W1 = [0.0, -3.0, 2e6, 5e6, -1e7, 3e7, -1e8, 1e9, math.nan]
+# both sides logarithmic: the one quantizer kind that a batch sends through
+# numpy row by row and a single run through numpy on its list of floats
+LOG_Q = QuantizerSpec(kind="logarithmic", density=0.5, u0=16.0, sector=(0.0, 4.0 / 3.0))
 
 
 @settings(max_examples=25, deadline=None)
 @given(draws=st.lists(st.tuples(st.sampled_from(_LANE_W1), st.integers(0, 2 ** 31)),
-                      min_size=2, max_size=5))
-@example(draws=[(5e6, 1), (0.0, 2), (1e9, 3), (math.nan, 4), (-3.0, 5)])
-def test_retired_lanes_leave_every_lane_as_its_solo_run(draws):
+                      min_size=2, max_size=5),
+       quant=st.sampled_from([IDENTITY_Q, LOG_Q]))
+@example(draws=[(5e6, 1), (0.0, 2), (1e9, 3), (math.nan, 4), (-3.0, 5)], quant=IDENTITY_Q)
+@example(draws=[(0.0, 6), (-3.0, 7), (3e7, 8)], quant=LOG_Q)
+def test_retired_lanes_leave_every_lane_as_its_solo_run(draws, quant):
     """Lanes retired at different rows, or all of them, change no other
     lane's bytes, and each retired lane reports its solo run's row and text."""
     plant, controller = lti_siso(-1.0, 1.0, 1.0, 0.0), firstorder_lead()
@@ -672,6 +689,7 @@ def test_retired_lanes_leave_every_lane_as_its_solo_run(draws):
         drop = DropoutModel(kind="bernoulli", p=0.5, seed=seed)
         return _scenario(plant=plant, controller=controller, x0_plant=np.array([1.0]),
                          w1=SignalSpec(kind="constant", value=w1),
+                         quant_p=quant, quant_c=quant,
                          chan_pc=ChannelConfig(DelayProfile(t0=0.05, d=0.2), drop),
                          chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.1), drop),
                          divergence_limit=1e6, t_end=0.3)
@@ -684,12 +702,46 @@ def test_retired_lanes_leave_every_lane_as_its_solo_run(draws):
             assert isinstance(run, DivergenceError)
             assert (str(run), run.row) == (str(err), err.row)
             continue
-        for name in TRACE_COLUMNS:
-            a, b = getattr(run, name), getattr(solo, name)
-            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
-        for f in dataclasses.fields(EventTable):
-            a, b = getattr(run.events, f.name), getattr(solo.events, f.name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        _same_bits(run, solo)
+
+
+def _two_port(a: float, b: float, c: float, d: float, indices: PassivityIndices,
+              name: str) -> SystemModel:
+    """x' = a*x + b*u, y = c*x + d*u on each of two decoupled ports."""
+    def f(x, u, t):
+        return (a * x[0] + b * u[0], a * x[1] + b * u[1])
+
+    def h(x, u, t):
+        return (c * x[0] + d * u[0], c * x[1] + d * u[1])
+
+    return SystemModel(state_dim=2, input_dim=2, output_dim=2, dynamics=f, output=h,
+                       indices=indices, name=name)
+
+
+def test_two_port_lanes_match_their_solo_runs():
+    """With m = 2 every row quantity is two rows, through the detectors'
+    fold, both quantizers and the link holds; each lane of a Bernoulli
+    batch keeps its solo run's bytes in every trace column and event field."""
+    plant = _two_port(-3.6, 2.0, 1.0, 0.0, PassivityIndices(nu=0.0, rho=1.8), "diagonal2")
+    controller = _two_port(-3.0, 1.0, 7.0, 1.0, PassivityIndices(nu=0.49, rho=0.27), "lead2")
+    mid_tread = QuantizerSpec(kind="uniform-mid-tread", step=0.25)
+
+    def lane(seed):
+        drop = DropoutModel(kind="bernoulli", p=0.5, seed=seed)
+        return _scenario(plant=plant, controller=controller, x0_plant=np.array([5.0, -8.0]),
+                         x0_controller=np.array([0.5, 0.0]), quant_p=mid_tread, quant_c=LOG_Q,
+                         w1=SignalSpec(kind="piecewise_uniform", lo=-2.0, hi=2.0,
+                                       dwell=0.05, seed=seed),
+                         chan_pc=ChannelConfig(DelayProfile(t0=0.01, d=0.2), drop),
+                         chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.1), drop),
+                         t_end=0.5)
+
+    lanes = [lane(seed) for seed in (3, 4)]
+    for run, sc in zip(whole.lanes(lanes), lanes):
+        ev = run.events
+        assert run.y_p.shape == (501, 2) and ev.committed.shape[1] == 2
+        assert (ev.on("plant") & ev.dropped).any() and (ev.on("controller") & ev.dropped).any()
+        _same_bits(run, whole.run(sc))
 
 
 def test_one_lane_executor_memory_is_bounded():

@@ -138,9 +138,11 @@ def test_bound_check_spans_match_reference_loop(data, y, scale, delta):
 
 
 def test_violation_check_on_columns_gives_one_verdict_per_lane():
+    # four lanes as rows of (4,) arrays against each lane's one-sample floats
     held = np.array([[1.0, 0.3, 0.0, 0.5], [0.0, 0.2, 0.0, -0.5]])
     y = np.array([[1.0, 1.0, 0.0, 0.5], [0.1, -0.4, 0.0, 0.5]])
-    verdicts = check_violation(held, y, TriggerConfig(0.4))
+    verdicts = check_violation(list(held), list(y), TriggerConfig(0.4))
     assert verdicts.tolist() == [
-        bool(check_violation(held[:, i], y[:, i], TriggerConfig(0.4))) for i in range(4)]
+        check_violation(held[:, i].tolist(), y[:, i].tolist(), TriggerConfig(0.4))
+        for i in range(4)]
     assert verdicts.tolist() == [False, True, False, True]
