@@ -367,10 +367,14 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
                 # gets the exact norm test, whose NaN <= limit is false, so it
                 # also catches a non-finite state.  Each sum is a left fold
                 # over the rows from the first square, as in check_violation
-                sq_p, sq_c = x_p[0] * x_p[0], x_c[0] * x_c[0]
-                for v in x_p[1:]:
+                rows_p, rows_c = iter(x_p), iter(x_c)
+                v = next(rows_p)
+                sq_p = v * v
+                for v in rows_p:
                     sq_p += v * v
-                for v in x_c[1:]:
+                v = next(rows_c)
+                sq_c = v * v
+                for v in rows_c:
                     sq_c += v * v
                 if every_lane((sq_p + sq_c < bound) | retired):
                     continue

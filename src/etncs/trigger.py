@@ -45,9 +45,11 @@ def check_violation(held, y, cfg: TriggerConfig):
     arithmetic rounds correctly in both forms.  (numpy would sum a 1-D
     array of 8 or more elements pairwise.)
     """
-    e = y[0] - held[0]
-    e2, y2 = e * e, y[0] * y[0]
-    for yi, si in zip(y[1:], held[1:]):
+    pairs = zip(y, held)
+    yi, si = next(pairs)
+    e = yi - si
+    e2, y2 = e * e, yi * yi
+    for yi, si in pairs:
         e = yi - si
         e2 += e * e
         y2 += yi * yi
