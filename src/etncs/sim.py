@@ -416,10 +416,10 @@ def _hand_off(sink, cfg: ScenarioConfig, start: int, t_col: np.ndarray,
     held = {side: held_samples(table, side, stop, start) for side in ("plant", "controller")}
     held_p, held_c = held.values()
     g = cfg.gains
-    y_tilde_c, u_p = _gain_block(g, g.m21 * held_p, cols["u_r"], w1)
+    y_tilde_c = (cols["u_r"] - g.m21 * held_p) / g.m22   # as in _plant_side
     sink(TraceLog(config=cfg, t=t_col, w1=w1, events=table, first_row=start, held=held,
                   e_p=cols["y_p"] - held_p, e_c=cols["y_c"] - held_c, y_r=g.m11 * held_p,
-                  u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=u_p, **cols))
+                  u_tilde_c=held_p, y_tilde_c=y_tilde_c, u_p=w1 - y_tilde_c, **cols))
 
 
 def _held_products(g: TransformGains, held) -> Tuple[list, list]:
@@ -427,17 +427,11 @@ def _held_products(g: TransformGains, held) -> Tuple[list, list]:
     return [g.m21 * v for v in held], [g.m11 * v for v in held]
 
 
-def _gain_block(g: TransformGains, m21_held, u_r, w1):
-    """The plant-side gain block: the controller output y_tilde_c it
-    reconstructs from the held link value and ``m21_held``, m21 times the
-    held plant sample, and the plant input u_p."""
-    y_tilde_c = (u_r - m21_held) / g.m22
-    return y_tilde_c, w1 - y_tilde_c
-
-
 def _plant_side(output, g: TransformGains, m21_held, u_r, w1, x_p, t):
-    """(u_p, y_p) from the gain block, row by row with ``_gain_block``'s
-    operations in its order, and the plant's ``output``."""
+    """(u_p, y_p), row by row: the plant-side gain block reconstructs the
+    controller output y_tilde_c = (u_r - m21_held) / m22 from the held link
+    value and ``m21_held``, m21 times the held plant sample, and the plant
+    takes u_p = w1 - y_tilde_c and gives its ``output``."""
     u_p = [w - (r - v) / g.m22 for w, r, v in zip(w1, u_r, m21_held)]
     return u_p, output(x_p, u_p, t)
 
