@@ -39,8 +39,10 @@ EXIT_VERIFY = 4
 # pass through in blocks of sim._RUN_BLOCK, so a lane keeps 16 B per row (the
 # two energy terms of its L2 gain) and 50 + 16*m B per attempt in its event
 # buffers (66 B at port dimension m = 1), beside about 0.3 MB of block
-# buffers. A full batch of the worked example took 19.0 MB at 5 001 rows a
-# lane and 35.6 MB at 20 001 (tracemalloc of the simulate step).
+# buffers and, at 64 lanes, about 3 MB of the up to 256 rows the executor
+# keeps as tuples of (B,) arrays between writes into them. A full batch of
+# the worked example took 22.4 MB at 5 001 rows a lane and 38.8 MB at
+# 20 001 (tracemalloc of the simulate step).
 # A batch's row loop costs about as much as 7 one-lane runs one after
 # another: 5 s worked-example lanes with a sink that keeps nothing took
 # 0.333 s as a batch of 2, 0.344 s of 4, 0.355 s of 8 and 0.368 s of 16,

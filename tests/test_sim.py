@@ -614,17 +614,6 @@ def test_report_files_of_zero_and_one_row(tmp_path, rows):
 
 
 def _same_run(a, b):
-    """Every signal column and every event column bit-equal."""
-    from dataclasses import fields
-
-    for name in TRACE_COLUMNS:
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for f in fields(EventTable):
-        x, y = getattr(a.events, f.name), getattr(b.events, f.name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), f.name
-
-
-def _same_bits(a, b):
     """Every signal column and every event column with the same dtype, shape
     and bytes, so NaN payloads and the sign of zero count too."""
     for name in TRACE_COLUMNS:
@@ -669,8 +658,8 @@ def test_lockstep_lanes_match_solo_runs_and_a_diverging_lane_retires():
 # state past it near rows 238, 109, 35, 11 and 2 of the lanes below, and NaN,
 # which ends the first step
 _LANE_W1 = [0.0, -3.0, 2e6, 5e6, -1e7, 3e7, -1e8, 1e9, math.nan]
-# both sides logarithmic: the one quantizer kind that a batch sends through
-# numpy row by row and a single run through numpy on its list of floats
+# both sides logarithmic: levels from a log and a power, quantized one row
+# at a time in a batch and as one array in a single run
 LOG_Q = QuantizerSpec(kind="logarithmic", density=0.5, u0=16.0, sector=(0.0, 4.0 / 3.0))
 
 
@@ -702,7 +691,7 @@ def test_retired_lanes_leave_every_lane_as_its_solo_run(draws, quant):
             assert isinstance(run, DivergenceError)
             assert (str(run), run.row) == (str(err), err.row)
             continue
-        _same_bits(run, solo)
+        _same_run(run, solo)
 
 
 def _two_port(a: float, b: float, c: float, d: float, indices: PassivityIndices,
@@ -741,7 +730,7 @@ def test_two_port_lanes_match_their_solo_runs():
         ev = run.events
         assert run.y_p.shape == (501, 2) and ev.committed.shape[1] == 2
         assert (ev.on("plant") & ev.dropped).any() and (ev.on("controller") & ev.dropped).any()
-        _same_bits(run, whole.run(sc))
+        _same_run(run, whole.run(sc))
 
 
 def test_one_lane_executor_memory_is_bounded():
