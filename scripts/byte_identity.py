@@ -6,7 +6,9 @@ Each argument is a ``src`` directory holding the ``etncs`` package.  For
 each tree in turn, with only that tree on PYTHONPATH, this runs the command
 line on the runs an executor change must leave byte for byte as they were:
 the CLI sequences of the three perfbench workloads, a seed sweep whose lanes
-diverge (exit 3), and a 3-lane sweep with both quantizers logarithmic.  Both
+diverge (exit 3), a 3-lane sweep with both quantizers logarithmic, a 3-lane
+sweep with a table delay on one link and a constant delay and pattern drops
+on the other, and the 2-lane sweep ``--seed 7,8``.  Both
 trees write to the same directory, one after the other, so paths printed in
 outputs agree.  It then compares every output file, each step's exit code
 and its sorted stderr lines, and prints the first difference (exit 1) or
@@ -28,6 +30,11 @@ LOG_SETS = [a for side in ("quant_p", "quant_c") for s in (
     "kind=logarithmic", "density=0.5", "u0=16.0", "b=1.3334") for a in ("--set", f"{side}.{s}")]
 DIVERGING = ["--set", "w1.lo=-400", "--set", "w1.hi=400", "--set", "sim.divergence_limit=100",
              "--set", "sim.t_end=2", "--seed", ",".join(map(str, range(16))), "--jobs", "2"]
+LINK_SETS = [a for s in (
+    "chan_pc.form=table", "chan_pc.table=0,0.05,1,0.3,3,0.1", "chan_pc.d=0.3",
+    "chan_cp.form=constant", "chan_cp.T0=0.02", "chan_cp.dropout.kind=pattern",
+    "chan_cp.dropout.pattern=0110100", "trigger_p.delta=0.01", "trigger_c.delta=0.02",
+    "sim.t_end=3") for a in ("--set", s)]
 
 
 def sequences(out: Path):
@@ -39,6 +46,8 @@ def sequences(out: Path):
     yield "divergence_sweep", sweep + [str(out / "divergence_sweep"), *DIVERGING]
     yield "log_sweep", sweep + [str(out / "log_sweep"), *LOG_SETS, "--set", "sim.t_end=5",
                                 "--seed", "0,1,2"]
+    yield "link_sweep", sweep + [str(out / "link_sweep"), *LINK_SETS, "--seed", "0,1,2"]
+    yield "pair_sweep", sweep + [str(out / "pair_sweep"), "--seed", "7,8"]
 
 
 def run_tree(src: Path, out: Path) -> list:

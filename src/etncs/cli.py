@@ -43,13 +43,15 @@ EXIT_VERIFY = 4
 # keeps as tuples of (B,) arrays between writes into them. A full batch of
 # the worked example took 22.4 MB at 5 001 rows a lane and 38.8 MB at
 # 20 001 (tracemalloc of the simulate step).
-# A batch's row loop costs about as much as 7 one-lane runs one after
-# another: 5 s worked-example lanes with a sink that keeps nothing took
-# 0.333 s as a batch of 2, 0.344 s of 4, 0.355 s of 8 and 0.368 s of 16,
-# against 0.109, 0.216, 0.420 and 0.860 s one after another (in-process,
-# min of 5, one CPU of a 2-vCPU sandbox, Python 3.11.7, numpy 2.4.6), so a
-# batch pays off from about 7 lanes on.
 BATCH_LANES = 64
+# Fewer lanes than this run one after another as one-lane runs, which write
+# the same bytes: a batch's row loop costs about as much as 7 one-lane runs.
+# 5 s worked-example lanes writing their files took 0.328 s as a batch of 2
+# against 0.119 s one by one, 0.367 against 0.252 s for 4, 0.392 against
+# 0.374 s for 6 and 0.399 against 0.481 s for 8 (in-process
+# _simulate_batch, min of 5, one CPU of a 2-vCPU sandbox, Python 3.11.7,
+# numpy 2.4.6).
+MIN_BATCH_LANES = 7
 
 
 class _UsageError(Exception):
@@ -220,8 +222,11 @@ class _LaneFiles:
 
 
 def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
-    """Run the configs as the lanes of one lockstep batch and write each
-    lane's trace, events and metrics to its directory."""
+    """Run the configs as the lanes of one lockstep batch, or one after
+    another if there are fewer than MIN_BATCH_LANES, and write each lane's
+    trace, events and metrics to its directory."""
+    if 1 < len(cfgs) < MIN_BATCH_LANES:
+        return max(_simulate_batch([c], [d]) for c, d in zip(cfgs, out_dirs))
     for out_dir in out_dirs:
         _make_dir(out_dir)
     scenarios = [build_scenario(cfg) for cfg in cfgs]
@@ -398,11 +403,11 @@ def _build_parser() -> _Parser:
                             "sweep (simulate only)")
         if name == "simulate":
             p.add_argument("--jobs", type=int, default=1,
-                           help="lockstep batches a seed sweep is split into, "
-                                "run in parallel; a batch costs about as much "
-                                "as 7 seeds run one by one, so a --jobs that "
-                                "leaves fewer than about 7 seeds per batch is "
-                                "slower than fewer jobs")
+                           help="parts a seed sweep is split into, run in "
+                                "parallel; each part runs its seeds as one "
+                                "lockstep batch, or one after another if it has "
+                                "fewer than 7, since a batch costs about as "
+                                "much as 7 one-seed runs")
         p.set_defaults(fn=fn)
     return parser
 

@@ -179,7 +179,7 @@ class Channel:
         self.consecutive_drops = [0] * lanes
         self._last_send = [-math.inf] * lanes
         self._in_flight = [deque() for _ in range(lanes)]   # (arrival, payload)
-        self._heads = np.full(lanes, math.inf)   # each lane's next arrival
+        self._heads = [math.inf] * lanes         # each lane's next arrival
         self._soonest = math.inf                 # and the earliest of them
 
     def send(self, t: float, payload, force_success: bool = False,
@@ -209,11 +209,13 @@ class Channel:
     def poll(self, t: float) -> list:
         """The hold after delivering every packet that arrived by ``t``."""
         if t >= self._soonest:
-            for lane in np.flatnonzero(self._heads <= t):
-                fifo = self._in_flight[lane]
-                while fifo and fifo[0][0] <= t:
-                    self._held[lane] = fifo.popleft()[1]
-                self._heads[lane] = fifo[0][0] if fifo else math.inf
-            self._soonest = float(self._heads.min())
+            heads = self._heads
+            for lane, head in enumerate(heads):
+                if head <= t:
+                    fifo = self._in_flight[lane]
+                    while fifo and fifo[0][0] <= t:
+                        self._held[lane] = fifo.popleft()[1]
+                    heads[lane] = fifo[0][0] if fifo else math.inf
+            self._soonest = min(heads)
             self.hold = lane_rows(self._held)
         return self.hold

@@ -446,10 +446,10 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
     each firing lane's sample is sent as floats.  True iff some lane
     committed."""
     committed = False
-    for i in np.flatnonzero(fire):
+    for i in (0,) if one else np.flatnonzero(fire):   # a single lane fires as lane 0
         y_i = y if one else [v.item(i) for v in y]
         held_i = held if one else [v.item(i) for v in held]
-        e_norm = float(np.linalg.norm(np.subtract(y_i, held_i)))
+        e_norm = _norm([a - b for a, b in zip(y_i, held_i)])
         payload = quantize(spec, [gain * v for v in y_i])
         force = force_first and chan.attempts[i] == 0
         drops_before = chan.consecutive_drops[i]
@@ -457,7 +457,7 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
         *scalars, payloads, samples = events[i]
         for column, value in zip(scalars, (
                 side == "plant", rec.dropped, t, k, rec.index, drops_before, e_norm,
-                float(np.linalg.norm(y_i)))):
+                _norm(y_i))):
             column.append(value)
         payloads.extend(payload)
         samples.extend(y_i)
@@ -469,6 +469,16 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
                     row[i] = v
             committed = True
     return committed
+
+
+def _norm(v: list) -> float:
+    """``np.linalg.norm`` of a list of floats, bit for bit.  numpy computes
+    sqrt(dot(v, v)), which for one element is sqrt(v*v): one rounded
+    square, then a correctly rounded sqrt, as in Python.  BLAS ``ddot`` does
+    not sum longer vectors by a left fold, so they keep numpy."""
+    if len(v) == 1:
+        return math.sqrt(v[0] * v[0])
+    return float(np.linalg.norm(v))
 
 
 def _divergences(cfg: ScenarioConfig, states, norms, failed, row: int, t: float

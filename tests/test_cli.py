@@ -398,6 +398,30 @@ def test_seed_sweep_lanes_match_single_seed_runs(tmp_path, jobs):
             assert lane.read_bytes() == (solo / name).read_bytes(), (seed, name)
 
 
+def test_a_sweep_below_the_batch_crossover_runs_one_lane_at_a_time(tmp_path, monkeypatch):
+    """--seed 7,8 runs each seed as a one-lane run, and writes the bytes
+    that the two seeds' lockstep batch writes."""
+    from etncs import cli
+
+    run, lanes = sim.run_scenario, []
+
+    def counting(cfgs, sinks):
+        lanes.append(len(cfgs))
+        return run(cfgs, sinks)
+
+    monkeypatch.setattr(sim, "run_scenario", counting)
+    sweep = ["simulate", "--config", str(CONFIG), "--seed", "7,8", *SHORT]
+    assert main([*sweep, "--out", str(tmp_path / "solo")]) == 0
+    assert lanes == [1, 1]
+    monkeypatch.setattr(cli, "MIN_BATCH_LANES", 2)
+    assert main([*sweep, "--out", str(tmp_path / "batch")]) == 0
+    assert lanes == [1, 1, 2]
+    for seed in ("seed_7", "seed_8"):
+        for name in ("trace.csv", "events.csv", "metrics.kv"):
+            solo, batch = (tmp_path / side / seed / name for side in ("solo", "batch"))
+            assert solo.read_bytes() == batch.read_bytes(), (seed, name)
+
+
 def test_pool_has_no_more_workers_than_batches(tmp_path, monkeypatch):
     """A large --jobs on two seeds asks for two workers, not one per job."""
     import concurrent.futures

@@ -18,7 +18,7 @@ from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
 from etncs.quantizer import QuantizerSpec
 from etncs.signals import Signal, SignalSpec, hash_uniform
-from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, ChannelConfig, DivergenceError, EventTable,
+from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, _norm, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans, format_blocks,
                        invariant_checks, read_trace_csv, run_scenario, text_bytes,
                        write_trace_csv)
@@ -730,7 +730,32 @@ def test_two_port_lanes_match_their_solo_runs():
         ev = run.events
         assert run.y_p.shape == (501, 2) and ev.committed.shape[1] == 2
         assert (ev.on("plant") & ev.dropped).any() and (ev.on("controller") & ev.dropped).any()
+        # at m = 2 every attempt's norm is numpy's, of the sample it sent
+        assert ev.y_norm.tolist() == [float(np.linalg.norm(row)) for row in ev.committed]
         _same_run(run, whole.run(sc))
+
+
+# signed zeros, subnormals, values whose square overflows, infinities, NaN
+_NORM_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.3e154, 1.4e154, -1e200,
+               1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=400, deadline=None)
+@given(y=st.one_of(st.floats(), st.sampled_from(_NORM_EDGES)),
+       s=st.one_of(st.floats(), st.sampled_from(_NORM_EDGES)))
+@example(y=1.4e154, s=-1.4e154)
+@example(y=math.inf, s=math.inf)
+@example(y=-0.0, s=0.0)
+@example(y=5e-324, s=-5e-324)
+def test_one_element_norms_are_numpys_bit_for_bit(y, s):
+    """The executor's event norms at m = 1, taken on floats, are the bits
+    of np.linalg.norm on the one-element arrays; NaN matches NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (float(np.linalg.norm(np.subtract([y], [s]))), float(np.linalg.norm([y])))
+    got = (_norm([y - s]), _norm([y]))
+    for a, b in zip(got, want):
+        assert (math.isnan(a) and math.isnan(b)) or (
+            np.float64(a).tobytes() == np.float64(b).tobytes()), (y, s, got, want)
 
 
 def test_one_lane_executor_memory_is_bounded():
