@@ -8,7 +8,9 @@ line on the runs an executor change must leave byte for byte as they were:
 the CLI sequences of the three perfbench workloads, a seed sweep whose lanes
 diverge (exit 3), a 3-lane sweep with both quantizers logarithmic, a 3-lane
 sweep with a table delay on one link and a constant delay and pattern drops
-on the other, and the 2-lane sweep ``--seed 7,8``.  Both
+on the other, and the 2-lane sweep ``--seed 7,8``; after each of the last
+three, ``verify`` and ``report`` of its first lane, so that the readers
+meet logarithmic quantizer outputs, a table delay and pattern drops.  Both
 trees write to the same directory, one after the other, so paths printed in
 outputs agree.  It then compares every output file, each step's exit code
 and its sorted stderr lines, and prints the first difference (exit 1) or
@@ -44,10 +46,14 @@ def sequences(out: Path):
             yield name, step.argv
     sweep = ["simulate", "--config", wl.CONFIG, "--out"]
     yield "divergence_sweep", sweep + [str(out / "divergence_sweep"), *DIVERGING]
-    yield "log_sweep", sweep + [str(out / "log_sweep"), *LOG_SETS, "--set", "sim.t_end=5",
-                                "--seed", "0,1,2"]
-    yield "link_sweep", sweep + [str(out / "link_sweep"), *LINK_SETS, "--seed", "0,1,2"]
-    yield "pair_sweep", sweep + [str(out / "pair_sweep"), "--seed", "7,8"]
+    for name, sets, seeds in (("log_sweep", [*LOG_SETS, "--set", "sim.t_end=5"], "0,1,2"),
+                              ("link_sweep", LINK_SETS, "0,1,2"),
+                              ("pair_sweep", [], "7,8")):
+        yield name, sweep + [str(out / name), *sets, "--seed", seeds]
+        lane = seeds.split(",")[0]
+        for command in ("verify", "report"):
+            yield name, [command, "--config", wl.CONFIG, "--out",
+                         str(out / name / f"seed_{lane}"), *sets, "--seed", lane]
 
 
 def run_tree(src: Path, out: Path) -> list:

@@ -785,7 +785,8 @@ def write_events_csv(trace: TraceLog, path) -> None:
 
 def read_trace_csv(path) -> Tuple[List[str], Iterator[np.ndarray]]:
     """Header names of a trace file and an iterator of its value matrix's
-    blocks of ``_RUN_BLOCK`` rows (see ``tracecsv.read``)."""
+    blocks of ``_RUN_BLOCK`` rows.  Text outside ``write_trace_csv``'s
+    layout is a ValueError naming its line and field (see ``tracecsv``)."""
     from .tracecsv import read   # here, so that only verify and report compile it
 
     return read(path)
@@ -793,8 +794,8 @@ def read_trace_csv(path) -> Tuple[List[str], Iterator[np.ndarray]]:
 
 def read_events_csv(path, width: int) -> EventTable:
     """The event table of an events file whose vectors are ``width`` long.
-    A short or garbled row, an index outside int64 or a vector of another
-    length is a ValueError naming its line (see ``tracecsv.read_events``)."""
+    Text outside ``write_events_csv``'s layout is a ValueError naming its
+    line and field (see ``tracecsv``)."""
     from .tracecsv import read_events
 
     return read_events(path, width)

@@ -45,7 +45,9 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     run.events = ev
     on_row = np.zeros(len(ev), bool)   # the event's sample_index names a row at its time
     agree = np.zeros(len(ev), bool)    # ... whose logged output is the committed sample
-    uniform = finite = errors_ok = True
+    uniform = errors_ok = True
+    finite = all(bool(np.all(np.isfinite(a)))
+                 for a in (ev.t, ev.e_norm, ev.y_norm, ev.payload, ev.committed))
     # ZOH: the held link value may change only when a commit's arrival falls
     # inside the step (recomputed from the delay profile, so this also checks
     # causality of the logged schedule)

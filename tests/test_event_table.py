@@ -24,7 +24,6 @@ from etncs.quantizer import QuantizerSpec
 from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, ChannelConfig, EventTable, ScenarioConfig,
                        TraceLog, _accum_ratio_excess, _gap_stats, dropout_spans, held_samples,
                        max_consecutive_drops, read_events_csv, write_events_csv)
-from etncs.tracecsv import _read_event_layout, _read_event_lines
 from etncs.trigger import TriggerConfig
 
 _IDENTITY = QuantizerSpec(kind="identity", sector=(1.0, 1.0))
@@ -209,16 +208,18 @@ def _assert_tables_equal_bits(got: EventTable, want: EventTable) -> None:
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), m=st.sampled_from([1, 2]), blocks=st.booleans())
-def test_layout_reader_equals_the_line_reader(data, m, blocks):
-    """On the writer's text the numpy events reader is taken, and gives the
-    line parser's table bit for bit: any finite float, indices of 1 to 16
-    digits, rows that cross two edges of its blocks of lines."""
+def test_events_csv_reads_back_the_drawn_table(data, m, blocks):
+    """The writer's text reads back as the table that was written, bit for
+    bit: any finite float, NaN and the infinities (whose texts are nan, inf
+    and -inf), indices of 1 to 16 digits, rows that cross two edges of the
+    reader's blocks of lines."""
     events = data.draw(event_tables(m))
     n = len(events)
-    finite = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310]),
-                       st.floats(allow_nan=False, allow_infinity=False))
-    floats = st.lists(finite, min_size=n, max_size=n)
-    vectors = st.lists(finite, min_size=n * m, max_size=n * m)
+    value = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -1e-310, math.nan, math.inf,
+                                       -math.inf]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    floats = st.lists(value, min_size=n, max_size=n)
+    vectors = st.lists(value, min_size=n * m, max_size=n * m)
     ints = st.lists(st.one_of(st.integers(0, 10 ** 16 - 1),
                               st.sampled_from([0, 9, 10, 10 ** 8 - 1, 10 ** 8, 10 ** 16 - 1])),
                     min_size=n, max_size=n)
@@ -233,19 +234,28 @@ def test_layout_reader_equals_the_line_reader(data, m, blocks):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "events.csv"
         write_events_csv(_trace(events, 1), path)
-        fast = _read_event_layout(path, m)
-        assert fast is not None
-        _assert_tables_equal_bits(fast, _read_event_lines(path, m))
+        _assert_tables_equal_bits(read_events_csv(path, m), events)
 
 
-@pytest.mark.parametrize("old, new", [
-    (",7,", ",-7,"), (",7,", ",12345678901234567,"), ("e-", "E-"), ("plant,", "Plant,"),
-    ("commit,", "commit ,"), ("\n", "\r\n"), (",", ";"), ("\n", "\n\n")])
+# (old, new) -> the sample_index of line 9, or the message after "<path> line"
+_EDITS = {
+    (",7,", ",-7,"): -7,
+    (",7,", ",12345678901234567,"): 12345678901234567,
+    ("e-", "E-"): " 2 field 7: b'1.2500000000000000E-01' is not in the writer's layout",
+    ("plant,", "Plant,"): " 2 field 1: b'Plant' is not in the writer's layout",
+    ("commit,", "commit ,"): " 3 field 2: b'commit ' is not in the writer's layout",
+    ("\n", "\r\n"): " 2 field 10: b'1.0000000000000000e+00\\r' is not in the writer's layout",
+    (",", ";"): " 2 field 1: b'plant' ends in ';', not ','",
+    ("\n", "\n\n"): " 3: expected 10 fields, got 1",
+}
+
+
+@pytest.mark.parametrize("old, new", list(_EDITS))
 def test_other_text_takes_the_line_reader(tmp_path, old, new):
-    """Text outside the writer's layout (a signed or 17-digit index, a
-    respelled value or label, a space, CRLF, a wrong separator, a blank
-    line) leaves the numpy reader, and read_events_csv gives what the line
-    reader gives: its table or its message."""
+    """One edit of the writer's text.  A signed or a 17-digit index is the
+    writer's text of another table, which reads back bit for bit.  Text
+    outside the layout (a respelled value or label, a space, CRLF, a wrong
+    separator, a blank line) is a ValueError naming its line and field."""
     n = 40
     k = np.arange(n)
     events = EventTable(plant=k % 3 == 0, dropped=k % 4 == 0, t=k * 1e-3, sample_index=k,
@@ -255,11 +265,28 @@ def test_other_text_takes_the_line_reader(tmp_path, old, new):
     write_events_csv(_trace(events, 1), path)
     head, body = path.read_bytes().split(b"\n", 1)
     path.write_bytes(head + b"\n" + body.replace(old.encode(), new.encode(), 1))
-    assert _read_event_layout(path, 1) is None
-    try:
-        want = _read_event_lines(path, 1)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+    want = _EDITS[old, new]
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'events file {path} line{want}')}$"):
             read_events_csv(path, 1)
     else:
-        _assert_tables_equal_bits(read_events_csv(path, 1), want)
+        index = k.copy()
+        index[7] = want
+        _assert_tables_equal_bits(read_events_csv(path, 1), replace(events, sample_index=index))
+
+
+def test_longest_lines_read_back(tmp_path):
+    """Lines as long as the writer makes them (the longer label, 20-byte
+    indices, 25-byte values) fill more than one buffer and read back bit
+    for bit."""
+    n, m = 3 * _BLOCK_ROWS, 2
+    big = np.full(n, -2 ** 63 + 1, dtype=np.int64)
+    value = np.full(n, -1.2345678901234567e-300)
+    events = EventTable(plant=np.zeros(n, bool), dropped=np.zeros(n, bool), t=value,
+                        sample_index=big, attempt_index=big, drops_before=big, e_norm=value,
+                        y_norm=value, payload=np.full((n, m), value[0]),
+                        committed=np.full((n, m), value[0]))
+    path = tmp_path / "events.csv"
+    write_events_csv(_trace(events, 1), path)
+    assert len(path.read_bytes().splitlines()[1]) + 1 == 18 + 3 * 21 + (3 + 2 * m) * 25
+    _assert_tables_equal_bits(read_events_csv(path, m), events)

@@ -2,6 +2,7 @@ import dataclasses
 import decimal
 import hashlib
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from typing import List
@@ -383,21 +384,41 @@ def test_signal_on_times_equals_per_time_calls(spec, times, h, n):
         assert np.array_equal(got, np.array([sig(float(t)) for t in ts]))
 
 
-@pytest.mark.parametrize("text, message", [
-    ("", "is empty"),
-    ("t,x\n", "no data rows"),
-    ("t,x\n\n \n", "no data rows"),
-    ("t,x\n1,2\n3\n", "columns"),
-    ("t,x\n1,2\n3,4,5\n", "columns"),
-    ("t,x,y\n1,2\n", "ragged rows"),
-    ("t,x\n1,abc\n", "convert"),
-    ("t,x\n1,\n", "convert"),
-    ("t,x\n1,2#3\n", "convert"),
-])
+_ONE, _TWO = "%.16e" % 1, "%.16e" % 2
+# id -> (text, message after "trace file <path>"); the first nine ids are
+# those the cases had when they named np.loadtxt's messages
+_MALFORMED = {
+    "-is empty": ("", " is empty"),
+    "t,x\n-no data rows": ("t,x\n", " has no data rows"),
+    "t,x\n\n \n-no data rows": ("t,x\n\n \n", " line 2: expected 2 fields, got 1"),
+    "t,x\n1,2\n3\n-columns": (f"t,x\n{_ONE},{_TWO}\n{_ONE}\n",
+                               " line 3: expected 2 fields, got 1"),
+    "t,x\n1,2\n3,4,5\n-columns": (f"t,x\n{_ONE},{_TWO}\n{_ONE},{_ONE},{_ONE}\n",
+                                   " line 3: expected 2 fields, got 3"),
+    "t,x,y\n1,2\n-ragged rows": (f"t,x,y\n{_ONE},{_TWO}\n", " line 2: expected 3 fields, got 2"),
+    "t,x\n1,abc\n-convert": (f"t,x\n{_ONE},abc\n",
+                             " line 2 field 2: b'abc' is not in the writer's layout"),
+    "t,x\n1,\n-convert": (f"t,x\n{_ONE},\n", " line 2 field 2: b'' is not in the writer's layout"),
+    "t,x\n1,2#3\n-convert": (f"t,x\n{_ONE},2#3\n",
+                             " line 2 field 2: b'2#3' is not in the writer's layout"),
+    "short value": (f"t,x\n{_ONE},2\n", " line 2 field 2: b'2' is not in the writer's layout"),
+    "signed nan": (f"t,x\n{_ONE},-nan\n", " line 2 field 2: b'-nan' is not in the writer's layout"),
+    "CRLF header": (f"t,x\r\n{_ONE},{_TWO}\n", " line 1: b't,x\\r\\n' is not a header line"),
+    "blank header": (f"\n{_ONE},{_TWO}\n", " line 1: b'\\n' is not a header line"),
+    "no final newline": (f"t,x\n{_ONE},{_TWO}\n{_ONE},{_TWO}",
+                         " line 3: no newline at the end of the file"),
+    "long line": (f"t,x\n{_ONE},{_TWO}\n{'1' * 20_000},{_TWO}\n",
+                  " line 3: longer than the writer's lines"),
+}
+
+
+@pytest.mark.parametrize("text, message", list(_MALFORMED.values()), ids=list(_MALFORMED))
 def test_read_trace_csv_rejects_malformed(tmp_path, text, message):
+    """Text outside the writer's layout is a ValueError naming the file and
+    the line, and the field where one is at fault."""
     path = tmp_path / "trace.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'trace file {path}{message}')}$"):
         whole.matrix(path)
 
 
@@ -557,32 +578,41 @@ def test_read_trace_csv_reads_midpoint_decimals_as_float_does(tmp_path):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_read_trace_csv_of_a_non_finite_value_takes_loadtxt(tmp_path, monkeypatch, value):
-    """NaN or an infinity is outside the writer's numeric layout, so the
-    whole file goes through np.loadtxt and reads as it always has."""
+    """NaN and the infinities, which the writer spells nan, inf and -inf,
+    are in its layout: the file reads without np.loadtxt, bit-equal to
+    np.loadtxt of it."""
     mat = np.linspace(-1.0, 1.0, 3 * _BLOCK_ROWS * 2).reshape(-1, 2)
     mat[_BLOCK_ROWS + 7, 1] = value
     path = tmp_path / "trace.csv"
     _write_body(path, mat)
+    assert ("%.16e" % value).encode() in path.read_bytes().splitlines()[_BLOCK_ROWS + 8]
     want = _loadtxt(path)
-    calls = []
-    loadtxt = np.loadtxt
-    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+
+    def no_loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt called on text in the writer's layout")
+
+    monkeypatch.setattr(np, "loadtxt", no_loadtxt)
     names, got = whole.matrix(path)
-    assert calls == [1]
     assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(got), _bits(mat))
 
 
 def test_read_trace_csv_peak_memory_is_one_block(tmp_path):
-    """The numpy path parses a block of rows at a time into one block
-    matrix, reused for every block: its tracemalloc peak on a 20 001 x 17
-    trace, read through, is at most one block's bytes plus 1 MiB."""
+    """The reader parses a block of rows at a time into one block matrix,
+    reused for every block: its tracemalloc peak on a 20 001 x 17 trace,
+    read through, is at most one block's bytes plus 1 MiB.  So is its peak
+    on the same trace with one value of a late block respelled ('e' as
+    'E'), which ends the read with a ValueError naming that line."""
     from etncs.sim import _RUN_BLOCK
 
     rng = np.random.default_rng(20)
     mat = rng.standard_normal((20_001, 17)) * 10.0 ** rng.integers(-3, 4, (20_001, 17))
     path = tmp_path / "trace.csv"
     _write_body(path, mat)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[18_001] = lines[18_001].replace(b"e", b"E", 1)
+    respelled = tmp_path / "respelled.csv"
+    respelled.write_bytes(b"".join(lines))
     for _ in read_trace_csv(path)[1]:   # loads the reader's module and tables first
         pass
     rows = 0
@@ -596,6 +626,15 @@ def test_read_trace_csv_peak_memory_is_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert rows == len(mat)
+    assert peak <= _RUN_BLOCK * 17 * 8 + 2 ** 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"{re.escape(str(respelled))} line 18002 field 1: "):
+            for _ in read_trace_csv(respelled)[1]:
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= _RUN_BLOCK * 17 * 8 + 2 ** 20
 
 
@@ -880,9 +919,10 @@ def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
 @pytest.mark.parametrize("text", ["respelled", "garbled"])
 def test_read_trace_csv_in_blocks_falls_back_where_the_layout_ends(tmp_path, text):
     """Read a block at a time, a trace gives its matrix's rows.  Text
-    outside the writer's layout in the third block sends the rest to
-    np.loadtxt after two blocks were given: its rows for a respelled value,
-    its message for a garbled one."""
+    outside the writer's layout in the third block, a respelled or a
+    garbled value, ends the read after two blocks were given, with a
+    ValueError naming its line and field; the file reads in whole again
+    once the value is written back."""
     from etncs.sim import _RUN_BLOCK
 
     mat = np.linspace(-1.0, 1.0, (3 * _RUN_BLOCK + 5) * 2).reshape(-1, 2)
@@ -891,15 +931,18 @@ def test_read_trace_csv_in_blocks_falls_back_where_the_layout_ends(tmp_path, tex
     lines = path.read_text().splitlines(keepends=True)
     row = 2 * _RUN_BLOCK + 100
     cell = lines[row + 1].split(",")[0]
-    lines[row + 1] = lines[row + 1].replace(
-        cell, cell.replace("e", "E") if text == "respelled" else "1.0x", 1)
+    bad = cell.replace("e", "E") if text == "respelled" else "1.0x"
+    lines[row + 1] = lines[row + 1].replace(cell, bad, 1)
     path.write_text("".join(lines))
     names, blocks = read_trace_csv(path)
     got = [next(blocks).copy(), next(blocks).copy()]
-    if text == "garbled":
-        with pytest.raises(ValueError, match="could not convert string '1.0x' to float64"):
-            next(blocks)
-        return
-    got += [block.copy() for block in blocks]
+    assert np.array_equal(_bits(np.vstack(got)), _bits(mat[:2 * _RUN_BLOCK]))
+    message = (f"trace file {path} line {row + 2} field 1: {bad.encode()!r} "
+               "is not in the writer's layout")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        next(blocks)
+    _write_body(path, mat)
+    names, blocks = read_trace_csv(path)
+    got = [block.copy() for block in blocks]
     assert [len(block) for block in got] == [_RUN_BLOCK] * 3 + [5]
     assert np.array_equal(_bits(np.vstack(got)), _bits(mat))
