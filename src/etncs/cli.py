@@ -329,12 +329,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def _write_dat(out_dir: Path, names: Sequence[str], x, *ys) -> None:
-    """Write ``x`` beside each of ``ys``, one file per name (see
-    ``_write_dat_blocks``)."""
-    _write_dat_blocks(out_dir, names, [(x, *ys)])
-
-
 def _write_dat_blocks(out_dir: Path, names: Sequence[str], blocks) -> None:
     """Write the first column of each block beside each of the others, one
     file per name; ``blocks`` gives ``(x, *ys)`` tuples of the rows in turn.
@@ -381,9 +375,10 @@ def cmd_report(args) -> int:
     ev = _read_run(out_dir, functools.partial(_report_rows, out_dir, scenario))
     for side in ("plant", "controller"):
         commit_t = ev.t[ev.commits(side)]
-        _write_dat(out_dir, [f"interevent_{side}.dat"], commit_t[1:], np.diff(commit_t))
+        _write_dat_blocks(out_dir, [f"interevent_{side}.dat"], [(commit_t[1:], np.diff(commit_t))])
         on = ev.on(side)
-        _write_dat(out_dir, [f"dropouts_{side}.dat"], ev.t[on], (~ev.dropped[on]).astype(float))
+        _write_dat_blocks(out_dir, [f"dropouts_{side}.dat"],
+                          [(ev.t[on], (~ev.dropped[on]).astype(float))])
     print(f"report data written to {out_dir}")
     return EXIT_OK
 

@@ -39,33 +39,18 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration."""
 
 
-KNOWN_KEYS = {
-    "plant.model", "plant.x0", "plant.nu", "plant.rho",
-    "plant.a", "plant.b", "plant.c", "plant.d",
-    "controller.model", "controller.x0", "controller.nu", "controller.rho",
-    "controller.a", "controller.b", "controller.c", "controller.d",
-    "trigger_p.delta", "trigger_c.delta",
-    "quant_p.kind", "quant_p.step", "quant_p.density", "quant_p.a", "quant_p.b",
-    "quant_p.u0", "quant_p.n_levels",
-    "quant_c.kind", "quant_c.step", "quant_c.density", "quant_c.a", "quant_c.b",
-    "quant_c.u0", "quant_c.n_levels",
-    "chan_pc.T0", "chan_pc.d", "chan_pc.form", "chan_pc.table",
-    "chan_pc.initial_hold", "chan_pc.dropout.kind", "chan_pc.dropout.p",
-    "chan_pc.dropout.seed", "chan_pc.dropout.pattern",
-    "chan_pc.dropout.max_consecutive",
-    "chan_cp.T0", "chan_cp.d", "chan_cp.form", "chan_cp.table",
-    "chan_cp.initial_hold", "chan_cp.dropout.kind", "chan_cp.dropout.p",
-    "chan_cp.dropout.seed", "chan_cp.dropout.pattern",
-    "chan_cp.dropout.max_consecutive",
-    "design.alpha", "design.gamma", "design.m22", "design.m22_sq",
-    "design.m11", "design.auto_margin",
-    "gains.m11", "gains.m21", "gains.m22",
-    "w1.kind", "w1.value", "w1.lo", "w1.hi", "w1.dwell", "w1.seed",
-    "w1.amplitude", "w1.freq", "w1.phase",
-    "w2.kind", "w2.value", "w2.lo", "w2.hi", "w2.dwell", "w2.seed",
-    "w2.amplitude", "w2.freq", "w2.phase",
-    "sim.t_end", "sim.h", "sim.drop_first_allowed", "sim.divergence_limit",
-}
+# the keys of each pair of sections, which share them, and of the other sections
+KNOWN_KEYS = {f"{section}.{key}" for sections, keys in (
+    (("plant", "controller"), "model x0 nu rho a b c d"),
+    (("trigger_p", "trigger_c"), "delta"),
+    (("quant_p", "quant_c"), "kind step density a b u0 n_levels"),
+    (("chan_pc", "chan_cp"), "T0 d form table initial_hold dropout.kind dropout.p "
+                             "dropout.seed dropout.pattern dropout.max_consecutive"),
+    (("w1", "w2"), "kind value lo hi dwell seed amplitude freq phase"),
+    (("design",), "alpha gamma m22 m22_sq m11 auto_margin"),
+    (("gains",), "m11 m21 m22"),
+    (("sim",), "t_end h drop_first_allowed divergence_limit"),
+) for section in sections for key in keys.split()}
 
 
 def parse_config_text(text: str) -> Dict[str, str]:

@@ -217,23 +217,14 @@ def energy_terms(traj: np.ndarray, times: np.ndarray) -> np.ndarray:
     return 0.5 * (values[1:] + values[:-1]) * np.diff(times)
 
 
-def l2_gain_estimate(input_traj: np.ndarray, output_traj: np.ndarray,
-                     times: Optional[np.ndarray] = None) -> float:
+def l2_gain_estimate(in_terms: np.ndarray, out_terms: np.ndarray) -> float:
     """Empirical gain sqrt(int ||y||^2 / int ||w||^2) by trapezoidal quadrature.
 
-    Without ``times``, the two arguments are already the ``energy_terms`` of
-    the input and of the output, as a blockwise pass keeps them; each
-    integral is their one pairwise sum.  This is a lower bound on the true
-    L2 gain of the map w -> y.
+    The two arguments are the ``energy_terms`` of the input and of the
+    output, as a blockwise pass keeps them; each integral is their one
+    pairwise sum.  This is a lower bound on the true L2 gain of the map
+    w -> y.
     """
-    if times is None:
-        in_terms, out_terms = input_traj, output_traj
-    else:
-        w = np.atleast_2d(np.asarray(input_traj, dtype=float).reshape(len(times), -1))
-        y = np.atleast_2d(np.asarray(output_traj, dtype=float).reshape(len(times), -1))
-        if not (len(w) == len(y) == len(times)):
-            raise ValueError("input, output and times must be aligned")
-        in_terms, out_terms = energy_terms(w, times), energy_terms(y, times)
     e_in = float(np.sum(in_terms))
     if e_in <= 0.0:
         raise ValueError("input signal has zero energy; gain is undefined")

@@ -76,10 +76,9 @@ class DelayProfile:
         return t + self.delay(t)
 
 
-def rate_bound_check(profile: DelayProfile, grid: Sequence[float],
-                     tol: float = 1e-9) -> bool:
+def rate_bound_check(profile: DelayProfile, grid: Sequence[float]) -> bool:
     """True iff finite-difference slopes of T over the grid stay within the
-    declared rate bound (grid must be sorted)."""
+    declared rate bound, to 1e-9 (grid must be sorted)."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         return True
@@ -87,7 +86,7 @@ def rate_bound_check(profile: DelayProfile, grid: Sequence[float],
         raise ValueError("grid must be strictly increasing")
     values = profile.delay(grid)
     slopes = np.abs(np.diff(values) / np.diff(grid))
-    return bool(np.all(slopes <= profile.d + tol))
+    return bool(np.all(slopes <= profile.d + 1e-9))
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ class PacketRecord:
 
     index: int
     send_time: float
-    payload: np.ndarray
+    payload: Sequence[float]   # as given to send, not copied
     arrival_time: float  # nan when dropped
     dropped: bool
 
@@ -184,13 +183,14 @@ class Channel:
 
     def send(self, t: float, payload, force_success: bool = False,
              lane: int = 0) -> PacketRecord:
-        """One attempt to send ``payload`` on ``lane`` at time ``t``."""
+        """One attempt to send ``payload``, a sequence of ``dim`` floats, on
+        ``lane`` at time ``t``.  The channel keeps the payload it is given,
+        so the caller must not change it afterwards."""
         if t < self._last_send[lane]:
             raise ValueError(
                 f"non-monotone send time {t} after {self._last_send[lane]} "
                 f"on channel {self.channel_id!r}")
         self._last_send[lane] = t
-        payload = np.asarray(payload, dtype=float).copy()
         index = self.attempts[lane]
         self.attempts[lane] = index + 1
         if (not force_success) and self.dropouts[lane].dropped(

@@ -41,7 +41,6 @@ __all__ = [
     "TraceLog",
     "run_scenario",
     "compute_metrics",
-    "invariant_checks",
     "dropout_spans",
     "max_consecutive_drops",
     "held_samples",
@@ -570,21 +569,11 @@ def _accum_ratio_excess(trace: TraceLog, side: str, delta: float) -> float:
     return float(np.fmax.reduce(ratio - bound, initial=-math.inf))
 
 
-def invariant_checks(run, design: Optional[DesignResult] = None
-                     ) -> Tuple[Dict[str, Tuple[bool, str]], Dict[str, float]]:
-    """The verdicts metrics.kv and verify.kv share, as name -> (pass, detail),
-    and the values metrics.kv prints with them, of the ``checks.RunChecks``
-    a run was fed to block by block (see ``checks.verdicts``)."""
-    from . import checks   # here, so that only the steps that check a run compile it
-
-    return checks.verdicts(run, design)
-
-
 def compute_metrics(run, design: Optional[DesignResult] = None,
                     params: Optional[DesignParams] = None) -> Dict[str, object]:
     """metrics.kv's entries, from the ``checks.RunMetrics`` a run was fed to
     block by block (see ``checks.metrics``)."""
-    from . import checks
+    from . import checks   # here, so that only the steps that check a run compile it
 
     return checks.metrics(run, design, params)
 

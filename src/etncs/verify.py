@@ -2,7 +2,7 @@
 
 The run is read back one block of rows at a time (``tracecsv.read_run``),
 so no check holds the whole trace.  The verdicts metrics.kv reports too
-come from ``sim.invariant_checks`` on the blocks merged by a
+come from ``checks.verdicts`` on the blocks merged by a
 ``checks.RunChecks``; the checks here are on the files themselves, each
 merged across blocks from counts, first rows and the last row of the block
 before.  Events join their trace rows on ``sample_index``, and an event off
@@ -16,9 +16,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .checks import RunChecks
+from .checks import RunChecks, verdicts
 from .design import DesignResult
-from .sim import TRACE_COLUMNS, ScenarioConfig, held_samples, invariant_checks
+from .sim import TRACE_COLUMNS, EventTable, ScenarioConfig, held_samples
 from .tracecsv import read_run
 
 __all__ = ["verify_trace_files"]
@@ -31,6 +31,28 @@ def _close(a: np.ndarray, b) -> bool:
     array of its shape or a float, without its argument handling: equal
     infinities are close, NaN is close to nothing."""
     return bool(np.all((np.abs(a - b) <= 1e-9) | (a == b)))
+
+
+def _bookkeeping(ev: EventTable) -> np.ndarray:
+    """Per event, whether its attempt_index, drops_before, y_norm and e_norm
+    are what its side's attempts give: its position among them, the
+    attempts since the side's last commit, ||committed|| and ||committed -
+    the side's previous commit|| (zeros before the first).  The norms agree
+    within 1e-12 relative; a non-finite one is finite_values' to report."""
+    ok = np.ones(len(ev), bool)
+    for side in ("plant", "controller"):
+        on = np.flatnonzero(ev.on(side))
+        pos = np.arange(len(on))
+        last = np.maximum.accumulate(np.where(ev.dropped[on], -1, pos))
+        before = np.concatenate(([-1], last))[:len(on)]   # the last commit before each
+        sample = ev.committed[on]
+        previous = np.concatenate((np.zeros((1, sample.shape[1])), sample))[before + 1]
+        ok[on] = (ev.attempt_index[on] == pos) & (ev.drops_before[on] == pos - 1 - before)
+        for recorded, norm in ((ev.y_norm[on], np.linalg.norm(sample, axis=1)),
+                               (ev.e_norm[on], np.linalg.norm(sample - previous, axis=1))):
+            close = np.abs(recorded - norm) <= 1e-12 * np.abs(recorded)
+            ok[on] &= close | ~np.isfinite(recorded)
+    return ok
 
 
 # inf and NaN in the files need no warning: the checks' <= comparisons fail both
@@ -102,7 +124,7 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     checks["error_columns"] = (
         errors_ok, "logged errors equal output minus last commit" + ("" if errors_ok else cause))
 
-    for name, (ok, detail) in invariant_checks(run, design)[0].items():
+    for name, (ok, detail) in verdicts(run, design)[0].items():
         on_join = name.startswith(("trigger_ineq", "held_norm_bound"))
         checks[name] = (ok, detail + cause if on_join and not ok else detail)
 
@@ -111,12 +133,15 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
         "piecewise constant between arrivals" if unexplained_t is None
         else f"u_r changed at t={unexplained_t:.6f} with no packet arrival")
 
-    bad = np.flatnonzero(~ev.dropped & ~agree)
+    unlogged = ~ev.dropped & ~agree
+    bad = np.flatnonzero(unlogged | ~_bookkeeping(ev))
     detail = "committed samples equal the logged output at their row"
     if len(bad):
         e = bad[0]
-        detail = (f"{'plant' if ev.plant[e] else 'controller'} commit at "
-                  f"t={ev.t[e]:.6f} disagrees with trace" if on_row[e]
+        side = "plant" if ev.plant[e] else "controller"
+        detail = (f"{side} attempt at t={ev.t[e]:.6f} has an attempt_index, drops_before, "
+                  "e_norm or y_norm that its side's attempts do not give" if not unlogged[e]
+                  else f"{side} commit at t={ev.t[e]:.6f} disagrees with trace" if on_row[e]
                   else f"commit at t={ev.t[e]:.6f} has no trace row")
     checks["committed_samples"] = (len(bad) == 0, detail)
 

@@ -168,6 +168,32 @@ def test_verify_non_finite_event_value_fails_finite_values(tmp_path, short_run, 
     assert kv["detail.finite_values"] == "all samples finite"
 
 
+@pytest.mark.parametrize("field, text", [(6, sim._FMT % 123.0), (7, sim._FMT % 7.0),
+                                         (4, "99"), (5, "42")],
+                         ids=["e_norm", "y_norm", "attempt_index", "drops_before"])
+def test_verify_tampered_event_bookkeeping_fails_committed_samples(tmp_path, short_run,
+                                                                   field, text):
+    """The first event's e_norm, y_norm, attempt_index or drops_before set
+    to another value, in the writer's spelling, fails committed_samples
+    (exit 4), which re-derives them from the event table, and no other
+    check."""
+    for name in ("trace.csv", "events.csv"):
+        shutil.copy(short_run / name, tmp_path)
+    events = tmp_path / "events.csv"
+    lines = events.read_text().splitlines()
+    row = lines[1].split(",")
+    assert row[field] != text
+    row[field] = text
+    lines[1] = ",".join(row)
+    events.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--config", str(CONFIG), "--out", str(tmp_path), *HALF]) == 4
+    kv = _read_kv(tmp_path / "verify.kv")
+    assert {k for k, v in kv.items() if v == "fail"} == {"check.committed_samples"}
+    assert kv["detail.committed_samples"] == (
+        f"{row[0]} attempt at t=0.000000 has an attempt_index, drops_before, "
+        "e_norm or y_norm that its side's attempts do not give")
+
+
 def test_verify_missing_trace_is_usage_error(tmp_path):
     assert main(["verify", "--config", str(CONFIG), "--out", str(tmp_path)]) == 1
 

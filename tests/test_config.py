@@ -1,8 +1,9 @@
+import re
 from pathlib import Path
 
 import pytest
 
-from etncs.config import (ConfigError, apply_overrides, build_design_inputs,
+from etncs.config import (KNOWN_KEYS, ConfigError, apply_overrides, build_design_inputs,
                           build_scenario, format_config, load_config,
                           parse_config_text, run_design)
 
@@ -19,6 +20,22 @@ def test_parse_basics():
     assert cfg["plant.model"] == "cubic_nl2"
     assert cfg["plant.x0"] == "10, -14"
     assert cfg["sim.h"] == "0.001"
+
+
+def test_schema_lists_exactly_the_known_keys():
+    """configs/schema.txt's sections (``plant. / controller.``) and the key
+    names that open their two-space indented lines (``nu, rho``, ``m22 |
+    m22_sq | auto_margin``) are the keys a config may set."""
+    documented, sections = set(), []
+    for line in (CONFIG_DIR / "schema.txt").read_text().splitlines():
+        header = re.match(r"(\w+)\.(?: / (\w+)\.)?(?:\s|$)", line)
+        if header:
+            sections = [name for name in header.groups() if name]
+        elif sections and line.startswith("  ") and not line.startswith("   "):
+            names = re.match(r"[\w.]+(?:(?:, | \| )[\w.]+)*", line[2:]).group()
+            documented |= {f"{section}.{key}" for section in sections
+                           for key in re.split(r", | \| ", names)}
+    assert documented == KNOWN_KEYS
 
 
 def test_parse_rejects_unknown_key():

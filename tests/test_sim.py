@@ -21,8 +21,7 @@ from etncs.quantizer import QuantizerSpec
 from etncs.signals import Signal, SignalSpec, hash_uniform
 from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, _norm, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans, format_blocks,
-                       invariant_checks, read_trace_csv, run_scenario, text_bytes,
-                       write_trace_csv)
+                       read_trace_csv, run_scenario, text_bytes, write_trace_csv)
 from etncs.trigger import TriggerConfig
 
 import whole
@@ -641,10 +640,10 @@ def test_read_trace_csv_peak_memory_is_one_block(tmp_path):
 @pytest.mark.parametrize("rows", [0, 1])
 def test_report_files_of_zero_and_one_row(tmp_path, rows):
     """An empty column pair writes an empty file, one row writes one line."""
-    from etncs.cli import _write_dat
+    from etncs.cli import _write_dat_blocks
 
     x, y = np.arange(rows, dtype=float) + 0.5, -np.arange(rows, dtype=float)
-    _write_dat(tmp_path, ["a.dat", "b.dat"], x, y, 2 * y)
+    _write_dat_blocks(tmp_path, ["a.dat", "b.dat"], [(x, y, 2 * y)])
     assert len(list(format_blocks(x))) == rows
     assert (tmp_path / "a.dat").read_text() == "".join(
         "%.16e %.16e\n" % (a, b) for a, b in zip(x, y))
@@ -774,6 +773,33 @@ def test_two_port_lanes_match_their_solo_runs():
         _same_run(run, whole.run(sc))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_verify_rederives_the_executors_event_bookkeeping(m):
+    """Every attempt's attempt_index, drops_before, y_norm and e_norm are
+    those verify derives from its side's attempts, with drops on both
+    links, and a drops_before one off on a drop is flagged there alone."""
+    from etncs.verify import _bookkeeping
+
+    drop = DropoutModel(kind="bernoulli", p=0.5, seed=3)
+    ports = {} if m == 1 else dict(
+        plant=_two_port(-3.6, 2.0, 1.0, 0.0, PassivityIndices(nu=0.0, rho=1.8), "diagonal2"),
+        controller=_two_port(-3.0, 1.0, 7.0, 1.0, PassivityIndices(nu=0.49, rho=0.27), "lead2"),
+        x0_controller=np.array([0.5, 0.0]))
+    ev = whole.run(_scenario(x0_plant=np.array([5.0, -8.0]), t_end=2.0,
+                             w1=SignalSpec(kind="piecewise_uniform", lo=-2.0, hi=2.0,
+                                           dwell=0.05, seed=3),
+                             chan_pc=ChannelConfig(DelayProfile(t0=0.01, d=0.0), drop),
+                             chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.0), drop),
+                             **ports)).events
+    assert ev.committed.shape[1] == m and (ev.drops_before > 1).any()
+    assert _bookkeeping(ev).all()
+    drops_before = ev.drops_before.copy()
+    (later,) = np.flatnonzero(ev.dropped & (ev.drops_before > 1))[-1:]
+    drops_before[later] += 1
+    ok = _bookkeeping(dataclasses.replace(ev, drops_before=drops_before))
+    assert np.flatnonzero(~ok).tolist() == [later]
+
+
 # signed zeros, subnormals, values whose square overflows, infinities, NaN
 _NORM_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.3e154, 1.4e154, -1e200,
                1.7976931348623157e308, math.inf, -math.inf, math.nan]
@@ -849,8 +875,8 @@ def test_lockstep_lanes_share_all_but_disturbances_and_dropouts(field, override)
         whole.lanes([first, second])
 
 
-def test_compute_metrics_reads_its_verdicts_from_invariant_checks():
-    """metrics.kv's shared booleans are invariant_checks' pass flags, also
+def test_compute_metrics_reads_its_verdicts_from_checks_verdicts():
+    """metrics.kv's shared booleans are checks.verdicts' pass flags, also
     when they fail: with the plant's commits after t=0 removed from the
     event table, the plant's held sample no longer follows its output."""
     trace = whole.run(_scenario(x0_plant=np.array([5.0, -8.0]),
@@ -877,7 +903,7 @@ def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
     back a block at a time merges to its verdicts.  The run spans three
     blocks, with drops on both links and a dropout span across a block's
     edge on each side."""
-    from etncs.checks import RunChecks, RunMetrics
+    from etncs.checks import RunChecks, RunMetrics, verdicts
     from etncs.sim import _RUN_BLOCK, read_events_csv, write_events_csv
     from etncs.tracecsv import read_run
 
@@ -911,7 +937,7 @@ def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
     read.events, blocks = read_run(sc, tmp_path / "trace.csv", tmp_path / "events.csv")
     for block in blocks:
         read.add(block)
-    for got, want in zip(invariant_checks(read), whole.verdicts(trace)):
+    for got, want in zip(verdicts(read), whole.verdicts(trace)):
         assert _value_bits(got) == _value_bits(want)
     assert read_events_csv(tmp_path / "events.csv", 1).t.tobytes() == trace.events.t.tobytes()
 

@@ -10,7 +10,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from etncs import sim
+from etncs import checks, sim
 from etncs.checks import RunChecks, RunMetrics
 from etncs.sim import TRACE_COLUMNS, DivergenceError, ScenarioConfig, TraceLog
 
@@ -48,16 +48,16 @@ def run(cfg: ScenarioConfig) -> TraceLog:
     return trace
 
 
-def _fed(trace: TraceLog, checks: type) -> RunChecks:
-    run = checks(trace.config)
+def _fed(trace: TraceLog, kind: type) -> RunChecks:
+    run = kind(trace.config)
     run.add(trace)
     run.events = trace.events
     return run
 
 
 def verdicts(trace: TraceLog, design=None):
-    """``sim.invariant_checks`` of a whole trace, fed as one block."""
-    return sim.invariant_checks(_fed(trace, RunChecks), design)
+    """``checks.verdicts`` of a whole trace, fed as one block."""
+    return checks.verdicts(_fed(trace, RunChecks), design)
 
 
 def metrics(trace: TraceLog, design=None, params=None) -> dict:
