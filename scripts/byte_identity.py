@@ -10,7 +10,11 @@ diverge (exit 3), a 3-lane sweep with both quantizers logarithmic, a 3-lane
 sweep with a table delay on one link and a constant delay and pattern drops
 on the other, and the 2-lane sweep ``--seed 7,8``; after each of the last
 three, ``verify`` and ``report`` of its first lane, so that the readers
-meet logarithmic quantizer outputs, a table delay and pattern drops.  Both
+meet logarithmic quantizer outputs, a table delay and pattern drops.  Last
+comes the ``forms`` run, ``simulate``, ``verify`` and ``report`` of one
+``--seed``, which selects every config form the runs above leave out: an
+``lti`` plant, explicit ``gains.*``, identity quantizers, a constant w2, no
+controller-link dropout and ``sim.drop_first_allowed``.  Both
 trees write to the same directory, one after the other, so paths printed in
 outputs agree.  It then compares every output file, each step's exit code
 and its sorted stderr lines, and prints the first difference (exit 1) or
@@ -37,6 +41,11 @@ LINK_SETS = [a for s in (
     "chan_cp.form=constant", "chan_cp.T0=0.02", "chan_cp.dropout.kind=pattern",
     "chan_cp.dropout.pattern=0110100", "trigger_p.delta=0.01", "trigger_c.delta=0.02",
     "sim.t_end=3") for a in ("--set", s)]
+FORM_SETS = [a for s in (
+    "quant_p.kind=identity", "quant_c.kind=identity", "w2.kind=constant", "w2.value=0.1",
+    "chan_cp.dropout.kind=none", "sim.drop_first_allowed=true", "plant.model=lti",
+    "plant.a=-3.6", "plant.b=2", "plant.c=1", "plant.d=0", "plant.x0=5", "gains.m11=0.16",
+    "gains.m21=-4.865", "gains.m22=7.033", "sim.t_end=2") for a in ("--set", s)]
 
 
 def sequences(out: Path):
@@ -54,6 +63,9 @@ def sequences(out: Path):
         for command in ("verify", "report"):
             yield name, [command, "--config", wl.CONFIG, "--out",
                          str(out / name / f"seed_{lane}"), *sets, "--seed", lane]
+    for command in ("simulate", "verify", "report"):
+        yield "forms", [command, "--config", wl.CONFIG, "--out", str(out / "forms"),
+                        *FORM_SETS, "--seed", "3"]
 
 
 def run_tree(src: Path, out: Path) -> list:

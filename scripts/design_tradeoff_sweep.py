@@ -5,17 +5,20 @@ resulting robustness/performance trade-offs.
 For a grid of m22^2 (gain-block size) and delta_c (controller triggering
 threshold) this prints the transformed indices, the stability margins, the
 certified L2 gain bound and both dropout budgets, and writes
-`design_sweep.dat` (gnuplot-ready columns) next to the output.
+`design_sweep.dat` (gnuplot-ready columns) next to the output.  The m22^2
+grid is a set of multipliers on the smallest admissible m22^2
+(``min_m22_sq``); they live here, since a config states m22^2 itself.
 
 Usage: python3 scripts/design_tradeoff_sweep.py [out_dir]
 """
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
 
 from etncs.config import build_design_inputs, load_config
-from etncs.design import DesignParams, InfeasibleDesign, min_m22_sq, synthesize
+from etncs.design import InfeasibleDesign, min_m22_sq, synthesize
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG = ROOT / "configs" / "worked_example.cfg"
@@ -29,10 +32,7 @@ def run(out_dir: str) -> int:
     print(f"{'delta_c':>8} {'m22^2':>8} {'rho_t':>8} {'nu_t':>8} "
           f"{'margin2':>8} {'gain_bd':>9} {'d_p':>4} {'d_c':>4}")
     for delta_c in (0.05, 0.15, 0.30, 0.60):
-        p = DesignParams(rho_p=base.rho_p, nu_p=base.nu_p, rho_c=base.rho_c,
-                         nu_c=base.nu_c, delta_p=base.delta_p, delta_c=delta_c,
-                         alpha=base.alpha, gamma=base.gamma,
-                         b_p=base.b_p, b_c=base.b_c, d1=base.d1, d2=base.d2)
+        p = dataclasses.replace(base, delta_c=delta_c)
         floor_sq = min_m22_sq(p)
         for scale in (1.1, 1.4, 2.0, 3.0, 5.0):
             m22_sq = floor_sq * scale

@@ -6,7 +6,8 @@ verdicts need: counts, the time of the first failing row, maxima, and the
 two trapezoid energy terms of each step (16 B per row), which are summed
 once at the end so that the empirical L2 gain keeps the bits of one
 pairwise sum.  The energy terms and the dissipation residuals span two rows,
-so each block is joined to the last row of the block before.  This is a
+so each block is joined to the last row of the block before (``joined``,
+which ``verify`` also calls for its time-grid and ``u_r`` checks).  This is a
 module of its own, imported by the steps that check a run, so that design
 and report do not compile it.
 """
@@ -29,7 +30,7 @@ __all__ = ["RunChecks", "RunMetrics", "verdicts", "metrics"]
 
 _SIDES = ("plant", "controller")
 # the columns whose last row a block carries over to the next
-_JOINED = ("t", "w1", "y_p", "x_p", "u_p")
+_JOINED = ("t", "w1", "y_p", "x_p", "u_p", "u_r")
 
 
 class RunChecks:
@@ -57,8 +58,9 @@ class RunChecks:
         self.dissip_ok = True
         self._last: Optional[Dict[str, np.ndarray]] = None
 
-    def _joined(self, block: TraceLog, name: str) -> np.ndarray:
-        """A column of the block after the last row of the block before."""
+    def joined(self, block: TraceLog, name: str) -> np.ndarray:
+        """A column of the block after the last row of the block before;
+        called before ``add`` merges the block."""
         rows = getattr(block, name)
         return rows if self._last is None else np.concatenate((self._last[name], rows))
 
@@ -82,9 +84,9 @@ class RunChecks:
                 self.bound_first.setdefault(side, rep.violations[0][0])
             self.excluded[side] = rep.excluded_spans   # the last block sees every attempt
             del held_side, rep   # free one side's arrays before the next
-        times = self._joined(block, "t")
+        times = self.joined(block, "t")
         for i, name in enumerate(("w1", "y_p")):
-            terms = core.energy_terms(self._joined(block, name), times)
+            terms = core.energy_terms(self.joined(block, name), times)
             kept, stop_terms = self.energy[i], self.terms + len(terms)
             if stop_terms > len(kept):   # a trace file with more rows than the config's
                 kept = self.energy[i] = np.concatenate((kept[:self.terms], np.empty(stop_terms)))
@@ -92,8 +94,8 @@ class RunChecks:
         self.terms = stop_terms
         plant = cfg.plant
         if plant.storage is not None:
-            x = self._joined(block, "x_p")
-            res = core.dissipativity_residuals(plant, times, x, self._joined(block, "u_p"))
+            x = self.joined(block, "x_p")
+            res = core.dissipativity_residuals(plant, times, x, self.joined(block, "u_p"))
             if len(res):
                 # tolerance 1e-6 * (1 + max(|V_k|, |V_{k+1}|)) scales the
                 # quadrature error allowance with the storage at either end

@@ -13,8 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .design import (DesignParams, DesignResult, InfeasibleDesign, TransformGains,
-                     min_m22_sq, synthesize)
+from .design import DesignParams, DesignResult, InfeasibleDesign, TransformGains, synthesize
 from .models import build_model, lti_siso
 from .network import DelayProfile, DropoutModel, rate_bound_check
 from .quantizer import QuantizerSpec
@@ -47,7 +46,7 @@ KNOWN_KEYS = {f"{section}.{key}" for sections, keys in (
     (("chan_pc", "chan_cp"), "T0 d form table initial_hold dropout.kind dropout.p "
                              "dropout.seed dropout.pattern dropout.max_consecutive"),
     (("w1", "w2"), "kind value lo hi dwell seed amplitude freq phase"),
-    (("design",), "alpha gamma m22 m22_sq m11 auto_margin"),
+    (("design",), "alpha gamma m22_sq m11"),
     (("gains",), "m11 m21 m22"),
     (("sim",), "t_end h drop_first_allowed divergence_limit"),
 ) for section in sections for key in keys.split()}
@@ -253,25 +252,10 @@ def build_design_inputs(cfg: Dict[str, str]) -> Tuple[DesignParams, float, float
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    auto = _get_float(cfg, "design.auto_margin")
-    m22_sq = _get_float(cfg, "design.m22_sq")
-    m22 = _get_float(cfg, "design.m22")
-    given = sum(v is not None for v in (auto, m22_sq, m22))
-    if given != 1:
-        raise ConfigError(
-            "exactly one of design.m22, design.m22_sq, design.auto_margin is required")
-    if auto is not None:
-        if auto <= 0:
-            raise ConfigError("design.auto_margin must be positive")
-        m22 = math.sqrt(auto * min_m22_sq(params))
-    elif m22_sq is not None:
-        if m22_sq <= 0:
-            raise ConfigError("design.m22_sq must be positive")
-        m22 = math.sqrt(m22_sq)
-    m11 = _get_float(cfg, "design.m11")
-    if m11 is None:
-        raise ConfigError("missing required key design.m11")
-    return params, float(m22), float(m11)
+    m22_sq = _require_float(cfg, "design.m22_sq")
+    if m22_sq <= 0:
+        raise ConfigError("design.m22_sq must be positive")
+    return params, math.sqrt(m22_sq), _require_float(cfg, "design.m11")
 
 
 def run_design(cfg: Dict[str, str]) -> Tuple[DesignParams, DesignResult]:

@@ -51,7 +51,8 @@ def firstorder_lead(nu: float = 0.49, rho: float = 0.27) -> SystemModel:
     The default indices are declared metadata; see the frequency-domain
     check in core.verify_lti_indices for their verification margin.
     """
-    return lti_siso(-3.0, 1.0, 7.0, 1.0, nu=nu, rho=rho, name="firstorder_lead")
+    a, b, c, d = (float(m[0, 0]) for m in FIRSTORDER_LEAD_SS)
+    return lti_siso(a, b, c, d, nu=nu, rho=rho, name="firstorder_lead")
 
 
 def lti_siso(a: float, b: float, c: float, d: float,

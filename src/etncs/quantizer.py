@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = ["QuantizerSpec", "SectorViolation", "quantize", "sector_certificate"]
 
-KINDS = ("identity", "uniform-mid-tread", "uniform-mid-riser", "logarithmic")
+KINDS = ("identity", "uniform-mid-tread", "logarithmic")
 
 
 class SectorViolation(AssertionError):
@@ -45,7 +45,7 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown quantizer kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in ("uniform-mid-tread", "uniform-mid-riser") and self.step <= 0:
+        if self.kind == "uniform-mid-tread" and self.step <= 0:
             raise ValueError("uniform quantizers need step > 0")
         if self.kind == "logarithmic":
             if not (0.0 < self.density < 1.0):
@@ -80,12 +80,6 @@ def _mid_tread(v, step: float):
             return out
         return _mid_tread(np.array(v, dtype=float), step).tolist()
     return np.sign(v) * np.floor(np.abs(v) / step + 0.5) * step
-
-
-def _mid_riser(v: np.ndarray, step: float) -> np.ndarray:
-    # symmetrized variant: exact zero maps to zero, otherwise no dead zone
-    out = np.sign(v) * step * (np.floor(np.abs(v) / step) + 0.5)
-    return np.where(v == 0.0, 0.0, out)
 
 
 def _logarithmic(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
@@ -134,8 +128,6 @@ def _quantize_array(spec: QuantizerSpec, v: np.ndarray) -> np.ndarray:
         return v.copy()
     if spec.kind == "uniform-mid-tread":
         return _mid_tread(v, spec.step)
-    if spec.kind == "uniform-mid-riser":
-        return _mid_riser(v, spec.step)
     return _logarithmic(v, spec)
 
 

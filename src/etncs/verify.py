@@ -79,12 +79,10 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     arrivals.sort()
     next_arrivals = np.append(arrivals, np.inf)
     unexplained_t = None   # the first u_r change with no packet arrival
-    last = None            # t and u_r at the last row of the block before
     for block in blocks:
         t = block.t
         first, stop = block.first_row, block.first_row + len(t)
-        t2, u_r2 = ((t, block.u_r) if last is None else
-                    (np.concatenate((last[0], t)), np.concatenate((last[1], block.u_r))))
+        t2, u_r2 = run.joined(block, "t"), run.joined(block, "u_r")
         dt = np.diff(t2)
         uniform &= bool(np.all(dt > 0)) and _close(dt, h)
         finite &= all(np.all(np.isfinite(getattr(block, c))) for c in TRACE_COLUMNS)
@@ -107,7 +105,6 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
         unexplained = changed[~(next_arrival <= t2[changed] + 1e-12)]
         if unexplained_t is None and len(unexplained):
             unexplained_t = t2[unexplained[0]]
-        last = (t[-1:].copy(), block.u_r[-1:].copy())
         del block, held
 
     checks: Dict[str, CheckResult] = {}

@@ -19,8 +19,9 @@ import etncs
 
 from etncs import core, sim
 from etncs.cli import main
-from etncs.config import (KNOWN_KEYS, apply_overrides, build_scenario, format_config,
-                          load_config)
+from etncs.config import (KNOWN_KEYS, apply_overrides, build_design_inputs, build_scenario,
+                          format_config, load_config)
+from etncs.design import min_m22_sq
 
 import whole
 
@@ -66,13 +67,16 @@ def test_design_infeasible_m22_exits_2(tmp_path, capsys):
 
 
 def test_design_boundary_auto_margin_exits_2(tmp_path, capsys):
+    """At the smallest admissible m22^2 (a margin multiplier of 1.0) the
+    coupling margin is zero and the design is not certified."""
     code = main(["design", "--config", str(CONFIG), "--out", str(tmp_path),
-                 "--set", "design.m22_sq=", "--set", "design.auto_margin=1.0"])
+                 "--set", "design.m22_sq="])
     # empty m22_sq override is invalid; drive it by editing instead
     assert code == 1
 
+    params = build_design_inputs(load_config(CONFIG))[0]
     text = CONFIG.read_text().replace("design.m22_sq = 49.46",
-                                      "design.auto_margin = 1.0")
+                                      f"design.m22_sq = {min_m22_sq(params)!r}")
     cfg2 = tmp_path / "boundary.cfg"
     cfg2.write_text(text)
     code = main(["design", "--config", str(cfg2), "--out", str(tmp_path)])
@@ -310,9 +314,10 @@ sim.t_end = 2.0
     assert kv["all_pass"] == "true"
 
 
-def test_unknown_override_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("item", ["plant.mass=3", "design.auto_margin=1.0", "design.m22=7"])
+def test_unknown_override_is_usage_error(tmp_path, capsys, item):
     code = main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
-                 "--set", "plant.mass=3"])
+                 "--set", item])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
 

@@ -6,6 +6,8 @@ import pytest
 from etncs.config import (KNOWN_KEYS, ConfigError, apply_overrides, build_design_inputs,
                           build_scenario, format_config, load_config,
                           parse_config_text, run_design)
+from etncs.design import min_m22_sq
+from etncs.quantizer import KINDS
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -24,8 +26,8 @@ def test_parse_basics():
 
 def test_schema_lists_exactly_the_known_keys():
     """configs/schema.txt's sections (``plant. / controller.``) and the key
-    names that open their two-space indented lines (``nu, rho``, ``m22 |
-    m22_sq | auto_margin``) are the keys a config may set."""
+    names that open their two-space indented lines (``nu, rho``,
+    ``m11, m21, m22``) are the keys a config may set."""
     documented, sections = set(), []
     for line in (CONFIG_DIR / "schema.txt").read_text().splitlines():
         header = re.match(r"(\w+)\.(?: / (\w+)\.)?(?:\s|$)", line)
@@ -36,6 +38,13 @@ def test_schema_lists_exactly_the_known_keys():
             documented |= {f"{section}.{key}" for section in sections
                            for key in re.split(r", | \| ", names)}
     assert documented == KNOWN_KEYS
+
+
+def test_schema_lists_exactly_the_quantizer_kinds():
+    """The ``kind`` line of the quantizer section names ``quantizer.KINDS``."""
+    text = (CONFIG_DIR / "schema.txt").read_text()
+    line = re.search(r"^quant_p\. / quant_c\.\n  kind +(.*)$", text, re.M).group(1)
+    assert set(line.split(" | ")) == set(KINDS)
 
 
 def test_parse_rejects_unknown_key():
@@ -71,19 +80,17 @@ def test_worked_example_design_inputs():
 
 
 def test_design_requires_exactly_one_m22_source():
+    """``design.m22_sq`` is the one source of m22."""
     cfg = load_config(CONFIG_DIR / "worked_example.cfg")
-    cfg["design.auto_margin"] = "1.5"
-    with pytest.raises(ConfigError, match="exactly one"):
-        build_design_inputs(cfg)
     del cfg["design.m22_sq"]
-    params, m22, _ = build_design_inputs(cfg)
-    assert m22 ** 2 == pytest.approx(1.5 * 34.2147, abs=0.01)
+    with pytest.raises(ConfigError, match="missing required key design.m22_sq"):
+        build_design_inputs(cfg)
 
 
 def test_auto_margin_boundary_gives_zero_coupling_margin():
+    """A margin multiplier of 1.0: m22^2 at its smallest admissible value."""
     cfg = load_config(CONFIG_DIR / "worked_example.cfg")
-    del cfg["design.m22_sq"]
-    cfg["design.auto_margin"] = "1.0"
+    cfg["design.m22_sq"] = repr(min_m22_sq(build_design_inputs(cfg)[0]))
     _, result = run_design(cfg)
     assert result.margins["coupling"] == pytest.approx(0.0, abs=1e-12)
     assert not result.stability_ok

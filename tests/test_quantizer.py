@@ -7,7 +7,6 @@ from etncs.quantizer import (QuantizerSpec, SectorViolation, quantize,
                              sector_certificate)
 
 MID_TREAD = QuantizerSpec(kind="uniform-mid-tread", step=0.5, sector=(0.0, 2.0))
-MID_RISER = QuantizerSpec(kind="uniform-mid-riser", step=0.5, sector=(0.0, 2.0))
 LOG_HALF = QuantizerSpec(kind="logarithmic", density=0.5, u0=4.0,
                          sector=(0.0, 4.0 / 3.0))
 IDENTITY = QuantizerSpec(kind="identity", sector=(1.0, 1.0))
@@ -35,7 +34,7 @@ def test_mid_tread_sector_two():
 @settings(max_examples=200)
 @given(v=finite_vals)
 def test_odd_symmetry_all_kinds(v):
-    for spec in (MID_TREAD, MID_RISER, LOG_HALF, IDENTITY):
+    for spec in (MID_TREAD, LOG_HALF, IDENTITY):
         assert quantize(spec, -v) == -quantize(spec, v)
 
 
@@ -101,13 +100,6 @@ def test_certificate_raises_on_escape():
         sector_certificate(bad, np.linspace(0.251, 0.3, 50))
 
 
-def test_mid_riser_has_no_dead_zone():
-    assert quantize(MID_RISER, 0.0) == 0.0
-    assert quantize(MID_RISER, 0.01) == 0.25
-    assert quantize(MID_RISER, -0.01) == -0.25
-    assert quantize(MID_RISER, 0.6) == 0.75
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuantizerSpec(kind="uniform-mid-tread", step=0.0)
@@ -117,3 +109,5 @@ def test_spec_validation():
         QuantizerSpec(kind="identity", sector=(2.0, 1.0))
     with pytest.raises(ValueError):
         QuantizerSpec(kind="nope")
+    with pytest.raises(ValueError):
+        QuantizerSpec(kind="uniform-mid-riser", step=0.5)

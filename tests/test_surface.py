@@ -9,8 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "etncs"
 
 # ROADMAP item 1 wires these
-ALLOWLIST = {"verify_lti_indices", "default_frequency_grid", "sector_certificate",
-             "FIRSTORDER_LEAD_SS"}
+ALLOWLIST = {"verify_lti_indices", "default_frequency_grid", "sector_certificate"}
 # the acceptance criteria select a side's attempts and commits with these
 METHOD_ALLOWLIST = {"TraceLog.events_on", "TraceLog.commits_on"}
 
