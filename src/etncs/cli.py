@@ -37,11 +37,11 @@ EXIT_VERIFY = 4
 
 # Lanes per lockstep batch of a seed sweep. It bounds a batch's memory. Rows
 # pass through in blocks of sim._RUN_BLOCK, so a lane keeps 16 B per row (the
-# two energy terms of its L2 gain) and 50 + 16*m B per attempt in its event
-# buffers (66 B at port dimension m = 1), beside about 0.3 MB of block
+# two energy terms of its L2 gain) and 18 + 16*m B per attempt in its event
+# buffers (34 B at port dimension m = 1), beside about 0.3 MB of block
 # buffers and, at 64 lanes, about 3 MB of the up to 256 rows the executor
 # keeps as tuples of (B,) arrays between writes into them. A full batch of
-# the worked example took 22.4 MB at 5 001 rows a lane and 38.8 MB at
+# the worked example took 22.2 MB at 5 001 rows a lane and 38.5 MB at
 # 20 001 (tracemalloc of the simulate step).
 BATCH_LANES = 64
 # Fewer lanes than this run one after another as one-lane runs, which write

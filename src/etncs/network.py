@@ -64,12 +64,10 @@ class DelayProfile:
 
     def delay(self, t):
         """T at one time (a float) or at an ndarray of times, elementwise."""
-        if self.form == "constant":
-            return self.t0 if np.ndim(t) == 0 else np.full(np.shape(t), self.t0)
-        if self.form == "affine":
-            return self.t0 + self.d * t
-        ts, vs = np.array(self.table).T
-        return np.interp(t, ts, vs)
+        if self.form == "table":
+            ts, vs = np.array(self.table).T
+            return np.interp(t, ts, vs)
+        return self.t0 + (self.d if self.form == "affine" else 0.0) * t
 
     def arrival(self, t):
         """t + T(t) at one time or at an ndarray of times, elementwise."""

@@ -44,6 +44,7 @@ __all__ = [
     "dropout_spans",
     "max_consecutive_drops",
     "held_samples",
+    "event_bookkeeping",
     "TRACE_COLUMNS",
     "format_blocks",
     "text_bytes",
@@ -135,16 +136,18 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class EventTable:
     """The attempted transmissions of a run as columns, one row per detector
-    firing, kept or dropped, in firing order.  Indexing it with a mask, a
-    slice or an index selects those rows of every column."""
+    firing, kept or dropped, in firing order.  The executor records all but
+    the four bookkeeping columns, which ``event_bookkeeping`` derives.
+    Indexing it with a mask, a slice or an index selects those rows of every
+    column."""
 
     plant: np.ndarray          # bool: fired by the plant side, else the controller
     dropped: np.ndarray        # bool: the channel dropped the packet
     t: np.ndarray
     sample_index: np.ndarray   # int64: the trace row of the firing sample
-    attempt_index: np.ndarray  # int64: the link's attempt counter
-    drops_before: np.ndarray   # int64: consecutive drops on the link just before
-    e_norm: np.ndarray         # ||y - last committed|| at the firing sample
+    attempt_index: np.ndarray  # int64: position among its side's attempts
+    drops_before: np.ndarray   # int64: its side's attempts since that side's last commit
+    e_norm: np.ndarray         # ||y - the side's last commit|| at the firing sample
     y_norm: np.ndarray         # ||y|| at the firing sample
     payload: np.ndarray        # (n, m): quantized values put on the wire
     committed: np.ndarray      # (n, m): raw output samples (committed when not dropped)
@@ -164,22 +167,49 @@ class EventTable:
         return self.on(side) & ~self.dropped
 
 
-# each EventTable column's buffer type and dtype; a vector takes m values per attempt
-_EVENT_CODES = "BBdqqqdddd"
-_EVENT_DTYPES = (bool, bool, float, np.int64, np.int64, np.int64, float, float, float, float)
+# each recorded EventTable column's buffer type; a vector takes m values per attempt
+_EVENT_CODES = "BBdqdd"
 
 
 def _event_buffers() -> Tuple[array, ...]:
-    """Empty typed buffers, one per EventTable column, for a lane's attempts."""
+    """Empty typed buffers, one per recorded column, for a lane's attempts."""
     return tuple(array(code) for code in _EVENT_CODES)
 
 
+def _columns(buffers: Sequence[array]) -> List[np.ndarray]:
+    """Each typed buffer viewed as a numpy column without a copy, a "B"
+    buffer as bools; the buffers can no longer grow."""
+    return [np.frombuffer(b, bool if b.typecode == "B" else b.typecode) for b in buffers]
+
+
 def _event_table(buffers: Sequence[array], m: int) -> EventTable:
-    """The EventTable viewing its column buffers without a copy, vectors last;
-    the buffers can no longer grow."""
-    *scalars, payload, committed = (np.frombuffer(b, dtype=d)
-                                    for b, d in zip(buffers, _EVENT_DTYPES))
-    return EventTable(*scalars, payload.reshape(-1, m), committed.reshape(-1, m))
+    """The EventTable viewing the recorded columns' buffers, with the four
+    columns ``event_bookkeeping`` derives from them."""
+    plant, dropped, t, sample_index, payload, committed = _columns(buffers)
+    committed = committed.reshape(-1, m)
+    return EventTable(plant, dropped, t, sample_index,
+                      *event_bookkeeping(plant, dropped, committed),
+                      payload.reshape(-1, m), committed)
+
+
+def event_bookkeeping(plant: np.ndarray, dropped: np.ndarray, committed: np.ndarray
+                      ) -> Tuple[np.ndarray, ...]:
+    """(attempt_index, drops_before, e_norm, y_norm) of each attempt, from
+    its side's attempts in firing order: its position among them, the
+    attempts since the side's last commit, ||committed - the side's previous
+    commit|| (zeros before the first) and ||committed||, each norm numpy's
+    row reduction."""
+    attempt_index, drops_before = np.empty((2, len(plant)), np.int64)
+    e_norm = np.empty(len(plant))
+    for on in (np.flatnonzero(plant), np.flatnonzero(~plant)):
+        pos = np.arange(len(on))
+        last = np.maximum.accumulate(np.where(dropped[on], -1, pos))
+        before = np.concatenate(([-1], last))[:len(on)]   # the last commit before each
+        sample = committed[on]
+        previous = np.concatenate((np.zeros((1, sample.shape[1])), sample))[before + 1]
+        attempt_index[on], drops_before[on] = pos, pos - 1 - before
+        e_norm[on] = np.linalg.norm(sample - previous, axis=1)
+    return attempt_index, drops_before, e_norm, np.linalg.norm(committed, axis=1)
 
 
 @dataclass
@@ -447,16 +477,11 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
     committed = False
     for i in (0,) if one else np.flatnonzero(fire):   # a single lane fires as lane 0
         y_i = y if one else [v.item(i) for v in y]
-        held_i = held if one else [v.item(i) for v in held]
-        e_norm = _norm([a - b for a, b in zip(y_i, held_i)])
         payload = quantize(spec, [gain * v for v in y_i])
-        force = force_first and chan.attempts[i] == 0
-        drops_before = chan.consecutive_drops[i]
-        rec = chan.send(t, payload, force_success=force, lane=i)
+        # every live lane fires on both sides at k = 0, its links' first attempts
+        rec = chan.send(t, payload, force_success=force_first and k == 0, lane=i)
         *scalars, payloads, samples = events[i]
-        for column, value in zip(scalars, (
-                side == "plant", rec.dropped, t, k, rec.index, drops_before, e_norm,
-                _norm(y_i))):
+        for column, value in zip(scalars, (side == "plant", rec.dropped, t, k)):
             column.append(value)
         payloads.extend(payload)
         samples.extend(y_i)
@@ -468,16 +493,6 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
                     row[i] = v
             committed = True
     return committed
-
-
-def _norm(v: list) -> float:
-    """``np.linalg.norm`` of a list of floats, bit for bit.  numpy computes
-    sqrt(dot(v, v)), which for one element is sqrt(v*v): one rounded
-    square, then a correctly rounded sqrt, as in Python.  BLAS ``ddot`` does
-    not sum longer vectors by a left fold, so they keep numpy."""
-    if len(v) == 1:
-        return math.sqrt(v[0] * v[0])
-    return float(np.linalg.norm(v))
 
 
 def _divergences(cfg: ScenarioConfig, states, norms, failed, row: int, t: float

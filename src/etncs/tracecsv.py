@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import os
+from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .sim import (_BLOCK_ROWS, _E_MAX, _EVENTS_HEADER, _POW_LO, _RUN_BLOCK, EventTable,
-                  ScenarioConfig, TraceLog, _event_buffers, _event_table, _format_tables,
+                  ScenarioConfig, TraceLog, _columns, _format_tables,
                   _trace_header, _veltkamp, read_events_csv, read_trace_csv)
 
 __all__ = ["read", "read_events", "read_run"]
@@ -381,7 +382,7 @@ def read_events(path, width: int) -> EventTable:
         return (*labels, values[:, 0], *ints.T, values[:, 1], values[:, 2],
                 values[:, 3:3 + width], values[:, 3 + width:])
 
-    buffers = _event_buffers()
+    buffers = [array(code) for code in "BBdqqqdddd"]   # one per EventTable column
     with open(path, "rb") as fh:
         if fh.readline() != _EVENTS_HEAD:
             raise ValueError(f"events file {path} lacks the events header")
@@ -391,7 +392,8 @@ def read_events(path, width: int) -> EventTable:
         for block in _chunks(fh, size, line_max, fields, b",;", columns, f"events file {path}"):
             for buffer, column in zip(buffers, block):
                 buffer.frombytes(memoryview(np.ascontiguousarray(column)).cast("B"))
-    return _event_table(buffers, width)
+    *scalars, payload, committed = _columns(buffers)
+    return EventTable(*scalars, payload.reshape(-1, width), committed.reshape(-1, width))
 
 
 def _labels(spans: np.ndarray, starts: np.ndarray, ends: np.ndarray

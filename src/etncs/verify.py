@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import RunChecks, verdicts
 from .design import DesignResult
-from .sim import TRACE_COLUMNS, EventTable, ScenarioConfig, held_samples
+from .sim import TRACE_COLUMNS, ScenarioConfig, event_bookkeeping, held_samples
 from .tracecsv import read_run
 
 __all__ = ["verify_trace_files"]
@@ -31,28 +31,6 @@ def _close(a: np.ndarray, b) -> bool:
     array of its shape or a float, without its argument handling: equal
     infinities are close, NaN is close to nothing."""
     return bool(np.all((np.abs(a - b) <= 1e-9) | (a == b)))
-
-
-def _bookkeeping(ev: EventTable) -> np.ndarray:
-    """Per event, whether its attempt_index, drops_before, y_norm and e_norm
-    are what its side's attempts give: its position among them, the
-    attempts since the side's last commit, ||committed|| and ||committed -
-    the side's previous commit|| (zeros before the first).  The norms agree
-    within 1e-12 relative; a non-finite one is finite_values' to report."""
-    ok = np.ones(len(ev), bool)
-    for side in ("plant", "controller"):
-        on = np.flatnonzero(ev.on(side))
-        pos = np.arange(len(on))
-        last = np.maximum.accumulate(np.where(ev.dropped[on], -1, pos))
-        before = np.concatenate(([-1], last))[:len(on)]   # the last commit before each
-        sample = ev.committed[on]
-        previous = np.concatenate((np.zeros((1, sample.shape[1])), sample))[before + 1]
-        ok[on] = (ev.attempt_index[on] == pos) & (ev.drops_before[on] == pos - 1 - before)
-        for recorded, norm in ((ev.y_norm[on], np.linalg.norm(sample, axis=1)),
-                               (ev.e_norm[on], np.linalg.norm(sample - previous, axis=1))):
-            close = np.abs(recorded - norm) <= 1e-12 * np.abs(recorded)
-            ok[on] &= close | ~np.isfinite(recorded)
-    return ok
 
 
 # inf and NaN in the files need no warning: the checks' <= comparisons fail both
@@ -130,8 +108,15 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
         "piecewise constant between arrivals" if unexplained_t is None
         else f"u_r changed at t={unexplained_t:.6f} with no packet arrival")
 
+    # the recorded bookkeeping is event_bookkeeping's on the same bits, a
+    # non-finite norm being finite_values' to report
+    unbooked = np.zeros(len(ev), bool)
+    for name, derived in zip(("attempt_index", "drops_before", "e_norm", "y_norm"),
+                             event_bookkeeping(ev.plant, ev.dropped, ev.committed)):
+        recorded = getattr(ev, name)
+        unbooked |= (recorded != derived) & np.isfinite(recorded)
     unlogged = ~ev.dropped & ~agree
-    bad = np.flatnonzero(unlogged | ~_bookkeeping(ev))
+    bad = np.flatnonzero(unlogged | unbooked)
     detail = "committed samples equal the logged output at their row"
     if len(bad):
         e = bad[0]

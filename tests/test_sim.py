@@ -1,5 +1,6 @@
 import dataclasses
 import decimal
+import functools
 import hashlib
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from etncs import sim
 from etncs.config import load_config, run_design, build_scenario
 from etncs.core import PassivityIndices, SystemModel
 from etncs.design import TransformGains
@@ -19,7 +21,7 @@ from etncs.models import cubic_nl2, firstorder_lead, lti_siso
 from etncs.network import DelayProfile, DropoutModel
 from etncs.quantizer import QuantizerSpec
 from etncs.signals import Signal, SignalSpec, hash_uniform
-from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, _norm, ChannelConfig, DivergenceError, EventTable,
+from etncs.sim import (_BLOCK_ROWS, TRACE_COLUMNS, ChannelConfig, DivergenceError, EventTable,
                        ScenarioConfig, compute_metrics, dropout_spans, format_blocks,
                        read_trace_csv, run_scenario, text_bytes, write_trace_csv)
 from etncs.trigger import TriggerConfig
@@ -745,10 +747,8 @@ def _two_port(a: float, b: float, c: float, d: float, indices: PassivityIndices,
                        indices=indices, name=name)
 
 
-def test_two_port_lanes_match_their_solo_runs():
-    """With m = 2 every row quantity is two rows, through the detectors'
-    fold, both quantizers and the link holds; each lane of a Bernoulli
-    batch keeps its solo run's bytes in every trace column and event field."""
+def _two_port_lanes() -> List[ScenarioConfig]:
+    """Two m = 2 lanes, Bernoulli drops on both links, seeds 3 and 4."""
     plant = _two_port(-3.6, 2.0, 1.0, 0.0, PassivityIndices(nu=0.0, rho=1.8), "diagonal2")
     controller = _two_port(-3.0, 1.0, 7.0, 1.0, PassivityIndices(nu=0.49, rho=0.27), "lead2")
     mid_tread = QuantizerSpec(kind="uniform-mid-tread", step=0.25)
@@ -763,64 +763,101 @@ def test_two_port_lanes_match_their_solo_runs():
                          chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.1), drop),
                          t_end=0.5)
 
-    lanes = [lane(seed) for seed in (3, 4)]
+    return [lane(seed) for seed in (3, 4)]
+
+
+def test_two_port_lanes_match_their_solo_runs():
+    """With m = 2 every row quantity is two rows, through the detectors'
+    fold, both quantizers and the link holds; each lane of a Bernoulli
+    batch keeps its solo run's bytes in every trace column and event field."""
+    lanes = _two_port_lanes()
     for run, sc in zip(whole.lanes(lanes), lanes):
         ev = run.events
         assert run.y_p.shape == (501, 2) and ev.committed.shape[1] == 2
         assert (ev.on("plant") & ev.dropped).any() and (ev.on("controller") & ev.dropped).any()
-        # at m = 2 every attempt's norm is numpy's, of the sample it sent
-        assert ev.y_norm.tolist() == [float(np.linalg.norm(row)) for row in ev.committed]
+        # every attempt's norm is numpy's row norm of the sample it sent
+        assert ev.y_norm.tolist() == np.linalg.norm(ev.committed, axis=1).tolist()
         _same_run(run, whole.run(sc))
 
 
+def test_two_port_files_read_back_bit_for_bit_and_verify(tmp_path):
+    """Each m = 2 lane written to trace.csv and events.csv reads back with
+    every trace column and event field bit for bit, and verify passes every
+    check on the files."""
+    from etncs.verify import verify_trace_files
+
+    lanes = _two_port_lanes()
+    for n, (run, sc) in enumerate(zip(whole.lanes(lanes), lanes)):
+        trace, events = tmp_path / f"trace{n}.csv", tmp_path / f"events{n}.csv"
+        whole.write_trace(run, trace)
+        sim.write_events_csv(run, events)
+        _same_run(whole.read(sc, trace, events), run)
+        checks = verify_trace_files(sc, None, trace, events)
+        assert len(checks) == 11 and all(ok for ok, _ in checks.values()), checks
+
+
+def _bookkeeping_by_loop(ev: EventTable) -> list:
+    """Each attempt's (attempt_index, drops_before, e_norm, y_norm) by a loop
+    over the attempts that keeps, per side, an attempt counter, a count of
+    consecutive drops that each commit resets, and the last commit (zeros
+    before the first); a norm is the sqrt of a left fold of squares, which
+    numpy's row reduction of two elements also is."""
+    def norm(v):
+        return math.sqrt(functools.reduce(lambda total, x: total + x * x, v, 0.0))
+
+    count, drops = {True: 0, False: 0}, {True: 0, False: 0}
+    last = {side: [0.0] * ev.committed.shape[1] for side in (True, False)}
+    rows = []
+    for plant, dropped, sample in zip(ev.plant.tolist(), ev.dropped.tolist(),
+                                      ev.committed.tolist()):
+        rows.append((count[plant], drops[plant],
+                     norm([a - b for a, b in zip(sample, last[plant])]), norm(sample)))
+        count[plant] += 1
+        if dropped:
+            drops[plant] += 1
+        else:
+            drops[plant], last[plant] = 0, sample
+    return rows
+
+
 @pytest.mark.parametrize("m", [1, 2])
-def test_verify_rederives_the_executors_event_bookkeeping(m):
-    """Every attempt's attempt_index, drops_before, y_norm and e_norm are
-    those verify derives from its side's attempts, with drops on both
-    links, and a drops_before one off on a drop is flagged there alone."""
-    from etncs.verify import _bookkeeping
+def test_verify_rederives_the_executors_event_bookkeeping(m, tmp_path):
+    """Every attempt's attempt_index, drops_before, e_norm and y_norm are
+    those a per-attempt loop gives, with drops on both links, and verify
+    fails committed_samples alone, naming that attempt, on a file whose
+    later drop has a drops_before one off."""
+    from etncs.verify import verify_trace_files
 
     drop = DropoutModel(kind="bernoulli", p=0.5, seed=3)
     ports = {} if m == 1 else dict(
         plant=_two_port(-3.6, 2.0, 1.0, 0.0, PassivityIndices(nu=0.0, rho=1.8), "diagonal2"),
         controller=_two_port(-3.0, 1.0, 7.0, 1.0, PassivityIndices(nu=0.49, rho=0.27), "lead2"),
         x0_controller=np.array([0.5, 0.0]))
-    ev = whole.run(_scenario(x0_plant=np.array([5.0, -8.0]), t_end=2.0,
-                             w1=SignalSpec(kind="piecewise_uniform", lo=-2.0, hi=2.0,
-                                           dwell=0.05, seed=3),
-                             chan_pc=ChannelConfig(DelayProfile(t0=0.01, d=0.0), drop),
-                             chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.0), drop),
-                             **ports)).events
+    sc = _scenario(x0_plant=np.array([5.0, -8.0]), t_end=2.0,
+                   w1=SignalSpec(kind="piecewise_uniform", lo=-2.0, hi=2.0, dwell=0.05, seed=3),
+                   chan_pc=ChannelConfig(DelayProfile(t0=0.01, d=0.0), drop),
+                   chan_cp=ChannelConfig(DelayProfile(t0=0.02, d=0.0), drop), **ports)
+    run = whole.run(sc)
+    ev = run.events
     assert ev.committed.shape[1] == m and (ev.drops_before > 1).any()
-    assert _bookkeeping(ev).all()
+    assert list(zip(ev.attempt_index.tolist(), ev.drops_before.tolist(), ev.e_norm.tolist(),
+                    ev.y_norm.tolist())) == _bookkeeping_by_loop(ev)
+
+    trace, events = tmp_path / "trace.csv", tmp_path / "events.csv"
+    whole.write_trace(run, trace)
+    sim.write_events_csv(run, events)
+    kept = verify_trace_files(sc, None, trace, events)
     drops_before = ev.drops_before.copy()
     (later,) = np.flatnonzero(ev.dropped & (ev.drops_before > 1))[-1:]
     drops_before[later] += 1
-    ok = _bookkeeping(dataclasses.replace(ev, drops_before=drops_before))
-    assert np.flatnonzero(~ok).tolist() == [later]
-
-
-# signed zeros, subnormals, values whose square overflows, infinities, NaN
-_NORM_EDGES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.3e154, 1.4e154, -1e200,
-               1.7976931348623157e308, math.inf, -math.inf, math.nan]
-
-
-@settings(max_examples=400, deadline=None)
-@given(y=st.one_of(st.floats(), st.sampled_from(_NORM_EDGES)),
-       s=st.one_of(st.floats(), st.sampled_from(_NORM_EDGES)))
-@example(y=1.4e154, s=-1.4e154)
-@example(y=math.inf, s=math.inf)
-@example(y=-0.0, s=0.0)
-@example(y=5e-324, s=-5e-324)
-def test_one_element_norms_are_numpys_bit_for_bit(y, s):
-    """The executor's event norms at m = 1, taken on floats, are the bits
-    of np.linalg.norm on the one-element arrays; NaN matches NaN."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = (float(np.linalg.norm(np.subtract([y], [s]))), float(np.linalg.norm([y])))
-    got = (_norm([y - s]), _norm([y]))
-    for a, b in zip(got, want):
-        assert (math.isnan(a) and math.isnan(b)) or (
-            np.float64(a).tobytes() == np.float64(b).tobytes()), (y, s, got, want)
+    sim.write_events_csv(dataclasses.replace(
+        run, events=dataclasses.replace(ev, drops_before=drops_before)), events)
+    checks = verify_trace_files(sc, None, trace, events)
+    side = "plant" if ev.plant[later] else "controller"
+    assert checks.pop("committed_samples") == (False, (
+        f"{side} attempt at t={ev.t[later]:.6f} has an attempt_index, drops_before, "
+        "e_norm or y_norm that its side's attempts do not give"))
+    assert kept.pop("committed_samples")[0] and checks == kept
 
 
 def test_one_lane_executor_memory_is_bounded():
