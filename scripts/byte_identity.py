@@ -5,16 +5,18 @@
 Each argument is a ``src`` directory holding the ``etncs`` package.  For
 each tree in turn, with only that tree on PYTHONPATH, this runs the command
 line on the runs an executor change must leave byte for byte as they were:
-the CLI sequences of the three perfbench workloads, a seed sweep whose lanes
-diverge (exit 3), a 3-lane sweep with both quantizers logarithmic, a 3-lane
-sweep with a table delay on one link and a constant delay and pattern drops
-on the other, and the 2-lane sweep ``--seed 7,8``; after each of the last
+the CLI sequences of the three perfbench workloads, a seed sweep in two
+8-lane batches whose lanes diverge (exit 3), a 3-lane sweep with both
+quantizers logarithmic, a 3-lane sweep with a table delay on one link and a
+constant delay and pattern drops on the other, and the 2-lane sweep
+``--seed 7,8``; after each of the last
 three, ``verify`` and ``report`` of its first lane, so that the readers
 meet logarithmic quantizer outputs, a table delay and pattern drops.  Last
 comes the ``forms`` run, ``simulate``, ``verify`` and ``report`` of one
 ``--seed``, which selects every config form the runs above leave out: an
 ``lti`` plant, explicit ``gains.*``, identity quantizers, a constant w2, no
-controller-link dropout and ``sim.drop_first_allowed``.  Both
+controller-link dropout, ``sim.drop_first_allowed`` and a nonzero initial
+hold on both links, which the diverging sweep's batches start from too.  Both
 trees write to the same directory, one after the other, so paths printed in
 outputs agree.  It then compares every output file, each step's exit code
 and its sorted stderr lines, and prints the first difference (exit 1) or
@@ -34,8 +36,11 @@ import workloads as wl  # noqa: E402  (the perfbench workloads' CLI sequences)
 
 LOG_SETS = [a for side in ("quant_p", "quant_c") for s in (
     "kind=logarithmic", "density=0.5", "u0=16.0", "b=1.3334") for a in ("--set", f"{side}.{s}")]
+# both links start from a nonzero hold in the two 8-lane batches and in ``forms``
+HOLD_SETS = ["--set", "chan_pc.initial_hold=-0.5", "--set", "chan_cp.initial_hold=0.25"]
 DIVERGING = ["--set", "w1.lo=-400", "--set", "w1.hi=400", "--set", "sim.divergence_limit=100",
-             "--set", "sim.t_end=2", "--seed", ",".join(map(str, range(16))), "--jobs", "2"]
+             "--set", "sim.t_end=2", *HOLD_SETS, "--seed", ",".join(map(str, range(16))),
+             "--jobs", "2"]
 LINK_SETS = [a for s in (
     "chan_pc.form=table", "chan_pc.table=0,0.05,1,0.3,3,0.1", "chan_pc.d=0.3",
     "chan_cp.form=constant", "chan_cp.T0=0.02", "chan_cp.dropout.kind=pattern",
@@ -45,7 +50,7 @@ FORM_SETS = [a for s in (
     "quant_p.kind=identity", "quant_c.kind=identity", "w2.kind=constant", "w2.value=0.1",
     "chan_cp.dropout.kind=none", "sim.drop_first_allowed=true", "plant.model=lti",
     "plant.a=-3.6", "plant.b=2", "plant.c=1", "plant.d=0", "plant.x0=5", "gains.m11=0.16",
-    "gains.m21=-4.865", "gains.m22=7.033", "sim.t_end=2") for a in ("--set", s)]
+    "gains.m21=-4.865", "gains.m22=7.033", "sim.t_end=2") for a in ("--set", s)] + HOLD_SETS
 
 
 def sequences(out: Path):

@@ -21,7 +21,6 @@ __all__ = [
     "SystemModel",
     "IndexMarginReport",
     "power",
-    "lane_rows",
     "rk4_step",
     "supply_rate",
     "dissipativity_residuals",
@@ -125,15 +124,6 @@ def power(v, p):
         if r == r:
             return r
     return np.float_power(v, p)
-
-
-def lane_rows(samples: np.ndarray) -> list:
-    """B lanes' samples, a ``(B, n)`` array with lane i's in row i, as the
-    executor carries them: a list of n rows, Python floats for one lane and
-    ``(B,)`` arrays, lane i in element i, for more."""
-    if len(samples) == 1:
-        return samples[0].tolist()
-    return list(samples.T.copy())
 
 
 def rk4_step(model: SystemModel, state, u, t: float, h: float) -> list:

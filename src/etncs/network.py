@@ -17,17 +17,15 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import lane_rows
 from .signals import hash_uniform
 
 __all__ = [
     "DelayProfile",
     "DropoutModel",
-    "PacketRecord",
     "Channel",
     "rate_bound_check",
 ]
@@ -123,37 +121,24 @@ class DropoutModel:
         return hash_uniform(f"{self.seed}/{channel_id}/{index}") < self.p
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """Outcome of one send attempt."""
-
-    index: int
-    send_time: float
-    payload: Sequence[float]   # as given to send, not copied
-    arrival_time: float  # nan when dropped
-    dropped: bool
-
-
 class Channel:
     """One link direction for B lanes: a shared delay profile and, per lane,
     a dropout model and a zero-order hold.
 
-    ``dropout`` is one model (a single lane) or a sequence of models, one per
-    lane.  ``hold`` is the held value of every lane as a list of ``dim``
-    rows (``core.lane_rows``): Python floats for a single lane, ``(B,)``
-    arrays otherwise, lane i in element i of each row, every lane starting
-    from ``initial_hold``.  ``send`` makes one attempt on one lane and
-    returns its record.  ``poll`` delivers every packet that has arrived by
-    ``t`` into its lane's hold and returns ``hold``; a delivery replaces the
-    list, so a hold once returned never changes.  Each lane counts its own
-    attempts, so its dropout draws are keyed by its own model's seed and
+    ``dropouts`` holds one model per lane.  ``hold`` is the held value of
+    every lane as a list of rows, one per port element: Python floats for a
+    single lane, ``(B,)`` arrays otherwise, lane i in element i of each row.
+    ``send`` makes one attempt on one lane and returns the packet's arrival
+    time, NaN when it is dropped.  ``poll`` delivers every packet that has
+    arrived by ``t`` into its lane's hold and returns ``hold``; a delivery
+    replaces the list (a single lane's hold is the delivered payload
+    itself), so a hold once returned never changes.  Each lane counts its
+    own attempts, so its dropout draws are keyed by its own model's seed and
     attempt counter.
     """
 
-    def __init__(self, delay: DelayProfile,
-                 dropout: Union[DropoutModel, Sequence[DropoutModel]],
-                 channel_id: str, dim: int = 1,
-                 initial_hold: Optional[np.ndarray] = None):
+    def __init__(self, delay: DelayProfile, dropouts: Sequence[DropoutModel],
+                 channel_id: str, hold: list):
         if delay.form == "table":
             # slopes between breakpoints are what can break FIFO delivery
             grid = [p[0] for p in delay.table]
@@ -162,16 +147,12 @@ class Channel:
                     f"delay table of channel {channel_id!r} violates its "
                     f"declared rate bound {delay.d}")
         self.delay = delay
-        self.dropouts = [dropout] if isinstance(dropout, DropoutModel) else list(dropout)
+        self.dropouts = list(dropouts)
         if not self.dropouts:
             raise ValueError("a channel needs at least one lane")
         self.channel_id = channel_id
-        hold0 = np.zeros(dim) if initial_hold is None else np.asarray(initial_hold, float)
-        if hold0.shape != (dim,):
-            raise ValueError("initial hold value has the wrong dimension")
+        self.hold = hold
         lanes = len(self.dropouts)
-        self._held = np.repeat(hold0[None, :], lanes, axis=0)   # lane i's value in row i
-        self.hold = lane_rows(self._held)
         self.attempts = [0] * lanes
         self.consecutive_drops = [0] * lanes
         self._last_send = [-math.inf] * lanes
@@ -180,10 +161,11 @@ class Channel:
         self._soonest = math.inf                 # and the earliest of them
 
     def send(self, t: float, payload, force_success: bool = False,
-             lane: int = 0) -> PacketRecord:
-        """One attempt to send ``payload``, a sequence of ``dim`` floats, on
-        ``lane`` at time ``t``.  The channel keeps the payload it is given,
-        so the caller must not change it afterwards."""
+             lane: int = 0) -> float:
+        """One attempt to send ``payload``, a list of one float per port
+        element, on ``lane`` at time ``t``: its arrival time, NaN when it is
+        dropped.  The channel keeps the payload it is given, so the caller
+        must not change it afterwards."""
         if t < self._last_send[lane]:
             raise ValueError(
                 f"non-monotone send time {t} after {self._last_send[lane]} "
@@ -194,7 +176,7 @@ class Channel:
         if (not force_success) and self.dropouts[lane].dropped(
                 index, self.channel_id, self.consecutive_drops[lane]):
             self.consecutive_drops[lane] += 1
-            return PacketRecord(index, t, payload, float("nan"), True)
+            return math.nan
         self.consecutive_drops[lane] = 0
         arrival = self.delay.arrival(t)
         fifo = self._in_flight[lane]
@@ -202,18 +184,25 @@ class Channel:
             self._heads[lane] = arrival
             self._soonest = min(self._soonest, arrival)
         fifo.append((arrival, payload))
-        return PacketRecord(index, t, payload, arrival, False)
+        return arrival
 
     def poll(self, t: float) -> list:
         """The hold after delivering every packet that arrived by ``t``."""
         if t >= self._soonest:
             heads = self._heads
+            one = len(heads) == 1
+            hold = self.hold if one else [row.copy() for row in self.hold]
             for lane, head in enumerate(heads):
                 if head <= t:
                     fifo = self._in_flight[lane]
                     while fifo and fifo[0][0] <= t:
-                        self._held[lane] = fifo.popleft()[1]
+                        payload = fifo.popleft()[1]
                     heads[lane] = fifo[0][0] if fifo else math.inf
+                    if one:
+                        hold = payload
+                    else:
+                        for row, v in zip(hold, payload):
+                            row[lane] = v
             self._soonest = min(heads)
-            self.hold = lane_rows(self._held)
+            self.hold = hold
         return self.hold

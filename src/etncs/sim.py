@@ -10,8 +10,8 @@ their inputs held constant.
 
 One loop serves a single run and a seed sweep: B lanes advance in lockstep,
 and a single run is a batch of one.  Every per-row quantity is a list of
-rows (``core.lane_rows``), Python floats for a single run and ``(B,)``
-arrays for a batch, so one loop body and one set of kernels serve both.
+rows, Python floats for a single run and ``(B,)`` arrays for a batch,
+lane i in element i, so one loop body and one set of kernels serve both.
 Rows leave the loop one block at a time, to a consumer per lane, so a run
 holds one block of rows per lane, not the whole trace.
 """
@@ -115,6 +115,11 @@ class ScenarioConfig:
                              f"{MAX_ROWS} rows, the most a run may log")
         if self.n_rows < 2:
             raise ValueError(f"t_end = {self.t_end} is shorter than one step h = {self.h}")
+        # Signal numbers a sample's dwell segment, t / dwell rounded down, in int64
+        last = (self.n_rows - 1) * self.h
+        for name, w in (("w1", self.w1), ("w2", self.w2)):
+            if w.kind == "piecewise_uniform" and not last / w.dwell + 1e-12 < 2.0 ** 63:
+                raise ValueError(f"{name}.dwell = {w.dwell}: t_end / dwell is past int64")
         # the executor's norm test flags a non-finite state only below a finite
         # limit, and a limit of 0 or less would fail every state
         if not 0.0 < self.divergence_limit < math.inf:
@@ -314,15 +319,16 @@ def run_scenario(cfgs: Sequence[ScenarioConfig], sinks: Sequence[Callable[[Trace
     one = lanes == 1
 
     def rows(value) -> list:   # the same sample in every lane
-        return core.lane_rows(np.repeat(np.asarray(value, dtype=float)[None, :], lanes, axis=0))
+        value = np.asarray(value, dtype=float)
+        return value.tolist() if one else [np.full(lanes, v) for v in value]
 
     block = min(_RUN_BLOCK, n_rows)
     w1 = np.empty((block, m, lanes))
     w2 = np.empty((block, m, lanes))
     chan_pc = Channel(cfg.chan_pc.delay, [c.chan_pc.dropout for c in cfgs], "pc",
-                      dim=m, initial_hold=np.full(m, cfg.chan_pc.initial_hold))
+                      rows(np.full(m, cfg.chan_pc.initial_hold)))
     chan_cp = Channel(cfg.chan_cp.delay, [c.chan_cp.dropout for c in cfgs], "cp",
-                      dim=m, initial_hold=np.full(m, cfg.chan_cp.initial_hold))
+                      rows(np.full(m, cfg.chan_cp.initial_hold)))
     log = {name: np.empty((block, dim, lanes)) for name, dim in (
         ("x_p", cfg.plant.state_dim), ("x_c", cfg.controller.state_dim),
         ("y_p", m), ("y_c", m), ("u_c", m), ("u_r", m), ("y_qp", m), ("y_qc", m))}
@@ -479,13 +485,13 @@ def _transmit(side: str, k: int, t: float, fire, y, held, gain: float,
         y_i = y if one else [v.item(i) for v in y]
         payload = quantize(spec, [gain * v for v in y_i])
         # every live lane fires on both sides at k = 0, its links' first attempts
-        rec = chan.send(t, payload, force_success=force_first and k == 0, lane=i)
+        dropped = math.isnan(chan.send(t, payload, force_success=force_first and k == 0, lane=i))
         *scalars, payloads, samples = events[i]
-        for column, value in zip(scalars, (side == "plant", rec.dropped, t, k)):
+        for column, value in zip(scalars, (side == "plant", dropped, t, k)):
             column.append(value)
         payloads.extend(payload)
         samples.extend(y_i)
-        if not rec.dropped:
+        if not dropped:
             if one:
                 held[:] = y_i
             else:

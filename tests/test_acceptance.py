@@ -234,14 +234,14 @@ def test_criterion_08_channel_properties():
     for i in range(n_sequences):
         d = rates[i % 3]
         profile = DelayProfile(t0=float(rng.uniform(0.0, 1.0)), d=d, form="affine")
-        ch = Channel(profile, DropoutModel(), f"seq{i}")
+        ch = Channel(profile, [DropoutModel()], f"seq{i}", [0.0])
         t = float(rng.uniform(0.0, 0.5))
         last_arrival = -math.inf
         for _ in range(int(rng.integers(3, 8))):
-            rec = ch.send(t, (0.0,))
-            assert rec.arrival_time >= rec.send_time  # causality
-            assert rec.arrival_time > last_arrival    # send order preserved
-            last_arrival = rec.arrival_time
+            arrival = ch.send(t, (0.0,))
+            assert arrival >= t               # causality
+            assert arrival > last_arrival     # send order preserved
+            last_arrival = arrival
             checked += 1
             t += float(rng.uniform(1e-4, 0.4))
     violating = DelayProfile(t0=0.6, d=0.3, form="table",

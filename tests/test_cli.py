@@ -876,6 +876,28 @@ def test_extreme_finite_config_value_is_a_config_error(tmp_path, capsys, command
     assert capsys.readouterr().err.startswith("config error")
 
 
+@pytest.mark.parametrize("signal", ["w1", "w2"])
+def test_dwell_past_the_int64_segment_range_is_a_config_error(tmp_path, capsys, signal):
+    """t_end / dwell = 2^63 would overflow the int64 segment index, which
+    gave every later row one draw; it is a config error naming the key."""
+    code = main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--set", f"{signal}.kind=piecewise_uniform",
+                 "--set", f"{signal}.dwell={2.0 ** -63!r}", "--set", "sim.t_end=1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error") and f"{signal}.dwell" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_dwell_just_inside_the_int64_segment_range_runs(tmp_path):
+    """At t_end / dwell = 2^62 every row is its own segment, up to the last."""
+    assert main(["simulate", "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--set", f"w1.dwell={2.0 ** -62!r}", "--set", "sim.t_end=1"]) == 0
+    names, values = whole.matrix(tmp_path / "trace.csv")
+    w1 = values[:, names.index("w1")]
+    assert len(w1) == 1001 and len(np.unique(w1[-100:])) == 100
+
+
 def test_explicit_gains_beside_a_garbled_design_key_simulate(tmp_path):
     """The design comparisons need a feasible design; without one the run
     still completes and leaves them out."""

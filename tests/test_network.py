@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,36 +8,39 @@ from hypothesis import strategies as st
 from etncs.network import (Channel, DelayProfile, DropoutModel, rate_bound_check)
 
 
-def _channel(delay=None, dropout=None, **kw):
+def _channel(delay=None, dropout=None, hold=(0.0,)):
     return Channel(delay or DelayProfile(t0=0.0, d=0.0, form="constant"),
-                   dropout or DropoutModel(), "test", **kw)
+                   [dropout or DropoutModel()], "test", list(hold))
+
+
+def _dropped(arrival):
+    return math.isnan(arrival)
 
 
 def test_affine_delay_arrival():
     # T(t) = 0.5 + 0.3 t: a send at t=1.0 arrives at 1.8
     ch = _channel(delay=DelayProfile(t0=0.5, d=0.3, form="affine"))
-    rec = ch.send(1.0, [2.5])
-    assert rec.arrival_time == pytest.approx(1.8)
-    assert not rec.dropped
+    arrival = ch.send(1.0, [2.5])
+    assert arrival == pytest.approx(1.8)
+    assert not _dropped(arrival)
 
 
 def test_zero_delay_arrival_equals_send():
     ch = _channel()
-    rec = ch.send(0.7, [1.0])
-    assert rec.arrival_time == 0.7
+    assert ch.send(0.7, [1.0]) == 0.7
 
 
 def test_pattern_first_dropped_second_delivered():
     ch = _channel(dropout=DropoutModel(kind="pattern", pattern=(0, 1)))
-    assert ch.send(0.0, [1.0]).dropped
-    assert not ch.send(0.1, [2.0]).dropped
+    assert _dropped(ch.send(0.0, [1.0]))
+    assert not _dropped(ch.send(0.1, [2.0]))
     # attempts beyond the pattern are delivered
-    assert not ch.send(0.2, [3.0]).dropped
+    assert not _dropped(ch.send(0.2, [3.0]))
 
 
 def test_poll_before_arrival_returns_initial_hold():
     ch = _channel(delay=DelayProfile(t0=1.0, d=0.0, form="constant"),
-                  initial_hold=np.array([42.0]))
+                  hold=[42.0])
     ch.send(0.0, [7.0])
     assert ch.poll(0.5)[0] == 42.0
     assert ch.poll(1.0)[0] == 7.0
@@ -66,9 +71,9 @@ def test_fifo_and_causality_under_rate_bound(d, t0, gaps):
     arrivals = []
     for i, gap in enumerate(gaps):
         t += gap
-        rec = ch.send(t, [float(i)])
-        assert rec.arrival_time >= rec.send_time  # causality
-        arrivals.append(rec.arrival_time)
+        arrival = ch.send(t, [float(i)])
+        assert arrival >= t  # causality
+        arrivals.append(arrival)
     assert all(a < b for a, b in zip(arrivals, arrivals[1:]))  # FIFO
 
 
@@ -77,8 +82,8 @@ def test_bernoulli_reproducible_and_counter_based():
     ch1 = _channel(dropout=model)
     ch2 = _channel(dropout=model)
     ch2.channel_id = ch1.channel_id  # same identity -> same stream
-    flags1 = [ch1.send(i * 0.1, [0.0]).dropped for i in range(50)]
-    flags2 = [ch2.send(i * 0.1, [0.0]).dropped for i in range(50)]
+    flags1 = [_dropped(ch1.send(i * 0.1, [0.0])) for i in range(50)]
+    flags2 = [_dropped(ch2.send(i * 0.1, [0.0])) for i in range(50)]
     assert flags1 == flags2
     assert any(flags1) and not all(flags1)
 
@@ -88,41 +93,41 @@ def test_packet_records_bit_identical_across_runs():
         ch = _channel(delay=DelayProfile(t0=0.5, d=0.3, form="affine"),
                       dropout=DropoutModel(kind="bernoulli", p=0.4, seed=21))
         ch.channel_id = "fixed"
-        records = [ch.send(i * 0.05, [float(i)]) for i in range(40)]
-        return [(r.index, r.send_time, r.arrival_time, r.dropped, tuple(r.payload))
-                for r in records]
+        return [_attempt(ch, 0, i * 0.05, [float(i)]) for i in range(40)]
 
     a, b = run(), run()
-    for ra, rb in zip(a, b):
-        assert ra == rb or (np.isnan(ra[2]) and np.isnan(rb[2])
-                            and ra[:2] == rb[:2] and ra[3:] == rb[3:])
+    assert a == b
+    assert [r[0] for r in a] == list(range(40))
 
 
 def test_bernoulli_different_seed_differs():
     flags = {}
     for seed in (1, 2):
         ch = _channel(dropout=DropoutModel(kind="bernoulli", p=0.5, seed=seed))
-        flags[seed] = [ch.send(i * 0.1, [0.0]).dropped for i in range(64)]
+        flags[seed] = [_dropped(ch.send(i * 0.1, [0.0])) for i in range(64)]
     assert flags[1] != flags[2]
 
 
 def test_max_consecutive_forces_delivery():
     ch = _channel(dropout=DropoutModel(kind="bernoulli", p=0.95, seed=3,
                                        max_consecutive=1))
-    run = worst = 0
+    run = worst = drops = 0
     for i in range(300):
-        if ch.send(i * 0.01, [0.0]).dropped:
+        if _dropped(ch.send(i * 0.01, [0.0])):
             run += 1
+            drops += 1
             worst = max(worst, run)
         else:
             run = 0
     assert worst == 1
+    # a delivery resets the run: every other attempt can drop again
+    assert drops == 145
 
 
 def test_force_success_bypasses_model():
     ch = _channel(dropout=DropoutModel(kind="pattern", pattern=(0, 0)))
-    assert not ch.send(0.0, [0.0], force_success=True).dropped
-    assert ch.send(0.1, [0.0]).dropped
+    assert not _dropped(ch.send(0.0, [0.0], force_success=True))
+    assert _dropped(ch.send(0.1, [0.0]))
 
 
 def test_rate_bound_check_examples():
@@ -134,7 +139,7 @@ def test_rate_bound_check_examples():
                        table=((0.0, 0.6), (0.1, 1.1), (1.0, 1.2)))
     assert not rate_bound_check(bad, np.linspace(0.0, 1.0, 101))
     with pytest.raises(ValueError, match="rate bound"):
-        Channel(bad, DropoutModel(), "bad")
+        Channel(bad, [DropoutModel()], "bad", [0.0])
 
 
 def test_table_profile_interpolates():
@@ -180,9 +185,14 @@ _DROPOUTS = st.one_of(
               st.lists(st.integers(0, 1), max_size=12)))
 
 
-def _record_key(rec):
-    arrival = None if np.isnan(rec.arrival_time) else rec.arrival_time
-    return rec.index, rec.send_time, arrival, rec.dropped, tuple(rec.payload)
+def _attempt(ch, lane, t, payload, force=False):
+    """(index, send time, arrival or None, dropped, payload) of one send:
+    its index is the lane's attempt count before it."""
+    index = ch.attempts[lane]
+    arrival = ch.send(t, payload, force_success=force, lane=lane)
+    assert ch.attempts[lane] == index + 1
+    dropped = _dropped(arrival)
+    return index, t, None if dropped else arrival, dropped, tuple(payload)
 
 
 @settings(max_examples=200, deadline=None)
@@ -198,8 +208,9 @@ def test_lane_channel_matches_solo_channels(models, delay, data):
     # delivered payload that has arrived, and a hold once returned never
     # changes, since a delivery replaces it
     hold0 = np.array([0.5, -1.5])
-    lanes = Channel(delay, models, "link", dim=2, initial_hold=hold0)
-    solos = [Channel(delay, m, "link", dim=2, initial_hold=hold0) for m in models]
+    rows0 = hold0.tolist() if len(models) == 1 else [np.full(len(models), v) for v in hold0]
+    lanes = Channel(delay, models, "link", rows0)
+    solos = [Channel(delay, [m], "link", hold0.tolist()) for m in models]
     ops = data.draw(st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 0.2),
                                        st.booleans(), st.booleans()), max_size=60))
     delivered = [[] for _ in models]
@@ -214,15 +225,15 @@ def test_lane_channel_matches_solo_channels(models, delay, data):
             returned.append((rows, held.copy()))
             for j, solo in enumerate(solos):
                 assert np.array_equal(held[:, j], solo.poll(t))
-                landed = [r.payload for r in delivered[j] if r.arrival_time <= t]
+                landed = [payload for arrival, payload in delivered[j] if arrival <= t]
                 assert np.array_equal(held[:, j], landed[-1] if landed else hold0)
         else:
             payload = [float(n), -float(n)]
-            got = lanes.send(t, payload, force_success=force, lane=lane)
-            want = solos[lane].send(t, payload, force_success=force)
-            assert _record_key(got) == _record_key(want)
-            if not got.dropped:
-                delivered[lane].append(got)
+            got = _attempt(lanes, lane, t, payload, force)
+            want = _attempt(solos[lane], 0, t, payload, force)
+            assert got == want
+            if not got[3]:
+                delivered[lane].append((got[2], payload))
             assert lanes.consecutive_drops[lane] == solos[lane].consecutive_drops[0]
     for rows, then in returned:
         assert np.array_equal(np.array(rows).reshape(2, -1), then)
