@@ -5,8 +5,8 @@
 Each argument is a ``src`` directory holding the ``etncs`` package.  For
 each tree in turn, with only that tree on PYTHONPATH, this runs the command
 line on the runs an executor change must leave byte for byte as they were:
-the CLI sequences of the three perfbench workloads, a seed sweep in two
-8-lane batches whose lanes diverge (exit 3), a 3-lane sweep with both
+the CLI sequences of the three perfbench workloads, a seed sweep in one
+16-lane batch whose lanes diverge (exit 3), a 3-lane sweep with both
 quantizers logarithmic, a 3-lane sweep with a table delay on one link and a
 constant delay and pattern drops on the other, and the 2-lane sweep
 ``--seed 7,8``; after each of the last
@@ -36,11 +36,11 @@ import workloads as wl  # noqa: E402  (the perfbench workloads' CLI sequences)
 
 LOG_SETS = [a for side in ("quant_p", "quant_c") for s in (
     "kind=logarithmic", "density=0.5", "u0=16.0", "b=1.3334") for a in ("--set", f"{side}.{s}")]
-# both links start from a nonzero hold in the two 8-lane batches and in ``forms``
+# both links start from a nonzero hold in the 16-lane batch and in ``forms``
 HOLD_SETS = ["--set", "chan_pc.initial_hold=-0.5", "--set", "chan_cp.initial_hold=0.25"]
 DIVERGING = ["--set", "w1.lo=-400", "--set", "w1.hi=400", "--set", "sim.divergence_limit=100",
              "--set", "sim.t_end=2", *HOLD_SETS, "--seed", ",".join(map(str, range(16))),
-             "--jobs", "2"]
+             "--jobs", "1"]
 LINK_SETS = [a for s in (
     "chan_pc.form=table", "chan_pc.table=0,0.05,1,0.3,3,0.1", "chan_pc.d=0.3",
     "chan_cp.form=constant", "chan_cp.T0=0.02", "chan_cp.dropout.kind=pattern",

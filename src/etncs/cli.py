@@ -45,13 +45,14 @@ EXIT_VERIFY = 4
 # 20 001 (tracemalloc of the simulate step).
 BATCH_LANES = 64
 # Fewer lanes than this run one after another as one-lane runs, which write
-# the same bytes: a batch's row loop costs about as much as 7 one-lane runs.
-# 5 s worked-example lanes writing their files took 0.328 s as a batch of 2
-# against 0.119 s one by one, 0.367 against 0.252 s for 4, 0.392 against
-# 0.374 s for 6 and 0.399 against 0.481 s for 8 (in-process
+# the same bytes: a batch's row loop costs about as much as 9 one-lane runs.
+# 5 s worked-example lanes writing their files took 0.346 s as a batch of 2
+# against 0.096 s one by one, 0.383 against 0.191 s for 4, 0.399 against
+# 0.279 s for 6, 0.431 against 0.371 s for 8, 0.400 against 0.393 s for 9,
+# 0.480 against 0.525 s for 10 and 0.523 against 0.604 s for 12 (in-process
 # _simulate_batch, min of 5, one CPU of a 2-vCPU sandbox, Python 3.11.7,
 # numpy 2.4.6).
-MIN_BATCH_LANES = 7
+MIN_BATCH_LANES = 10
 
 
 class _UsageError(Exception):
@@ -401,8 +402,8 @@ def _build_parser() -> _Parser:
                            help="parts a seed sweep is split into, run in "
                                 "parallel; each part runs its seeds as one "
                                 "lockstep batch, or one after another if it has "
-                                "fewer than 7, since a batch costs about as "
-                                "much as 7 one-seed runs")
+                                f"fewer than {MIN_BATCH_LANES}, which run faster "
+                                "that way")
         p.set_defaults(fn=fn)
     return parser
 

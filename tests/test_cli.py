@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import etncs
 
-from etncs import core, sim
+from etncs import cli, core, sim
 from etncs.cli import main
 from etncs.config import (KNOWN_KEYS, apply_overrides, build_design_inputs, build_scenario,
                           format_config, load_config)
@@ -452,8 +452,6 @@ def test_seed_sweep_lanes_match_single_seed_runs(tmp_path, jobs):
 def test_a_sweep_below_the_batch_crossover_runs_one_lane_at_a_time(tmp_path, monkeypatch):
     """--seed 7,8 runs each seed as a one-lane run, and writes the bytes
     that the two seeds' lockstep batch writes."""
-    from etncs import cli
-
     run, lanes = sim.run_scenario, []
 
     def counting(cfgs, sinks):
@@ -1047,6 +1045,7 @@ def test_solo_run_of_an_overflowing_seed_aborts_as_its_lane(tmp_path, capfd, mon
     on arrays."""
     run = ["simulate", "--config", str(CONFIG), *_OVERFLOWING]
     seeds = range(8)
+    monkeypatch.setattr(cli, "MIN_BATCH_LANES", 2)   # the 8 seeds run as one batch
     assert main([*run, "--out", str(tmp_path / "sweep"), "--jobs", "1",
                  "--seed", ",".join(map(str, seeds))]) == 3
     lanes = sorted(capfd.readouterr().err.splitlines())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etncs.core import (PassivityIndices, default_frequency_grid,
+from etncs.core import (PassivityIndices, SystemModel, default_frequency_grid,
                         dissipativity_residuals, energy_terms, l2_gain_estimate, power,
                         rk4_step, supply_rate, verify_lti_indices)
 from etncs.models import FIRSTORDER_LEAD_SS, cubic_nl2, firstorder_lead, lti_siso
@@ -70,6 +70,72 @@ def test_rk4_order_four():
                                   t_end=1.0, h=h)
         errs.append(abs(states[-1, 0] - math.exp(-3.0)))
     assert errs[0] / errs[1] >= 14.0
+
+
+def _rk4_reference(model, state, u, t, h):
+    """rk4_step as list comprehensions over zipped rows, the form the
+    generated kernels replaced: each row the same expression per stage."""
+    f = model.dynamics
+    half = 0.5 * h
+    a = f(state, u, t)
+    b = f([xi + half * ai for xi, ai in zip(state, a)], u, t + half)
+    c = f([xi + half * bi for xi, bi in zip(state, b)], u, t + half)
+    d = f([xi + h * ci for xi, ci in zip(state, c)], u, t + h)
+    sixth = h / 6.0
+    return [xi + sixth * (ai + 2.0 * bi + 2.0 * ci + di)
+            for xi, ai, bi, ci, di in zip(state, a, b, c, d)]
+
+
+def _ring(n, extra_rows=0):
+    """An n-state model x_i' = -x_i * x_(i+1 mod n) - 0.5 * x_i + (i + 1) * u
+    + t, whose dynamics returns ``n + extra_rows`` rows."""
+    def f(x, u, t):
+        return tuple(-x[i % n] * x[(i + 1) % n] - 0.5 * x[i % n] + (i + 1) * u[0] + t
+                     for i in range(n + extra_rows))
+
+    return SystemModel(state_dim=n, input_dim=1, output_dim=1, dynamics=f,
+                       output=lambda x, u, t: (x[0],), indices=PassivityIndices(0.0, 0.0),
+                       name=f"ring{n}")
+
+
+def _bits(rows, nan_sign=True):
+    """The rows' int64 views; with ``nan_sign`` false, every NaN as +NaN."""
+    v = np.array(rows, dtype=float)
+    return (v if nan_sign else np.where(np.isnan(v), math.nan, v)).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rk4_kernel_gives_the_reference_bits(n):
+    """The kernel generated for n rows gives the comprehension form's bits,
+    on one sample's floats and on (B,) rows, where a stage overflows to inf
+    or turns NaN, and from -0.0.  On floats a NaN's sign is left out: in
+    CPython 3.11 a float multiply of two NaNs of opposite sign gives either
+    sign, depending on whether the interpreter has specialized the
+    instruction yet, so two runs of the same code can differ there."""
+    rng = np.random.default_rng(n)
+    x = np.concatenate([rng.normal(scale=2.0, size=(n, 6)),
+                        np.full((n, 1), -0.0), np.full((n, 1), 1e200),
+                        np.full((n, 1), math.inf), np.full((n, 1), math.nan),
+                        np.array([[1e160 * (-1.0) ** i] for i in range(n)])], axis=1)
+    u = np.concatenate([rng.normal(size=(1, 6)), [[-0.0, 1.0, -math.inf, 0.5, 2.0]]], axis=1)
+    model, t, h = _ring(n), 0.25, 1e-2
+    with np.errstate(all="ignore"):
+        lanes = rk4_step(model, list(x), list(u), t, h)
+        assert np.array_equal(_bits(lanes), _bits(_rk4_reference(model, list(x), list(u), t, h)))
+    assert not np.all(np.isfinite(np.array(lanes)[:, 7:]), axis=0).any()
+    for i in range(x.shape[1]):
+        one = rk4_step(model, x[:, i].tolist(), u[:, i].tolist(), t, h)
+        assert type(one) is list and all(type(v) is float for v in one)
+        want = _rk4_reference(model, x[:, i].tolist(), u[:, i].tolist(), t, h)
+        assert np.array_equal(_bits(one, nan_sign=False), _bits(want, nan_sign=False))
+
+
+@pytest.mark.parametrize("n, extra_rows", [(1, 1), (2, 1), (2, -1), (3, 1), (3, -2)])
+def test_rk4_rejects_dynamics_with_the_wrong_row_count(n, extra_rows):
+    """A zip would drop a surplus derivative row, or the state rows past a
+    short one; the kernel's unpacking raises instead."""
+    with pytest.raises(ValueError, match="values to unpack"):
+        rk4_step(_ring(n, extra_rows), [0.5] * n, [0.1], 0.0, 1e-3)
 
 
 def test_plant_derivative_hand_values():
@@ -201,6 +267,27 @@ def test_lti_indices_declared_pair_has_negative_margin():
     assert rep.worst_frequency == pytest.approx(1e-3)
 
 
+def test_lti_indices_exact_pair_verifies_within_rounding():
+    # Re G - rho |G|^2 is zero at every frequency for (0, 1.8) and
+    # G = 2/(s + 3.6), but computes to -2.2e-16 near 1.3e-3 rad/s
+    args = ([[-3.6]], [[2.0]], [[1.0]], [[0.0]])
+    rep = verify_lti_indices(*args, PassivityIndices(0.0, 1.8), default_frequency_grid())
+    assert rep.verified
+    assert -1e-15 < rep.min_residual <= 0.0
+    rep = verify_lti_indices(*args, PassivityIndices(0.0, 1.8 + 1e-6), default_frequency_grid())
+    assert not rep.verified
+    assert rep.min_residual == pytest.approx(-1e-6 * 4.0 / 12.96, rel=1e-3)
+
+
+def test_lti_indices_lead_controller_smaller_rho_verifies():
+    # 30/9 - 0.49 - 0.255*100/9 = +0.0100 at low frequency
+    A, B, C, D = FIRSTORDER_LEAD_SS
+    rep = verify_lti_indices(A, B, C, D, PassivityIndices(0.49, 0.255),
+                             default_frequency_grid())
+    assert rep.verified
+    assert rep.min_residual == pytest.approx(30.0 / 9.0 - 0.49 - 25.5 / 9.0, abs=1e-4)
+
+
 def test_lti_indices_imaginary_pole_rejected():
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])  # poles at +-j
     with pytest.raises(ValueError, match="imaginary axis"):
@@ -308,6 +395,9 @@ def test_one_lane_float_paths_give_the_lane_axis_bits(data):
     one, lanes = _one_lane(lambda x, u: rk4_step(model, x, u, t, h), x, u)
     assert type(one) is list
     assert np.array(one).tobytes() == lanes.tobytes()
+    ref_one, ref_lanes = _one_lane(lambda x, u: _rk4_reference(model, x, u, t, h), x, u)
+    assert np.array_equal(_bits(one, nan_sign=False), _bits(ref_one, nan_sign=False))
+    assert np.array_equal(_bits(lanes), _bits(ref_lanes))
     one, lanes = _one_lane(lambda x, u: model.output(x, u, t), x, u)
     assert np.array(one).tobytes() == lanes.tobytes()
 
