@@ -1,15 +1,16 @@
 """The row-level checks of a run, merged one block of rows at a time.
 
-A ``RunChecks`` takes the blocks of a run in row order, from the executor as
-it fills them or from trace.csv as it is parsed, and keeps only what the
-verdicts need: counts, the time of the first failing row, maxima, and the
-two trapezoid energy terms of each step (16 B per row), which are summed
-once at the end so that the empirical L2 gain keeps the bits of one
-pairwise sum.  The energy terms and the dissipation residuals span two rows,
-so each block is joined to the last row of the block before (``joined``,
-which ``verify`` also calls for its time-grid and ``u_r`` checks).  This is a
-module of its own, imported by the steps that check a run, so that design
-and report do not compile it.
+A ``RunChecks`` is the one accumulator of a run's checks.  It holds the
+design the run's verdicts compare against, takes the blocks of the run in
+row order, from the executor as it fills them or from trace.csv as it is
+parsed, and keeps only what metrics.kv and the verdicts need: counts, the
+time of the first failing row, maxima, and the two trapezoid energy terms
+of each step (16 B per row), which are summed once at the end so that the
+empirical L2 gain keeps the bits of one pairwise sum.  The energy terms and
+the dissipation residuals span two rows, so each block is joined to the
+last row of the block before (``joined``, which ``verify`` also calls for
+its time-grid and ``u_r`` checks).  This is a module of its own, imported
+by the steps that check a run, so that design and report do not compile it.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .signals import Signal
 from .sim import (EventTable, ScenarioConfig, TraceLog, _accum_ratio_excess, _gap_stats,
                   dropout_spans, held_samples, max_consecutive_drops)
 
-__all__ = ["RunChecks", "RunMetrics", "verdicts", "metrics"]
+__all__ = ["RunChecks", "verdicts", "metrics"]
 
 _SIDES = ("plant", "controller")
 # the columns whose last row a block carries over to the next
@@ -34,15 +35,22 @@ _JOINED = ("t", "w1", "y_p", "x_p", "u_p", "u_r")
 
 
 class RunChecks:
-    """The merged row-level results of one run's shared verdicts.
+    """The merged row-level results of one run, with the design they are
+    compared against: ``params`` and ``design`` as ``config.build_scenario``
+    gives them, None for a run with explicit gains.
 
     Feed every block of the run, in row order, to ``add``; then set
     ``events`` to the run's whole event table.  A block's own event table
     need only hold every attempt up to its last row, and is not kept.
+    Besides what the verdicts need, ``maxima`` keeps the row maxima
+    ``metrics`` reports: sup_x_p and the sup-norm constants c1, c2, c1_prime
+    and c2_prime of the disturbance and reconstructed-output signals on each
+    side.
     """
 
-    def __init__(self, config: ScenarioConfig):
-        self.config = config
+    def __init__(self, config: ScenarioConfig, params: Optional[DesignParams] = None,
+                 design: Optional[DesignResult] = None):
+        self.config, self.params, self.design = config, params, design
         self.events: Optional[EventTable] = None
         self.rows = 0
         self.trigger_count = dict.fromkeys(_SIDES, 0)   # rows violating the rule
@@ -56,6 +64,8 @@ class RunChecks:
         self.steps = 0                                  # dissipation residuals so far
         self.dissip_max = self.dissip_norm_max = -math.inf
         self.dissip_ok = True
+        self.maxima = dict.fromkeys(("sup_x_p", "c1", "c2", "c1_prime", "c2_prime"), -math.inf)
+        self._w2 = Signal(config.w2)
         self._last: Optional[Dict[str, np.ndarray]] = None
 
     def joined(self, block: TraceLog, name: str) -> np.ndarray:
@@ -107,31 +117,16 @@ class RunChecks:
                 self.dissip_max = np.maximum(self.dissip_max, np.max(res))
                 self.dissip_norm_max = np.maximum(self.dissip_norm_max, np.max(res / tol))
                 self.dissip_ok &= bool(np.all(res <= tol))
-        self._last = {name: getattr(block, name)[-1:].copy() for name in _JOINED}
-        self.rows = stop
-
-
-class RunMetrics(RunChecks):
-    """RunChecks with the row maxima ``metrics`` reports: sup_x_p and the
-    sup-norm constants c1, c2, c1_prime and c2_prime of the disturbance and
-    reconstructed-output signals on each side."""
-
-    def __init__(self, config: ScenarioConfig):
-        super().__init__(config)
-        self.maxima = dict.fromkeys(("sup_x_p", "c1", "c2", "c1_prime", "c2_prime"), -math.inf)
-        self._w2 = Signal(config.w2)
-
-    def add(self, block: TraceLog) -> None:
-        super().add(block)
-        w2 = self._w2(block.t)
+        w2 = self._w2(t)
         for key, rows in (("sup_x_p", block.x_p), ("c1", block.w1), ("c2", block.y_tilde_c),
                           ("c1_prime", w2), ("c2_prime", block.u_c - w2)):
             self.maxima[key] = np.maximum(self.maxima[key],
                                           np.max(np.linalg.norm(rows, axis=1)))
+        self._last = {name: getattr(block, name)[-1:].copy() for name in _JOINED}
+        self.rows = stop
 
 
-def verdicts(run: RunChecks, design: Optional[DesignResult] = None
-             ) -> Tuple[Dict[str, Tuple[bool, str]], Dict[str, float]]:
+def verdicts(run: RunChecks) -> Tuple[Dict[str, Tuple[bool, str]], Dict[str, float]]:
     """The verdicts metrics.kv and verify.kv share, as name -> (pass, detail),
     and the values metrics.kv prints with them: ``l2_gain_emp`` (NaN without
     input energy) and the dissipation maxima.  A verdict whose premise fails
@@ -139,8 +134,9 @@ def verdicts(run: RunChecks, design: Optional[DesignResult] = None
     the detector did not fire) and ``held_norm_bound_*`` (||held|| <=
     (1+sqrt(delta))*||y|| outside dropout spans) need only the triggering
     rule; ``dissipativity_p`` needs a storage function; ``l2_gain_bound``
-    (gain <= ``gamma_bound``) needs positive input energy and a feasible
-    design; ``dropout_budget_*`` need a feasible design.
+    (gain <= ``gamma_bound``) needs positive input energy and a certified
+    design (``stability_ok``), and ``dropout_budget_*`` a certified design:
+    the budgets and the bound exist to keep its finite-gain L2 certificate.
     """
     checks: Dict[str, Tuple[bool, str]] = {}
     for side, key in zip(_SIDES, "pc"):
@@ -162,7 +158,8 @@ def verdicts(run: RunChecks, design: Optional[DesignResult] = None
         values["dissip_residual_max_p"] = float(run.dissip_max) if run.steps else 0.0
         values["dissip_norm_residual_max_p"] = worst
         checks["dissipativity_p"] = (run.dissip_ok, f"worst residual at {worst:.3e} of tolerance")
-    if design is not None:
+    design = run.design
+    if design is not None and design.stability_ok:
         if not math.isnan(gain):
             checks["l2_gain_bound"] = (
                 bool(gain <= design.gamma_bound),
@@ -175,19 +172,18 @@ def verdicts(run: RunChecks, design: Optional[DesignResult] = None
     return checks, values
 
 
-def metrics(run: RunMetrics, design: Optional[DesignResult] = None,
-            params: Optional[DesignParams] = None) -> Dict[str, object]:
+def metrics(run: RunChecks) -> Dict[str, object]:
     """Aggregate the quantities the design formulas talk about.
 
     Extracts event statistics, the inter-switch slope and sup-norm constants,
     the empirical L2 gain of the disturbance-to-plant-output map, energy
-    residuals against the plant storage, and, when a design result is
-    supplied, boolean comparisons of the observed trace against its bounds.
+    residuals against the plant storage, and, when the run has a design,
+    boolean comparisons of the observed trace against its bounds.
     A comparison with nothing to compare is left out: ``accum_ratio_*`` for
     a side with no re-commit, ``interevent_*`` for a side with no gap.
     """
     cfg, ev = run.config, run.events
-    checks, values = verdicts(run, design)
+    checks, values = verdicts(run)
     me: Dict[str, object] = {}
     for side, key in zip(_SIDES, "pc"):
         attempts = int(np.count_nonzero(ev.on(side)))
@@ -223,18 +219,17 @@ def metrics(run: RunMetrics, design: Optional[DesignResult] = None,
                       ("dropout_budget_c", "budget_ok_c")):
         if name in checks:
             me[key] = checks[name][0]
-    if design is not None and params is not None:
-        me.update(_interevent_comparison(run, params, me))
+    if run.params is not None:
+        me.update(_interevent_comparison(run, me))
     return me
 
 
-def _interevent_comparison(run: RunChecks, params: DesignParams,
-                           me: Dict[str, object]) -> Dict[str, object]:
+def _interevent_comparison(run: RunChecks, me: Dict[str, object]) -> Dict[str, object]:
     """Each gap between a side's commits against its conic-sector lower
     bound.  The bound needs an output-strictly passive side (rho > 0), and
     the comparison a gap; a side without both gets no ``interevent_*``
     entries."""
-    h = run.config.h
+    h, params = run.config.h, run.params
     out: Dict[str, object] = {}
     for side, key, rho, fn, consts in (
             ("plant", "p", params.rho_p, interevent_bound_plant,

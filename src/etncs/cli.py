@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import sim
-from .config import (ConfigError, apply_overrides, build_scenario,
-                     feasible_design, format_config, load_config, run_design)
+from .config import (ConfigError, apply_overrides, build_scenario, format_config, load_config,
+                     run_design)
 from .design import DesignParams, DesignResult, InfeasibleDesign
 
 __all__ = ["main"]
@@ -196,24 +196,25 @@ class _LaneFiles:
     lane that diverges leaves no file and an earlier run's files as they
     were."""
 
-    def __init__(self, out_dir: Path, scenario: sim.ScenarioConfig):
-        from .checks import RunMetrics   # here, so that only simulate compiles it
+    def __init__(self, out_dir: Path, scenario: sim.ScenarioConfig,
+                 params: Optional[DesignParams], design: Optional[DesignResult]):
+        from .checks import RunChecks   # here, so that only simulate compiles it
 
         self.out_dir = out_dir
-        self.checks = RunMetrics(scenario)
+        self.checks = RunChecks(scenario, params, design)
         self.file = open(_partial(out_dir / "trace.csv"), "wb")
 
     def __call__(self, block: sim.TraceLog) -> None:
         sim.write_trace_csv(block, self.file)
         self.checks.add(block)
 
-    def finish(self, events: sim.EventTable, result, params) -> None:
+    def finish(self, events: sim.EventTable) -> None:
         """Name the trace and write the events and metrics of a completed run."""
         self.file.close()
         os.replace(self.file.name, self.out_dir / "trace.csv")
         self.checks.events = events
         sim.write_events_csv(self.checks, self.out_dir / "events.csv")
-        _write_kv(self.out_dir / "metrics.kv", sim.compute_metrics(self.checks, result, params))
+        _write_kv(self.out_dir / "metrics.kv", sim.compute_metrics(self.checks))
 
     def discard(self) -> None:
         """Remove the temporary trace of a run that did not complete."""
@@ -230,24 +231,23 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
         return max(_simulate_batch([c], [d]) for c, d in zip(cfgs, out_dirs))
     for out_dir in out_dirs:
         _make_dir(out_dir)
-    scenarios = [build_scenario(cfg) for cfg in cfgs]
+    scenarios, params, designs = zip(*map(build_scenario, cfgs))
     # a seed changes only w1 and the dropouts, so the lanes can share the
-    # model objects the batch requires
+    # model objects the batch requires, and lane 0's design
     scenarios = [dataclasses.replace(s, plant=scenarios[0].plant,
                                      controller=scenarios[0].controller)
                  for s in scenarios]
-    params, result = feasible_design(cfgs[0])
     code = EXIT_OK
     lanes: List[_LaneFiles] = []
     try:
         for out_dir, scenario in zip(out_dirs, scenarios):
-            lanes.append(_LaneFiles(out_dir, scenario))
+            lanes.append(_LaneFiles(out_dir, scenario, params[0], designs[0]))
         for lane, run in zip(lanes, sim.run_scenario(scenarios, lanes)):
             if isinstance(run, sim.DivergenceError):
                 print(f"simulation aborted: {run}", file=sys.stderr)
                 code = EXIT_DIVERGENCE
                 continue
-            lane.finish(run, result, params)
+            lane.finish(run)
     finally:
         for lane in lanes:
             lane.discard()
@@ -313,9 +313,7 @@ def _read_run(out_dir: Path, read):
 def cmd_verify(args) -> int:
     from .verify import verify_trace_files
 
-    cfg = _load_effective_config(args)
-    scenario = build_scenario(cfg)
-    _, design = feasible_design(cfg)
+    scenario, _, design = build_scenario(_load_effective_config(args))
     out_dir = Path(args.out)
     checks = _read_run(out_dir, functools.partial(verify_trace_files, scenario, design))
     kv: Dict[str, object] = {}
@@ -371,7 +369,7 @@ def _report_rows(out_dir: Path, scenario: sim.ScenarioConfig, trace_path, events
 
 
 def cmd_report(args) -> int:
-    scenario = build_scenario(_load_effective_config(args))
+    scenario, _, _ = build_scenario(_load_effective_config(args))
     out_dir = Path(args.out)
     ev = _read_run(out_dir, functools.partial(_report_rows, out_dir, scenario))
     for side in ("plant", "controller"):
@@ -422,9 +420,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleDesign as exc:
         print(f"infeasible design: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except sim.DivergenceError as exc:
-        print(f"simulation aborted: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
 
 
 if __name__ == "__main__":

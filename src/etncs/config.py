@@ -29,7 +29,6 @@ __all__ = [
     "format_config",
     "build_design_inputs",
     "run_design",
-    "feasible_design",
     "build_scenario",
 ]
 
@@ -274,32 +273,22 @@ def run_design(cfg: Dict[str, str]) -> Tuple[DesignParams, DesignResult]:
                           f"formulas ({type(exc).__name__})") from exc
 
 
-def feasible_design(cfg: Dict[str, str]
-                    ) -> Tuple[Optional[DesignParams], Optional[DesignResult]]:
-    """``run_design``, or ``(None, None)`` if the config has no feasible
-    design or the run does not use it: explicit ``gains.*`` replace the
-    synthesized gains, so no design verdict rests on the design keys."""
-    if "gains.m22" in cfg:
-        return None, None
+def _validated(kind, *args, **kwargs):
+    """``kind(*args, **kwargs)``, its validation's ValueError a ConfigError."""
     try:
-        return run_design(cfg)
-    except (ConfigError, InfeasibleDesign):
-        return None, None
+        return kind(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _build_gains(cfg: Dict[str, str]) -> TransformGains:
-    if "gains.m22" in cfg:
-        try:
-            return TransformGains(m11=_require_float(cfg, "gains.m11"),
-                                  m21=_require_float(cfg, "gains.m21"),
-                                  m22=_require_float(cfg, "gains.m22"))
-        except ValueError as exc:
-            raise ConfigError(f"gains: {exc}") from exc
-    _, result = run_design(cfg)
-    return result.gains
-
-
-def build_scenario(cfg: Dict[str, str]) -> ScenarioConfig:
+def build_scenario(cfg: Dict[str, str]
+                   ) -> Tuple[ScenarioConfig, Optional[DesignParams], Optional[DesignResult]]:
+    """The config's run and the design its gains come from, ``(scenario,
+    params, design)``; ``(scenario, None, None)`` if explicit ``gains.*``
+    replace the synthesized gains, so that no design verdict rests on the
+    design keys.  The design is synthesized where the gains are read, after
+    the channels and before the signals, so that of two faults the same one
+    is named first, and an infeasible one raises InfeasibleDesign."""
     plant = _build_system(cfg, "plant")
     controller = _build_system(cfg, "controller")
     x0_p = _get_floats(cfg, "plant.x0")
@@ -308,24 +297,27 @@ def build_scenario(cfg: Dict[str, str]) -> ScenarioConfig:
         x0_p = np.zeros(plant.state_dim)
     if x0_c is None:
         x0_c = np.zeros(controller.state_dim)
-    try:
-        return ScenarioConfig(
-            plant=plant, controller=controller,
-            x0_plant=x0_p, x0_controller=x0_c,
-            trigger_p=TriggerConfig(_require_float(cfg, "trigger_p.delta")),
-            trigger_c=TriggerConfig(_require_float(cfg, "trigger_c.delta")),
-            quant_p=_build_quantizer(cfg, "quant_p"),
-            quant_c=_build_quantizer(cfg, "quant_c"),
-            chan_pc=_build_channel(cfg, "chan_pc"),
-            chan_cp=_build_channel(cfg, "chan_cp"),
-            gains=_build_gains(cfg),
-            w1=_build_signal_spec(cfg, "w1"),
-            w2=_build_signal_spec(cfg, "w2"),
-            t_end=_get_float(cfg, "sim.t_end", 20.0),
-            h=_get_float(cfg, "sim.h", 1e-3),
-            drop_first_allowed=_get_bool(cfg, "sim.drop_first_allowed", False),
-            divergence_limit=_get_float(cfg, "sim.divergence_limit", 1e9))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    trigger_p = _validated(TriggerConfig, _require_float(cfg, "trigger_p.delta"))
+    trigger_c = _validated(TriggerConfig, _require_float(cfg, "trigger_c.delta"))
+    quant_p, quant_c = _build_quantizer(cfg, "quant_p"), _build_quantizer(cfg, "quant_c")
+    chan_pc, chan_cp = _build_channel(cfg, "chan_pc"), _build_channel(cfg, "chan_cp")
+    params = design = None
+    if "gains.m22" in cfg:
+        try:
+            gains = TransformGains(m11=_require_float(cfg, "gains.m11"),
+                                   m21=_require_float(cfg, "gains.m21"),
+                                   m22=_require_float(cfg, "gains.m22"))
+        except ValueError as exc:
+            raise ConfigError(f"gains: {exc}") from exc
+    else:
+        params, design = run_design(cfg)
+        gains = design.gains
+    scenario = _validated(
+        ScenarioConfig, plant=plant, controller=controller, x0_plant=x0_p, x0_controller=x0_c,
+        trigger_p=trigger_p, trigger_c=trigger_c, quant_p=quant_p, quant_c=quant_c,
+        chan_pc=chan_pc, chan_cp=chan_cp, gains=gains,
+        w1=_build_signal_spec(cfg, "w1"), w2=_build_signal_spec(cfg, "w2"),
+        t_end=_get_float(cfg, "sim.t_end", 20.0), h=_get_float(cfg, "sim.h", 1e-3),
+        drop_first_allowed=_get_bool(cfg, "sim.drop_first_allowed", False),
+        divergence_limit=_get_float(cfg, "sim.divergence_limit", 1e9))
+    return scenario, params, design

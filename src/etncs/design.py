@@ -251,13 +251,13 @@ def cone_apex_angle(nu: float, rho: float) -> float:
     """Apex angle (radians) of the input-output cone of an index pair.
 
     arccos((nu+rho) / sqrt((1 - 4*rho*nu) + (nu+rho)^2)); well defined on the
-    admissible index domain, where the radicand is positive.
+    admissible index domain.  The radicand is 1 + (nu-rho)^2 >= 1.  In floats
+    4*rho*nu is 4 times the rounded rho*nu, because x4 is exact, so it is at
+    most 1 wherever the domain check passes and the radicand stays positive;
+    an overflow gives NaN, never a radicand <= 0.
     """
     PassivityIndices(nu=nu, rho=rho)  # domain check
-    radicand = (1.0 - 4.0 * rho * nu) + (nu + rho) ** 2
-    if radicand <= 0.0:
-        raise ValueError("degenerate cone: radicand is not positive")
-    ratio = (nu + rho) / math.sqrt(radicand)
+    ratio = (nu + rho) / math.sqrt((1.0 - 4.0 * rho * nu) + (nu + rho) ** 2)
     return math.acos(max(-1.0, min(1.0, ratio)))
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from . import core
-from .design import DesignParams, DesignResult, TransformGains
+from .design import TransformGains
 from .network import Channel, DelayProfile, DropoutModel
 from .quantizer import QuantizerSpec, quantize
 from .signals import Signal, SignalSpec
@@ -590,13 +590,12 @@ def _accum_ratio_excess(trace: TraceLog, side: str, delta: float) -> float:
     return float(np.fmax.reduce(ratio - bound, initial=-math.inf))
 
 
-def compute_metrics(run, design: Optional[DesignResult] = None,
-                    params: Optional[DesignParams] = None) -> Dict[str, object]:
-    """metrics.kv's entries, from the ``checks.RunMetrics`` a run was fed to
-    block by block (see ``checks.metrics``)."""
+def compute_metrics(run) -> Dict[str, object]:
+    """metrics.kv's entries, from the ``checks.RunChecks`` a run was fed to
+    block by block, which carries the run's design (see ``checks.metrics``)."""
     from . import checks   # here, so that only the steps that check a run compile it
 
-    return checks.metrics(run, design, params)
+    return checks.metrics(run)
 
 
 # ---------------------------------------------------------------------------

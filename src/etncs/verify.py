@@ -38,10 +38,11 @@ def _close(a: np.ndarray, b) -> bool:
 def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
                        trace_path, events_path) -> Dict[str, CheckResult]:
     """Run all trace-level invariant checks on the run of ``scenario``,
-    against ``design`` when it is feasible; returns name -> (pass, detail)."""
+    against ``design`` (None for a run with explicit gains); returns name ->
+    (pass, detail)."""
     h = scenario.h
     ev, blocks = read_run(scenario, trace_path, events_path)
-    run = RunChecks(scenario)
+    run = RunChecks(scenario, design=design)
     run.events = ev
     on_row = np.zeros(len(ev), bool)   # the event's sample_index names a row at its time
     agree = np.zeros(len(ev), bool)    # ... whose logged output is the committed sample
@@ -99,7 +100,7 @@ def verify_trace_files(scenario: ScenarioConfig, design: Optional[DesignResult],
     checks["error_columns"] = (
         errors_ok, "logged errors equal output minus last commit" + ("" if errors_ok else cause))
 
-    for name, (ok, detail) in verdicts(run, design)[0].items():
+    for name, (ok, detail) in verdicts(run)[0].items():
         on_join = name.startswith(("trigger_ineq", "held_norm_bound"))
         checks[name] = (ok, detail + cause if on_join and not ok else detail)
 

@@ -19,7 +19,7 @@ import pytest
 
 from etncs import core, trigger
 from etncs.cli import main
-from etncs.config import build_scenario, load_config, run_design
+from etncs.config import build_scenario, load_config
 from etncs.design import (DesignParams, DesignResult, interevent_bound_controller,
                           interevent_bound_plant, synthesize)
 from etncs.models import cubic_nl2, firstorder_lead
@@ -51,8 +51,7 @@ class GoldenRun:
 @pytest.fixture(scope="module")
 def golden() -> GoldenRun:
     cfg = load_config(CONFIG)
-    params, result = run_design(cfg)
-    scenario = build_scenario(cfg)
+    scenario, params, result = build_scenario(cfg)
     t0 = time.perf_counter()
     trace = whole.run(scenario)
     elapsed = time.perf_counter() - t0
@@ -272,7 +271,7 @@ def test_criterion_10_determinism(tmp_path):
     cfg = load_config(CONFIG)
     blobs = []
     for i in range(2):
-        trace = whole.run(build_scenario(cfg))
+        trace = whole.run(build_scenario(cfg)[0])
         path = tmp_path / f"trace_{i}.csv"
         whole.write_trace(trace, path)
         blobs.append(path.read_bytes())

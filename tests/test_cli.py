@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import etncs
 
-from etncs import cli, core, sim
+from etncs import cli, config, core, sim
 from etncs.cli import main
 from etncs.config import (KNOWN_KEYS, apply_overrides, build_design_inputs, build_scenario,
                           format_config, load_config)
-from etncs.design import min_m22_sq
+from etncs.design import min_m22_sq, synthesize
 
 import whole
 
@@ -58,14 +58,6 @@ def test_design_writes_report_and_kv(tmp_path, capsys):
     assert "# effective config" in out and "design.m22_sq = 49.46" in out
 
 
-def test_design_infeasible_m22_exits_2(tmp_path, capsys):
-    code = main(["design", "--config", str(CONFIG), "--out", str(tmp_path),
-                 "--set", "design.m22_sq=30.0"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "m22^2" in err and "rho_c" in err
-
-
 def test_design_boundary_auto_margin_exits_2(tmp_path, capsys):
     """At the smallest admissible m22^2 (a margin multiplier of 1.0) the
     coupling margin is zero and the design is not certified."""
@@ -84,6 +76,56 @@ def test_design_boundary_auto_margin_exits_2(tmp_path, capsys):
     kv = _read_kv(tmp_path / "design.kv")
     assert abs(float(kv["margin_coupling"])) < 1e-9
     assert kv["stability_ok"] == "false"
+
+
+@pytest.mark.parametrize("command", ["design", "simulate", "verify", "report"])
+def test_infeasible_design_exits_2_from_every_command(tmp_path, capsys, command):
+    """An infeasible design is exit 2, not a config error, from every
+    command, with the violated inequality named, and no run starts."""
+    code = main([command, "--config", str(CONFIG), "--out", str(tmp_path),
+                 "--set", "design.m22_sq=30", *SHORT])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible design: m22^2") and "rho_c" in err
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_uncertified_design_leaves_out_the_verdicts_resting_on_it(tmp_path):
+    """At the smallest admissible m22^2 the design is not certified, so its
+    gamma_bound (inf) and dropout budgets are nothing to compare a run
+    with; the inter-event bounds rest on the declared indices and stay."""
+    params = build_design_inputs(load_config(CONFIG))[0]
+    args = ["--config", str(CONFIG), "--out", str(tmp_path), *SHORT,
+            "--set", f"design.m22_sq={min_m22_sq(params)!r}"]
+    assert main(["simulate", *args]) == 0
+    assert main(["verify", *args]) in (0, 4)
+    metrics = _read_kv(tmp_path / "metrics.kv")
+    assert not any(key.startswith(("within_l2", "budget_ok")) for key in metrics)
+    assert "interevent_ok_c" in metrics
+    checks = _read_kv(tmp_path / "verify.kv")
+    assert "check.trigger_ineq_p" in checks
+    assert not any(key.startswith(("check.l2_gain_bound", "check.dropout_budget"))
+                   for key in checks)
+
+
+def test_each_lane_synthesizes_its_design_once(tmp_path, monkeypatch):
+    """Every command synthesizes a run's design once: the gains and the
+    verdicts read the same one."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return synthesize(*args)
+
+    monkeypatch.setattr(config, "synthesize", counting)
+    monkeypatch.setattr(cli, "MIN_BATCH_LANES", 2)   # the two seeds run as one batch
+    args = ["--config", str(CONFIG), "--out", str(tmp_path), "--set", "sim.t_end=0.2"]
+    for command, extra, want in (("design", [], 1), ("simulate", [], 1), ("verify", [], 1),
+                                 ("report", [], 1),
+                                 ("simulate", ["--seed", "3,4", "--jobs", "1"], 2)):
+        calls.clear()
+        assert main([command, *args, *extra]) == 0
+        assert len(calls) == want, (command, extra)
 
 
 def test_simulate_row_count(tmp_path):
@@ -213,7 +255,7 @@ def test_report_emits_two_column_files(tmp_path):
                  *SHORT]) == 0
     assert main(["report", "--config", str(CONFIG), "--out", str(tmp_path),
                  *SHORT]) == 0
-    scenario = build_scenario(apply_overrides(load_config(CONFIG), ["sim.t_end=1.0"]))
+    scenario, _, _ = build_scenario(apply_overrides(load_config(CONFIG), ["sim.t_end=1.0"]))
     trace = whole.read(scenario, tmp_path / "trace.csv", tmp_path / "events.csv")
 
     def rows(x, y):   # the per-row reference the block formatter must match

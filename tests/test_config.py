@@ -98,7 +98,8 @@ def test_auto_margin_boundary_gives_zero_coupling_margin():
 
 def test_scenario_round_trip():
     cfg = load_config(CONFIG_DIR / "worked_example.cfg")
-    sc = build_scenario(cfg)
+    sc, params, design = build_scenario(cfg)
+    assert design.gains == sc.gains and params.rho_p == 1.8
     assert sc.plant.name == "cubic_nl2"
     assert list(sc.x0_plant) == [10.0, -14.0]
     assert sc.trigger_p.delta == 0.4
@@ -120,8 +121,9 @@ def test_explicit_gains_bypass_synthesis():
     gains.m22 = 4.0
     sim.t_end = 0.5
     """)
-    sc = build_scenario(cfg)
+    sc, params, design = build_scenario(cfg)
     assert sc.gains.m21 == -2.0
+    assert params is None and design is None
 
 
 def test_missing_required_key():

@@ -75,7 +75,7 @@ def test_row_count_matches_grid():
 def test_deterministic_reruns_bit_identical(tmp_path):
     cfg = load_config(CONFIG_DIR / "worked_example.cfg")
     cfg["sim.t_end"] = "1.0"
-    traces = [whole.run(build_scenario(cfg)) for _ in range(2)]
+    traces = [whole.run(build_scenario(cfg)[0]) for _ in range(2)]
     for name in ("y_p", "x_p", "u_r", "y_qc", "w1"):
         assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name))
     paths = []
@@ -866,7 +866,7 @@ def test_one_lane_executor_memory_is_bounded():
     of the worked example whose sink keeps nothing peaks under 768 KB
     (measured 474 KB; rows kept as floats for a whole 2 048-row block took
     about 1 MB)."""
-    cfg = build_scenario(load_config(CONFIG_DIR / "worked_example.cfg"))
+    cfg, _, _ = build_scenario(load_config(CONFIG_DIR / "worked_example.cfg"))
     assert cfg.n_rows == 20_001
     run_scenario([cfg], [lambda block: None])   # loads and compiles every module first
     tracemalloc.start()
@@ -940,7 +940,7 @@ def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
     back a block at a time merges to its verdicts.  The run spans three
     blocks, with drops on both links and a dropout span across a block's
     edge on each side."""
-    from etncs.checks import RunChecks, RunMetrics, verdicts
+    from etncs.checks import RunChecks, verdicts
     from etncs.sim import _RUN_BLOCK, read_events_csv, write_events_csv
     from etncs.tracecsv import read_run
 
@@ -959,7 +959,7 @@ def test_blocks_merge_to_the_whole_runs_file_metrics_and_verdicts(tmp_path):
         assert ((starts < 2 * _RUN_BLOCK) & (ends > 2 * _RUN_BLOCK)).any() or \
             ((starts < _RUN_BLOCK) & (ends > _RUN_BLOCK)).any()
 
-    merged, sizes = RunMetrics(sc), []
+    merged, sizes = RunChecks(sc), []
     with open(tmp_path / "blocks.csv", "wb") as fh:
         def sink(block):
             sizes.append(len(block.t))

@@ -11,7 +11,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from etncs import checks, sim
-from etncs.checks import RunChecks, RunMetrics
+from etncs.checks import RunChecks
 from etncs.sim import TRACE_COLUMNS, DivergenceError, ScenarioConfig, TraceLog
 
 
@@ -48,8 +48,8 @@ def run(cfg: ScenarioConfig) -> TraceLog:
     return trace
 
 
-def _fed(trace: TraceLog, kind: type) -> RunChecks:
-    run = kind(trace.config)
+def _fed(trace: TraceLog, params=None, design=None) -> RunChecks:
+    run = RunChecks(trace.config, params, design)
     run.add(trace)
     run.events = trace.events
     return run
@@ -57,12 +57,12 @@ def _fed(trace: TraceLog, kind: type) -> RunChecks:
 
 def verdicts(trace: TraceLog, design=None):
     """``checks.verdicts`` of a whole trace, fed as one block."""
-    return checks.verdicts(_fed(trace, RunChecks), design)
+    return checks.verdicts(_fed(trace, design=design))
 
 
 def metrics(trace: TraceLog, design=None, params=None) -> dict:
     """``sim.compute_metrics`` of a whole trace, fed as one block."""
-    return sim.compute_metrics(_fed(trace, RunMetrics), design, params)
+    return sim.compute_metrics(_fed(trace, params, design))
 
 
 def write_trace(trace: TraceLog, path) -> None:
