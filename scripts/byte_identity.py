@@ -16,11 +16,14 @@ comes the ``forms`` run, ``simulate``, ``verify`` and ``report`` of one
 ``--seed``, which selects every config form the runs above leave out: an
 ``lti`` plant, explicit ``gains.*``, identity quantizers, a constant w2, no
 controller-link dropout, ``sim.drop_first_allowed`` and a nonzero initial
-hold on both links, which the diverging sweep's batches start from too.  Both
-trees write to the same directory, one after the other, so paths printed in
-outputs agree.  It then compares every output file, each step's exit code
-and its sorted stderr lines, and prints the first difference (exit 1) or
-"identical" (exit 0).  Configs are read from this checkout.
+hold on both links, which the diverging sweep's batches start from too.
+Then ``design_faults``: ``design`` of an infeasible ``design.m22_sq = 10``
+(exit 2) and of an unknown quantizer kind (exit 1).  Both trees write to
+the same directory, one after the other, so paths printed in outputs agree.
+It then compares every output file, each step's exit code, its stdout (the
+design report, the PASS/FAIL lines of verify) and its sorted stderr lines,
+and prints the first difference (exit 1) or "identical" (exit 0).  Configs
+are read from this checkout.
 """
 
 import os
@@ -71,16 +74,19 @@ def sequences(out: Path):
     for command in ("simulate", "verify", "report"):
         yield "forms", [command, "--config", wl.CONFIG, "--out", str(out / "forms"),
                         *FORM_SETS, "--seed", "3"]
+    for fault in ("design.m22_sq=10", "quant_p.kind=bogus"):
+        yield "design_faults", ["design", "--config", wl.CONFIG, "--out",
+                                str(out / "design_faults"), "--set", fault]
 
 
 def run_tree(src: Path, out: Path) -> list:
-    """(step, exit code, sorted stderr lines) of every step run on ``src``."""
+    """(step, exit code, stdout, sorted stderr lines) of every step run on ``src``."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), PYTHONDONTWRITEBYTECODE="1")
     results = []
     for name, argv in sequences(out):
         proc = subprocess.run([sys.executable, "-m", "etncs", *argv], cwd=ROOT, env=env,
                               capture_output=True, text=True)
-        results.append((f"{name}: {' '.join(argv[:1])}", proc.returncode,
+        results.append((f"{name}: {' '.join(argv[:1])}", proc.returncode, proc.stdout,
                         sorted(proc.stderr.splitlines())))
     return results
 

@@ -7,6 +7,10 @@ report), ``simulate`` (run a scenario to trace/events/metrics files),
 
 Exit codes: 0 success/pass, 1 usage or config error, 2 design infeasible,
 3 divergence abort, 4 verification failure.
+
+``design`` loads the config parser and the design formulas only: numpy and
+the executor's modules are imported inside the ``simulate``, ``verify`` and
+``report`` paths.
 """
 
 from __future__ import annotations
@@ -15,17 +19,18 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import numbers
 import os
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from . import sim
 from .config import (ConfigError, apply_overrides, build_scenario, format_config, load_config,
                      run_design)
 from .design import DesignParams, DesignResult, InfeasibleDesign
+
+if TYPE_CHECKING:
+    from . import sim
 
 __all__ = ["main"]
 
@@ -64,13 +69,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# 17 significant digits, as the trace writes them (sim._FMT): a float read
+# back from a .kv file is the float written
+_KV_FLOAT = "%.16e"
+
+
 def _kv_value(v) -> str:
+    """A .kv value as text; numpy's integers and floats are numbers."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, numbers.Integral):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return sim._FMT % v
+    if isinstance(v, numbers.Real):
+        return _KV_FLOAT % v
     return str(v)
 
 
@@ -205,11 +216,15 @@ class _LaneFiles:
         self.file = open(_partial(out_dir / "trace.csv"), "wb")
 
     def __call__(self, block: sim.TraceLog) -> None:
+        from . import sim
+
         sim.write_trace_csv(block, self.file)
         self.checks.add(block)
 
     def finish(self, events: sim.EventTable) -> None:
         """Name the trace and write the events and metrics of a completed run."""
+        from . import sim
+
         self.file.close()
         os.replace(self.file.name, self.out_dir / "trace.csv")
         self.checks.events = events
@@ -227,6 +242,8 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
     """Run the configs as the lanes of one lockstep batch, or one after
     another if there are fewer than MIN_BATCH_LANES, and write each lane's
     trace, events and metrics to its directory."""
+    from . import sim
+
     if 1 < len(cfgs) < MIN_BATCH_LANES:
         return max(_simulate_batch([c], [d]) for c, d in zip(cfgs, out_dirs))
     for out_dir in out_dirs:
@@ -255,6 +272,10 @@ def _simulate_batch(cfgs: List[Dict[str, str]], out_dirs: List[Path]) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # the executor and checks, and numpy with them, load here, before a
+    # --jobs pool forks, so that each worker starts with them
+    from . import checks, sim  # noqa: F401
+
     cfg = _load_config(args)
     seeds = _parse_seeds(args.seed)
     if seeds is not None and len(seeds) == 1:
@@ -335,6 +356,8 @@ def _write_dat_blocks(out_dir: Path, names: Sequence[str], blocks) -> None:
     are formatted once.  The files are written under temporary names and
     renamed once all rows are written, so a fault in a later block leaves
     no file, and the files of an earlier report as they were."""
+    from . import sim
+
     paths = [out_dir / name for name in names]
     try:
         with contextlib.ExitStack() as stack:
@@ -369,6 +392,8 @@ def _report_rows(out_dir: Path, scenario: sim.ScenarioConfig, trace_path, events
 
 
 def cmd_report(args) -> int:
+    import numpy as np
+
     scenario, _, _ = build_scenario(_load_effective_config(args))
     out_dir = Path(args.out)
     ev = _read_run(out_dir, functools.partial(_report_rows, out_dir, scenario))

@@ -3,23 +3,24 @@
 The file format is one dotted key per line, ``section.key = value``, with
 ``#`` comments and blank lines ignored.  Values are numbers, bare words, or
 comma-separated number lists.  See configs/schema.txt for the full key
-reference.
+reference.  Only ``build_scenario`` and its helpers import numpy and the
+executor's modules, so that synthesizing a design loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .design import DesignParams, DesignResult, InfeasibleDesign, TransformGains, synthesize
 from .models import build_model, lti_siso
-from .network import DelayProfile, DropoutModel, rate_bound_check
 from .quantizer import QuantizerSpec
-from .signals import SignalSpec
-from .sim import ChannelConfig, ScenarioConfig
-from .trigger import TriggerConfig
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .signals import SignalSpec
+    from .sim import ChannelConfig, ScenarioConfig
 
 __all__ = [
     "ConfigError",
@@ -133,6 +134,8 @@ def _get_bool(cfg, key, default=False) -> bool:
 def _get_floats(cfg, key) -> Optional[np.ndarray]:
     if key not in cfg:
         return None
+    import numpy as np
+
     try:
         values = np.array([float(v) for v in cfg[key].split(",") if v.strip()])
     except ValueError as exc:
@@ -181,6 +184,9 @@ def _build_quantizer(cfg: Dict[str, str], section: str) -> QuantizerSpec:
 
 
 def _build_channel(cfg: Dict[str, str], section: str) -> ChannelConfig:
+    from .network import DelayProfile, DropoutModel, rate_bound_check
+    from .sim import ChannelConfig
+
     form = cfg.get(f"{section}.form", "affine")
     table: Tuple[Tuple[float, float], ...] = ()
     if form == "table":
@@ -217,6 +223,8 @@ def _build_channel(cfg: Dict[str, str], section: str) -> ChannelConfig:
 
 
 def _build_signal_spec(cfg: Dict[str, str], section: str) -> SignalSpec:
+    from .signals import SignalSpec
+
     kind = cfg.get(f"{section}.kind", "zero")
     try:
         return SignalSpec(kind=kind,
@@ -289,6 +297,11 @@ def build_scenario(cfg: Dict[str, str]
     design keys.  The design is synthesized where the gains are read, after
     the channels and before the signals, so that of two faults the same one
     is named first, and an infeasible one raises InfeasibleDesign."""
+    import numpy as np
+
+    from .sim import ScenarioConfig
+    from .trigger import TriggerConfig
+
     plant = _build_system(cfg, "plant")
     controller = _build_system(cfg, "controller")
     x0_p = _get_floats(cfg, "plant.x0")

@@ -5,7 +5,8 @@ The executor carries states, inputs and outputs as lists of rows: Python
 floats for a single run, ``(B,)`` arrays for B lockstep lanes.  A model's
 ``dynamics`` and ``output`` work on such rows (see SystemModel).  All
 functions here are pure with respect to their inputs and safe to call from
-parallel scenario runs.
+parallel scenario runs.  Each function that works on arrays imports numpy
+itself, so that a step on Python floats and the design step load none.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import linecache
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "PassivityIndices",
@@ -56,7 +58,7 @@ class PassivityIndices:
 
 DynamicsFn = Callable[[Sequence, Sequence, float], Sequence]
 OutputFn = Callable[[Sequence, Sequence, float], Sequence]
-StorageFn = Callable[[np.ndarray], np.ndarray]
+StorageFn = Callable[["np.ndarray"], "np.ndarray"]
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,12 @@ def power(v, p):
     if type(v) is float:
         try:
             r = math.pow(v, p)
+            if r == r:
+                return r
         except (OverflowError, ValueError):
-            return np.float_power(v, p)
-        if r == r:
-            return r
+            pass
+    import numpy as np
+
     return np.float_power(v, p)
 
 
@@ -195,6 +199,8 @@ def rk4_step(model: SystemModel, state, u, t: float, h: float) -> list:
 
 def supply_rate(u: np.ndarray, y: np.ndarray, idx: PassivityIndices):
     """Energy inflow u'y - rho*y'y - nu*u'u per sample (per column of 2-D arrays)."""
+    import numpy as np
+
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.shape != y.shape:
@@ -218,6 +224,8 @@ def dissipativity_residuals(model: SystemModel, times: np.ndarray,
     The trajectory is dissipative w.r.t. the declared indices iff every
     residual is below the quadrature tolerance.
     """
+    import numpy as np
+
     if model.storage is None:
         raise ValueError("model has no storage function to check against")
     x = states.T
@@ -242,6 +250,8 @@ def energy_terms(traj: np.ndarray, times: np.ndarray) -> np.ndarray:
     samples of ``traj`` ``(N, dim)`` at ``times`` ``(N,)``.  Each term needs
     only its step's two rows, so a trajectory read in blocks that overlap by
     one row gives the terms of the whole."""
+    import numpy as np
+
     values = np.sum(traj * traj, axis=1)
     return 0.5 * (values[1:] + values[:-1]) * np.diff(times)
 
@@ -254,6 +264,8 @@ def l2_gain_estimate(in_terms: np.ndarray, out_terms: np.ndarray) -> float:
     pairwise sum.  This is a lower bound on the true L2 gain of the map
     w -> y.
     """
+    import numpy as np
+
     e_in = float(np.sum(in_terms))
     if e_in <= 0.0:
         raise ValueError("input signal has zero energy; gain is undefined")
@@ -274,6 +286,8 @@ class IndexMarginReport:
 def default_frequency_grid(lo: float = 1e-3, hi: float = 1e4,
                            n: int = 2000) -> np.ndarray:
     """Logarithmic frequency grid (rad/s) used for LTI index verification."""
+    import numpy as np
+
     return np.logspace(np.log10(lo), np.log10(hi), n)
 
 
@@ -290,6 +304,8 @@ def verify_lti_indices(A, B, C, D, candidate: PassivityIndices,
     Raises if the system has a pole on the imaginary axis inside the swept
     range (the response is unbounded there).
     """
+    import numpy as np
+
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0:
         A = A.reshape(0, 0)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .core import PassivityIndices
 
 __all__ = [
@@ -265,6 +263,8 @@ def _interevent_bound(delta: float, rho: float, apex: float,
                       c0: float, c1: float, c2: float, y_norm):
     """sqrt(delta) * y_norm / denom for one output norm or elementwise on an
     array of them, 0 where the norm is 0: a system at rest never fires."""
+    import numpy as np   # here, so that the design step loads no numpy
+
     y = np.asarray(y_norm, dtype=float)
     if np.any(y < 0) or c0 < 0 or c1 < 0 or c2 < 0:
         raise ValueError("norm bounds must be nonnegative")

@@ -4,19 +4,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .core import PassivityIndices, SystemModel, power
 
 __all__ = ["cubic_nl2", "firstorder_lead", "FIRSTORDER_LEAD_SS", "lti_siso", "build_model"]
 
-# State-space matrices of the first-order lead controller, G(s) = (s+10)/(s+3).
-FIRSTORDER_LEAD_SS = (
-    np.array([[-3.0]]),
-    np.array([[1.0]]),
-    np.array([[7.0]]),
-    np.array([[1.0]]),
-)
+# State-space matrices (A, B, C, D) of the first-order lead controller,
+# G(s) = (s+10)/(s+3), as nested tuples: no caller can change them.
+FIRSTORDER_LEAD_SS = (((-3.0,),), ((1.0,),), ((7.0,),), ((1.0,),))
 
 
 # Powers use core.power: it calls pow() on a float and on each element of an
@@ -51,7 +45,7 @@ def firstorder_lead(nu: float = 0.49, rho: float = 0.27) -> SystemModel:
     The default indices are declared metadata; see the frequency-domain
     check in core.verify_lti_indices for their verification margin.
     """
-    a, b, c, d = (float(m[0, 0]) for m in FIRSTORDER_LEAD_SS)
+    a, b, c, d = (m[0][0] for m in FIRSTORDER_LEAD_SS)
     return lti_siso(a, b, c, d, nu=nu, rho=rho, name="firstorder_lead")
 
 

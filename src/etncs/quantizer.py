@@ -4,16 +4,18 @@ All quantizers here are odd (q(-v) = -q(v)), memoryless and act componentwise
 on vectors.  A quantizer with sector (a, b) satisfies
 a*v'v <= v'q(v) <= b*v'v on its declared operating range; uniform mid-tread
 with step D has sector (0, 2): the worst ratio 2 is approached just above the
-dead-zone edge |v| = D/2.
+dead-zone edge |v| = D/2.  Quantizing one sample's list of floats
+uniformly loads no numpy: the functions that work on arrays import it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["QuantizerSpec", "SectorViolation", "quantize", "sector_certificate"]
 
@@ -55,7 +57,7 @@ class QuantizerSpec:
         if self.n_levels < 0:
             raise ValueError(f"n_levels must be >= 0, got {self.n_levels}")
         a, b = self.sector
-        if not (0.0 <= a <= b < np.inf):
+        if not (0.0 <= a <= b < math.inf):
             raise ValueError(f"sector must satisfy 0 <= a <= b < inf, got {self.sector}")
 
 
@@ -78,11 +80,17 @@ def _mid_tread(v, step: float):
             out.append((1.0 if vi > 0.0 else -1.0 if vi < 0.0 else 0.0) * math.floor(q) * step)
         else:
             return out
+        import numpy as np
+
         return _mid_tread(np.array(v, dtype=float), step).tolist()
+    import numpy as np
+
     return np.sign(v) * np.floor(np.abs(v) / step + 0.5) * step
 
 
 def _logarithmic(v: np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    import numpy as np
+
     rho = spec.density
     delta = (1.0 - rho) / (1.0 + rho)
     mag = np.abs(v)
@@ -111,15 +119,20 @@ def quantize(spec: QuantizerSpec, v):
 
     A list is a sample as the executor carries it, a list of rows: a single
     run's Python floats, which gives a list of floats, or a batch's ``(B,)``
-    arrays, which gives a list of arrays, one row at a time.  Anything else
+    arrays, which gives a list of arrays, one row at a time; a list whose
+    first row is not a Python number is taken for the second.  Anything else
     is read with ``np.asarray`` and gives a float ndarray.  All give the
     same bits, since every kind acts on each element alone."""
     if type(v) is list:
-        if v and isinstance(v[0], np.ndarray):
+        if v and not isinstance(v[0], (float, int)):
             return [_quantize_array(spec, row) for row in v]
         if spec.kind == "uniform-mid-tread":
             return _mid_tread(v, spec.step)
+        import numpy as np
+
         return _quantize_array(spec, np.array(v, dtype=float)).tolist()
+    import numpy as np
+
     return _quantize_array(spec, np.asarray(v, dtype=float))
 
 
@@ -138,6 +151,8 @@ def sector_certificate(spec: QuantizerSpec, samples) -> Tuple[float, float]:
     components, and raises SectorViolation if the declared sector does not
     contain it.
     """
+    import numpy as np
+
     flat = np.concatenate([np.asarray(s, dtype=float).ravel() for s in np.atleast_1d(samples)])
     nz = flat[flat != 0.0]
     if nz.size == 0:

@@ -247,6 +247,18 @@ def test_lti_indices_pure_gain():
     assert rep.verified
 
 
+def test_lead_matrices_cannot_change_the_lead():
+    """FIRSTORDER_LEAD_SS is nested tuples: a caller cannot write into it
+    and so change every later firstorder_lead() in the process."""
+    A, B, C, D = FIRSTORDER_LEAD_SS
+    with pytest.raises(TypeError):
+        A[0][0] = 0.0
+    lead = firstorder_lead()
+    (a,), (b,) = lead.dynamics([1.0], [0.0], 0.0), lead.dynamics([0.0], [1.0], 0.0)
+    (c,), (d,) = lead.output([1.0], [0.0], 0.0), lead.output([0.0], [1.0], 0.0)
+    assert (a, b, c, d) == (-3.0, 1.0, 7.0, 1.0)
+
+
 def test_lti_indices_lead_controller_passive():
     A, B, C, D = FIRSTORDER_LEAD_SS
     rep = verify_lti_indices(A, B, C, D, PassivityIndices(0.0, 0.0),
